@@ -15,7 +15,7 @@ import numpy as np
 
 from .fem import FeFunction, reference_basis
 from .linalg import Factorized, build_csr
-from .mesh import _LOCAL_EDGES
+from .mesh import _LOCAL_EDGES, _VERT_REF
 from .quadrature import interval_rule, triangle_rule
 
 __all__ = ["CoercivityError", "CipForm", "assemble_cip", "triple_norm",
@@ -26,8 +26,6 @@ __all__ = ["CoercivityError", "CipForm", "assemble_cip", "triple_norm",
 # (degree 2) and <8 (degree 3); larger penalties stay stable but degrade
 # pre-asymptotic accuracy, so the defaults keep a ~1.7x safety margin
 _DEFAULT_PENALTY = {2: 5.0, 3: 10.0}
-
-_VERT_REF = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
 class CoercivityError(RuntimeError):
@@ -124,7 +122,7 @@ def assemble_cip(space, eta=None, flip_normals=None, check_coercivity=True):
         Must have degree >= 2 (normal-derivative jumps of P1 carry no
         Hessian information).
     eta : float, optional
-        Penalty weight; defaults to 20 (degree 2) or 40 (degree 3).
+        Penalty weight; defaults to 5 (degree 2) or 10 (degree 3).
     flip_normals : bool array, optional
         Per-edge flags flipping the normal choice; the result must not
         change (exposed for the orientation-invariance check).

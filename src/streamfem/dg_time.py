@@ -14,13 +14,15 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import (FeFunction, assemble_load_scalar, h1_projection,
-                  load_provider, _static)
-from .linalg import Factorized
+from .fem import (FeFunction, _space_weights, assemble_load_gradient,
+                  assemble_load_scalar, gradient_tables, h1_projection,
+                  load_provider, sample_time_factors, space_time_squares)
+from .linalg import Factorized, SolverError
 from .quadrature import interval_rule
 
 __all__ = ["TimePartition", "make_partition", "radau_points", "TimeBasis",
-           "DgSolution", "dg_solve", "time_projection_values",
+           "DgSolution", "data_time_points", "dg_solve",
+           "time_projection_values",
            "stability_functional", "stability_data_norm",
            "best_approx_terms", "bh_primal", "bh_dual", "bh_analytic"]
 
@@ -147,6 +149,16 @@ class DgSolution:
         return FeFunction(self.space, self.value_at(m, t))
 
 
+def data_time_points(order):
+    """Gauss points per interval for the data integrals of dG(r): r + 2.
+
+    The transient solve and the analytic side of the space-time form
+    share this rule, so Galerkin orthogonality holds up to the space
+    quadrature alone.
+    """
+    return order + 2
+
+
 def _initial_coefficients(space, psi0):
     if psi0 is None:
         return np.zeros(space.n_dofs)
@@ -170,7 +182,8 @@ def dg_solve(form, partition, order, f=None, psi0=None, load_points=None,
     psi0 : FeFunction, field or None
         Initial datum, entering through its H1_0 projection.
     load_points : int, optional
-        Gauss points per interval for the data integral (default r+2).
+        Gauss points per interval for the data integral (default
+        ``data_time_points(order)``).
     load_rule : QuadratureRule, optional
         Space rule for the data loads (default: the data rule).
     """
@@ -182,12 +195,12 @@ def dg_solve(form, partition, order, f=None, psi0=None, load_points=None,
 
     if f is None:
         load = None
-    elif hasattr(f, "terms") or hasattr(f, "value"):
+    elif hasattr(f, "terms"):
         load = load_provider(space, f, rule=load_rule)
     else:
         load = f
 
-    rule = interval_rule(load_points or (order + 2))
+    rule = interval_rule(load_points or data_time_points(order))
     coupling = basis.gram(da=1) + np.outer(basis.left_values,
                                            basis.left_values)
     mass = basis.gram()
@@ -209,8 +222,8 @@ def dg_solve(form, partition, order, f=None, psi0=None, load_points=None,
                           + sp.kron(sp.csr_matrix(km * mass), a_free)).tocsr()
             try:
                 factor = Factorized(system, rtol=rtol)
-            except Exception as exc:
-                raise type(exc)(f"interval {m + 1}: {exc}") from exc
+            except SolverError as exc:
+                raise _at_interval(exc, m) from exc
 
         rhs = np.zeros((nb, free.size))
         if load is not None:
@@ -222,12 +235,18 @@ def dg_solve(form, partition, order, f=None, psi0=None, load_points=None,
 
         try:
             block = factor(rhs.ravel()).reshape(nb, free.size)
-        except Exception as exc:
-            raise type(exc)(f"interval {m + 1}: {exc}") from exc
+        except SolverError as exc:
+            raise _at_interval(exc, m) from exc
         coeffs[m][:, free] = block
         u_prev = block[-1]
 
     return DgSolution(partition, space, order, coeffs)
+
+
+def _at_interval(exc, m):
+    """The solver error of 0-based interval m, tagged with the interval."""
+    return SolverError(f"interval {m + 1}: {exc}", residual=exc.residual,
+                       interval=m + 1)
 
 
 def time_projection_values(order, partition, fn, samples=12):
@@ -309,22 +328,14 @@ def stability_data_norm(form, f, partition, psi0=None, time_points=8):
     free = space.free_dofs
     k_free = space.h1_free()
 
-    lifts = []
-    factors = []
-    for tf, term in f.terms:
-        b = assemble_load_scalar(space, _static(term))[free]
-        lifts.append(space.h1_factor()(b))
-        factors.append(tf)
+    lifts = [space.h1_factor()(assemble_load_scalar(space, static)[free])
+             for _, static in f.static_terms()]
     gram = np.array([[gi @ (k_free @ gj) for gj in lifts] for gi in lifts])
 
     rule = interval_rule(time_points)
-    total = 0.0
-    for m in range(partition.num_intervals):
-        t0 = partition.nodes[m]
-        km = partition.lengths[m]
-        for tau, wq in zip(rule.points, rule.weights):
-            sig = np.array([tf.fn(t0 + km * tau) for tf in factors])
-            total += wq * km * float(sig @ gram @ sig)
+    sig, _ = sample_time_factors(f, partition, rule)
+    quad = np.einsum("mpi,ij,mpj->mp", sig, gram, sig)
+    total = float(partition.lengths @ (quad @ rule.weights))
 
     if psi0 is not None:
         from .cip import triple_norm
@@ -346,78 +357,33 @@ def best_approx_terms(psi, space, form, partition, order, time_points=5,
 
     rule = rule or space.default_data_rule()
     trule = interval_rule(time_points)
-    basis = TimeBasis(order)
     pts = space.phys_points(rule)
-    grads = space.basis_gradients(rule)
-    det = space.jac_det
-    w = rule.weights
+    statics = [static for _, static in psi.static_terms()]
+    exact = np.stack([w.grad(0.0, pts) for w in statics])
+    ritz = gradient_tables(space, rule, [
+        ritz_projection(form, w).coefficients for w in statics])
+    h1p = gradient_tables(space, rule, [
+        h1_projection(space, w, rule=rule).coefficients for w in statics])
+    exact_minus_ritz = exact - ritz
+    exact_and_h1p = np.concatenate([exact, h1p])
 
-    exact = []
-    ritz = []
-    h1p = []
-    pik = []
-    factors = []
-    for tf, term in psi.terms:
-        exact.append(term.grad(pts))
-        static = _StaticScalarField(term, clamped=psi.clamped)
-        rw = ritz_projection(form, static)
-        pw = h1_projection(space, static, rule=rule)
-        ritz.append(np.einsum("fqli,fl->fqi", grads,
-                              rw.coefficients[space.dof_map]))
-        h1p.append(np.einsum("fqli,fl->fqi", grads,
-                             pw.coefficients[space.dof_map]))
-        pik.append(time_projection_values(order, partition, tf.fn))
-        factors.append(tf)
+    # sigma_i and its interval-wise time projection at the Gauss points
+    sig, _ = sample_time_factors(psi, partition, trule)
+    lv = TimeBasis(order).values(trule.points)                 # (P, r+1)
+    pik = np.stack([time_projection_values(order, partition, tf.fn)
+                    for tf, _ in psi.terms], axis=-1)           # (M, r+1, I)
+    psig = lv @ pik                                             # (M, P, I)
 
-    e_chi = e_rh = e_pik = 0.0
-    for m in range(partition.num_intervals):
-        t0 = partition.nodes[m]
-        km = partition.lengths[m]
-        for tau, wq in zip(trule.points, trule.weights):
-            t = t0 + km * tau
-            lv = basis.values(tau)
-            d_chi = np.zeros_like(exact[0])
-            d_rh = np.zeros_like(exact[0])
-            d_pik = np.zeros_like(exact[0])
-            for i, tf in enumerate(factors):
-                sig = tf.fn(t)
-                psig = float(lv @ pik[i][m])
-                d_chi += sig * exact[i] - psig * h1p[i]
-                d_rh += sig * (exact[i] - ritz[i])
-                d_pik += (sig - psig) * exact[i]
-            scale = wq * km
-            e_chi += scale * np.einsum("q,fqi,fqi,f->", w, d_chi, d_chi, det)
-            e_rh += scale * np.einsum("q,fqi,fqi,f->", w, d_rh, d_rh, det)
-            e_pik += scale * np.einsum("q,fqi,fqi,f->", w, d_pik, d_pik, det)
-    return (float(np.sqrt(max(e_chi, 0.0))),
-            float(np.sqrt(max(e_rh, 0.0))),
-            float(np.sqrt(max(e_pik, 0.0))))
+    wdet = _space_weights(space.jac_det, rule)
 
+    def norm(coefficients, tables):
+        blocks = ((c, tables) for c in coefficients)
+        total = space_time_squares(wdet, trule, partition.lengths, blocks)
+        return float(np.sqrt(max(total, 0.0)))
 
-class _StaticScalarField:
-    """One spatial factor viewed as a time-independent field."""
-
-    def __init__(self, term, clamped=False):
-        self.terms = ((_ONE, term),)
-        self.clamped = clamped
-        self._term = term
-
-    def value(self, t, x):
-        return self._term.value(x)
-
-    def grad(self, t, x):
-        return self._term.grad(x)
-
-    def hess(self, t, x):
-        return self._term.hess(x)
-
-
-class _One:
-    fn = staticmethod(lambda t: 1.0)
-    dfn = staticmethod(lambda t: 0.0)
-
-
-_ONE = _One()
+    return (norm(np.concatenate([sig, -psig], axis=-1), exact_and_h1p),
+            norm(sig, exact_minus_ritz),
+            norm(sig - psig, exact))
 
 
 # -- the space-time bilinear form on coefficient blocks -----------------
@@ -486,48 +452,36 @@ def bh_dual(form, partition, order, ucoef, vcoef):
     return total
 
 
-def bh_analytic(form, psi, partition, order, vcoef, time_points=8,
+def bh_analytic(form, psi, partition, order, vcoef, time_points=None,
                 volume_rule=None, edge_points=8):
     """Space-time form applied to a smooth clamped field against blocks.
 
     Realizes the extension of the form to continuous-in-time arguments:
     the field's jumps vanish, its elliptic pairing is the consistency
-    pairing, and the initial term pairs the field at t = 0.
+    pairing, and the initial term pairs the field at t = 0.  The time
+    rule defaults to that of ``dg_solve``, ``data_time_points(order)``.
     """
     from .cip import consistency_pairing
-    from .fem import assemble_load_gradient
 
     space = form.space
     basis = TimeBasis(order)
-    rule = interval_rule(time_points)
+    rule = interval_rule(time_points or data_time_points(order))
 
-    gloads = []
-    cpairs = []
-    factors = []
-    for tf, term in psi.terms:
-        static = _StaticScalarField(term, clamped=psi.clamped)
-        gloads.append(assemble_load_gradient(space, static,
-                                             rule=volume_rule))
-        cpairs.append(consistency_pairing(form, static,
-                                          volume_rule=volume_rule,
-                                          edge_points=edge_points))
-        factors.append(tf)
+    statics = [static for _, static in psi.static_terms()]
+    gloads = np.stack([assemble_load_gradient(space, w, rule=volume_rule)
+                       for w in statics])                       # (I, n)
+    cpairs = np.stack([consistency_pairing(form, w, volume_rule=volume_rule,
+                                           edge_points=edge_points)
+                       for w in statics])
 
-    total = 0.0
-    for m in range(partition.num_intervals):
-        t0 = partition.nodes[m]
-        km = partition.lengths[m]
-        vb = vcoef[m]
-        for tau, wq in zip(rule.points, rule.weights):
-            t = t0 + km * tau
-            vvec = basis.values(tau) @ vb
-            row = np.zeros(space.n_dofs)
-            for tf, gl, cp in zip(factors, gloads, cpairs):
-                row += tf.dfn(t) * gl + tf.fn(t) * cp
-            total += wq * km * float(row @ vvec)
-    v_plus0 = basis.left_values @ vcoef[0]
-    psi0_row = np.zeros(space.n_dofs)
-    for tf, gl in zip(factors, gloads):
-        psi0_row += tf.fn(0.0) * gl
-    total += float(psi0_row @ v_plus0)
+    # pairings of every load with v at every Gauss point, (M, P, I)
+    lv = basis.values(rule.points)
+    g_v = lv @ (vcoef @ gloads.T)
+    c_v = lv @ (vcoef @ cpairs.T)
+    sig, dsig = sample_time_factors(psi, partition, rule)
+    per_point = (dsig * g_v + sig * c_v).sum(axis=-1)           # (M, P)
+    total = float(partition.lengths @ (per_point @ rule.weights))
+
+    sig0 = np.array([tf.fn(0.0) for tf, _ in psi.terms])
+    total += float((sig0 @ gloads) @ (basis.left_values @ vcoef[0]))
     return total

@@ -2,8 +2,15 @@
 
 Degree-l nodal spaces with vectorized assembly of the H1 stiffness
 matrix, load vectors (scalar data, vector data paired with the rotated
-gradient, and gradient data), the H1_0 projection and the space-time
-error integrators.  All element loops are vectorized over triangles.
+gradient, and gradient data), the H1_0 projection and point evaluation.
+All element loops are vectorized over triangles.
+
+Space-time quantities of separable fields sum_i sigma_i(t) w_i(x) share
+one quadrature: ``sample_time_factors`` evaluates the sigma_i at every
+interval Gauss point, ``gradient_tables`` turns coefficient rows into
+gradients at the space rule points, and ``space_time_squares``
+integrates |sum_j C_pj T_j|^2 over I x Omega with one matrix product
+per interval.
 """
 
 from dataclasses import dataclass, field
@@ -12,30 +19,27 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import Factorized, build_csr
-from .mesh import _LOCAL_EDGES
+from .mesh import _LOCAL_EDGES, _VERT_REF, affine_geometry
 from .quadrature import interval_rule, triangle_rule
 
 __all__ = ["FeSpace", "FeFunction", "reference_basis", "build_space",
            "assemble_h1_stiffness", "assemble_load_scalar",
            "assemble_load_dual", "assemble_load_gradient", "h1_projection",
-           "load_provider", "evaluate", "h1_seminorm", "h1_field_error",
-           "space_time_h1_error"]
+           "load_provider", "separable_load", "evaluate", "h1_seminorm",
+           "h1_field_error", "sample_time_factors", "gradient_tables",
+           "space_time_squares", "space_time_h1_error"]
 
 SUPPORTED_DEGREES = (1, 2, 3)
-
-# reference coordinates of the three vertices
-_VERT_REF = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
 @lru_cache(maxsize=None)
 def _lattice(degree):
     """Local node coordinates: vertices, edge nodes, then interior."""
     ell = degree
-    verts = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
-    nodes = list(verts)
+    nodes = [tuple(v) for v in _VERT_REF]
     for i, j in _LOCAL_EDGES:
-        a = np.array(verts[i])
-        b = np.array(verts[j])
+        a = _VERT_REF[i]
+        b = _VERT_REF[j]
         for m in range(1, ell):
             nodes.append(tuple(a + (b - a) * (m / ell)))
     for jj in range(1, ell):
@@ -121,7 +125,8 @@ class FeSpace:
         self.mesh = mesh
         self.degree = degree
         self._build_dof_map()
-        self._build_geometry()
+        self.origins, self.jac, self.jac_inv, self.jac_det = \
+            affine_geometry(mesh)
         self._cache = {}
 
     # -- construction -------------------------------------------------
@@ -164,21 +169,6 @@ class FeSpace:
         free = np.ones(self.n_dofs, dtype=bool)
         free[self.boundary_dofs] = False
         self.free_dofs = np.flatnonzero(free)
-
-    def _build_geometry(self):
-        p = self.mesh.vertices[self.mesh.triangles]
-        jac = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)
-        det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-        inv = np.empty_like(jac)
-        inv[:, 0, 0] = jac[:, 1, 1]
-        inv[:, 0, 1] = -jac[:, 0, 1]
-        inv[:, 1, 0] = -jac[:, 1, 0]
-        inv[:, 1, 1] = jac[:, 0, 0]
-        inv /= det[:, None, None]
-        self.jac = jac
-        self.jac_inv = inv
-        self.jac_det = det  # positive: 2 * triangle area
-        self.origins = p[:, 0]
 
     # -- cached tables ------------------------------------------------
 
@@ -258,19 +248,6 @@ class FeFunction:
         if self.coefficients.shape != (self.space.n_dofs,):
             raise ValueError("coefficient length must match n_dofs")
 
-    def as_field(self):
-        """Wrap as an analytic-style field (slow point location; tests)."""
-        from .manufactured import ScalarField, SpatialTerm, TimeFactor
-        space, coef = self.space, self.coefficients
-
-        def value(x):
-            return _evaluate_many(space, coef, x)[0]
-
-        def grad(x):
-            return _evaluate_many(space, coef, x)[1]
-
-        return ScalarField(terms=((TimeFactor.one(), SpatialTerm(value, grad)),))
-
 
 # -- assembly ----------------------------------------------------------
 
@@ -334,41 +311,20 @@ def assemble_load_gradient(space, w, t=0.0, rule=None):
                        minlength=space.n_dofs)
 
 
-def load_provider(space, f, rule=None, dual=False):
-    """Callable t -> load vector, precomputing one load per separable term.
+def separable_load(fld, assemble):
+    """Callable t -> sum_i sigma_i(t) b_i with b_i = assemble(w_i).
 
-    Falls back to direct assembly when the field does not expose its
-    separable structure.
+    ``assemble`` maps the static field of one term to its load vector,
+    so each spatial load is assembled once.
     """
-    terms = getattr(f, "terms", None)
-    if terms is None:
-        assemble = assemble_load_dual if dual else assemble_load_scalar
-        return lambda t: assemble(space, f, t, rule=rule)
+    loads = [(tf, assemble(static)) for tf, static in fld.static_terms()]
+    return lambda t: sum(tf.fn(t) * b for tf, b in loads)
+
+
+def load_provider(space, f, rule=None, dual=False):
+    """Callable t -> load vector, precomputing one load per separable term."""
     assemble = assemble_load_dual if dual else assemble_load_scalar
-    statics = [assemble(space, _static(term), 0.0, rule=rule)
-               for _, term in terms]
-    factors = [tf for tf, _ in terms]
-
-    def load(t):
-        out = np.zeros(space.n_dofs)
-        for tf, b in zip(factors, statics):
-            out += tf.fn(t) * b
-        return out
-
-    return load
-
-
-class _static:
-    """Adapter presenting a time-independent spatial term as a field."""
-
-    def __init__(self, term):
-        self.term = term
-
-    def value(self, t, x):
-        return self.term.value(x)
-
-    def grad(self, t, x):
-        return self.term.grad(x)
+    return separable_load(f, lambda w: assemble(space, w, 0.0, rule=rule))
 
 
 # -- projections and evaluation ---------------------------------------
@@ -425,24 +381,80 @@ def h1_seminorm(space, coefficients):
     return float(np.sqrt(max(coefficients @ (k @ coefficients), 0.0)))
 
 
+# -- space-time quadrature of separable fields ------------------------
+
+
+def _weighted_squares(wdet, values):
+    """int_Omega |v|^2 for each leading index of values (..., F, Q, d)."""
+    lead = values.shape[:-3]
+    sq = np.einsum("...i,...i->...", values, values)
+    return sq.reshape(lead + (-1,)) @ wdet.ravel()
+
+
+def _space_weights(det, rule):
+    """Spatial quadrature weights w_q det_f, shape (F, Q)."""
+    return det[:, None] * rule.weights[None, :]
+
+
+def sample_time_factors(fld, partition, trule):
+    """sigma_i and sigma_i' of every term at every interval Gauss point.
+
+    Returns two arrays of shape (M, P, I) for M intervals, the P points
+    of ``trule`` mapped to each interval and the I terms of ``fld``.
+    """
+    times = (partition.nodes[:-1, None]
+             + partition.lengths[:, None] * trule.points[None, :])
+    sig = np.array([[[tf.fn(t) for tf, _ in fld.terms] for t in row]
+                    for row in times])
+    dsig = np.array([[[tf.dfn(t) for tf, _ in fld.terms] for t in row]
+                     for row in times])
+    return sig, dsig
+
+
+def gradient_tables(space, rule, rows):
+    """Gradients of the discrete functions with coefficient rows (A, n_dofs).
+
+    Returns (A, F, Q, 2) at the rule points, one batched matrix product
+    per triangle and point against the cached basis gradients.
+    """
+    coef = np.asarray(rows)[:, space.dof_map]                  # (A, F, L)
+    grads = space.basis_gradients(rule)                        # (F, Q, L, 2)
+    out = np.matmul(coef.transpose(1, 0, 2)[:, None], grads)   # (F, Q, A, 2)
+    return out.transpose(2, 0, 1, 3)
+
+
+def space_time_squares(wdet, trule, lengths, blocks):
+    """sum_m k_m sum_p w_p int_Omega |sum_j C_m[p, j] T_m[j]|^2 dx.
+
+    Parameters
+    ----------
+    wdet : ndarray, shape (F, Q)
+        Spatial weights w_q det_f.
+    trule : QuadratureRule
+        Time rule on [0, 1] with P points, mapped to every interval.
+    lengths : ndarray, shape (M,)
+        Interval lengths k_m.
+    blocks : iterable of M pairs (C_m, T_m)
+        Coefficients (P, J) and tables (J, F, Q, d) per interval; a
+        generator keeps one interval's tables alive at a time.
+    """
+    total = 0.0
+    for km, (coef, tables) in zip(lengths, blocks):
+        values = (coef @ tables.reshape(len(tables), -1)).reshape(
+            (len(coef),) + tables.shape[1:])
+        total += km * float(trule.weights @ _weighted_squares(wdet, values))
+    return total
+
+
 # -- error integration -------------------------------------------------
-
-
-def _term_grad_tables(space, fld, rule):
-    """Per-term exact gradients at the rule points, list of (F, Q, 2)."""
-    pts = space.phys_points(rule)
-    return [term.grad(pts) for _, term in fld.terms]
 
 
 def h1_field_error(space, coefficients, fld, t=0.0, rule=None):
     """|| grad(w(t) - v_h) ||_Omega by quadrature for an analytic w."""
     rule = rule or space.default_data_rule()
-    pts = space.phys_points(rule)
-    exact = fld.grad(t, pts)
-    grads = space.basis_gradients(rule)
-    disc = np.einsum("fqli,fl->fqi", grads, coefficients[space.dof_map])
-    diff = exact - disc
-    val = np.einsum("q,fqi,fqi,f->", rule.weights, diff, diff, space.jac_det)
+    diff = (fld.grad(t, space.phys_points(rule))
+            - gradient_tables(space, rule, [coefficients])[0])
+    val = _weighted_squares(_space_weights(space.jac_det, rule), diff[None])[0]
     return float(np.sqrt(max(val, 0.0)))
 
 
@@ -455,24 +467,18 @@ def space_time_h1_error(sol, psi, time_points=5, rule=None):
     space = sol.space
     rule = rule or space.default_data_rule()
     trule = interval_rule(time_points)
-    grads = space.basis_gradients(rule)
-    tables = _term_grad_tables(space, psi, rule)
-    factors = [tf for tf, _ in psi.terms]
-    det = space.jac_det
-    w = rule.weights
-    total = 0.0
-    for m in range(sol.partition.num_intervals):
-        t0 = sol.partition.nodes[m]
-        km = sol.partition.lengths[m]
-        # gradient table per time-basis coefficient block of this interval
-        block = np.einsum("fqli,afl->afqi", grads,
-                          sol.coefficients[m][:, space.dof_map])
-        for tau, wt in zip(trule.points, trule.weights):
-            t = t0 + km * tau
-            disc = np.einsum("a,afqi->fqi", sol.basis.values(tau), block)
-            exact = np.zeros_like(disc)
-            for tf, tab in zip(factors, tables):
-                exact += tf.fn(t) * tab
-            diff = exact - disc
-            total += wt * km * np.einsum("q,fqi,fqi,f->", w, diff, diff, det)
+    pts = space.phys_points(rule)
+    exact = np.stack([term.grad(pts) for _, term in psi.terms])
+    sig, _ = sample_time_factors(psi, sol.partition, trule)
+    minus_basis = -sol.basis.values(trule.points)              # (P, r+1)
+
+    def blocks():
+        tables = np.concatenate([exact, np.empty((sol.order + 1,)
+                                                 + exact.shape[1:])])
+        for m, coef in enumerate(sol.coefficients):
+            tables[len(exact):] = gradient_tables(space, rule, coef)
+            yield np.hstack([sig[m], minus_basis]), tables
+
+    total = space_time_squares(_space_weights(space.jac_det, rule), trule,
+                               sol.partition.lengths, blocks())
     return float(np.sqrt(max(total, 0.0)))

@@ -1,25 +1,30 @@
 """Sparse matrix helpers and the linear solvers used by all modules.
 
-Storage is scipy CSR throughout.  The solver contract is the achieved
-residual, not the algorithm: both entry points factorize with sparse LU
-and verify ||Ax - b|| <= rtol * ||b||, applying one step of iterative
-refinement before giving up.
+Storage is scipy CSR throughout.  ``Factorized`` is the one solve
+entry point: ``Factorized(a)(b)`` factorizes with sparse LU once and
+holds every solve to its residual contract ||Ax - b|| <= rtol * ||b||,
+applying up to five steps of iterative refinement before giving up.
 """
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-__all__ = ["SolverError", "build_csr", "symmetry_gap", "solve_spd",
-           "solve_general", "Factorized", "BlockMatrix"]
+__all__ = ["SolverError", "build_csr", "symmetry_gap", "Factorized"]
 
 
 class SolverError(RuntimeError):
-    """Linear solve failed to meet its residual contract."""
+    """Linear solve failed to meet its residual contract.
 
-    def __init__(self, message, residual=None):
+    ``residual`` is the achieved relative residual (None when the
+    factorization itself failed); ``interval`` is the 1-based time
+    interval of a transient solve, None outside one.
+    """
+
+    def __init__(self, message, residual=None, interval=None):
         super().__init__(message)
         self.residual = residual
+        self.interval = interval
 
 
 def build_csr(rows, cols, vals, shape):
@@ -82,59 +87,3 @@ class Factorized:
                 f"residual {res / norm_b:.3e} above rtol {self.rtol:.1e}",
                 residual=res / norm_b)
         return x
-
-
-def solve_spd(a, b, rtol=1e-10):
-    """Solve A x = b for symmetric positive definite A."""
-    return Factorized(a, rtol=rtol)(b)
-
-
-def solve_general(a, b, rtol=1e-10):
-    """Solve A x = b for general nonsingular A (sparse or BlockMatrix)."""
-    if isinstance(a, BlockMatrix):
-        a = a.to_csr()
-    return Factorized(a, rtol=rtol)(b)
-
-
-class BlockMatrix:
-    """Structured block operator flattened to CSR on demand.
-
-    Two layouts are supported: Kronecker sums ``sum_i kron(C_i, S_i)``
-    of small dense coefficient matrices with sparse blocks (the dG
-    interval systems), and explicit block grids (saddle-point systems).
-    """
-
-    def __init__(self, kron_terms=None, grid=None):
-        if (kron_terms is None) == (grid is None):
-            raise ValueError("give exactly one of kron_terms or grid")
-        self.kron_terms = kron_terms
-        self.grid = grid
-        self._csr = None
-
-    @classmethod
-    def from_kron(cls, terms):
-        terms = [(np.asarray(c, dtype=float), s) for c, s in terms]
-        if len({c.shape for c, _ in terms}) != 1 or \
-                len({s.shape for _, s in terms}) != 1:
-            raise ValueError("kron terms must have conformable shapes")
-        return cls(kron_terms=terms)
-
-    @classmethod
-    def from_grid(cls, grid):
-        return cls(grid=grid)
-
-    def to_csr(self):
-        if self._csr is None:
-            if self.kron_terms is not None:
-                acc = None
-                for c, s in self.kron_terms:
-                    term = sp.kron(sp.csr_matrix(c), s, format="csr")
-                    acc = term if acc is None else acc + term
-                self._csr = acc.tocsr()
-            else:
-                self._csr = sp.bmat(self.grid, format="csr")
-        return self._csr
-
-    @property
-    def shape(self):
-        return self.to_csr().shape

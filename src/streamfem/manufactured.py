@@ -78,6 +78,16 @@ class _FieldBase:
             total = piece if total is None else total + piece
         return total
 
+    def static_terms(self):
+        """Each term as (sigma_i, w_i viewed as a time-independent field).
+
+        The field is of the same class and clamping, with the time
+        factor one, so its values are those of w_i bit for bit.
+        """
+        return [(tf, type(self)([(TimeFactor.one(), term)],
+                                clamped=self.clamped))
+                for tf, term in self.terms]
+
     def value(self, t, x):
         return self._sum(t, x, "value")
 

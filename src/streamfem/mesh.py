@@ -7,11 +7,14 @@ adjacency, boundary flags and per-edge unit normals.
 
 import numpy as np
 
-__all__ = ["Mesh", "build_structured_mesh", "uniform_refine", "edge_geometry",
-           "dump_text"]
+__all__ = ["Mesh", "build_structured_mesh", "uniform_refine",
+           "affine_geometry"]
 
 # local edges of a triangle (a, b, c), traversed counterclockwise
 _LOCAL_EDGES = ((0, 1), (1, 2), (2, 0))
+
+# reference coordinates of the three vertices
+_VERT_REF = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
 class Mesh:
@@ -205,19 +208,19 @@ def uniform_refine(mesh):
     return Mesh(vertices, children)
 
 
-def edge_geometry(mesh, edge_index):
-    """Length, unit normal and endpoint coordinates of one edge."""
-    e = int(edge_index)
-    if not (0 <= e < mesh.num_edges):
-        raise IndexError(f"edge index {e} out of range")
-    pts = mesh.vertices[mesh.edges[e]]
-    return float(mesh.edge_lengths[e]), mesh.normals[e].copy(), pts.copy()
+def affine_geometry(mesh):
+    """Affine maps x = origin + J xhat from the reference triangle.
 
-
-def dump_text(mesh):
-    """Plain-text dump (vertex list then triangle list) for debugging."""
-    lines = [f"vertices {mesh.num_vertices}"]
-    lines += [f"{x:.17g} {y:.17g}" for x, y in mesh.vertices]
-    lines.append(f"triangles {mesh.num_triangles}")
-    lines += [f"{a} {b} {c}" for a, b, c in mesh.triangles]
-    return "\n".join(lines) + "\n"
+    Returns (origins (F, 2), jac (F, 2, 2), jac_inv (F, 2, 2), det (F,));
+    det is positive, twice the triangle area.
+    """
+    p = mesh.vertices[mesh.triangles]
+    jac = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)
+    det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+    inv = np.empty_like(jac)
+    inv[:, 0, 0] = jac[:, 1, 1]
+    inv[:, 0, 1] = -jac[:, 0, 1]
+    inv[:, 1, 0] = -jac[:, 1, 0]
+    inv[:, 1, 1] = jac[:, 0, 0]
+    inv /= det[:, None, None]
+    return p[:, 0], jac, inv, det

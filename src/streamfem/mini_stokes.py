@@ -14,7 +14,10 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import Factorized, build_csr
+from .fem import (_space_weights, sample_time_factors, separable_load,
+                  space_time_squares)
+from .linalg import Factorized, SolverError, build_csr
+from .mesh import affine_geometry
 from .quadrature import interval_rule, triangle_rule
 
 __all__ = ["MiniSpace", "build_mini_space", "mini_transient_solve",
@@ -70,23 +73,10 @@ class MiniSpace:
         loc[:, 3] = nv_int + np.arange(mesh.num_triangles)
         return loc
 
-    def geometry(self):
-        mesh = self.mesh
-        p = mesh.vertices[mesh.triangles]
-        jac = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)
-        det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-        inv = np.empty_like(jac)
-        inv[:, 0, 0] = jac[:, 1, 1]
-        inv[:, 0, 1] = -jac[:, 0, 1]
-        inv[:, 1, 0] = -jac[:, 1, 0]
-        inv[:, 1, 1] = jac[:, 0, 0]
-        inv /= det[:, None, None]
-        return p[:, 0], jac, inv, det
-
     def tables(self, rule):
         key = id(rule)
         if key not in self._cache:
-            origin, jac, inv, det = self.geometry()
+            origin, jac, inv, det = affine_geometry(self.mesh)
             vals, gref = _bubble_tables(np.broadcast_to(
                 rule.points, rule.points.shape))
             grads = np.einsum("qld,fdi->fqli", gref, inv)
@@ -163,31 +153,6 @@ def _velocity_load(space, g, t, rule):
     return out
 
 
-def _velocity_load_provider(space, g, rule):
-    terms = getattr(g, "terms", None)
-    if terms is None:
-        return lambda t: _velocity_load(space, g, t, rule)
-
-    class _Static:
-        def __init__(self, term):
-            self.term = term
-
-        def value(self, t, x):
-            return self.term.value(x)
-
-    statics = [_velocity_load(space, _Static(term), 0.0, rule)
-               for _, term in terms]
-    factors = [tf for tf, _ in terms]
-
-    def load(t):
-        out = np.zeros(space.n_velocity)
-        for tf, b in zip(factors, statics):
-            out += tf.fn(t) * b
-        return out
-
-    return load
-
-
 @dataclass
 class MiniSolution:
     space: MiniSpace
@@ -217,7 +182,7 @@ def mini_transient_solve(space, partition, g, u0=None, rule=None,
     lengths = partition.lengths
     uniform = np.allclose(lengths, lengths[0], rtol=1e-12, atol=0.0)
     trule = interval_rule(time_points)
-    load = _velocity_load_provider(space, g, rule)
+    load = separable_load(g, lambda w: _velocity_load(space, w, 0.0, rule))
 
     m_count = partition.num_intervals
     n_p = space.n_pressure
@@ -242,8 +207,8 @@ def mini_transient_solve(space, partition, g, u0=None, rule=None,
             ], format="csr")
             try:
                 factor = Factorized(saddle, rtol=rtol)
-            except Exception as exc:
-                raise type(exc)(f"step {m + 1}: {exc}") from exc
+            except SolverError as exc:
+                raise _at_step(exc, m) from exc
         t0 = partition.nodes[m]
         rhs_u = mass @ velocities[m]
         for tau, wq in zip(trule.points, trule.weights):
@@ -251,13 +216,19 @@ def mini_transient_solve(space, partition, g, u0=None, rule=None,
         rhs = np.concatenate([rhs_u, np.zeros(n_p), [0.0]])
         try:
             x = factor(rhs)
-        except Exception as exc:
-            raise type(exc)(f"step {m + 1}: {exc}") from exc
+        except SolverError as exc:
+            raise _at_step(exc, m) from exc
         velocities[m + 1] = x[:space.n_velocity]
         pressures[m] = x[space.n_velocity:space.n_velocity + n_p]
         multipliers[m] = x[-1]
 
     return MiniSolution(space, partition, velocities, pressures, multipliers)
+
+
+def _at_step(exc, m):
+    """The solver error of 0-based step m, tagged with the step."""
+    return SolverError(f"step {m + 1}: {exc}", residual=exc.residual,
+                       interval=m + 1)
 
 
 def velocity_error_l2(sol, u_exact, time_points=3, rule=None):
@@ -268,29 +239,21 @@ def velocity_error_l2(sol, u_exact, time_points=3, rule=None):
     loc = space.local_dofs()
     keep = loc >= 0
     trule = interval_rule(time_points)
+    exact = np.stack([term.value(pts) for _, term in u_exact.terms])
+    sig, _ = sample_time_factors(u_exact, sol.partition, trule)
+    minus_one = -np.ones((len(trule), 1))
 
-    terms = getattr(u_exact, "terms", None)
-    tables = [term.value(pts) for _, term in terms] if terms else None
+    def blocks():
+        tables = np.concatenate([exact, np.empty((1,) + exact.shape[1:])])
+        for m, velocity in enumerate(sol.velocities[1:]):
+            for c in range(2):
+                coef = np.where(keep, velocity[
+                    np.clip(loc, 0, None) + c * space.n_scalar], 0.0)
+                tables[-1, ..., c] = coef @ vals.T
+            yield np.hstack([sig[m], minus_one]), tables
 
-    total = 0.0
-    for m in range(sol.partition.num_intervals):
-        t0 = sol.partition.nodes[m]
-        km = sol.partition.lengths[m]
-        disc = np.zeros(pts.shape[:2] + (2,))
-        for c in range(2):
-            coef = np.where(keep, sol.velocities[m + 1][
-                np.clip(loc, 0, None) + c * space.n_scalar], 0.0)
-            disc[..., c] = np.einsum("ql,fl->fq", vals, coef)
-        for tau, wq in zip(trule.points, trule.weights):
-            t = t0 + km * tau
-            if tables is not None:
-                exact = sum(tf.fn(t) * tab
-                            for (tf, _), tab in zip(terms, tables))
-            else:
-                exact = u_exact.value(t, pts)
-            diff = exact - disc
-            total += wq * km * np.einsum("q,fqi,fqi,f->", rule.weights,
-                                         diff, diff, det)
+    total = space_time_squares(_space_weights(det, rule), trule,
+                               sol.partition.lengths, blocks())
     return float(np.sqrt(max(total, 0.0)))
 
 

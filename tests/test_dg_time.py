@@ -6,13 +6,14 @@ import pytest
 from streamfem import manufactured as mf
 from streamfem.cip import assemble_cip
 from streamfem.dg_time import (DgSolution, TimeBasis, best_approx_terms,
-                               bh_analytic, bh_dual, bh_primal, dg_solve,
+                               bh_analytic, bh_dual, bh_primal,
+                               data_time_points, dg_solve,
                                make_partition, radau_points,
                                stability_data_norm, stability_functional,
                                time_projection_values)
-from streamfem.fem import (FeFunction, build_space, h1_projection,
+from streamfem.fem import (FeFunction, build_space, evaluate, h1_projection,
                            h1_seminorm, space_time_h1_error)
-from streamfem.linalg import Factorized
+from streamfem.linalg import Factorized, SolverError
 from streamfem.mesh import build_structured_mesh
 
 
@@ -202,7 +203,10 @@ def test_exactly_representable_field_error_zero(space_n4_l2):
     field gives a vanishing space-time error."""
     form = assemble_cip(space_n4_l2)
     sol = dg_solve(form, make_partition(1), 0, psi0=mf.phi())
-    frozen = FeFunction(space_n4_l2, sol.coefficients[0, 0]).as_field()
+    profile = FeFunction(space_n4_l2, sol.coefficients[0, 0])
+    frozen = mf.ScalarField([(mf.TimeFactor.one(), mf.SpatialTerm(
+        lambda x: evaluate(profile, x)[0],
+        lambda x: evaluate(profile, x)[1]))])
     err = space_time_h1_error(sol, frozen)
     assert err < 1e-12
 
@@ -300,15 +304,15 @@ def test_primal_dual_agreement(order, space_n4_l2, rng):
 @pytest.mark.parametrize("order", [0, 1])
 def test_galerkin_orthogonality(order, rng):
     # the identity holds up to data quadrature, so the data must be
-    # resolved identically on both routes: elevate the space rule
+    # resolved identically on both routes: elevate the space rule (the
+    # time rule is shared by default)
     from streamfem.quadrature import triangle_rule
     space = build_space(build_structured_mesh(4), 2)
     form = assemble_cip(space)
     part = make_partition(8)
     psi = mf.psi_exact()
     rule = triangle_rule(20)
-    sol = dg_solve(form, part, order, f=mf.f_scalar(), load_rule=rule,
-                   load_points=8)
+    sol = dg_solve(form, part, order, f=mf.f_scalar(), load_rule=rule)
     for _ in range(5):
         v = rng.standard_normal(sol.coefficients.shape)
         v[:, :, space.boundary_dofs] = 0.0
@@ -316,6 +320,56 @@ def test_galerkin_orthogonality(order, rng):
                           edge_points=16)
         rhs = bh_primal(form, part, order, sol.coefficients, v)
         assert abs(lhs - rhs) <= 1e-7 * (abs(lhs) + abs(rhs) + 1e-30)
+
+
+@pytest.fixture(scope="module")
+def diagnostics_default_run():
+    """The dG(0) trajectory of the diagnostics study's defaults."""
+    space = build_space(build_structured_mesh(16), 2)
+    form = assemble_cip(space)
+    part = make_partition(32)
+    return form, part, dg_solve(form, part, 0, f=mf.f_scalar())
+
+
+def _orthogonality_residuals(run, rng, time_points=None):
+    form, part, sol = run
+    out = []
+    for _ in range(5):
+        v = rng.standard_normal(sol.coefficients.shape)
+        v[:, :, form.space.boundary_dofs] = 0.0
+        lhs = bh_analytic(form, mf.psi_exact(), part, 0, v,
+                          time_points=time_points)
+        rhs = bh_primal(form, part, 0, sol.coefficients, v)
+        out.append(abs(lhs - rhs) / (abs(lhs) + abs(rhs)))
+    return np.array(out)
+
+
+def test_galerkin_orthogonality_default_rules(diagnostics_default_run, rng):
+    """dg_solve and bh_analytic share their data time rule by default."""
+    assert data_time_points(0) == 2
+    res = _orthogonality_residuals(diagnostics_default_run, rng)
+    assert res.max() <= 1e-7
+
+
+def test_galerkin_orthogonality_fails_with_mismatched_time_rule(
+        diagnostics_default_run, rng):
+    """With 8 analytic time points against the solver's r+2 the check
+    must fail: the residual is the time-quadrature mismatch."""
+    res = _orthogonality_residuals(diagnostics_default_run, rng,
+                                   time_points=8)
+    assert res.min() > 1e-7
+
+
+def test_solver_error_carries_interval_and_residual(space_n4_l2):
+    form = assemble_cip(space_n4_l2)
+    with pytest.raises(SolverError) as info:
+        dg_solve(form, make_partition(3), 1, f=mf.f_scalar(), rtol=1e-30)
+    exc = info.value
+    assert exc.interval == 1
+    assert 0.0 < exc.residual < 1e-10
+    assert isinstance(exc.__cause__, SolverError)
+    assert exc.__cause__.residual == exc.residual
+    assert str(exc).startswith("interval 1: residual")
 
 
 # -- diagnostics ------------------------------------------------------------

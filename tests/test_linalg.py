@@ -3,8 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from streamfem.fem import assemble_load_scalar
-from streamfem.linalg import (BlockMatrix, Factorized, SolverError, build_csr,
-                              solve_general, solve_spd, symmetry_gap)
+from streamfem.linalg import Factorized, SolverError, build_csr, symmetry_gap
 from streamfem import manufactured as mf
 
 
@@ -24,23 +23,23 @@ def test_symmetry_gap():
 
 def test_solve_identity():
     b = np.array([3.0, -1.0, 2.0])
-    assert solve_spd(sp.eye(3, format="csr"), b) == pytest.approx(b)
+    assert Factorized(sp.eye(3, format="csr"))(b) == pytest.approx(b)
 
 
 def test_solve_diagonal():
     a = sp.diags([2.0, 3.0]).tocsr()
-    assert solve_spd(a, np.array([2.0, 3.0])) == pytest.approx([1.0, 1.0])
+    assert Factorized(a)(np.array([2.0, 3.0])) == pytest.approx([1.0, 1.0])
 
 
 def test_solve_general_permutation():
     a = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert solve_general(a, np.array([1.0, 2.0])) == pytest.approx([2.0, 1.0])
+    assert Factorized(a)(np.array([1.0, 2.0])) == pytest.approx([2.0, 1.0])
 
 
 def test_solve_spd_residual_contract(space_n4_l2):
     k = space_n4_l2.h1_free()
     b = assemble_load_scalar(space_n4_l2, _one())[space_n4_l2.free_dofs]
-    x = solve_spd(k, b, rtol=1e-10)
+    x = Factorized(k, rtol=1e-10)(b)
     assert np.linalg.norm(k @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
@@ -51,58 +50,32 @@ def _one():
 
 
 def test_spd_and_general_agree(space_n4_l2):
+    """The sparse SPD solve agrees with a dense general solve."""
     k = space_n4_l2.h1_free()
     rng = np.random.default_rng(5)
     b = rng.standard_normal(k.shape[0])
-    assert solve_spd(k, b) == pytest.approx(solve_general(k, b), abs=1e-8)
+    assert Factorized(k)(b) == pytest.approx(
+        np.linalg.solve(k.toarray(), b), abs=1e-8)
 
 
 def test_singular_matrix_raises():
     a = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(SolverError):
-        solve_general(a, np.array([1.0, 0.0]))
+        Factorized(a)(np.array([1.0, 0.0]))
 
 
 def test_deterministic_solves(space_n4_l2):
     k = space_n4_l2.h1_free()
     rng = np.random.default_rng(6)
     b = rng.standard_normal(k.shape[0])
-    x1 = solve_spd(k, b)
-    x2 = solve_spd(k, b)
+    x1 = Factorized(k)(b)
+    x2 = Factorized(k)(b)
     assert np.array_equal(x1, x2)
 
 
 def test_zero_rhs():
     a = sp.eye(4, format="csr") * 2.0
-    assert np.all(solve_spd(a, np.zeros(4)) == 0.0)
-
-
-def test_block_matrix_kron():
-    k = sp.eye(2, format="csr")
-    a = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    bm = BlockMatrix.from_kron([(np.array([[1.0, 0.0], [0.0, 1.0]]), k),
-                                (np.array([[0.0, 1.0], [0.0, 0.0]]), a)])
-    dense = bm.to_csr().toarray()
-    expect = np.kron(np.eye(2), np.eye(2)) + np.kron(
-        np.array([[0.0, 1.0], [0.0, 0.0]]), a.toarray())
-    assert dense == pytest.approx(expect)
-
-
-def test_block_matrix_grid():
-    a = sp.eye(2, format="csr")
-    b = sp.csr_matrix(np.ones((2, 1)))
-    bm = BlockMatrix.from_grid([[a, b], [b.T, None]])
-    assert bm.shape == (3, 3)
-    x = solve_general(bm, np.array([1.0, 1.0, 2.0]))
-    assert bm.to_csr() @ x == pytest.approx([1.0, 1.0, 2.0])
-
-
-def test_block_matrix_validation():
-    with pytest.raises(ValueError):
-        BlockMatrix()
-    with pytest.raises(ValueError):
-        BlockMatrix.from_kron([(np.eye(2), sp.eye(2, format="csr")),
-                               (np.eye(3), sp.eye(2, format="csr"))])
+    assert np.all(Factorized(a)(np.zeros(4)) == 0.0)
 
 
 def test_factorized_reuse(space_n4_l2):

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from streamfem.mesh import (build_structured_mesh, dump_text, edge_geometry,
-                            uniform_refine)
+from streamfem.mesh import build_structured_mesh, uniform_refine
 
 
 def test_smallest_mesh_counts():
@@ -77,8 +76,8 @@ def test_interior_normal_points_from_tminus_to_tplus():
 def test_boundary_normals_point_outward():
     m = build_structured_mesh(2)
     for e in np.flatnonzero(m.boundary_edge):
-        length, n, pts = edge_geometry(m, e)
-        mid = pts.mean(axis=0)
+        n = m.normals[e]
+        mid = m.vertices[m.edges[e]].mean(axis=0)
         assert np.dot(n, mid + 0.01 * n - np.array([0.5, 0.5])) > \
             np.dot(n, mid - np.array([0.5, 0.5]))
         outside = mid + 1e-6 * n
@@ -94,15 +93,14 @@ def test_edge_geometry_values():
     # bottom boundary edge of the unit square
     bottom = [e for e in range(m.num_edges)
               if np.allclose(m.vertices[m.edges[e]][:, 1], 0.0)][0]
-    length, n, _ = edge_geometry(m, bottom)
-    assert length == pytest.approx(1.0)
-    assert n == pytest.approx([0.0, -1.0])
+    assert m.edge_lengths[bottom] == pytest.approx(1.0)
+    assert m.normals[bottom] == pytest.approx([0.0, -1.0])
     # the diagonal edge
     diag = [e for e in range(m.num_edges)
             if set(m.edges[e]) == {0, 3}][0]
-    length, n, pts = edge_geometry(m, diag)
-    assert length == pytest.approx(np.sqrt(2.0))
-    assert abs(np.dot(n, pts[1] - pts[0])) < 1e-14
+    pts = m.vertices[m.edges[diag]]
+    assert m.edge_lengths[diag] == pytest.approx(np.sqrt(2.0))
+    assert abs(np.dot(m.normals[diag], pts[1] - pts[0])) < 1e-14
 
 
 def test_interior_vertical_edge_n2():
@@ -110,18 +108,11 @@ def test_interior_vertical_edge_n2():
     for e in range(m.num_edges):
         pts = m.vertices[m.edges[e]]
         if np.allclose(pts[:, 0], 0.5) and not m.boundary_edge[e]:
-            length, n, _ = edge_geometry(m, e)
-            assert length == pytest.approx(0.5)
-            assert abs(np.dot(n, [0.0, 1.0])) < 1e-14
+            assert m.edge_lengths[e] == pytest.approx(0.5)
+            assert abs(np.dot(m.normals[e], [0.0, 1.0])) < 1e-14
             break
     else:
         pytest.fail("no interior vertical edge found")
-
-
-def test_edge_geometry_out_of_range():
-    m = build_structured_mesh(1)
-    with pytest.raises(IndexError):
-        edge_geometry(m, m.num_edges)
 
 
 def test_uniform_refine_matches_structured():
@@ -140,10 +131,3 @@ def test_refine_twice_counts_and_h():
     assert m2.num_triangles == 32
     assert m2.mesh_size_h == pytest.approx(m.mesh_size_h / 4)
     assert m2.signed_areas().sum() == pytest.approx(1.0, rel=1e-12)
-
-
-def test_dump_text_roundtrip_header():
-    m = build_structured_mesh(1)
-    text = dump_text(m)
-    assert text.startswith("vertices 4\n")
-    assert "triangles 2" in text

@@ -5,6 +5,7 @@ import pytest
 
 from streamfem import manufactured as mf
 from streamfem.dg_time import make_partition
+from streamfem.linalg import SolverError
 from streamfem.mesh import build_structured_mesh
 from streamfem.mini_stokes import (build_mini_space, divergence_residual,
                                    mini_transient_solve, pressure_mean,
@@ -51,6 +52,18 @@ def test_gradient_forcing_moves_velocity():
                             mf.SpatialTerm(lambda p: np.zeros(p.shape)))])
     err = velocity_error_l2(sol, zero)  # equals the discrete magnitude
     assert err > 1e-8
+
+
+def test_solver_error_carries_step_and_residual():
+    space = build_mini_space(build_structured_mesh(2))
+    with pytest.raises(SolverError) as info:
+        mini_transient_solve(space, make_partition(3), mf.g_field(),
+                             rtol=1e-30)
+    exc = info.value
+    assert exc.interval == 1
+    assert 0.0 < exc.residual < 1e-10
+    assert exc.__cause__.residual == exc.residual
+    assert str(exc).startswith("step 1: residual")
 
 
 def test_divergence_and_pressure_mean():
