@@ -14,17 +14,19 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .fem import FeFunction, reference_basis
-from .linalg import Factorized, build_csr
+from .linalg import Factorized, SolverError, build_csr
 from .mesh import _LOCAL_EDGES, _VERT_REF
-from .quadrature import interval_rule, triangle_rule
+from .quadrature import interval_rule
 
 __all__ = ["CoercivityError", "CipForm", "assemble_cip", "triple_norm",
            "consistency_pairing", "ritz_projection", "apply_Ah",
            "solve_stationary", "default_penalty"]
 
-# measured coercivity thresholds on the structured mesh family are ~3
-# (degree 2) and <8 (degree 3); larger penalties stay stable but degrade
-# pre-asymptotic accuracy, so the defaults keep a ~1.7x safety margin
+# smallest coercive penalty on the structured meshes, exact check:
+#   degree 2:  2.48 (n=8)  2.60 (n=16)  2.63 (n=32)    (bisected to 0.05)
+#   degree 3:  6.29 (n=8)  6.40 (n=16)  6.40 (n=32)
+# larger penalties stay stable but degrade pre-asymptotic accuracy, so
+# the defaults keep a safety margin of about 1.9 and 1.6
 _DEFAULT_PENALTY = {2: 5.0, 3: 10.0}
 
 
@@ -49,7 +51,6 @@ class CipForm:
     eta: float
     matrix: object                      # full n_dofs x n_dofs CSR
     matrix_free: object                 # boundary DOFs eliminated
-    coercivity_estimate: float
     _factor: object = dc_field(default=None, repr=False)
 
     def factor(self):
@@ -113,7 +114,7 @@ def _side_traces(space, tri, local_edge, normals, svals):
     return dn, d2n
 
 
-def assemble_cip(space, eta=None, flip_normals=None, check_coercivity=True):
+def assemble_cip(space, eta=None, flip_normals=None):
     """Assemble the penalized biharmonic form over a Lagrange space.
 
     Parameters
@@ -126,9 +127,9 @@ def assemble_cip(space, eta=None, flip_normals=None, check_coercivity=True):
     flip_normals : bool array, optional
         Per-edge flags flipping the normal choice; the result must not
         change (exposed for the orientation-invariance check).
-    check_coercivity : bool
-        Estimate the smallest eigenvalue of the eliminated block and
-        raise CoercivityError when it is negative.
+
+    Raises CoercivityError unless the eliminated block is positive
+    definite, read exactly off its LU pivots (``Factorized.definite``).
     """
     if space.degree < 2:
         raise ValueError("interior penalty form needs degree >= 2")
@@ -136,6 +137,22 @@ def assemble_cip(space, eta=None, flip_normals=None, check_coercivity=True):
         eta = default_penalty(space.degree)
     if eta <= 0.0:
         raise ValueError("penalty must be positive")
+    # the assembly tables die with the helper, before the certifying
+    # factor exists (with both alive, stationary-fine peak RSS was +12 %);
+    # that factor is then dropped, not kept for factor(): keeping it cost
+    # +16 % (stationary-fine) and +32 % (time-sweep, no a_h solves)
+    full, free = _assemble_matrices(space, eta, flip_normals)
+    try:
+        definite = Factorized(free).definite
+    except SolverError:  # a singular block is not definite either
+        definite = False
+    if not definite:
+        raise CoercivityError(f"eta={eta} is too small: a_h is not definite")
+    return CipForm(space, float(eta), full, free)
+
+
+def _assemble_matrices(space, eta, flip_normals):
+    """Full and boundary-eliminated CSR matrices of the penalized form."""
     mesh = space.mesh
 
     # element Hessian contributions
@@ -193,46 +210,7 @@ def assemble_cip(space, eta=None, flip_normals=None, check_coercivity=True):
     full = (0.5 * (full + full.T)).tocsr()
     idx = space.free_dofs
     free = full[idx][:, idx].tocsr()
-
-    estimate = _min_eigenvalue_estimate(free) if check_coercivity else np.nan
-    form = CipForm(space, float(eta), full, free, float(estimate))
-    if check_coercivity and estimate < -1e-9 * _matrix_scale(free):
-        raise CoercivityError(
-            f"smallest eigenvalue estimate {estimate:.3e} is negative; "
-            f"increase the penalty (eta={eta})")
-    return form
-
-
-def _matrix_scale(a):
-    return float(np.abs(a.data).max()) if a.nnz else 1.0
-
-
-def _min_eigenvalue_estimate(a, iterations=300):
-    """Deterministic power-iteration bound on the smallest eigenvalue.
-
-    Runs power iteration on c*I - A with c = ||A||_inf >= lambda_max.
-    Detects the O(1)-magnitude negative eigenvalues of an underpenalized
-    form quickly; for a definite matrix the returned value is a small
-    nonnegative number.
-    """
-    n = a.shape[0]
-    if n == 0:
-        return 0.0
-    c = float(np.abs(a).sum(axis=1).max())
-    if c == 0.0:
-        return 0.0
-    rng = np.random.default_rng(20240)
-    x = rng.standard_normal(n)
-    x /= np.linalg.norm(x)
-    rq = 0.0
-    for _ in range(iterations):
-        y = c * x - a @ x
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            return c
-        x = y / ny
-        rq = float(x @ (c * x - a @ x))
-    return c - rq
+    return full, free
 
 
 def triple_norm(form, v):

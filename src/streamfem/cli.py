@@ -258,8 +258,7 @@ def diagnostics(cfg):
     check("a_h symmetry", symmetry_gap(form.matrix), 0.0)
 
     flipped = assemble_cip(space, cfg.eta,
-                           flip_normals=np.ones(mesh.num_edges, dtype=bool),
-                           check_coercivity=False)
+                           flip_normals=np.ones(mesh.num_edges, dtype=bool))
     diff = (form.matrix - flipped.matrix).tocoo()
     orient = float(np.abs(diff.data).max()) if diff.nnz else 0.0
     scale = float(np.abs(form.matrix.data).max())
@@ -412,8 +411,12 @@ def _config_from_args(args):
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
-    cfg = _config_from_args(args)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    try:
+        cfg = _config_from_args(args)
+    except (ValueError, OSError) as exc:  # bad flag, config file or key
+        parser.error(str(exc))
     failed = False
     if args.command == "converge-k":
         rows, rate = converge_k(cfg)

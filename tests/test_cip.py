@@ -1,12 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from streamfem import manufactured as mf
-from streamfem.cip import (CoercivityError, apply_Ah, assemble_cip,
-                           consistency_pairing, ritz_projection,
-                           solve_stationary, triple_norm)
+from streamfem.cip import (CoercivityError, _assemble_matrices, apply_Ah,
+                           assemble_cip, consistency_pairing,
+                           ritz_projection, solve_stationary, triple_norm)
 from streamfem.fem import (FeFunction, assemble_load_gradient,
                            assemble_load_scalar, build_space, h1_field_error,
                            h1_seminorm)
@@ -34,9 +35,9 @@ def test_exact_symmetry(form_n8_l2):
 def test_normal_orientation_invariance(space_n8_l2, form_n8_l2, rng):
     mesh = space_n8_l2.mesh
     flip_all = assemble_cip(space_n8_l2, flip_normals=np.ones(
-        mesh.num_edges, dtype=bool), check_coercivity=False)
+        mesh.num_edges, dtype=bool))
     flip_some = assemble_cip(space_n8_l2, flip_normals=rng.random(
-        mesh.num_edges) < 0.5, check_coercivity=False)
+        mesh.num_edges) < 0.5)
     scale = np.abs(form_n8_l2.matrix.data).max()
     for other in (flip_all, flip_some):
         diff = (form_n8_l2.matrix - other.matrix).tocoo()
@@ -53,7 +54,7 @@ def test_entry_oracle_sympy():
     mesh = build_structured_mesh(1)
     space = build_space(mesh, 2)
     eta_val = 20
-    form = assemble_cip(space, float(eta_val), check_coercivity=False)
+    form = assemble_cip(space, float(eta_val))
 
     def rat(v):
         return sympy.Rational(v).limit_denominator(10 ** 9)
@@ -148,6 +149,22 @@ def test_coercivity_error_for_tiny_penalty(space_n8_l2):
         assemble_cip(space_n8_l2, 0.1)
 
 
+@pytest.mark.parametrize("degree, below, above", [(2, 2.0, 2.5),
+                                                   (3, 6.0, 7.0)])
+def test_coercivity_check_is_exact(degree, below, above):
+    """The assembly-time check agrees with the dense spectrum of the
+    eliminated block on both sides of the penalty threshold."""
+    space = build_space(build_structured_mesh(8), degree)
+    lam_min = {eta: np.linalg.eigvalsh(
+        _assemble_matrices(space, eta, None)[1].toarray()).min()
+        for eta in (below, above)}
+    assert lam_min[below] < 0.0 < lam_min[above]
+    with pytest.raises(CoercivityError):
+        assemble_cip(space, below)
+    form = assemble_cip(space, above)
+    assert form.eta == above
+
+
 def test_random_vector_positivity(form_n8_l2, rng):
     space = form_n8_l2.space
     for _ in range(100):
@@ -192,7 +209,7 @@ def test_consistency_pairing_against_brute_force():
     integration of both term groups."""
     mesh = build_structured_mesh(2)
     space = build_space(mesh, 2)
-    form = assemble_cip(space, check_coercivity=False)
+    form = assemble_cip(space)
     phi = mf.phi()
     rule = triangle_rule(30)
     pair = consistency_pairing(form, phi, volume_rule=rule, edge_points=24)
@@ -350,16 +367,9 @@ def test_solve_stationary_biharmonic_load_converges():
     assert errs[0] / errs[-1] > 7.0
 
 
-def test_triple_norm_flags_indefinite(space_n8_l2, rng):
-    form = assemble_cip(space_n8_l2, 0.5, check_coercivity=False)
-    found = False
-    for _ in range(500):
-        v = random_interior(space_n8_l2, rng)
-        try:
-            triple_norm(form, v)
-        except CoercivityError:
-            found = True
-            break
-    if not found:
-        pytest.skip("no indefinite direction sampled (penalty near "
-                    "threshold); assembly-time check covers this")
+def test_triple_norm_flags_indefinite(form_n8_l2):
+    form = dataclasses.replace(form_n8_l2, matrix=-form_n8_l2.matrix)
+    v = np.zeros(form.space.n_dofs)
+    v[form.space.free_dofs] = 1.0
+    with pytest.raises(CoercivityError):
+        triple_norm(form, v)

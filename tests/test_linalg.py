@@ -36,6 +36,24 @@ def test_solve_general_permutation():
     assert Factorized(a)(np.array([1.0, 2.0])) == pytest.approx([2.0, 1.0])
 
 
+def test_definite_spd(space_n4_l2):
+    assert Factorized(space_n4_l2.h1_free()).definite
+
+
+def test_definite_indefinite():
+    a = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    assert not Factorized(a).definite
+
+
+def test_definite_needs_diagonal_pivots():
+    """A zero diagonal forces an off-diagonal pivot: not definite, but
+    the factor still solves."""
+    a = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    fac = Factorized(a)
+    assert not fac.definite
+    assert fac(np.array([1.0, 2.0])) == pytest.approx([2.0, 1.0])
+
+
 def test_solve_spd_residual_contract(space_n4_l2):
     k = space_n4_l2.h1_free()
     b = assemble_load_scalar(space_n4_l2, _one())[space_n4_l2.free_dofs]
