@@ -4,7 +4,7 @@ versus stream-function comparison, with deterministic CSV output.
 Every study writes one CSV per series (header ``k,error`` or
 ``h,error``, 12 significant digits) plus a key=value summary file with
 the fitted rate (least-squares slope over the last three refinement
-levels).
+levels, 6 significant digits; other summary values keep 12).
 """
 
 import argparse
@@ -71,14 +71,21 @@ def _fmt(x):
     return f"{x:.12g}"
 
 
+def _fmt_value(key, val):
+    """Summary values: fitted rates to 6 significant digits (a slope over
+    three points; further digits are roundoff), other floats to 12."""
+    if not isinstance(val, float):
+        return val
+    return f"{val:.6g}" if key == "fitted_rate" else _fmt(val)
+
+
 def _write_csv(path, header, rows):
     lines = [header] + [",".join(_fmt(v) for v in row) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def _write_summary(path, entries):
-    lines = [f"{key}={_fmt(val) if isinstance(val, float) else val}"
-             for key, val in entries]
+    lines = [f"{key}={_fmt_value(key, val)}" for key, val in entries]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -367,6 +374,19 @@ def _parse_int_list(text):
     return tuple(int(part) for part in text.split(",") if part)
 
 
+_EXPECTED = {_parse_int_list: "comma-separated integers", int: "an integer",
+             float: "a number"}
+
+
+def _cast(cast, raw, name):
+    """cast(raw); a bad value names the option or key and its format."""
+    try:
+        return cast(raw)
+    except ValueError:
+        raise ValueError(f"{name}: expected {_EXPECTED[cast]}, "
+                         f"got {raw!r}") from None
+
+
 def _load_config_file(path):
     out = {}
     for line in Path(path).read_text().splitlines():
@@ -391,15 +411,17 @@ def _config_from_args(args):
         for key, raw in file_cfg.items():
             if key not in casts:
                 raise ValueError(f"unknown config key {key!r}")
-            values[key] = casts[key](raw)
+            values[key] = _cast(casts[key], raw, key)
     for key in ("method", "degree", "dg_order", "eta", "rhs", "out"):
         flag = getattr(args, key)
         if flag is not None:
             values[key] = flag
     if args.mesh_list:
-        values["mesh_list"] = _parse_int_list(args.mesh_list)
+        values["mesh_list"] = _cast(_parse_int_list, args.mesh_list,
+                                    "--mesh-list")
     if args.steps_list:
-        values["steps_list"] = _parse_int_list(args.steps_list)
+        values["steps_list"] = _cast(_parse_int_list, args.steps_list,
+                                     "--steps-list")
     return StudyConfig(
         method=values["method"], degree=values["degree"],
         dg_order=values["dg_order"], eta=values["eta"],

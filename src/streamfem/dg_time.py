@@ -6,22 +6,38 @@ coefficient and no extrapolation is needed.  The transient solve is an
 interval-by-interval forward sweep: interval m couples to the past only
 through the gradient inner product with the outgoing value at t_{m-1},
 seeded at m=1 by the H1_0 projection of the initial datum.
+
+The interval system C (K X) + k M (A X) = R couples the r+1 nodal values
+through the time matrices C (derivative plus incoming jump) and M
+(mass); it is never assembled.  With M^-1 C = V Lambda V^-1
+(``time_modes``) it splits into one n_free-sized system lambda K + k A
+per eigenvalue: a real factor per real eigenvalue and a complex one per
+conjugate pair (Richter, Springer and Vexler, Numer. Math. 124 (2013);
+Smears, IMA J. Numer. Anal. 37 (2017)).  dG(0) is Lambda = V = [1].
+The 2-norm condition number of V (unit columns) grows with r:
+
+====  ====  ====  ====  ====  ====  ====  =======
+r     0     1     2     3     4     5     6
+cond  1     3.23  8.99  28.3  95.3  331   1.17e3
+====  ====  ====  ====  ====  ====  ====  =======
+
+so every interval's residual is checked on the coupled system, not on
+the diagonalized one.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
-import scipy.sparse as sp
 
 from .fem import (FeFunction, _space_weights, assemble_load_gradient,
                   assemble_load_scalar, gradient_tables, h1_projection,
                   load_provider, sample_time_factors, space_time_squares)
-from .linalg import Factorized, SolverError
+from .linalg import Factorized, SolverError, refine
 from .quadrature import interval_rule
 
 __all__ = ["TimePartition", "make_partition", "radau_points", "TimeBasis",
-           "DgSolution", "data_time_points", "dg_solve",
+           "time_modes", "DgSolution", "data_time_points", "dg_solve",
            "time_projection_values",
            "stability_functional", "stability_data_norm",
            "best_approx_terms", "bh_primal", "bh_dual", "bh_analytic"]
@@ -121,6 +137,45 @@ class TimeBasis:
         fb = self.derivatives(rule.points) if db else self.values(rule.points)
         return np.einsum("q,qa,qb->ba", rule.weights, fa, fb)
 
+    def coupling(self):
+        """C = G' + l(0) l(0)^T: the time derivative and the incoming jump."""
+        return self.gram(da=1) + np.outer(self.left_values, self.left_values)
+
+
+@lru_cache(maxsize=None)
+def time_modes(order):
+    """Diagonalization M^-1 C = V Lambda V^-1 of the dG(r) time matrices.
+
+    Returns one (lambda, v, w) per real eigenvalue and per conjugate
+    pair (the member with positive imaginary part): v is the column of
+    V and w the row of W = (M V)^-1 = V^-1 M^-1.  A pair's partner
+    solves the conjugate system, so its term is the conjugate one and
+    v is doubled: C (K X) + k M (A X) = R becomes X = sum Re(v y^T)
+    with (lambda K + k A) y = w R.  Real eigenvalues keep real lambda,
+    v and w; r + 1 odd has one.  V has unit columns (cond(V) in the
+    module notes).
+    """
+    basis = TimeBasis(order)
+    mass = basis.gram()
+    tmat = np.linalg.solve(mass, basis.coupling())
+    # a 1 x 1 matrix is its own eigen-decomposition; not calling the
+    # LAPACK eigensolver keeps its code pages out of the resident
+    # memory of dG(0) runs
+    lam, vec = np.linalg.eig(tmat) if order else (tmat[0], np.eye(1))
+    wmat = np.linalg.inv(mass @ vec)
+    modes = []
+    for i in range(order + 1):
+        if lam[i].imag == 0.0:
+            mode = (lam[i].real, vec[:, i].real, wmat[i].real)
+        elif lam[i].imag > 0.0:
+            mode = (lam[i], 2.0 * vec[:, i], wmat[i])
+        else:
+            continue
+        for arr in mode[1:]:
+            arr.setflags(write=False)
+        modes.append(mode)
+    return tuple(modes)
+
 
 class DgSolution:
     """Per-interval coefficient blocks of a dG(r) trajectory."""
@@ -169,6 +224,14 @@ def dg_solve(form, partition, order, f=None, psi0=None, load_points=None,
              load_rule=None, rtol=1e-10):
     """Forward sweep for the fully discrete transient problem.
 
+    Interval m solves C (K X) + k_m M (A X) = R for its (r+1, n_free)
+    block X of nodal values (C = ``TimeBasis.coupling()``, M =
+    ``TimeBasis.gram()``) through the factors of ``time_modes``, shared
+    by all intervals of a uniform partition.  Each interval is refined
+    (``linalg.refine``) until ||R - C(KX) - k_m M(AX)|| <= rtol ||R||, a
+    residual from C, M, K and A alone; a failure raises a
+    ``SolverError`` carrying the 1-based ``interval`` and ``residual``.
+
     Parameters
     ----------
     form : CipForm
@@ -186,6 +249,8 @@ def dg_solve(form, partition, order, f=None, psi0=None, load_points=None,
         ``data_time_points(order)``).
     load_rule : QuadratureRule, optional
         Space rule for the data loads (default: the data rule).
+    rtol : float
+        Relative residual of every interval solve.
     """
     space = form.space
     free = space.free_dofs
@@ -201,9 +266,7 @@ def dg_solve(form, partition, order, f=None, psi0=None, load_points=None,
         load = f
 
     rule = interval_rule(load_points or data_time_points(order))
-    coupling = basis.gram(da=1) + np.outer(basis.left_values,
-                                           basis.left_values)
-    mass = basis.gram()
+    coupling, mass = basis.coupling(), basis.gram()
 
     u_prev = _initial_coefficients(space, psi0)[free]
     lengths = partition.lengths
@@ -211,17 +274,14 @@ def dg_solve(form, partition, order, f=None, psi0=None, load_points=None,
     nb = order + 1
     coeffs = np.zeros((partition.num_intervals, nb, space.n_dofs))
 
-    factor = None
+    modes = None
     for m in range(partition.num_intervals):
         km = lengths[m]
-        if factor is None or not uniform:
-            if order == 0:
-                system = (k_free + km * a_free).tocsr()
-            else:
-                system = (sp.kron(sp.csr_matrix(coupling), k_free)
-                          + sp.kron(sp.csr_matrix(km * mass), a_free)).tocsr()
+        if modes is None or not uniform:
+            modes = None  # the previous factors go before the next exist
             try:
-                factor = Factorized(system, rtol=rtol)
+                modes, system = _interval_system(order, coupling, mass,
+                                                 k_free, a_free, km)
             except SolverError as exc:
                 raise _at_interval(exc, m) from exc
 
@@ -234,13 +294,50 @@ def dg_solve(form, partition, order, f=None, psi0=None, load_points=None,
         rhs += np.outer(basis.left_values, k_free @ u_prev)
 
         try:
-            block = factor(rhs.ravel()).reshape(nb, free.size)
+            block = refine(system, partial(_diagonal_solve, modes), rhs,
+                           rtol)
         except SolverError as exc:
             raise _at_interval(exc, m) from exc
         coeffs[m][:, free] = block
         u_prev = block[-1]
 
     return DgSolution(partition, space, order, coeffs)
+
+
+def _interval_system(order, coupling, mass, k_free, a_free, km):
+    """The mode factors and the coupled operator of an interval.
+
+    The operator X -> C (K X) + k M (A X) on (r+1, n_free) blocks is
+    built from the time matrices, K and A alone, never from the
+    eigen-decomposition, so a wrong one fails the residual check.  A
+    1 x 1 block (dG(0)) is assembled as C K + k M A: the product then
+    rounds as the factor's own matrix does, where K x + k A x can push
+    a residual at the roundoff floor over rtol and cost a refinement
+    step.  Each combination c K + d A is built once, so there the
+    operator and the factor share one matrix.
+    """
+    built = {}
+
+    def combination(ck, ca):
+        if (ck, ca) not in built:
+            built[ck, ca] = (ck * k_free + ca * a_free).tocsr()
+        return built[ck, ca]
+
+    modes = [(Factorized(combination(lam, km), rtol=None), v, w)
+             for lam, v, w in time_modes(order)]
+    if coupling.shape == (1, 1):
+        mat = combination(coupling[0, 0], km * mass[0, 0])
+        return modes, lambda x: (mat @ x[0])[None]
+    return modes, lambda x: (coupling @ (k_free @ x.T).T
+                             + km * (mass @ (a_free @ x.T).T))
+
+
+def _diagonal_solve(modes, rhs):
+    """Re(V Y) with (lambda_i K + k A) y_i = (W rhs)_i for every mode."""
+    x = np.zeros(rhs.shape)
+    for factor, v, w in modes:
+        x += np.outer(v, factor(w @ rhs)).real
+    return x
 
 
 def _at_interval(exc, m):

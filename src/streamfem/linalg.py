@@ -1,9 +1,12 @@
 """Sparse matrix helpers and the linear solver used by all modules.
 
 Storage is scipy CSR throughout.  ``Factorized`` is the one solve
-entry point: ``Factorized(a)(b)`` factorizes with sparse LU once and
-holds every solve to its residual contract ||Ax - b|| <= rtol * ||b||,
-applying up to five steps of iterative refinement before giving up.
+entry point: ``Factorized(a)(b)`` factorizes with sparse LU once, real
+or complex, and holds every solve to its residual contract
+||Ax - b|| <= rtol * ||b||.  ``refine`` is the one iterative-refinement
+loop behind that contract (up to five correction steps before giving
+up); operators that are not a single matrix, such as the coupled dG(r)
+interval system, use it with their own product and approximate inverse.
 The same factor certifies positive definiteness (``definite``).
 """
 
@@ -11,7 +14,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-__all__ = ["SolverError", "build_csr", "symmetry_gap", "Factorized"]
+__all__ = ["SolverError", "build_csr", "symmetry_gap", "refine",
+           "Factorized"]
 
 
 class SolverError(RuntimeError):
@@ -44,6 +48,29 @@ def symmetry_gap(a):
     return float(np.abs(d.data).max()) if d.nnz else 0.0
 
 
+def refine(apply, solve, b, rtol, steps=5):
+    """x with ||apply(x) - b|| <= rtol * ||b||, by iterative refinement.
+
+    ``apply`` is the operator x -> A x and ``solve`` an approximate
+    inverse; x = solve(b) is corrected by solve(b - A x) at most
+    ``steps`` times.  Norms are Frobenius norms, so x and b may be
+    blocks.  Raises SolverError with the achieved relative residual.
+    """
+    norm_b = np.linalg.norm(b)
+    if norm_b == 0.0:
+        return np.zeros_like(b)
+    x = solve(b)
+    for step in range(steps + 1):
+        resid = b - apply(x)
+        res = np.linalg.norm(resid)
+        if res <= rtol * norm_b:
+            return x
+        if step < steps:
+            x = x + solve(resid)
+    raise SolverError(f"residual {res / norm_b:.3e} above rtol {rtol:.1e}",
+                      residual=res / norm_b)
+
+
 class Factorized:
     """Reusable sparse LU factorization with per-solve residual checks.
 
@@ -53,12 +80,20 @@ class Factorized:
     minimum-degree ordering of A^T + A, ``SymmetricMode`` (one
     permutation for rows and columns) and a diagonal pivot threshold of
     0.1.  Nonsymmetric systems still pivot off the diagonal as needed.
+    A complex A (such as the complex symmetric lambda K + k A of the
+    diagonalized dG(r) solve) gets the same factor in complex
+    arithmetic and takes real or complex right-hand sides; a real A
+    takes real ones.
+
+    ``rtol=None`` drops the factor's own contract: a call is one LU
+    solve, the approximate inverse of a caller that runs ``refine`` on
+    its own operator (the coupled dG(r) system).
 
     ``definite`` reads the inertia off that factor: with no row pivoted
     off the diagonal, P D A D P^T = L U with unit lower L, i.e.
     L diag(U) L^T for symmetric A, so by Sylvester's law A is positive
     definite exactly when every pivot is positive.  It has meaning for
-    symmetric input only.
+    real symmetric input only and raises ValueError for a complex A.
     """
 
     def __init__(self, a, rtol=1e-10):
@@ -81,7 +116,9 @@ class Factorized:
 
     @property
     def definite(self):
-        """True when the (symmetric) matrix is positive definite."""
+        """True when the real symmetric matrix is positive definite."""
+        if np.iscomplexobj(self.a):
+            raise ValueError("definiteness needs a real symmetric matrix")
         return bool(np.array_equal(self._lu.perm_r, self._lu.perm_c)
                     and np.all(self._lu.U.diagonal() > 0.0))
 
@@ -89,19 +126,8 @@ class Factorized:
         return self._scale * self._lu.solve(self._scale * b)
 
     def __call__(self, b):
-        b = np.asarray(b, dtype=float)
-        norm_b = np.linalg.norm(b)
-        if norm_b == 0.0:
-            return np.zeros_like(b)
-        x = self._apply(b)
-        res = np.linalg.norm(self.a @ x - b)
-        for _ in range(5):
-            if res <= self.rtol * norm_b:
-                return x
-            x = x + self._apply(b - self.a @ x)
-            res = np.linalg.norm(self.a @ x - b)
-        if res > self.rtol * norm_b:
-            raise SolverError(
-                f"residual {res / norm_b:.3e} above rtol {self.rtol:.1e}",
-                residual=res / norm_b)
-        return x
+        b = np.asarray(b)
+        b = b.astype(np.result_type(b.dtype, float), copy=False)
+        if self.rtol is None:
+            return self._apply(b)
+        return refine(self.a.__matmul__, self._apply, b, self.rtol)

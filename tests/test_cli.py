@@ -104,3 +104,41 @@ def test_config_errors_exit_2(tmp_path, capsys, argv, config):
     assert err[-1].startswith("streamfem: error: ")
     assert "Traceback" not in "\n".join(err)
     assert not (tmp_path / "study.csv").exists()
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["converge-k", "--mesh-list", "4,x"], None,
+     "--mesh-list: expected comma-separated integers, got '4,x'"),
+    (["converge-k", "--steps-list", "2;4"], None,
+     "--steps-list: expected comma-separated integers, got '2;4'"),
+    (["converge-k"], "steps_list = 2,four\n",
+     "steps_list: expected comma-separated integers, got '2,four'"),
+    (["converge-k"], "degree = two\n",
+     "degree: expected an integer, got 'two'"),
+])
+def test_bad_values_name_the_option_and_format(tmp_path, capsys, argv,
+                                               config, message):
+    if config is not None:
+        path = tmp_path / "study.cfg"
+        path.write_text(config)
+        argv = argv + ["--config", str(path)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "study.csv")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.strip().splitlines()[-1] == \
+        f"streamfem: error: {message}"
+
+
+def test_fitted_rates_print_six_significant_digits(tmp_path):
+    """Rates are slopes over three levels and print to 6 significant
+    digits; every other summary float keeps 12."""
+    out = tmp_path / "compare.csv"
+    main(["compare-mini", "--mesh-list", "4", "--steps-list", "2,4,8",
+          "--out", str(out)])
+    for tag in ("mini_g", "mini_gtilde", "sf_g", "sf_gtilde"):
+        rate = _read_summary(tmp_path / f"compare_{tag}_summary.txt")[
+            "fitted_rate"]
+        assert rate == f"{float(rate):.6g}"
+    ratio = _read_summary(tmp_path / "compare_summary.txt")[
+        "mini_blowup_ratio"]
+    assert ratio == f"{float(ratio):.12g}" != f"{float(ratio):.6g}"

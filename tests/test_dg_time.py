@@ -5,9 +5,9 @@ import pytest
 
 from streamfem import manufactured as mf
 from streamfem.cip import assemble_cip
-from streamfem.dg_time import (DgSolution, TimeBasis, best_approx_terms,
-                               bh_analytic, bh_dual, bh_primal,
-                               data_time_points, dg_solve,
+from streamfem.dg_time import (DgSolution, TimeBasis, TimePartition,
+                               best_approx_terms, bh_analytic, bh_dual,
+                               bh_primal, data_time_points, dg_solve,
                                make_partition, radau_points,
                                stability_data_norm, stability_functional,
                                time_projection_values)
@@ -370,6 +370,121 @@ def test_solver_error_carries_interval_and_residual(space_n4_l2):
     assert isinstance(exc.__cause__, SolverError)
     assert exc.__cause__.residual == exc.residual
     assert str(exc).startswith("interval 1: residual")
+
+
+# -- the diagonalized interval solve ----------------------------------------
+
+
+@pytest.fixture(scope="module")
+def form_n8_p3():
+    return assemble_cip(build_space(build_structured_mesh(8), 3))
+
+
+def _monolithic_solve(form, partition, order, f, psi0):
+    """The dG(r) sweep on the assembled (r+1)-block interval system
+    kron(C, K) + k kron(M, A), the oracle of the diagonalized solve."""
+    import scipy.sparse as sp
+    from streamfem.fem import load_provider
+    from streamfem.quadrature import interval_rule
+
+    space = form.space
+    free = space.free_dofs
+    k_free, a_free = space.h1_free(), form.matrix_free
+    basis = TimeBasis(order)
+    coupling, mass = basis.coupling(), basis.gram()
+    load = load_provider(space, f)
+    rule = interval_rule(data_time_points(order))
+    u_prev = h1_projection(space, psi0).coefficients[free]
+    coeffs = np.zeros((partition.num_intervals, order + 1, space.n_dofs))
+    lengths = partition.lengths
+    # one system k for a uniform partition, as in dg_solve: the lengths
+    # of make_partition agree to roundoff, not bit for bit
+    system_k = lengths if np.ptp(lengths) > 1e-12 * lengths[0] \
+        else np.full_like(lengths, lengths[0])
+    for m, km in enumerate(lengths):
+        factor = Factorized(
+            sp.kron(sp.csr_matrix(coupling), k_free)
+            + sp.kron(sp.csr_matrix(system_k[m] * mass), a_free))
+        rhs = np.zeros((order + 1, free.size))
+        for tau, wq in zip(rule.points, rule.weights):
+            rhs += (wq * km) * np.outer(
+                basis.values(tau), load(partition.nodes[m] + km * tau)[free])
+        rhs += np.outer(basis.left_values, k_free @ u_prev)
+        block = factor(rhs.ravel()).reshape(order + 1, free.size)
+        coeffs[m][:, free] = block
+        u_prev = block[-1]
+    return coeffs
+
+
+@pytest.mark.parametrize("graded", [False, True], ids=["uniform", "graded"])
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+def test_diagonalized_solve_matches_monolithic_oracle(order, graded,
+                                                      form_n8_p3):
+    """Ten intervals, uniform or graded (one factor set per interval)."""
+    part = make_partition(10)
+    if graded:
+        part = TimePartition(part.nodes ** 2)
+    psi0 = mf.phi()
+    want = _monolithic_solve(form_n8_p3, part, order, mf.f_scalar(), psi0)
+    got = dg_solve(form_n8_p3, part, order, f=mf.f_scalar(),
+                   psi0=psi0).coefficients
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+    if order == 0:  # Lambda = V = [1]: the same system, the same rounding
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4, 5, 6])
+def test_time_modes_diagonalize_the_time_matrices(order):
+    """Summed over the modes, Re(v w) is V W = M^-1 and Re(lambda v w)
+    is V Lambda W = M^-1 C M^-1; V rebuilt from the modes has the
+    documented condition number."""
+    from streamfem.dg_time import time_modes
+    basis = TimeBasis(order)
+    coupling, mass = basis.coupling(), basis.gram()
+    modes = time_modes(order)
+    vw = sum(np.outer(v, w).real for _, v, w in modes)
+    lvw = sum(np.outer(lam * v, w).real for lam, v, w in modes)
+    assert vw @ mass == pytest.approx(np.eye(order + 1), abs=1e-11)
+    assert lvw @ mass == pytest.approx(np.linalg.solve(mass, coupling),
+                                       rel=1e-11, abs=1e-11)
+    assert len(modes) == (order + 2) // 2
+    assert sum(np.isrealobj(v) for _, v, _ in modes) == (order + 1) % 2
+    columns = [c for lam, v, _ in modes
+               for c in ((v,) if np.isrealobj(v) else (v / 2, np.conj(v) / 2))]
+    cond = np.linalg.cond(np.column_stack(columns))
+    documented = [1.0, 3.23, 8.99, 28.3, 95.3, 331.0, 1.17e3][order]
+    assert cond == pytest.approx(documented, rel=5e-3)
+
+
+def test_dg0_needs_one_lu_solve_per_interval(monkeypatch):
+    """At dG(0) the coupled residual is taken on the assembled K + k A,
+    the factor's own matrix, so the check rounds as the factor does and
+    no interval refines.  At this size (converge-k's default mesh) the
+    split K x + k A x would refine three of the eight intervals."""
+    solves = []
+    apply = Factorized._apply
+    monkeypatch.setattr(Factorized, "_apply",
+                        lambda self, b: solves.append(1) or apply(self, b))
+    form = assemble_cip(build_space(build_structured_mesh(64), 2))
+    dg_solve(form, make_partition(8), 0, f=mf.f_scalar())
+    assert len(solves) == 8
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_wrong_eigenvectors_fail_the_coupled_check(order, space_n4_l2,
+                                                   monkeypatch):
+    """The residual is taken on the coupled system, not through V, so
+    perturbed eigenvectors raise instead of returning a wrong answer."""
+    from streamfem import dg_time
+    true_modes = dg_time.time_modes(order)
+    perturbed = tuple((lam, v + 0.5 * np.roll(v, 1), w)
+                      for lam, v, w in true_modes)
+    monkeypatch.setattr(dg_time, "time_modes", lambda r: perturbed)
+    form = assemble_cip(space_n4_l2)
+    with pytest.raises(SolverError) as info:
+        dg_solve(form, make_partition(3), order, f=mf.f_scalar())
+    assert info.value.interval == 1
+    assert info.value.residual > 1e-10
 
 
 # -- diagnostics ------------------------------------------------------------

@@ -103,3 +103,31 @@ def test_factorized_reuse(space_n4_l2):
     for _ in range(3):
         b = rng.standard_normal(k.shape[0])
         assert np.linalg.norm(k @ fac(b) - b) <= 1e-10 * np.linalg.norm(b)
+
+
+def _complex_shifted(space):
+    """lambda K + k A for the complex eigenvalue 2 + sqrt(2) i of dG(1)."""
+    from streamfem.cip import assemble_cip
+    form = assemble_cip(space)
+    return ((2.0 + np.sqrt(2.0) * 1j) * space.h1_free()
+            + 0.1 * form.matrix_free).tocsr()
+
+
+@pytest.mark.parametrize("rhs_kind", ["complex", "real"])
+def test_complex_symmetric_residual_contract(space_n4_l2, rhs_kind):
+    a = _complex_shifted(space_n4_l2)
+    assert symmetry_gap(a) == 0.0
+    rng = np.random.default_rng(8)
+    b = rng.standard_normal(a.shape[0])
+    if rhs_kind == "complex":
+        b = b + 1j * rng.standard_normal(a.shape[0])
+    x = Factorized(a, rtol=1e-10)(b)
+    assert np.iscomplexobj(x)
+    assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
+    assert x == pytest.approx(np.linalg.solve(a.toarray(), b), rel=1e-9)
+
+
+def test_definite_rejects_complex(space_n4_l2):
+    """Definiteness is read off real symmetric factors only."""
+    with pytest.raises(ValueError):
+        Factorized(_complex_shifted(space_n4_l2)).definite
