@@ -309,24 +309,15 @@ def _interval_system(order, coupling, mass, k_free, a_free, km):
 
     The operator X -> C (K X) + k M (A X) on (r+1, n_free) blocks is
     built from the time matrices, K and A alone, never from the
-    eigen-decomposition, so a wrong one fails the residual check.  A
-    1 x 1 block (dG(0)) is assembled as C K + k M A: the product then
-    rounds as the factor's own matrix does, where K x + k A x can push
-    a residual at the roundoff floor over rtol and cost a refinement
-    step.  Each combination c K + d A is built once, so there the
-    operator and the factor share one matrix.
+    eigen-decomposition, so a wrong one fails the residual check.  At
+    dG(0), C = M = Lambda = [1], so the operator is the factor's own
+    assembled K + k A: summed as K x + k A x instead, a residual at the
+    roundoff floor can round over rtol and cost a refinement step.
     """
-    built = {}
-
-    def combination(ck, ca):
-        if (ck, ca) not in built:
-            built[ck, ca] = (ck * k_free + ca * a_free).tocsr()
-        return built[ck, ca]
-
-    modes = [(Factorized(combination(lam, km), rtol=None), v, w)
+    modes = [(Factorized(lam * k_free + km * a_free, rtol=None), v, w)
              for lam, v, w in time_modes(order)]
-    if coupling.shape == (1, 1):
-        mat = combination(coupling[0, 0], km * mass[0, 0])
+    if order == 0:
+        mat = modes[0][0].a
         return modes, lambda x: (mat @ x[0])[None]
     return modes, lambda x: (coupling @ (k_free @ x.T).T
                              + km * (mass @ (a_free @ x.T).T))

@@ -17,6 +17,8 @@ import scipy.sparse.linalg as spla
 __all__ = ["SolverError", "build_csr", "symmetry_gap", "refine",
            "Factorized"]
 
+_CORRECTIONS = 5  # refinement steps before a solve gives up
+
 
 class SolverError(RuntimeError):
     """Linear solve failed to meet its residual contract.
@@ -48,24 +50,24 @@ def symmetry_gap(a):
     return float(np.abs(d.data).max()) if d.nnz else 0.0
 
 
-def refine(apply, solve, b, rtol, steps=5):
+def refine(apply, solve, b, rtol):
     """x with ||apply(x) - b|| <= rtol * ||b||, by iterative refinement.
 
     ``apply`` is the operator x -> A x and ``solve`` an approximate
     inverse; x = solve(b) is corrected by solve(b - A x) at most
-    ``steps`` times.  Norms are Frobenius norms, so x and b may be
-    blocks.  Raises SolverError with the achieved relative residual.
+    ``_CORRECTIONS`` times.  Norms are Frobenius norms, so x and b may
+    be blocks.  Raises SolverError with the achieved relative residual.
     """
     norm_b = np.linalg.norm(b)
     if norm_b == 0.0:
         return np.zeros_like(b)
     x = solve(b)
-    for step in range(steps + 1):
+    for step in range(_CORRECTIONS + 1):
         resid = b - apply(x)
         res = np.linalg.norm(resid)
         if res <= rtol * norm_b:
             return x
-        if step < steps:
+        if step < _CORRECTIONS:
             x = x + solve(resid)
     raise SolverError(f"residual {res / norm_b:.3e} above rtol {rtol:.1e}",
                       residual=res / norm_b)
