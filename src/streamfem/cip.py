@@ -7,13 +7,23 @@ Jump and average follow the two-sided convention on interior edges
 (normal pointing from T- into T+) and the one-sided convention
 jump = -dv/dn, avg = d^2 v/dn^2 on boundary edges; the assembled matrix
 is independent of which of the two normals is chosen per edge.
+
+The kernels work on reference tables, never on physical per-cell basis
+tables.  The element term is ``fem.element_matrices`` at k = 2: one
+product of the per-cell factor det J (G kron G), G = J^-1 J^-T, with the
+reference Hessian tensor.  Edge traces contract the reference gradient
+and Hessian, tabulated once on each of the six oriented local edges,
+with the reference normal nu = J^-1 n.  The volume term of
+``consistency_pairing`` pulls D^2 w back to J^-1 (D^2 w) J^-T and tests
+it against the reference Hessians with one product.
 """
 
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fem import FeFunction, reference_basis
+from .fem import (FeFunction, assemble_tested, element_matrices,
+                  reference_basis)
 from .linalg import Factorized, SolverError, build_csr
 from .mesh import _LOCAL_EDGES, _VERT_REF
 from .quadrature import interval_rule
@@ -76,23 +86,25 @@ def _edge_frames(mesh, flip=None):
     return normals, minus, plus, lminus, lplus
 
 
-def _edge_reference_points(mesh, tri, local_edge, svals):
-    """Reference coordinates in `tri` of edge points at parameters s.
+def _edge_tables(degree, svals):
+    """Reference gradients and Hessians on the six oriented local edges.
 
-    The edge parameter runs from the lower global vertex index to the
-    higher, matching the orientation used for shared edge DOFs.
+    Configuration 2 * le + f covers local edge le = (i, j) run from its
+    lower to its higher global vertex (the orientation shared edge DOFs
+    use): j -> i for f = 0 and i -> j for f = 1.  Returns
+    (6, 2, Q * n_loc) and (6, 4, Q * n_loc) tables; row a, or 2a + b,
+    holds d_a phi^ or d_a d_b phi^ at every point.
     """
-    i_loc = np.array([e[0] for e in _LOCAL_EDGES])[local_edge]
-    j_loc = np.array([e[1] for e in _LOCAL_EDGES])[local_edge]
-    a = mesh.triangles[tri, i_loc]
-    b = mesh.triangles[tri, j_loc]
-    ra = _VERT_REF[i_loc]
-    rb = _VERT_REF[j_loc]
-    lo_first = (a < b)[:, None]
-    r0 = np.where(lo_first, ra, rb)
-    r1 = np.where(lo_first, rb, ra)
-    return (r0[:, None, :] * (1.0 - svals)[None, :, None]
-            + r1[:, None, :] * svals[None, :, None])
+    pts = []
+    for i, j in _LOCAL_EDGES:
+        a, b = _VERT_REF[i], _VERT_REF[j]
+        for r0, r1 in ((b, a), (a, b)):
+            pts.append(np.outer(1.0 - svals, r0) + np.outer(svals, r1))
+    pts = np.array(pts)                                        # (6, Q, 2)
+    grad = reference_basis(degree, pts, 1)                     # (6, Q, L, 2)
+    hess = reference_basis(degree, pts, 2).reshape(grad.shape[:3] + (4,))
+    return (np.moveaxis(grad, -1, 1).reshape(6, 2, -1),
+            np.moveaxis(hess, -1, 1).reshape(6, 4, -1))
 
 
 def _side_traces(space, tri, local_edge, normals, svals):
@@ -100,18 +112,24 @@ def _side_traces(space, tri, local_edge, normals, svals):
 
     Returns (dn, d2n) of shape (E, Q, n_loc): derivatives along the
     edge normal of the local basis of triangle `tri`, evaluated on the
-    edge from that triangle's side.
+    edge from that triangle's side.  With the reference normal
+    nu = J^-1 n, dn = nu . grad phi^ and d2n = nu^T (D^2 phi^) nu, so
+    each edge configuration is one matrix product against its table.
     """
-    mesh = space.mesh
-    ref_pts = _edge_reference_points(mesh, tri, local_edge, svals)
-    gref = reference_basis(space.degree, ref_pts, 1)
-    href = reference_basis(space.degree, ref_pts, 2)
-    jinv = space.jac_inv[tri]
-    grad = np.einsum("eqld,edi->eqli", gref, jinv)
-    hess = np.einsum("eai,eqlab,ebj->eqlij", jinv, href, jinv)
-    dn = np.einsum("eqli,ei->eql", grad, normals)
-    d2n = np.einsum("eqlij,ei,ej->eql", hess, normals, normals)
-    return dn, d2n
+    i_loc, j_loc = np.array(_LOCAL_EDGES).T[:, local_edge]
+    tris = space.mesh.triangles
+    config = 2 * local_edge + (tris[tri, i_loc] < tris[tri, j_loc])
+    grad, hess = _edge_tables(space.degree, svals)
+    nu = (space.jac_inv[tri] @ normals[:, :, None])[..., 0]   # (E, 2)
+    nu_nu = (nu[:, :, None] * nu[:, None, :]).reshape(-1, 4)
+    dn = np.empty((len(tri), grad.shape[-1]))
+    d2n = np.empty_like(dn)
+    for k in range(6):
+        sel = config == k
+        dn[sel] = nu[sel] @ grad[k]
+        d2n[sel] = nu_nu[sel] @ hess[k]
+    shape = (len(tri), len(svals), -1)
+    return dn.reshape(shape), d2n.reshape(shape)
 
 
 def assemble_cip(space, eta=None, flip_normals=None):
@@ -155,12 +173,7 @@ def _assemble_matrices(space, eta, flip_normals):
     """Full and boundary-eliminated CSR matrices of the penalized form."""
     mesh = space.mesh
 
-    # element Hessian contributions
-    vol_rule = space.default_matrix_rule()
-    hess = space.basis_hessians(vol_rule)
-    elem = np.einsum("q,fqlij,fqmij,f->flm", vol_rule.weights, hess, hess,
-                     space.jac_det)
-    elem = 0.5 * (elem + elem.transpose(0, 2, 1))
+    elem = element_matrices(space, space.default_matrix_rule(), 2)
     dof = space.dof_map
     n_loc = dof.shape[1]
     rows = [np.repeat(dof, n_loc, axis=1).ravel()]
@@ -174,11 +187,11 @@ def _assemble_matrices(space, eta, flip_normals):
     boundary = np.flatnonzero(mesh.boundary_edge)
 
     def accumulate(edges, jump, avg, gdofs):
-        lengths = mesh.edge_lengths[edges]
-        w = erule.weights
-        cross = np.einsum("q,eqi,eqj,e->eij", w, avg, jump, lengths)
+        wjump = jump * erule.weights[:, None]
+        lengths = mesh.edge_lengths[edges][:, None, None]
+        cross = np.swapaxes(avg * lengths, 1, 2) @ wjump
         cross = cross + np.swapaxes(cross, 1, 2)
-        pen = np.einsum("q,eqi,eqj->eij", w, jump, jump) * eta
+        pen = (np.swapaxes(jump, 1, 2) @ wjump) * eta
         pen = 0.5 * (pen + np.swapaxes(pen, 1, 2))
         total = cross + pen  # |e| cancels against 1/|e| in the penalty
         n_slots = gdofs.shape[1]
@@ -239,13 +252,8 @@ def consistency_pairing(form, w, t=0.0, volume_rule=None, edge_points=8):
         raise ValueError("consistency pairing requires a clamped target "
                          "(w and grad w vanishing on the boundary)")
     vol_rule = volume_rule or space.default_data_rule()
-    pts = space.phys_points(vol_rule)
-    hw = w.hess(t, pts)
-    hphi = space.basis_hessians(vol_rule)
-    contrib = np.einsum("q,fqij,fqlij,f->fl", vol_rule.weights, hw, hphi,
-                        space.jac_det)
-    out = np.bincount(space.dof_map.ravel(), weights=contrib.ravel(),
-                      minlength=space.n_dofs)
+    out = assemble_tested(space, w.hess(t, space.phys_points(vol_rule)), 2,
+                          vol_rule)
 
     erule = interval_rule(edge_points)
     svals = erule.points
@@ -260,13 +268,11 @@ def consistency_pairing(form, w, t=0.0, volume_rule=None, edge_points=8):
                 + hi[edges][:, None, :] * svals[None, :, None])
 
     def add_edges(edges, jump, gdofs):
-        xq = edge_points_phys(edges)
-        hwq = w.hess(t, xq)
-        n = normals[edges]
-        d2n_w = np.einsum("eqij,ei,ej->eq", hwq, n, n)
-        contrib = np.einsum("q,eq,eqi,e->ei", erule.weights, d2n_w, jump,
-                            mesh.edge_lengths[edges])
-        np.add.at(out, gdofs, contrib)
+        n = normals[edges][:, None, :, None]                  # (E, 1, 2, 1)
+        d2n_w = (np.swapaxes(n, 2, 3) @ w.hess(t, edge_points_phys(edges))
+                 @ n)[..., 0, 0]                              # (E, Q)
+        weights = d2n_w * erule.weights * mesh.edge_lengths[edges][:, None]
+        np.add.at(out, gdofs, (weights[:, None, :] @ jump)[:, 0])
 
     if interior.size:
         n_int = normals[interior]

@@ -3,14 +3,23 @@
 Degree-l nodal spaces with vectorized assembly of the H1 stiffness
 matrix, load vectors (scalar data, vector data paired with the rotated
 gradient, and gradient data), the H1_0 projection and point evaluation.
-All element loops are vectorized over triangles.
+
+Every element kernel is one dense matrix product against a reference
+table, with a small per-cell factor from the affine map (the tensor
+representation of Kirby and Logg, ACM TOMS 32, 2006); no physical
+per-cell basis table exists.  ``FeSpace.basis_table`` holds reference
+values, gradients or Hessians at the rule points.  ``element_matrices``
+multiplies det J times G or G kron G (G = J^-1 J^-T) by the reference
+tensor of the basis derivatives.  ``assemble_tested`` pulls data back to
+reference coordinates and tests it against the table, and
+``gradient_tables`` maps coefficient rows to reference gradients, then
+applies J^-1 per cell.
 
 Space-time quantities of separable fields sum_i sigma_i(t) w_i(x) share
 one quadrature: ``sample_time_factors`` evaluates the sigma_i at every
-interval Gauss point, ``gradient_tables`` turns coefficient rows into
-gradients at the space rule points, and ``space_time_squares``
-integrates |sum_j C_pj T_j|^2 over I x Omega with one matrix product
-per interval.
+interval Gauss point, ``gradient_tables`` gives the spatial gradients,
+and ``space_time_squares`` integrates |sum_j C_pj T_j|^2 over
+I x Omega with one matrix product per interval.
 """
 
 from dataclasses import dataclass, field
@@ -23,8 +32,9 @@ from .mesh import _LOCAL_EDGES, _VERT_REF, affine_geometry
 from .quadrature import interval_rule, triangle_rule
 
 __all__ = ["FeSpace", "FeFunction", "reference_basis", "build_space",
-           "assemble_h1_stiffness", "assemble_load_scalar",
-           "assemble_load_dual", "assemble_load_gradient", "h1_projection",
+           "element_matrices", "assemble_tested", "assemble_h1_stiffness",
+           "assemble_load_scalar", "assemble_load_dual",
+           "assemble_load_gradient", "h1_projection",
            "load_provider", "separable_load", "evaluate", "h1_seminorm",
            "h1_field_error", "sample_time_factors", "gradient_tables",
            "space_time_squares", "space_time_h1_error"]
@@ -172,6 +182,14 @@ class FeSpace:
 
     # -- cached tables ------------------------------------------------
 
+    def _rule_table(self, kind, rule, build):
+        # the entry holds the rule, so its id cannot pass to another rule
+        # while the entry exists
+        key = (kind, id(rule))
+        if key not in self._cache:
+            self._cache[key] = (rule, build())
+        return self._cache[key][1]
+
     def default_matrix_rule(self):
         return triangle_rule(2 * self.degree)
 
@@ -180,34 +198,22 @@ class FeSpace:
 
     def phys_points(self, rule):
         """Images of the rule points in every triangle, (F, Q, 2)."""
-        key = ("pts", id(rule))
-        if key not in self._cache:
-            self._cache[key] = (self.origins[:, None, :] +
-                                np.einsum("fij,qj->fqi", self.jac, rule.points))
-        return self._cache[key]
+        return self._rule_table("pts", rule, lambda: (
+            self.origins[:, None, :]
+            + np.einsum("fij,qj->fqi", self.jac, rule.points)))
 
-    def basis_values(self, rule):
-        key = ("val", id(rule))
-        if key not in self._cache:
-            self._cache[key] = reference_basis(self.degree, rule.points, 0)
-        return self._cache[key]
+    def basis_table(self, rule, order=0):
+        """Reference basis derivatives at the rule points.
 
-    def basis_gradients(self, rule):
-        """Physical gradients, (F, Q, n_loc, 2)."""
-        key = ("grad", id(rule))
-        if key not in self._cache:
-            ref = reference_basis(self.degree, rule.points, 1)
-            self._cache[key] = np.einsum("qld,fdi->fqli", ref, self.jac_inv)
-        return self._cache[key]
-
-    def basis_hessians(self, rule):
-        """Physical Hessians, (F, Q, n_loc, 2, 2)."""
-        key = ("hess", id(rule))
-        if key not in self._cache:
-            ref = reference_basis(self.degree, rule.points, 2)
-            self._cache[key] = np.einsum("fai,qlab,fbj->fqlij",
-                                         self.jac_inv, ref, self.jac_inv)
-        return self._cache[key]
+        Shape (Q * 2**order, n_loc): row q (order 0), 2q + a (order 1) or
+        4q + 2a + b (order 2) holds phi_l, d_a phi_l or d_a d_b phi_l at
+        reference point q, so data pulled back to reference coordinates
+        is tested against the basis with one matrix product.
+        """
+        def build():
+            ref = reference_basis(self.degree, rule.points, order)
+            return np.moveaxis(ref, 1, -1).reshape(-1, ref.shape[1])
+        return self._rule_table(("basis", order), rule, build)
 
     # -- cached operators ---------------------------------------------
 
@@ -259,56 +265,82 @@ def _scatter_matrix(space, elem):
     return build_csr(rows, cols, elem, (space.n_dofs, space.n_dofs))
 
 
-def symmetrize_blocks(elem):
-    """Make element blocks bitwise symmetric so assembly is exact."""
+def element_matrices(space, rule, order):
+    """int_T D^k phi_m : D^k phi_l on every triangle, (F, n_loc, n_loc).
+
+    On an affine cell D^k phi = J^-T (D^k phi^) J^-1 (k = 2) or
+    J^-T grad phi^ (k = 1), so the integrand is the reference tensor
+    sum_q w_q D^k phi^_l D^k phi^_m times a per-cell factor det J times
+    G (k = 1) or G kron G (k = 2), with G = J^-1 J^-T: one matrix
+    product (F, 4**k) @ (4**k, n_loc**2).  The blocks are made bitwise
+    symmetric, so the assembled matrix is exactly symmetric.
+    """
+    d = 2 ** order
+    table = space.basis_table(rule, order)
+    n_loc = table.shape[1]
+    table = table.reshape(len(rule), d, n_loc)
+    tensor = np.tensordot(table * rule.weights[:, None, None], table,
+                          axes=(0, 0))                         # (d, L, d, L)
+    tensor = tensor.transpose(0, 2, 1, 3).reshape(d * d, n_loc * n_loc)
+    g = space.jac_inv @ space.jac_inv.transpose(0, 2, 1)
+    if order == 2:  # (G kron G)[(a, b), (c, d)] = G[a, c] G[b, d]
+        g = g[:, :, None, :, None] * g[:, None, :, None, :]
+    factor = space.jac_det[:, None] * g.reshape(len(g), -1)
+    elem = (factor @ tensor).reshape(-1, n_loc, n_loc)
     return 0.5 * (elem + elem.transpose(0, 2, 1))
+
+
+def assemble_tested(space, data, order, rule):
+    """Vector of int data : D^k phi_i dx for data at the rule points.
+
+    ``data`` holds physical values (F, Q) for k = 0, vectors (F, Q, 2)
+    for k = 1 or matrices (F, Q, 2, 2) for k = 2.  They are pulled back
+    to reference coordinates (J^-1 v, J^-1 M J^-T) and weighted, then
+    tested against the reference basis table with one matrix product.
+    """
+    jinv = space.jac_inv
+    if order == 1:
+        data = data @ jinv.transpose(0, 2, 1)
+    elif order == 2:
+        data = jinv[:, None] @ data @ jinv.transpose(0, 2, 1)[:, None]
+    wdet = _space_weights(space.jac_det, rule)
+    weighted = data * wdet.reshape(wdet.shape + (1,) * order)
+    contrib = weighted.reshape(len(wdet), -1) @ space.basis_table(rule, order)
+    return np.bincount(space.dof_map.ravel(), weights=contrib.ravel(),
+                       minlength=space.n_dofs)
 
 
 def assemble_h1_stiffness(space, rule=None):
     """Matrix of (grad phi_j, grad phi_i) over the full DOF set."""
     rule = rule or space.default_matrix_rule()
-    grads = space.basis_gradients(rule)
-    elem = np.einsum("q,fqli,fqmi,f->flm", rule.weights, grads, grads,
-                     space.jac_det)
-    return _scatter_matrix(space, symmetrize_blocks(elem))
+    return _scatter_matrix(space, element_matrices(space, rule, 1))
 
 
 def assemble_load_scalar(space, f, t=0.0, rule=None):
     """Load vector b_i = int f(t, x) phi_i dx at one time."""
     rule = rule or space.default_data_rule()
-    vals = f.value(t, space.phys_points(rule))
-    basis = space.basis_values(rule)
-    contrib = np.einsum("q,fq,ql,f->fl", rule.weights, vals, basis,
-                        space.jac_det)
-    return np.bincount(space.dof_map.ravel(), weights=contrib.ravel(),
-                       minlength=space.n_dofs)
+    return assemble_tested(space, f.value(t, space.phys_points(rule)), 0,
+                           rule)
 
 
 def assemble_load_dual(space, g, t=0.0, rule=None):
     """Load b_i = int g . (d2 phi_i, -d1 phi_i) dx for vector data g.
 
     This realizes the functional f = -curl(g) through the rotated
-    gradient of the test function, without differentiating g.
+    gradient of the test function, without differentiating g:
+    g . (d2 phi, -d1 phi) = (-g2, g1) . grad phi.
     """
     rule = rule or space.default_data_rule()
     gv = g.value(t, space.phys_points(rule))
-    grads = space.basis_gradients(rule)
-    rot = np.stack([grads[..., 1], -grads[..., 0]], axis=-1)
-    contrib = np.einsum("q,fqi,fqli,f->fl", rule.weights, gv, rot,
-                        space.jac_det)
-    return np.bincount(space.dof_map.ravel(), weights=contrib.ravel(),
-                       minlength=space.n_dofs)
+    return assemble_tested(space, np.stack([-gv[..., 1], gv[..., 0]], -1),
+                           1, rule)
 
 
 def assemble_load_gradient(space, w, t=0.0, rule=None):
     """Load b_i = int grad(w) . grad(phi_i) dx for a field w."""
     rule = rule or space.default_data_rule()
-    gw = w.grad(t, space.phys_points(rule))
-    grads = space.basis_gradients(rule)
-    contrib = np.einsum("q,fqi,fqli,f->fl", rule.weights, gw, grads,
-                        space.jac_det)
-    return np.bincount(space.dof_map.ravel(), weights=contrib.ravel(),
-                       minlength=space.n_dofs)
+    return assemble_tested(space, w.grad(t, space.phys_points(rule)), 1,
+                           rule)
 
 
 def separable_load(fld, assemble):
@@ -385,10 +417,10 @@ def h1_seminorm(space, coefficients):
 
 
 def _weighted_squares(wdet, values):
-    """int_Omega |v|^2 for each leading index of values (..., F, Q, d)."""
+    """int_Omega |v|^2 for each leading index of values (..., F, Q, 2)."""
     lead = values.shape[:-3]
-    sq = np.einsum("...i,...i->...", values, values)
-    return sq.reshape(lead + (-1,)) @ wdet.ravel()
+    sq = np.square(values)
+    return (sq[..., 0] + sq[..., 1]).reshape(lead + (-1,)) @ wdet.ravel()
 
 
 def _space_weights(det, rule):
@@ -414,13 +446,13 @@ def sample_time_factors(fld, partition, trule):
 def gradient_tables(space, rule, rows):
     """Gradients of the discrete functions with coefficient rows (A, n_dofs).
 
-    Returns (A, F, Q, 2) at the rule points, one batched matrix product
-    per triangle and point against the cached basis gradients.
+    Returns (A, F, Q, 2) at the rule points: the reference gradients of
+    all rows and cells in one matrix product against the basis table,
+    then one batched 2 x 2 product with J^-1 per cell.
     """
     coef = np.asarray(rows)[:, space.dof_map]                  # (A, F, L)
-    grads = space.basis_gradients(rule)                        # (F, Q, L, 2)
-    out = np.matmul(coef.transpose(1, 0, 2)[:, None], grads)   # (F, Q, A, 2)
-    return out.transpose(2, 0, 1, 3)
+    ref = coef.reshape(-1, coef.shape[-1]) @ space.basis_table(rule, 1).T
+    return ref.reshape(coef.shape[:2] + (-1, 2)) @ space.jac_inv
 
 
 def space_time_squares(wdet, trule, lengths, blocks):

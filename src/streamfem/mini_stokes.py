@@ -74,6 +74,8 @@ class MiniSpace:
         return loc
 
     def tables(self, rule):
+        # the entry holds the rule, so its id cannot pass to another rule
+        # while the entry exists
         key = id(rule)
         if key not in self._cache:
             origin, jac, inv, det = affine_geometry(self.mesh)
@@ -82,8 +84,8 @@ class MiniSpace:
             grads = np.einsum("qld,fdi->fqli", gref, inv)
             pts = origin[:, None, :] + np.einsum("fij,qj->fqi", jac,
                                                  rule.points)
-            self._cache[key] = (vals, grads, pts, det)
-        return self._cache[key]
+            self._cache[key] = (rule, (vals, grads, pts, det))
+        return self._cache[key][1]
 
 
 def build_mini_space(mesh):

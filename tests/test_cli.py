@@ -28,14 +28,14 @@ _SWEEP_KEYS = {"study", "method", "rhs", "degree", "dg_order", "fitted_rate",
 
 
 @pytest.mark.parametrize("argv, header, keys", [
-    (["converge-k", "--mesh-list", "4", "--steps-list", "2,4,8"], "k,error",
-     _SWEEP_KEYS | {"n"}),
+    (["converge-k", "--mesh-list", "4", "--steps-list", "2,4,8",
+      "--dg-order", "1"], "k,error", _SWEEP_KEYS | {"n", "expected_rate"}),
     (["converge-k", "--method", "mini", "--mesh-list", "4",
       "--steps-list", "2,4,8"], "k,error", _SWEEP_KEYS | {"n"}),
     (["converge-h", "--mesh-list", "2,4,8", "--steps-list", "4"], "h,error",
-     _SWEEP_KEYS | {"steps"}),
+     _SWEEP_KEYS | {"steps", "expected_rate"}),
     (["stationary", "--mesh-list", "2,4,8"], "h,error",
-     {"study", "degree", "fitted_rate", "fit_points"}),
+     {"study", "degree", "fitted_rate", "expected_rate", "fit_points"}),
 ])
 def test_study_output_format(tmp_path, capsys, argv, header, keys):
     out = tmp_path / "study.csv"
@@ -47,6 +47,12 @@ def test_study_output_format(tmp_path, capsys, argv, header, keys):
     summary = _read_summary(tmp_path / "study_summary.txt")
     assert set(summary) == keys
     assert summary["study"] == argv[0]
+    # stream-function sweeps state the asymptotic rate: r + 1 in k for
+    # dG(r), the degree l in h for the H1 error of C0IP P_l
+    if "expected_rate" in summary:
+        expected = (int(summary["dg_order"]) + 1 if argv[0] == "converge-k"
+                    else int(summary["degree"]))
+        assert summary["expected_rate"] == str(expected)
     assert f"{float(summary['fitted_rate']):.3f}" in capsys.readouterr().out
 
 

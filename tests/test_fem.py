@@ -12,7 +12,7 @@ from streamfem.fem import (FeFunction, assemble_h1_stiffness,
                            reference_basis, _lattice)
 from streamfem.linalg import symmetry_gap
 from streamfem.mesh import build_structured_mesh, uniform_refine
-from streamfem.quadrature import triangle_rule
+from streamfem.quadrature import QuadratureRule, triangle_rule
 
 
 # -- reference basis -----------------------------------------------------
@@ -284,6 +284,24 @@ def test_projection_idempotent_on_vh(space_n4_l2, rng):
 def test_projection_of_zero(space_n4_l2):
     p = h1_projection(space_n4_l2, _constant_field(0.0))
     assert np.all(p.coefficients == 0.0)
+
+
+def test_rule_tables_follow_their_rule(space_n4_l2):
+    """Tables are cached per rule object; a new rule that may reuse the
+    id of a freed one still gets its own points and basis values."""
+    space = space_n4_l2
+    for k in range(20):
+        old = QuadratureRule(np.array([[0.25, 0.25]]), np.array([0.5]), 0)
+        space.phys_points(old)
+        space.basis_table(old)
+        del old
+        pts = np.array([[0.5, 0.125 + k / 100]])
+        new = QuadratureRule(pts, np.array([0.5]), 0)
+        expected = space.origins + space.jac @ pts[0]
+        assert np.allclose(space.phys_points(new)[:, 0], expected,
+                           rtol=0.0, atol=1e-14)
+        assert np.array_equal(space.basis_table(new),
+                              reference_basis(2, pts, 0))
 
 
 def test_projection_stability(space_n8_l2):

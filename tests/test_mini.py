@@ -6,10 +6,11 @@ import pytest
 from streamfem import manufactured as mf
 from streamfem.dg_time import make_partition
 from streamfem.linalg import SolverError
-from streamfem.mesh import build_structured_mesh
+from streamfem.mesh import affine_geometry, build_structured_mesh
 from streamfem.mini_stokes import (build_mini_space, divergence_residual,
                                    mini_transient_solve, pressure_mean,
                                    velocity_error_l2)
+from streamfem.quadrature import QuadratureRule
 
 
 def test_dof_counts_n2():
@@ -21,6 +22,23 @@ def test_dof_counts_n2():
 def test_dof_counts_n1():
     space = build_mini_space(build_structured_mesh(1))
     assert space.n_velocity == 2 * (0 + 2) == 4
+
+
+def test_rule_tables_follow_their_rule():
+    """The cached tables belong to one rule object; a new rule that may
+    reuse the id of a freed one gets tables at its own points."""
+    space = build_mini_space(build_structured_mesh(2))
+    origins, jac, _, _ = affine_geometry(space.mesh)
+    for k in range(20):
+        old = QuadratureRule(np.array([[0.25, 0.25]]), np.array([0.5]), 0)
+        space.tables(old)
+        del old
+        pts = np.array([[0.5, 0.125 + k / 100]])
+        vals, _, phys, _ = space.tables(QuadratureRule(pts, np.array([0.5]),
+                                                       0))
+        assert vals[0, 1:3] == pytest.approx(pts[0], abs=1e-15)
+        assert np.allclose(phys[:, 0], origins + jac @ pts[0], rtol=0.0,
+                           atol=1e-14)
 
 
 def test_zero_data_zero_solution():
