@@ -55,7 +55,15 @@ def _edge_rule_points(degree):
 
 @dataclass
 class CipForm:
-    """Assembled interior-penalty form with its eliminated SPD block."""
+    """Assembled interior-penalty form with its eliminated SPD block.
+
+    ``assemble_cip`` hands the form the LU that certified coercivity, so
+    ``factor()`` returns it and a Ritz or stationary solve factors a_h
+    zero more times.  The form holds that factor until a transient solve
+    releases it (``release_factor``, first thing in ``dg_solve``, which
+    never solves with a_h alone); ``factor()`` then factors again on
+    demand.
+    """
 
     space: object
     eta: float
@@ -67,6 +75,10 @@ class CipForm:
         if self._factor is None:
             self._factor = Factorized(self.matrix_free)
         return self._factor
+
+    def release_factor(self):
+        """Drop the cached LU of a_h; ``factor()`` rebuilds it lazily."""
+        self._factor = None
 
 
 def _edge_frames(mesh, flip=None):
@@ -155,49 +167,78 @@ def assemble_cip(space, eta=None, flip_normals=None):
         eta = default_penalty(space.degree)
     if eta <= 0.0:
         raise ValueError("penalty must be positive")
-    # the assembly tables die with the helper, before the certifying
-    # factor exists (with both alive, stationary-fine peak RSS was +12 %);
-    # that factor is then dropped, not kept for factor(): keeping it cost
-    # +16 % (stationary-fine) and +32 % (time-sweep, no a_h solves)
+    # The assembly buffers die with the helper, before the certifying
+    # factor exists.  The form keeps that factor for factor(), and
+    # dg_solve releases it first.  perfbench peak RSS (MB):
+    #                   dropped   kept   kept, released by dg_solve
+    #   stationary-fine   258.0   275.7   275.5
+    #   time-sweep        181.5   256.1   181.4
+    #   high-order        134.3   158.0   134.6
+    #   diagnostics        83.4    88.2    83.0
+    # On stationary-fine the kept factor is alive while ritz_projection
+    # builds its pairing (+17 MB), and it saves that workload the second
+    # factor of a_h (wall time 2.30 -> 1.49 s).
     full, free = _assemble_matrices(space, eta, flip_normals)
     try:
-        definite = Factorized(free).definite
+        factor = Factorized(free)
+        definite = factor.definite
     except SolverError:  # a singular block is not definite either
         definite = False
     if not definite:
         raise CoercivityError(f"eta={eta} is too small: a_h is not definite")
-    return CipForm(space, float(eta), full, free)
+    return CipForm(space, float(eta), full, free, _factor=factor)
 
 
 def _assemble_matrices(space, eta, flip_normals):
-    """Full and boundary-eliminated CSR matrices of the penalized form."""
-    mesh = space.mesh
+    """Full and boundary-eliminated CSR matrices of the penalized form.
 
-    elem = element_matrices(space, space.default_matrix_rule(), 2)
-    dof = space.dof_map
+    The triplets go into one preallocated (rows, cols, vals) buffer with
+    int32 indices, part by part (elements, interior edges, boundary
+    edges); each part and its edge traces die once copied, and the
+    buffer dies with the CSR conversion.  At n=32 P3 the traced peak is
+    59 MB for 9 MB of CSR output (112 MB with concatenated lists).
+    """
+    mesh = space.mesh
+    dof = space.dof_map.astype(np.int32)
     n_loc = dof.shape[1]
-    rows = [np.repeat(dof, n_loc, axis=1).ravel()]
-    cols = [np.tile(dof, (1, n_loc)).ravel()]
-    vals = [elem.ravel()]
+    interior = np.flatnonzero(~mesh.boundary_edge)
+    boundary = np.flatnonzero(mesh.boundary_edge)
+    size = (len(dof) + len(boundary)) * n_loc ** 2 \
+        + len(interior) * (2 * n_loc) ** 2
+    rows = np.empty(size, dtype=np.int32)
+    cols = np.empty(size, dtype=np.int32)
+    vals = np.empty(size)
+    filled = 0
+
+    def claim(gdofs):
+        # the (P, n, n) value view of the next P * n * n triplet slots, with
+        # their row and column indices filled from the (P, n) gdofs
+        nonlocal filled
+        n_parts, n_slots = gdofs.shape
+        stop = filled + n_parts * n_slots ** 2
+        shape = (n_parts, n_slots, n_slots)
+        rows[filled:stop].reshape(shape)[:] = gdofs[:, :, None]
+        cols[filled:stop].reshape(shape)[:] = gdofs[:, None, :]
+        out = vals[filled:stop].reshape(shape)
+        filled = stop
+        return out
+
+    claim(dof)[:] = element_matrices(space, space.default_matrix_rule(), 2)
 
     erule = interval_rule(_edge_rule_points(space.degree))
     svals = erule.points
     normals, minus, plus, lminus, lplus = _edge_frames(mesh, flip_normals)
-    interior = np.flatnonzero(~mesh.boundary_edge)
-    boundary = np.flatnonzero(mesh.boundary_edge)
 
     def accumulate(edges, jump, avg, gdofs):
         wjump = jump * erule.weights[:, None]
         lengths = mesh.edge_lengths[edges][:, None, None]
         cross = np.swapaxes(avg * lengths, 1, 2) @ wjump
-        cross = cross + np.swapaxes(cross, 1, 2)
+        cross += np.swapaxes(cross, 1, 2)
         pen = (np.swapaxes(jump, 1, 2) @ wjump) * eta
-        pen = 0.5 * (pen + np.swapaxes(pen, 1, 2))
-        total = cross + pen  # |e| cancels against 1/|e| in the penalty
-        n_slots = gdofs.shape[1]
-        rows.append(np.repeat(gdofs, n_slots, axis=1).ravel())
-        cols.append(np.tile(gdofs, (1, n_slots)).ravel())
-        vals.append(total.ravel())
+        pen += np.swapaxes(pen, 1, 2)
+        pen *= 0.5
+        # |e| cancels against 1/|e| in the penalty
+        np.add(cross, pen, out=claim(gdofs))
 
     if interior.size:
         n_int = normals[interior]
@@ -207,17 +248,19 @@ def _assemble_matrices(space, eta, flip_normals):
                                    n_int, svals)
         jump = np.concatenate([dn_p, -dn_m], axis=2)
         avg = 0.5 * np.concatenate([d2n_p, d2n_m], axis=2)
+        del dn_p, d2n_p, dn_m, d2n_m
         gdofs = np.concatenate([dof[plus[interior]], dof[minus[interior]]],
                                axis=1)
         accumulate(interior, jump, avg, gdofs)
+        del jump, avg
 
     if boundary.size:
         dn_b, d2n_b = _side_traces(space, minus[boundary], lminus[boundary],
                                    normals[boundary], svals)
         accumulate(boundary, -dn_b, d2n_b, dof[minus[boundary]])
 
-    full = build_csr(np.concatenate(rows), np.concatenate(cols),
-                     np.concatenate(vals), (space.n_dofs, space.n_dofs))
+    full = build_csr(rows, cols, vals, (space.n_dofs, space.n_dofs))
+    del rows, cols, vals
     # duplicate-summation order inside the CSR conversion is not
     # symmetric; restore the exact symmetry the form has analytically
     full = (0.5 * (full + full.T)).tocsr()

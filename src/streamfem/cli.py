@@ -275,9 +275,11 @@ def diagnostics(cfg):
     from .linalg import symmetry_gap
     check("a_h symmetry", symmetry_gap(form.matrix), 0.0)
 
+    # only the matrix is kept, so the flipped form's factor dies at once
     flipped = assemble_cip(space, cfg.eta,
-                           flip_normals=np.ones(mesh.num_edges, dtype=bool))
-    diff = (form.matrix - flipped.matrix).tocoo()
+                           flip_normals=np.ones(mesh.num_edges,
+                                                dtype=bool)).matrix
+    diff = (form.matrix - flipped).tocoo()
     orient = float(np.abs(diff.data).max()) if diff.nnz else 0.0
     scale = float(np.abs(form.matrix.data).max())
     check("normal orientation invariance", orient / scale, 1e-13)
@@ -433,6 +435,10 @@ def _config_from_args(args):
     if args.steps_list:
         values["steps_list"] = _cast(_parse_int_list, args.steps_list,
                                      "--steps-list")
+    # outputs are written after the study has run: check where they go now
+    out_dir = Path(values["out"]).parent
+    if not out_dir.is_dir():
+        raise ValueError(f"--out: no such directory {str(out_dir)!r}")
     return StudyConfig(
         method=values["method"], degree=values["degree"],
         dg_order=values["dg_order"], eta=values["eta"],

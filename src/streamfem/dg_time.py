@@ -251,7 +251,13 @@ def dg_solve(form, partition, order, f=None, psi0=None, load_points=None,
         Space rule for the data loads (default: the data rule).
     rtol : float
         Relative residual of every interval solve.
+
+    The sweep never solves with A alone, so its first step releases the
+    form's cached factor of A (``CipForm.release_factor``), before K, the
+    loads or any mode factor exist: the previous factors go before the
+    next exist.  A later ``form.factor()`` factors A again.
     """
+    form.release_factor()
     space = form.space
     free = space.free_dofs
     basis = TimeBasis(order)

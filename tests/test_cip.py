@@ -1,9 +1,11 @@
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from streamfem import cip, dg_time
 from streamfem import manufactured as mf
 from streamfem.cip import (CoercivityError, _assemble_matrices, apply_Ah,
                            assemble_cip, consistency_pairing,
@@ -11,7 +13,7 @@ from streamfem.cip import (CoercivityError, _assemble_matrices, apply_Ah,
 from streamfem.fem import (FeFunction, assemble_load_gradient,
                            assemble_load_scalar, build_space, h1_field_error,
                            h1_seminorm)
-from streamfem.linalg import symmetry_gap
+from streamfem.linalg import Factorized, symmetry_gap
 from streamfem.mesh import build_structured_mesh
 from streamfem.quadrature import triangle_rule
 
@@ -47,7 +49,12 @@ def test_normal_orientation_invariance(space_n8_l2, form_n8_l2, rng):
 
 def test_entry_oracle_sympy():
     """Every entry of the assembled form on the 2-triangle mesh against
-    exact symbolic integration of the three term groups."""
+    exact symbolic integration of the three term groups.
+
+    Every integrand is a polynomial, so each integral is an exact
+    ``sympy.Poly`` antiderivative evaluated at its bounds, and each
+    basis function's derivatives and edge traces are formed once.
+    """
     sympy = pytest.importorskip("sympy")
     x, y, t = sympy.symbols("x y t", real=True)
 
@@ -58,6 +65,10 @@ def test_entry_oracle_sympy():
 
     def rat(v):
         return sympy.Rational(v).limit_denominator(10 ** 9)
+
+    def definite(poly, var, lo, hi):
+        anti = poly.integrate(var)
+        return anti.subs(var, hi) - anti.subs(var, lo)
 
     mono = [sympy.Integer(1), x, y, x * x, x * y, y * y]
     basis = {}
@@ -72,12 +83,17 @@ def test_entry_oracle_sympy():
                               for m in mono] for p in pts])
         inv = vand.inv()
         for k, d in enumerate(space.dof_map[f]):
-            basis[(int(d), f)] = sum(inv[i, k] * mono[i] for i in range(6))
+            poly = sympy.Poly(sum(inv[i, k] * mono[i] for i in range(6)),
+                              x, y)
+            basis[(int(d), f)] = {"xx": poly.diff(x, x),
+                                  "xy": poly.diff(x, y),
+                                  "yy": poly.diff(y, y),
+                                  "x": poly.diff(x), "y": poly.diff(y)}
 
-    def tri_int(e, f):
-        if f == 0:  # (0,0), (1,0), (1,1)
-            return sympy.integrate(sympy.integrate(e, (y, 0, x)), (x, 0, 1))
-        return sympy.integrate(sympy.integrate(e, (y, x, 1)), (x, 0, 1))
+    def tri_int(poly, f):
+        # f = 0: (0,0), (1,0), (1,1) below the diagonal; f = 1 above it
+        lo, hi = (0, x) if f == 0 else (x, 1)
+        return definite(sympy.Poly(definite(poly, y, lo, hi), x), x, 0, 1)
 
     n = space.n_dofs
     oracle = sympy.zeros(n, n)
@@ -90,15 +106,14 @@ def test_entry_oracle_sympy():
                 bj = basis.get((j, f))
                 if bj is None:
                     continue
-                integrand = (sympy.diff(bi, x, x) * sympy.diff(bj, x, x)
-                             + 2 * sympy.diff(bi, x, y) * sympy.diff(bj, x, y)
-                             + sympy.diff(bi, y, y) * sympy.diff(bj, y, y))
+                integrand = (bi["xx"] * bj["xx"] + 2 * bi["xy"] * bj["xy"]
+                             + bi["yy"] * bj["yy"])
                 val = tri_int(integrand, f)
                 oracle[i, j] += val
                 if i != j:
                     oracle[j, i] += val
 
-    zero = sympy.Integer(0)
+    zero = sympy.Poly(0, t)
     for e in range(mesh.num_edges):
         nx, ny = (rat(c) for c in mesh.normals[e])
         p0, p1 = mesh.vertices[mesh.edges[e]]
@@ -108,36 +123,39 @@ def test_entry_oracle_sympy():
                             + (rat(p1[1]) - rat(p0[1])) ** 2)
         tm, tp = (int(v) for v in mesh.edge_tris[e])
 
-        def dn(expr):
-            return nx * sympy.diff(expr, x) + ny * sympy.diff(expr, y)
+        def on_edge(poly):
+            return sympy.Poly(poly.as_expr().subs({x: xs, y: ys}), t)
 
-        def d2n(expr):
-            return (nx * nx * sympy.diff(expr, x, x)
-                    + 2 * nx * ny * sympy.diff(expr, x, y)
-                    + ny * ny * sympy.diff(expr, y, y))
+        # (dn, d2n) of every basis function from one side, along the edge
+        def traces(tri):
+            out = []
+            for i in range(n):
+                d = basis.get((i, tri))
+                if d is None:
+                    out.append((zero, zero))
+                    continue
+                out.append((on_edge(nx * d["x"] + ny * d["y"]),
+                            on_edge(nx * nx * d["xx"] + 2 * nx * ny * d["xy"]
+                                    + ny * ny * d["yy"])))
+            return out
 
+        minus = traces(tm)
+        if mesh.boundary_edge[e]:
+            jump = [-dn for dn, _ in minus]
+            avg = [d2n for _, d2n in minus]
+        else:
+            plus = traces(tp)
+            half = sympy.Rational(1, 2)
+            jump = [p[0] - m[0] for p, m in zip(plus, minus)]
+            avg = [(p[1] + m[1]) * half for p, m in zip(plus, minus)]
         for i in range(n):
             for j in range(n):
-                if mesh.boundary_edge[e]:
-                    ji = -dn(basis.get((i, tm), zero))
-                    jj = -dn(basis.get((j, tm), zero))
-                    ai = d2n(basis.get((i, tm), zero))
-                    aj = d2n(basis.get((j, tm), zero))
-                else:
-                    ji = dn(basis.get((i, tp), zero)) \
-                        - dn(basis.get((i, tm), zero))
-                    jj = dn(basis.get((j, tp), zero)) \
-                        - dn(basis.get((j, tm), zero))
-                    ai = (d2n(basis.get((i, tp), zero))
-                          + d2n(basis.get((i, tm), zero))) / 2
-                    aj = (d2n(basis.get((j, tp), zero))
-                          + d2n(basis.get((j, tm), zero))) / 2
-                integrand = (ai * jj + ji * aj
-                             + (eta_val / length) * ji * jj)
-                integrand = integrand.subs({x: xs, y: ys})
-                if integrand != 0:
-                    oracle[i, j] += length * sympy.integrate(integrand,
-                                                             (t, 0, 1))
+                # |e| int (avg_i jump_j + jump_i avg_j + eta/|e| jump_i
+                # jump_j) dt, with |e| multiplied through the penalty
+                cross = avg[i] * jump[j] + jump[i] * avg[j]
+                oracle[i, j] += (length * definite(cross, t, 0, 1)
+                                 + eta_val * definite(jump[i] * jump[j], t,
+                                                      0, 1))
 
     exact = np.array(oracle.evalf(17), dtype=float)
     assembled = form.matrix.toarray()
@@ -374,3 +392,76 @@ def test_triple_norm_flags_indefinite(form_n8_l2):
     v[form.space.free_dofs] = 1.0
     with pytest.raises(CoercivityError):
         triple_norm(form, v)
+
+
+# -- one factor of a_h: certify, then solve ---------------------------
+
+
+@pytest.fixture
+def factor_count(monkeypatch):
+    """Counts the Factorized objects that cip builds."""
+    made = []
+
+    class Counting(Factorized):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(cip, "Factorized", Counting)
+    return made
+
+
+@pytest.mark.parametrize("solve", ["ritz", "stationary"])
+def test_certifying_factor_solves(space_n8_l2, factor_count, solve):
+    """The LU that certifies coercivity is the one that then solves:
+    assembly plus a Ritz or stationary solve factors a_h once."""
+    form = assemble_cip(space_n8_l2)
+    if solve == "ritz":
+        ritz_projection(form, mf.phi())
+    else:
+        solve_stationary(form, assemble_load_scalar(space_n8_l2,
+                                                    mf.f_scalar()))
+    assert len(factor_count) == 1
+    assert form.factor() is factor_count[0]
+
+
+def test_kept_factor_solves_like_a_fresh_one(space_n8_l2):
+    form = assemble_cip(space_n8_l2)
+    got = ritz_projection(form, mf.phi()).coefficients
+    pairing = consistency_pairing(form, mf.phi())
+    free = space_n8_l2.free_dofs
+    want = Factorized(form.matrix_free)(pairing[free])
+    assert np.array_equal(got[free], want)
+
+
+def test_transient_solve_releases_the_factor_first(monkeypatch):
+    """dg_solve never solves with a_h alone: the form's factor is gone
+    before K, the loads or the first interval's mode factors exist."""
+    space = build_space(build_structured_mesh(4), 2)
+    form = assemble_cip(space)
+    ref = weakref.ref(form.factor())
+    alive = {}
+    h1_free, interval_system = space.h1_free, dg_time._interval_system
+
+    def spy_h1_free():
+        alive.setdefault("h1_free", ref() is not None)
+        return h1_free()
+
+    def spy_interval_system(*args):
+        alive.setdefault("interval", ref() is not None)
+        return interval_system(*args)
+
+    monkeypatch.setattr(space, "h1_free", spy_h1_free)
+    monkeypatch.setattr(dg_time, "_interval_system", spy_interval_system)
+    dg_time.dg_solve(form, dg_time.make_partition(2), 0, f=mf.f_scalar())
+    assert alive == {"h1_free": False, "interval": False}
+
+
+def test_ritz_after_transient_solve_refactors(space_n4_l2, factor_count):
+    """After the release, factor() builds the same LU again on demand."""
+    form = assemble_cip(space_n4_l2)
+    before = ritz_projection(form, mf.phi()).coefficients
+    dg_time.dg_solve(form, dg_time.make_partition(2), 0, f=mf.f_scalar())
+    after = ritz_projection(form, mf.phi()).coefficients
+    assert len(factor_count) == 2
+    assert np.array_equal(before, after)

@@ -148,3 +148,24 @@ def test_fitted_rates_print_six_significant_digits(tmp_path):
     ratio = _read_summary(tmp_path / "compare_summary.txt")[
         "mini_blowup_ratio"]
     assert ratio == f"{float(ratio):.12g}" != f"{float(ratio):.6g}"
+
+
+def test_missing_output_directory_exits_2_before_any_work(tmp_path, capsys,
+                                                          monkeypatch):
+    """A missing --out directory is a usage error found before the study
+    runs, not a traceback after it."""
+    import streamfem.cli as cli
+    assembled = []
+    monkeypatch.setattr(cli, "assemble_cip",
+                        lambda *a, **k: assembled.append(a))
+    missing = tmp_path / "no_such_dir"
+    with pytest.raises(SystemExit) as exc:
+        main(["stationary", "--mesh-list", "4,8",
+              "--out", str(missing / "s.csv")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1] == f"streamfem: error: --out: no such directory " \
+                      f"{str(missing)!r}"
+    assert "Traceback" not in "\n".join(err)
+    assert assembled == []
+    assert not missing.exists()

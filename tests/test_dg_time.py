@@ -89,6 +89,9 @@ class _MockForm:
         self.matrix_free = sp.csr_matrix(np.array([[lam]]))
         self.matrix = self.matrix_free
 
+    def release_factor(self):
+        pass
+
 
 def _mock_initial(space, value):
     psi0 = FeFunction.__new__(FeFunction)
