@@ -30,9 +30,10 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .fem import (FeFunction, _space_weights, assemble_load_gradient,
-                  assemble_load_scalar, gradient_tables, h1_projection,
-                  load_provider, sample_time_factors, space_time_squares)
+from .fem import (FeFunction, _exact_gradients, _space_weights,
+                  assemble_load_gradient, assemble_load_scalar,
+                  gradient_tables, h1_projection, load_provider,
+                  sample_time_factors, space_time_squares)
 from .linalg import Factorized, SolverError, refine
 from .quadrature import interval_rule
 
@@ -239,9 +240,10 @@ def dg_solve(form, partition, order, f=None, psi0=None, load_points=None,
     order : int
         Polynomial degree r >= 0 in time.
     f : field, callable or None
-        Scalar data; fields are expanded into one precomputed load per
-        separable term, a callable t -> full load vector is used as
-        given, None means a vanishing right-hand side.
+        Scalar data; fields are expanded into one load per separable
+        term, assembled once per space (``FeSpace.term_table``), a
+        callable t -> full load vector is used as given, None means a
+        vanishing right-hand side.
     psi0 : FeFunction, field or None
         Initial datum, entering through its H1_0 projection.
     load_points : int, optional
@@ -451,9 +453,8 @@ def best_approx_terms(psi, space, form, partition, order, time_points=5,
 
     rule = rule or space.default_data_rule()
     trule = interval_rule(time_points)
-    pts = space.phys_points(rule)
     statics = [static for _, static in psi.static_terms()]
-    exact = np.stack([w.grad(0.0, pts) for w in statics])
+    exact = _exact_gradients(space, psi, rule)
     ritz = gradient_tables(space, rule, [
         ritz_projection(form, w).coefficients for w in statics])
     h1p = gradient_tables(space, rule, [
@@ -560,13 +561,21 @@ def bh_analytic(form, psi, partition, order, vcoef, time_points=None,
     space = form.space
     basis = TimeBasis(order)
     rule = interval_rule(time_points or data_time_points(order))
+    vrule = volume_rule or space.default_data_rule()
 
+    # static data of each term, once per space; the pairing reads only
+    # the space of the form, not its penalty, and its key holds the
+    # clamping flag, so a field flagged unclamped is still refused
     statics = [static for _, static in psi.static_terms()]
-    gloads = np.stack([assemble_load_gradient(space, w, rule=volume_rule)
-                       for w in statics])                       # (I, n)
-    cpairs = np.stack([consistency_pairing(form, w, volume_rule=volume_rule,
-                                           edge_points=edge_points)
-                       for w in statics])
+    gloads = np.stack([space.term_table(
+        "grad load", w, vrule,
+        lambda: assemble_load_gradient(space, w, rule=vrule))
+        for w in statics])                                      # (I, n)
+    cpairs = np.stack([space.term_table(
+        ("pairing", edge_points, psi.clamped), w, vrule,
+        lambda: consistency_pairing(form, w, volume_rule=vrule,
+                                    edge_points=edge_points))
+        for w in statics])
 
     # pairings of every load with v at every Gauss point, (M, P, I)
     lv = basis.values(rule.points)

@@ -19,7 +19,19 @@ Space-time quantities of separable fields sum_i sigma_i(t) w_i(x) share
 one quadrature: ``sample_time_factors`` evaluates the sigma_i at every
 interval Gauss point, ``gradient_tables`` gives the spatial gradients,
 and ``space_time_squares`` integrates |sum_j C_pj T_j|^2 over
-I x Omega with one matrix product per interval.
+I x Omega.  With the thin QR factorization sqrt(W) C = Q R of the (P, J)
+coefficients of an interval (W the time weights),
+
+    sum_p w_p |sum_j C_pj T_j|^2 = sum_i |sum_j R_ij T_j|^2,
+
+because Q has orthonormal columns, so each interval forms min(P, J)
+combinations of its tables instead of P.  Each combination is formed
+before it is squared, so an error, a small difference of nearly equal
+tables, is taken inside it as at the Gauss points; the expansion
+sum_jk (C^T W C)_jk (T_j, T_k) would subtract large inner products and
+lose the digits in which the tables agree.  The static data of a
+separable field (loads and exact gradients of its spatial factors w_i)
+is evaluated once per space (``FeSpace.term_table``).
 """
 
 from dataclasses import dataclass, field
@@ -127,7 +139,23 @@ def reference_basis(degree, points, order=0):
 
 
 class FeSpace:
-    """Degree-l continuous Lagrange space with homogeneous-trace DOFs."""
+    """Degree-l continuous Lagrange space with homogeneous-trace DOFs.
+
+    The space caches what depends on it alone, for as long as it lives:
+    the rule tables (``phys_points``, ``basis_table``), the H1 stiffness
+    matrix, its free block and factor, and the static data of separable
+    fields (``term_table``), one entry per kind, spatial term and rule:
+
+    - ``"load"`` and ``"dual load"``: the load vector of each term of the
+      data of ``load_provider``, scalar or paired with the rotated
+      gradient;
+    - ``"grad"``: the exact gradient table (F, Q, 2) of each term, shared
+      by ``space_time_h1_error`` and ``dg_time.best_approx_terms``;
+    - ``"grad load"`` and ``("pairing", edge_points, clamped)``: the
+      gradient load and the consistency pairing of each term in
+      ``dg_time.bh_analytic`` (the pairing does not depend on the
+      penalty).
+    """
 
     def __init__(self, mesh, degree):
         if degree not in SUPPORTED_DEGREES:
@@ -189,6 +217,22 @@ class FeSpace:
         if key not in self._cache:
             self._cache[key] = (rule, build())
         return self._cache[key][1]
+
+    def term_table(self, kind, static, rule, build):
+        """``build()`` for the one-term field ``static``, once per space.
+
+        ``static`` is a field of ``static_terms()``; the key holds its
+        SpatialTerm itself, so no id of a freed term can pass to another
+        while the entry exists.  The table is read-only, since every later
+        caller shares it.
+        """
+        (_, term), = static.terms
+
+        def frozen():
+            table = build()
+            table.setflags(write=False)
+            return table
+        return self._rule_table((kind, term), rule, frozen)
 
     def default_matrix_rule(self):
         return triangle_rule(2 * self.degree)
@@ -354,9 +398,12 @@ def separable_load(fld, assemble):
 
 
 def load_provider(space, f, rule=None, dual=False):
-    """Callable t -> load vector, precomputing one load per separable term."""
+    """Callable t -> load vector, one load per separable term and space."""
+    rule = rule or space.default_data_rule()
     assemble = assemble_load_dual if dual else assemble_load_scalar
-    return separable_load(f, lambda w: assemble(space, w, 0.0, rule=rule))
+    return separable_load(f, lambda w: space.term_table(
+        "dual load" if dual else "load", w, rule,
+        lambda: assemble(space, w, 0.0, rule=rule)))
 
 
 # -- projections and evaluation ---------------------------------------
@@ -458,6 +505,15 @@ def gradient_tables(space, rule, rows):
 def space_time_squares(wdet, trule, lengths, blocks):
     """sum_m k_m sum_p w_p int_Omega |sum_j C_m[p, j] T_m[j]|^2 dx.
 
+    Each interval factors sqrt(W) C_m = Q R (thin QR, R of min(P, J)
+    rows) and sums int_Omega |sum_j R[i, j] T_m[j]|^2 over the rows i of
+    R: the same value, since Q has orthonormal columns, from min(P, J)
+    combinations of the tables instead of P.  Each combination is formed
+    before it is squared, so an error (nearly equal tables with opposite
+    coefficients) cancels inside it as it does at the Gauss points; the
+    expansion through K = C^T W C, sum_jk K_jk (T_j, T_k), would subtract
+    inner products of the tables and lose the digits in which they agree.
+
     Parameters
     ----------
     wdet : ndarray, shape (F, Q)
@@ -470,11 +526,13 @@ def space_time_squares(wdet, trule, lengths, blocks):
         Coefficients (P, J) and tables (J, F, Q, d) per interval; a
         generator keeps one interval's tables alive at a time.
     """
+    sqrt_w = np.sqrt(trule.weights)[:, None]
     total = 0.0
     for km, (coef, tables) in zip(lengths, blocks):
-        values = (coef @ tables.reshape(len(tables), -1)).reshape(
-            (len(coef),) + tables.shape[1:])
-        total += km * float(trule.weights @ _weighted_squares(wdet, values))
+        r = np.linalg.qr(sqrt_w * coef, mode="r")
+        values = (r @ tables.reshape(len(tables), -1)).reshape(
+            (len(r),) + tables.shape[1:])
+        total += km * float(_weighted_squares(wdet, values).sum())
     return total
 
 
@@ -490,6 +548,17 @@ def h1_field_error(space, coefficients, fld, t=0.0, rule=None):
     return float(np.sqrt(max(val, 0.0)))
 
 
+def _exact_gradients(space, fld, rule):
+    """Gradients of the spatial factors w_i at the rule points, (I, F, Q, 2).
+
+    Each term's table is evaluated once per space (``FeSpace.term_table``).
+    """
+    pts = space.phys_points(rule)
+    return np.stack([space.term_table("grad", w, rule,
+                                      lambda: w.grad(0.0, pts))
+                     for _, w in fld.static_terms()])
+
+
 def space_time_h1_error(sol, psi, time_points=5, rule=None):
     """|| grad(psi - psi_kh) ||_{L2(I x Omega)} by Gauss-in-time quadrature.
 
@@ -499,8 +568,7 @@ def space_time_h1_error(sol, psi, time_points=5, rule=None):
     space = sol.space
     rule = rule or space.default_data_rule()
     trule = interval_rule(time_points)
-    pts = space.phys_points(rule)
-    exact = np.stack([term.grad(pts) for _, term in psi.terms])
+    exact = _exact_gradients(space, psi, rule)
     sig, _ = sample_time_factors(psi, sol.partition, trule)
     minus_basis = -sol.basis.values(trule.points)              # (P, r+1)
 

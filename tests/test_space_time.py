@@ -1,0 +1,198 @@
+"""The separable space-time quadrature: its rank compression, its memory,
+and the static field data each space evaluates once."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from streamfem import cip
+from streamfem import manufactured as mf
+from streamfem.cip import assemble_cip
+from streamfem.dg_time import (best_approx_terms, bh_analytic, dg_solve,
+                               make_partition)
+from streamfem.fem import build_space, space_time_h1_error, space_time_squares
+from streamfem.mesh import build_structured_mesh
+from streamfem.quadrature import interval_rule, triangle_rule
+
+
+# -- rank compression ----------------------------------------------------
+
+
+def _per_point_sum(wdet, trule, lengths, blocks):
+    """sum_m k_m sum_p w_p int |sum_j C_m[p, j] T_m[j]|^2, point by point."""
+    total = 0.0
+    for km, (coef, tables) in zip(lengths, blocks):
+        for p, wp in enumerate(trule.weights):
+            values = np.tensordot(coef[p], tables, axes=1)     # (F, Q, d)
+            total += km * wp * float(
+                np.sum(wdet * np.sum(values ** 2, axis=-1)))
+    return total
+
+
+@pytest.mark.parametrize("points, terms, equal_columns", [
+    (5, 2, False),     # P > J
+    (3, 3, False),     # P = J
+    (2, 4, False),     # P < J
+    (5, 3, True),      # rank-deficient C: two equal columns
+])
+def test_compression_matches_the_per_point_sum(points, terms, equal_columns):
+    rng = np.random.default_rng(points * 10 + terms)
+    trule = interval_rule(points)
+    lengths = np.array([0.25, 0.5, 0.125])
+    wdet = rng.random((7, 6))
+    blocks = []
+    for _ in lengths:
+        coef = rng.standard_normal((points, terms))
+        if equal_columns:
+            coef[:, -1] = coef[:, 0]
+        blocks.append((coef, rng.standard_normal((terms, 7, 6, 2))))
+    want = _per_point_sum(wdet, trule, lengths, blocks)
+    got = space_time_squares(wdet, trule, lengths, iter(blocks))
+    assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def test_error_integration_peak_memory():
+    """Traced peak of one space-time error at n=32, P2, dG(0).
+
+    The interval values shrink from P = 5 rows to J = 2 (the exact term
+    and the discrete one): 7.4 MB, against 12.5 MB when every Gauss point
+    formed its own row (numpy 2.4).  The peak includes building the
+    cached exact gradient table (0.8 MB) on the fresh space.
+    """
+    space = build_space(build_structured_mesh(32), 2)
+    sol = dg_solve(assemble_cip(space), make_partition(2), 0,
+                   f=mf.f_scalar())
+    tracemalloc.start()
+    try:
+        space_time_h1_error(sol, mf.psi_exact())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
+
+
+# -- static data once per space -------------------------------------------
+
+
+class _Counting:
+    """A spatial function that counts its evaluations."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+
+    def __call__(self, points):
+        self.calls += 1
+        return self.fn(points)
+
+
+def _counting_term(base):
+    def wrap(fn):
+        return None if fn is None else _Counting(fn)
+    return mf.SpatialTerm(wrap(base.value), wrap(base.grad), wrap(base.hess))
+
+
+def _counting_psi():
+    """psi_exact with a counting spatial factor."""
+    (tf, term), = mf.psi_exact().terms
+    return mf.ScalarField([(tf, _counting_term(term))], clamped=True)
+
+
+def _counting_load():
+    """f_scalar with counting spatial factors, one per term."""
+    return mf.ScalarField([(tf, _counting_term(term))
+                           for tf, term in mf.f_scalar().terms])
+
+
+@pytest.fixture
+def space():
+    return build_space(build_structured_mesh(4), 2)
+
+
+def test_loads_and_exact_gradients_once_per_rule(space):
+    form = assemble_cip(space)
+    part = make_partition(3)
+    f, psi = _counting_load(), _counting_psi()
+    sols = [dg_solve(form, part, 0, f=f) for _ in range(2)]
+    errors = [space_time_h1_error(sol, psi) for sol in sols]
+    assert [term.value.calls for _, term in f.terms] == [1, 1]
+    assert psi.terms[0][1].grad.calls == 1
+    assert errors[0] == errors[1]
+
+    # another rule is another entry
+    coarse = triangle_rule(6)
+    dg_solve(form, part, 0, f=f, load_rule=coarse)
+    space_time_h1_error(sols[0], psi, rule=coarse)
+    assert [term.value.calls for _, term in f.terms] == [2, 2]
+    assert psi.terms[0][1].grad.calls == 2
+
+    # best_approx_terms shares the exact gradient table; its one new
+    # evaluation is the gradient load of the H1 projection
+    best_approx_terms(psi, space, form, part, 0)
+    assert psi.terms[0][1].grad.calls == 3
+
+
+def test_bh_analytic_pairs_each_term_once(space, monkeypatch):
+    calls = []
+    pairing = cip.consistency_pairing
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return pairing(*args, **kwargs)
+    monkeypatch.setattr(cip, "consistency_pairing", counted)
+
+    psi = _counting_psi()
+    part = make_partition(2)
+    v = np.random.default_rng(3).standard_normal((2, 2, space.n_dofs))
+    v[:, :, space.boundary_dofs] = 0.0
+    # the pairing does not depend on the penalty, so a second form on the
+    # same space shares it
+    forms = [assemble_cip(space), assemble_cip(space),
+             assemble_cip(space, eta=8.0)]
+    values = [bh_analytic(form, psi, part, 1, v) for form in forms]
+    assert len(calls) == 1
+    assert psi.terms[0][1].grad.calls == 1      # the gradient load
+
+    fresh = build_space(space.mesh, 2)
+    assert values[2] == bh_analytic(assemble_cip(fresh, eta=8.0), psi, part,
+                                    1, v)
+    assert len(calls) == 2
+
+    # the same term in a field not flagged clamped is still refused
+    unclamped = mf.ScalarField(psi.terms)
+    with pytest.raises(ValueError, match="clamped"):
+        bh_analytic(forms[0], unclamped, part, 1, v)
+
+
+def test_a_new_term_or_space_evaluates_afresh(space):
+    form = assemble_cip(space)
+    sol = dg_solve(form, make_partition(2), 0, f=mf.f_scalar())
+    first, second = _counting_psi(), _counting_psi()
+    want = space_time_h1_error(sol, first)
+    assert space_time_h1_error(sol, second) == want
+    assert first.terms[0][1].grad.calls == 1
+    assert second.terms[0][1].grad.calls == 1
+
+    # a different field on the same space gets its own table
+    scaled = mf.ScalarField([(first.terms[0][0], _counting_term(
+        mf.SpatialTerm(lambda p: 2.0 * mf.phi().value(0.0, p),
+                       lambda p: 2.0 * mf.phi().grad(0.0, p))))])
+    assert space_time_h1_error(sol, scaled) != want
+    assert scaled.terms[0][1].grad.calls == 1
+
+    other = build_space(space.mesh, 2)
+    moved = dg_solve(assemble_cip(other), make_partition(2), 0,
+                     f=mf.f_scalar())
+    assert space_time_h1_error(moved, first) == want
+    assert first.terms[0][1].grad.calls == 2
+
+
+def test_cached_tables_are_read_only(space):
+    psi = mf.psi_exact()
+    rule = space.default_data_rule()
+    (_, w), = psi.static_terms()
+    table = space.term_table("grad", w, rule,
+                             lambda: w.grad(0.0, space.phys_points(rule)))
+    with pytest.raises(ValueError):
+        table[0, 0, 0] = 1.0
