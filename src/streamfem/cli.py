@@ -56,6 +56,21 @@ class StudyConfig:
             raise ValueError("the mixed solver takes vector data g only")
         if not self.mesh_list or not self.steps_list:
             raise ValueError("refinement lists must be nonempty")
+        # out-of-range values are refused here, before any work
+        if self.degree not in (2, 3):
+            raise ValueError(f"degree: expected 2 or 3, got {self.degree}")
+        if self.dg_order < 0:
+            raise ValueError(f"dg_order: expected >= 0, got {self.dg_order}")
+        for name in ("mesh_list", "steps_list"):
+            if min(getattr(self, name)) < 1:
+                raise ValueError(f"{name}: expected entries >= 1, "
+                                 f"got {getattr(self, name)}")
+        if self.eta is not None and self.eta <= 0.0:
+            raise ValueError(f"eta: expected a positive number, "
+                             f"got {self.eta}")
+        if self.end_time <= 0.0:
+            raise ValueError(f"end_time: expected a positive number, "
+                             f"got {self.end_time}")
 
 
 def fit_rate(xs, errors, points=3):

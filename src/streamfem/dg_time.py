@@ -30,8 +30,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .fem import (FeFunction, _exact_gradients, _space_weights,
-                  assemble_load_gradient, assemble_load_scalar,
+from .fem import (_exact_gradients, _h1_lift, _space_weights, _term_load,
                   gradient_tables, h1_projection, load_provider,
                   sample_time_factors, space_time_squares)
 from .linalg import Factorized, SolverError, refine
@@ -70,10 +69,6 @@ class TimePartition:
     @property
     def k_max(self):
         return float(self.lengths.max())
-
-    @property
-    def end_time(self):
-        return float(self.nodes[-1])
 
 
 def make_partition(num_intervals, end_time=1.0):
@@ -192,18 +187,6 @@ class DgSolution:
         """Outgoing value at t_{m+1} taken from interval index m (0-based)."""
         return self.coefficients[m, -1]
 
-    def value_plus(self, m):
-        """Incoming value at t_m^+ taken from interval index m (0-based)."""
-        return self.basis.left_values @ self.coefficients[m]
-
-    def value_at(self, m, t):
-        t0 = self.partition.nodes[m]
-        km = self.partition.lengths[m]
-        return self.basis.values((t - t0) / km) @ self.coefficients[m]
-
-    def as_fefunction(self, m, t):
-        return FeFunction(self.space, self.value_at(m, t))
-
 
 def data_time_points(order):
     """Gauss points per interval for the data integrals of dG(r): r + 2.
@@ -221,8 +204,8 @@ def _initial_coefficients(space, psi0):
     return h1_projection(space, psi0).coefficients
 
 
-def dg_solve(form, partition, order, f=None, psi0=None, load_points=None,
-             load_rule=None, rtol=1e-10):
+def dg_solve(form, partition, order, f=None, psi0=None, load_rule=None,
+             rtol=1e-10):
     """Forward sweep for the fully discrete transient problem.
 
     Interval m solves C (K X) + k_m M (A X) = R for its (r+1, n_free)
@@ -246,9 +229,6 @@ def dg_solve(form, partition, order, f=None, psi0=None, load_points=None,
         vanishing right-hand side.
     psi0 : FeFunction, field or None
         Initial datum, entering through its H1_0 projection.
-    load_points : int, optional
-        Gauss points per interval for the data integral (default
-        ``data_time_points(order)``).
     load_rule : QuadratureRule, optional
         Space rule for the data loads (default: the data rule).
     rtol : float
@@ -273,7 +253,7 @@ def dg_solve(form, partition, order, f=None, psi0=None, load_points=None,
     else:
         load = f
 
-    rule = interval_rule(load_points or data_time_points(order))
+    rule = interval_rule(data_time_points(order))
     coupling, mass = basis.coupling(), basis.gram()
 
     u_prev = _initial_coefficients(space, psi0)[free]
@@ -345,13 +325,14 @@ def _at_interval(exc, m):
                        interval=m + 1)
 
 
-def time_projection_values(order, partition, fn, samples=12):
+def time_projection_values(order, partition, fn):
     """Interval-wise polynomial projection of a scalar function of time.
 
     Matches the right endpoint on every interval and, for r >= 1, the
-    moments against polynomials of degree < r.  Returns the nodal
-    values at the right Radau points, shape (M, r+1); polynomials of
-    degree <= r are reproduced exactly.
+    moments against polynomials of degree < r, taken with 12 Gauss
+    points (r + 2 when more).  Returns the nodal values at the right
+    Radau points, shape (M, r+1); polynomials of degree <= r are
+    reproduced exactly.
     """
     basis = TimeBasis(order)
     nodes = partition.nodes
@@ -360,7 +341,7 @@ def time_projection_values(order, partition, fn, samples=12):
         out[:, 0] = [fn(t) for t in nodes[1:]]
         return out
 
-    rule = interval_rule(max(samples, order + 2))
+    rule = interval_rule(max(12, order + 2))
     powers = np.vander(rule.points, order, increasing=True)   # (Q, r)
     lvals = basis.values(rule.points)                         # (Q, r+1)
     gmat = np.einsum("q,qj,qa->ja", rule.weights, powers, lvals)
@@ -411,24 +392,26 @@ def stability_functional(sol, form, psi0=None):
     return s1, s2, s3
 
 
-def stability_data_norm(form, f, partition, psi0=None, time_points=8):
+def stability_data_norm(form, f, partition, psi0=None):
     """Squared data norm bounding the stability functional.
 
     The functional data is rewritten in gradient form term by term: the
     spatial factor w_i of each separable term is lifted to g_i with
     (grad g_i, grad v) = <w_i, v> for all discrete v, which leaves the
-    discrete trajectory unchanged.  Returns
+    discrete trajectory unchanged.  The loads <w_i, v> are those of
+    ``dg_solve`` (``FeSpace.term_table``), the time integral takes 8
+    Gauss points per interval.  Returns
     ||grad g||^2_{I x Omega} + |||P_h psi0|||_h^2.
     """
     space = form.space
     free = space.free_dofs
     k_free = space.h1_free()
 
-    lifts = [space.h1_factor()(assemble_load_scalar(space, static)[free])
+    lifts = [space.h1_factor()(_term_load(space, "load", static)[free])
              for _, static in f.static_terms()]
     gram = np.array([[gi @ (k_free @ gj) for gj in lifts] for gi in lifts])
 
-    rule = interval_rule(time_points)
+    rule = interval_rule(8)
     sig, _ = sample_time_factors(f, partition, rule)
     quad = np.einsum("mpi,ij,mpj->mp", sig, gram, sig)
     total = float(partition.lengths @ (quad @ rule.weights))
@@ -439,26 +422,29 @@ def stability_data_norm(form, f, partition, psi0=None, time_points=8):
     return total
 
 
-def best_approx_terms(psi, space, form, partition, order, time_points=5,
-                      rule=None):
+def best_approx_terms(psi, space, form, partition, order):
     """The three projection errors of the best-approximation bound.
 
     Returns (E_chi, E_Rh, E_pik): the gradient-norm distances of the
     exact field to its combined space-time comparator (the H1_0
     projection composed with the interval-wise time projection), to its
     energy-form projection, and to its time projection.  Separable
-    structure is exploited: each spatial factor is projected once.
+    structure is exploited: each spatial factor is projected once, its
+    gradient load shared with ``bh_analytic`` (``FeSpace.term_table``).
+    The norms take 5 Gauss points per interval and the data rule in
+    space.
     """
     from .cip import ritz_projection
 
-    rule = rule or space.default_data_rule()
-    trule = interval_rule(time_points)
+    rule = space.default_data_rule()
+    trule = interval_rule(5)
     statics = [static for _, static in psi.static_terms()]
     exact = _exact_gradients(space, psi, rule)
     ritz = gradient_tables(space, rule, [
         ritz_projection(form, w).coefficients for w in statics])
     h1p = gradient_tables(space, rule, [
-        h1_projection(space, w, rule=rule).coefficients for w in statics])
+        _h1_lift(space, _term_load(space, "grad load", w, rule))
+        for w in statics])
     exact_minus_ritz = exact - ritz
     exact_and_h1p = np.concatenate([exact, h1p])
 
@@ -567,10 +553,8 @@ def bh_analytic(form, psi, partition, order, vcoef, time_points=None,
     # the space of the form, not its penalty, and its key holds the
     # clamping flag, so a field flagged unclamped is still refused
     statics = [static for _, static in psi.static_terms()]
-    gloads = np.stack([space.term_table(
-        "grad load", w, vrule,
-        lambda: assemble_load_gradient(space, w, rule=vrule))
-        for w in statics])                                      # (I, n)
+    gloads = np.stack([_term_load(space, "grad load", w, vrule)
+                       for w in statics])                       # (I, n)
     cpairs = np.stack([space.term_table(
         ("pairing", edge_points, psi.clamped), w, vrule,
         lambda: consistency_pairing(form, w, volume_rule=vrule,

@@ -3,6 +3,9 @@
 Degree-l nodal spaces with vectorized assembly of the H1 stiffness
 matrix, load vectors (scalar data, vector data paired with the rotated
 gradient, and gradient data), the H1_0 projection and point evaluation.
+A space is its DOF layout and its reference basis (``FeSpace.reference``);
+a subclass that changes only these, such as the P1-plus-bubble velocity
+space of ``mini_stokes``, runs on the same kernels.
 
 Every element kernel is one dense matrix product against a reference
 table, with a small per-cell factor from the affine map (the tensor
@@ -10,10 +13,11 @@ representation of Kirby and Logg, ACM TOMS 32, 2006); no physical
 per-cell basis table exists.  ``FeSpace.basis_table`` holds reference
 values, gradients or Hessians at the rule points.  ``element_matrices``
 multiplies det J times G or G kron G (G = J^-1 J^-T) by the reference
-tensor of the basis derivatives.  ``assemble_tested`` pulls data back to
-reference coordinates and tests it against the table, and
-``gradient_tables`` maps coefficient rows to reference gradients, then
-applies J^-1 per cell.
+tensor of the basis derivatives (det J alone for the mass matrix).
+``assemble_tested`` pulls data back to reference coordinates and tests
+it against the table, ``value_tables`` maps coefficient rows to values,
+and ``gradient_tables`` maps them to reference gradients, then applies
+J^-1 per cell.
 
 Space-time quantities of separable fields sum_i sigma_i(t) w_i(x) share
 one quadrature: ``sample_time_factors`` evaluates the sigma_i at every
@@ -49,7 +53,7 @@ __all__ = ["FeSpace", "FeFunction", "reference_basis", "build_space",
            "assemble_load_gradient", "h1_projection",
            "load_provider", "separable_load", "evaluate", "h1_seminorm",
            "h1_field_error", "sample_time_factors", "gradient_tables",
-           "space_time_squares", "space_time_h1_error"]
+           "value_tables", "space_time_squares", "space_time_h1_error"]
 
 SUPPORTED_DEGREES = (1, 2, 3)
 
@@ -141,6 +145,11 @@ def reference_basis(degree, points, order=0):
 class FeSpace:
     """Degree-l continuous Lagrange space with homogeneous-trace DOFs.
 
+    The local basis on the reference triangle is ``reference(points,
+    order)``, and the DOFs per edge and per triangle interior are
+    ``_entity_dofs()``; every table and kernel reads the basis through
+    these two, so a subclass may replace them (``mini_stokes.MiniSpace``).
+
     The space caches what depends on it alone, for as long as it lives:
     the rule tables (``phys_points``, ``basis_table``), the H1 stiffness
     matrix, its free block and factor, and the static data of separable
@@ -148,12 +157,14 @@ class FeSpace:
 
     - ``"load"`` and ``"dual load"``: the load vector of each term of the
       data of ``load_provider``, scalar or paired with the rotated
-      gradient;
+      gradient; ``dg_time.stability_data_norm`` lifts the scalar ones;
     - ``"grad"``: the exact gradient table (F, Q, 2) of each term, shared
       by ``space_time_h1_error`` and ``dg_time.best_approx_terms``;
-    - ``"grad load"`` and ``("pairing", edge_points, clamped)``: the
-      gradient load and the consistency pairing of each term in
-      ``dg_time.bh_analytic`` (the pairing does not depend on the
+    - ``"grad load"``: the gradient load of each term, shared by
+      ``dg_time.bh_analytic`` and the H1_0 projections of
+      ``dg_time.best_approx_terms``;
+    - ``("pairing", edge_points, clamped)``: the consistency pairing of
+      each term in ``dg_time.bh_analytic`` (it does not depend on the
       penalty).
     """
 
@@ -169,12 +180,15 @@ class FeSpace:
 
     # -- construction -------------------------------------------------
 
+    def _entity_dofs(self):
+        """DOFs per edge and per triangle interior (vertices carry one)."""
+        ell = self.degree
+        return ell - 1, (ell - 1) * (ell - 2) // 2
+
     def _build_dof_map(self):
         mesh = self.mesh
-        ell = self.degree
         v, e, f = mesh.num_vertices, mesh.num_edges, mesh.num_triangles
-        n_edge = ell - 1
-        n_int = (ell - 1) * (ell - 2) // 2
+        n_edge, n_int = self._entity_dofs()
         self.n_dofs = v + n_edge * e + n_int * f
 
         n_loc = 3 + 3 * n_edge + n_int
@@ -246,6 +260,10 @@ class FeSpace:
             self.origins[:, None, :]
             + np.einsum("fij,qj->fqi", self.jac, rule.points)))
 
+    def reference(self, points, order=0):
+        """The local basis on the reference triangle (``reference_basis``)."""
+        return reference_basis(self.degree, points, order)
+
     def basis_table(self, rule, order=0):
         """Reference basis derivatives at the rule points.
 
@@ -255,7 +273,7 @@ class FeSpace:
         is tested against the basis with one matrix product.
         """
         def build():
-            ref = reference_basis(self.degree, rule.points, order)
+            ref = self.reference(rule.points, order)
             return np.moveaxis(ref, 1, -1).reshape(-1, ref.shape[1])
         return self._rule_table(("basis", order), rule, build)
 
@@ -312,11 +330,12 @@ def _scatter_matrix(space, elem):
 def element_matrices(space, rule, order):
     """int_T D^k phi_m : D^k phi_l on every triangle, (F, n_loc, n_loc).
 
-    On an affine cell D^k phi = J^-T (D^k phi^) J^-1 (k = 2) or
-    J^-T grad phi^ (k = 1), so the integrand is the reference tensor
-    sum_q w_q D^k phi^_l D^k phi^_m times a per-cell factor det J times
-    G (k = 1) or G kron G (k = 2), with G = J^-1 J^-T: one matrix
-    product (F, 4**k) @ (4**k, n_loc**2).  The blocks are made bitwise
+    On an affine cell D^k phi = J^-T (D^k phi^) J^-1 (k = 2),
+    J^-T grad phi^ (k = 1) or phi^ (k = 0, the mass matrix), so the
+    integrand is the reference tensor sum_q w_q D^k phi^_l D^k phi^_m
+    times a per-cell factor det J times G (k = 1), G kron G (k = 2) or
+    nothing (k = 0), with G = J^-1 J^-T: one matrix product
+    (F, 4**k) @ (4**k, n_loc**2).  The blocks are made bitwise
     symmetric, so the assembled matrix is exactly symmetric.
     """
     d = 2 ** order
@@ -326,10 +345,12 @@ def element_matrices(space, rule, order):
     tensor = np.tensordot(table * rule.weights[:, None, None], table,
                           axes=(0, 0))                         # (d, L, d, L)
     tensor = tensor.transpose(0, 2, 1, 3).reshape(d * d, n_loc * n_loc)
-    g = space.jac_inv @ space.jac_inv.transpose(0, 2, 1)
-    if order == 2:  # (G kron G)[(a, b), (c, d)] = G[a, c] G[b, d]
-        g = g[:, :, None, :, None] * g[:, None, :, None, :]
-    factor = space.jac_det[:, None] * g.reshape(len(g), -1)
+    factor = space.jac_det[:, None]
+    if order:
+        g = space.jac_inv @ space.jac_inv.transpose(0, 2, 1)
+        if order == 2:  # (G kron G)[(a, b), (c, d)] = G[a, c] G[b, d]
+            g = g[:, :, None, :, None] * g[:, None, :, None, :]
+        factor = factor * g.reshape(len(g), -1)
     elem = (factor @ tensor).reshape(-1, n_loc, n_loc)
     return 0.5 * (elem + elem.transpose(0, 2, 1))
 
@@ -397,13 +418,20 @@ def separable_load(fld, assemble):
     return lambda t: sum(tf.fn(t) * b for tf, b in loads)
 
 
+def _term_load(space, kind, static, rule=None):
+    """The load of kind "load", "dual load" or "grad load" of the one-term
+    field ``static``, assembled once per space (``FeSpace.term_table``)."""
+    rule = rule or space.default_data_rule()
+    assemble = {"load": assemble_load_scalar, "dual load": assemble_load_dual,
+                "grad load": assemble_load_gradient}[kind]
+    return space.term_table(kind, static, rule,
+                            lambda: assemble(space, static, 0.0, rule=rule))
+
+
 def load_provider(space, f, rule=None, dual=False):
     """Callable t -> load vector, one load per separable term and space."""
-    rule = rule or space.default_data_rule()
-    assemble = assemble_load_dual if dual else assemble_load_scalar
-    return separable_load(f, lambda w: space.term_table(
-        "dual load" if dual else "load", w, rule,
-        lambda: assemble(space, w, 0.0, rule=rule)))
+    kind = "dual load" if dual else "load"
+    return separable_load(f, lambda w: _term_load(space, kind, w, rule))
 
 
 # -- projections and evaluation ---------------------------------------
@@ -418,9 +446,14 @@ def h1_projection(space, w, rule=None):
             raise ValueError("projection across spaces needs an analytic field")
     else:
         b = assemble_load_gradient(space, w, 0.0, rule=rule)
+    return FeFunction(space, _h1_lift(space, b))
+
+
+def _h1_lift(space, b):
+    """Coefficients of the H1_0 projection whose gradient load is b."""
     out = np.zeros(space.n_dofs)
     out[space.free_dofs] = space.h1_factor()(b[space.free_dofs])
-    return FeFunction(space, out)
+    return out
 
 
 def _evaluate_many(space, coefficients, points):
@@ -438,8 +471,8 @@ def _evaluate_many(space, coefficients, points):
     if not inside[np.arange(pts.shape[0]), tri].all():
         raise ValueError("point outside the mesh domain")
     loc = ref[np.arange(pts.shape[0]), tri]
-    vals = reference_basis(space.degree, loc, 0)
-    grads_ref = reference_basis(space.degree, loc, 1)
+    vals = space.reference(loc, 0)
+    grads_ref = space.reference(loc, 1)
     grads = np.einsum("pld,pdi->pli", grads_ref, space.jac_inv[tri])
     c = coefficients[space.dof_map[tri]]
     value = np.einsum("pl,pl->p", vals, c)
@@ -500,6 +533,13 @@ def gradient_tables(space, rule, rows):
     coef = np.asarray(rows)[:, space.dof_map]                  # (A, F, L)
     ref = coef.reshape(-1, coef.shape[-1]) @ space.basis_table(rule, 1).T
     return ref.reshape(coef.shape[:2] + (-1, 2)) @ space.jac_inv
+
+
+def value_tables(space, rule, rows):
+    """Values of the discrete functions with coefficient rows (A, n_dofs)
+    at the rule points, (A, F, Q): one product against the basis table."""
+    coef = np.asarray(rows)[:, space.dof_map]                  # (A, F, L)
+    return coef @ space.basis_table(rule, 0).T
 
 
 def space_time_squares(wdet, trule, lengths, blocks):

@@ -100,9 +100,6 @@ class _FieldBase:
     def dt_value(self, t, x):
         return self._sum(t, x, "value", use_dt=True)
 
-    def dt_grad(self, t, x):
-        return self._sum(t, x, "grad", use_dt=True)
-
 
 class ScalarField(_FieldBase):
     """Time-dependent scalar field as a sum of separable terms."""

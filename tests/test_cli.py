@@ -95,10 +95,17 @@ def test_config_precedence(tmp_path):
     (["converge-k"], "no_such_key = 1\n"),
     (["converge-k"], "steps_list = 2,four\n"),
     (["converge-k", "--config", "no_such_dir/study.cfg"], None),
+    (["stationary", "--degree", "1", "--mesh-list", "2"], None),
+    (["stationary", "--degree", "4", "--mesh-list", "2"], None),
+    (["converge-k", "--dg-order", "-1", "--mesh-list", "2"], None),
+    (["converge-k", "--mesh-list", "0,4"], None),
+    (["converge-k", "--mesh-list", "2", "--steps-list", "0,2"], None),
+    (["converge-k", "--mesh-list", "2", "--eta", "-1"], None),
+    (["converge-k", "--mesh-list", "2"], "end_time = -1\n"),
 ])
 def test_config_errors_exit_2(tmp_path, capsys, argv, config):
-    """Bad flags, config keys, list entries and files end in a one-line
-    usage error with exit code 2, not a traceback."""
+    """Bad flags, config keys, list entries, out-of-range values and files
+    end in a one-line usage error with exit code 2, not a traceback."""
     if config is not None:
         path = tmp_path / "study.cfg"
         path.write_text(config)

@@ -3,8 +3,11 @@
 The oracles below map the reference basis to every triangle first and
 contract the physical (F, Q, n_loc, 2[, 2]) tables with multi-operand
 einsums, as the element kernels did before they became one matrix
-product against a reference table.  Both sides sum the same products in
-another order, so they agree to 1e-13 relative.
+product against a reference table.  The MINI oracles also number the
+velocity DOFs per cell with -1 on the boundary and scatter through masks,
+as the mixed solver did before its space became an ``FeSpace``.  Both
+sides sum the same products in another order, so they agree to 1e-13
+relative.
 """
 
 import tracemalloc
@@ -23,7 +26,9 @@ from streamfem.fem import (_weighted_squares, assemble_h1_stiffness,
                            reference_basis)
 from streamfem.linalg import build_csr
 from streamfem.mesh import _LOCAL_EDGES, _VERT_REF, build_structured_mesh
-from streamfem.quadrature import interval_rule
+from streamfem.mini_stokes import (_divergence, _mass, _pressure_integrals,
+                                   _velocity_load, build_mini_space)
+from streamfem.quadrature import interval_rule, triangle_rule
 
 RTOL = 1e-13
 
@@ -201,6 +206,87 @@ def oracle_loads(space, w, g):
     return [scatter(space, c) for c in (scalar, gradient, dual)]
 
 
+def oracle_bubble_tables(points):
+    """Values and gradients of (hat0..hat2, bubble) on the reference cell."""
+    x = points[..., 0]
+    y = points[..., 1]
+    lam = np.stack([1.0 - x - y, x, y], axis=-1)
+    bubble = 27.0 * lam[..., 0] * lam[..., 1] * lam[..., 2]
+    vals = np.concatenate([lam, bubble[..., None]], axis=-1)
+    glam = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+    gb = 27.0 * (glam[0] * (lam[..., 1] * lam[..., 2])[..., None]
+                 + glam[1] * (lam[..., 0] * lam[..., 2])[..., None]
+                 + glam[2] * (lam[..., 0] * lam[..., 1])[..., None])
+    grads = np.concatenate([np.broadcast_to(glam, points.shape[:-1] + (3, 2)),
+                            gb[..., None, :]], axis=-2)
+    return vals, grads
+
+
+def oracle_mini_local_dofs(mesh):
+    """Scalar velocity DOFs per triangle, (F, 4), -1 on the boundary."""
+    vertex_dof = np.full(mesh.num_vertices, -1, dtype=np.int64)
+    interior = np.setdiff1d(np.arange(mesh.num_vertices),
+                            mesh.boundary_vertices())
+    vertex_dof[interior] = np.arange(interior.size)
+    loc = np.empty((mesh.num_triangles, 4), dtype=np.int64)
+    loc[:, :3] = vertex_dof[mesh.triangles]
+    loc[:, 3] = interior.size + np.arange(mesh.num_triangles)
+    return loc
+
+
+def oracle_mini_operators(space):
+    """Mass, stiffness, divergence rows and pressure integrals of MINI."""
+    mesh = space.mesh
+    rule = triangle_rule(6)
+    vals, gref = oracle_bubble_tables(rule.points)
+    grads = np.einsum("qld,fdi->fqli", gref, space.jac_inv)
+    det = space.jac_det
+    loc = oracle_mini_local_dofs(mesh)
+    n = space.n_scalar
+    rows = np.repeat(loc, 4, axis=1)
+    cols = np.tile(loc, (1, 4))
+    ok = (rows >= 0) & (cols >= 0)
+
+    def assemble(elem):
+        elem = 0.5 * (elem + elem.transpose(0, 2, 1))
+        return build_csr(rows[ok], cols[ok], elem.reshape(rows.shape)[ok],
+                         (n, n))
+
+    mass = assemble(np.einsum("q,ql,qm,f->flm", rule.weights, vals, vals,
+                              det))
+    stiff = assemble(np.einsum("q,fqli,fqmi,f->flm", rule.weights, grads,
+                               grads, det))
+    div_el = np.einsum("q,qj,fqli,f->fjli", rule.weights, vals[:, :3], grads,
+                       det)
+    prows = np.repeat(mesh.triangles, 4, axis=1)
+    vcols = np.tile(loc, (1, 3))
+    keep = vcols >= 0
+    div = [build_csr(prows[keep], vcols[keep],
+                     div_el[..., c].reshape(prows.shape)[keep],
+                     (mesh.num_vertices, n)) for c in range(2)]
+    contrib = np.einsum("q,qj,f->fj", rule.weights, vals[:, :3], det)
+    cvec = np.bincount(mesh.triangles.ravel(), weights=contrib.ravel(),
+                       minlength=mesh.num_vertices)
+    return mass, stiff, div, cvec
+
+
+def oracle_mini_load(space, g):
+    """Vector load (g, v) over the stacked velocity DOFs."""
+    rule = triangle_rule(8)
+    vals, _ = oracle_bubble_tables(rule.points)
+    pts = space.origins[:, None, :] + np.einsum("fij,qj->fqi", space.jac,
+                                                rule.points)
+    gv = g.value(0.0, pts)
+    loc = oracle_mini_local_dofs(space.mesh)
+    keep = loc >= 0
+    out = np.zeros(space.n_velocity)
+    for c in range(2):
+        contrib = np.einsum("q,fq,ql,f->fl", rule.weights, gv[..., c], vals,
+                            space.jac_det)
+        np.add.at(out, loc[keep] + c * space.n_scalar, contrib[keep])
+    return out
+
+
 # -- the comparisons --------------------------------------------------
 
 
@@ -307,3 +393,28 @@ def test_assembly_triplets_fill_one_buffer():
     finally:
         tracemalloc.stop()
     assert peak < 80e6
+
+
+@pytest.fixture(scope="module", params=(4, 8), ids=lambda n: f"n{n}")
+def mini_space(request):
+    return build_mini_space(build_structured_mesh(request.param))
+
+
+def test_mini_operators(mini_space):
+    mass, stiff, div, cvec = oracle_mini_operators(mini_space)
+    assert_close(_mass(mini_space).toarray(), mass.toarray())
+    assert_close(mini_space.h1_free().toarray(), stiff.toarray())
+    n = mini_space.n_scalar
+    new_div = _divergence(mini_space)
+    for c in range(2):
+        assert_close(new_div[:, c * n:(c + 1) * n].toarray(),
+                     div[c].toarray())
+    assert_close(_pressure_integrals(mini_space), cvec)
+
+
+def test_mini_velocity_load(mini_space):
+    """Every term of the perturbed force, the singular 1e5 x^-0.49 one
+    included."""
+    for _, w in mf.g_tilde().static_terms():
+        assert_close(_velocity_load(mini_space, w, triangle_rule(8)),
+                     oracle_mini_load(mini_space, w))

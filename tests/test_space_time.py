@@ -10,7 +10,7 @@ from streamfem import cip
 from streamfem import manufactured as mf
 from streamfem.cip import assemble_cip
 from streamfem.dg_time import (best_approx_terms, bh_analytic, dg_solve,
-                               make_partition)
+                               make_partition, stability_data_norm)
 from streamfem.fem import build_space, space_time_h1_error, space_time_squares
 from streamfem.mesh import build_structured_mesh
 from streamfem.quadrature import interval_rule, triangle_rule
@@ -131,6 +131,23 @@ def test_loads_and_exact_gradients_once_per_rule(space):
     # evaluation is the gradient load of the H1 projection
     best_approx_terms(psi, space, form, part, 0)
     assert psi.terms[0][1].grad.calls == 3
+
+
+def test_stability_and_best_approximation_share_the_loads(space):
+    """stability_data_norm reads the scalar loads dg_solve assembled, and
+    best_approx_terms the gradient loads of bh_analytic."""
+    form = assemble_cip(space)
+    part = make_partition(2)
+    f, psi = _counting_load(), _counting_psi()
+    dg_solve(form, part, 0, f=f)
+    stability_data_norm(form, f, part)
+    assert [term.value.calls for _, term in f.terms] == [1, 1]
+
+    v = np.zeros((2, 2, space.n_dofs))
+    bh_analytic(form, psi, part, 1, v)
+    assert psi.terms[0][1].grad.calls == 1
+    best_approx_terms(psi, space, form, part, 0)
+    assert psi.terms[0][1].grad.calls == 2      # the exact gradient table
 
 
 def test_bh_analytic_pairs_each_term_once(space, monkeypatch):
