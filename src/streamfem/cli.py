@@ -122,44 +122,38 @@ def _stream_rhs(cfg):
     return mf.f_scalar()
 
 
-def _stream_error(n, m_steps, cfg):
-    mesh = build_structured_mesh(n)
-    space = build_space(mesh, cfg.degree)
+def _stream_errors(n, cfg):
+    """Space-time H1 errors of the stream-function solve on the n x n mesh,
+    one per entry of ``cfg.steps_list``; the form is assembled once."""
+    space = build_space(build_structured_mesh(n), cfg.degree)
     form = assemble_cip(space, cfg.eta)
-    partition = make_partition(m_steps, cfg.end_time)
-    sol = dg_solve(form, partition, cfg.dg_order, f=_stream_rhs(cfg),
-                   psi0=None)
-    return space_time_h1_error(sol, mf.psi_exact())
+    rhs, psi = _stream_rhs(cfg), mf.psi_exact()
+    for m_steps in cfg.steps_list:
+        partition = make_partition(m_steps, cfg.end_time)
+        sol = dg_solve(form, partition, cfg.dg_order, f=rhs)
+        yield space_time_h1_error(sol, psi)
 
 
-def _mini_error(n, m_steps, cfg):
-    mesh = build_structured_mesh(n)
-    space = build_mini_space(mesh)
-    partition = make_partition(m_steps, cfg.end_time)
+def _mini_errors(n, cfg):
+    """Space-time L2 velocity errors of the MINI solve on the n x n mesh,
+    one per entry of ``cfg.steps_list``; the space is built once."""
+    space = build_mini_space(build_structured_mesh(n))
     g = mf.g_tilde() if cfg.rhs == "g_tilde" else mf.g_field()
-    sol = mini_transient_solve(space, partition, g)
-    return velocity_error_l2(sol, mf.u_exact())
+    u = mf.u_exact()
+    for m_steps in cfg.steps_list:
+        sol = mini_transient_solve(space, make_partition(m_steps,
+                                                         cfg.end_time), g)
+        yield velocity_error_l2(sol, u)
+
+
+_ERRORS = {"streamfct": _stream_errors, "mini": _mini_errors}
 
 
 def converge_k(cfg):
-    """Time-refinement sweep at fixed fine mesh; rows (k, error)."""
-    n = cfg.mesh_list[0] if len(cfg.mesh_list) == 1 else cfg.mesh_list[-1]
-    rows = []
-    if cfg.method == "streamfct":
-        mesh = build_structured_mesh(n)
-        space = build_space(mesh, cfg.degree)
-        form = assemble_cip(space, cfg.eta)
-        rhs = _stream_rhs(cfg)
-        psi = mf.psi_exact()
-        for m_steps in cfg.steps_list:
-            partition = make_partition(m_steps, cfg.end_time)
-            sol = dg_solve(form, partition, cfg.dg_order, f=rhs, psi0=None)
-            rows.append((cfg.end_time / m_steps,
-                         space_time_h1_error(sol, psi)))
-    else:
-        for m_steps in cfg.steps_list:
-            rows.append((cfg.end_time / m_steps,
-                         _mini_error(n, m_steps, cfg)))
+    """Time-refinement sweep at one fixed mesh; rows (k, error)."""
+    (n,) = cfg.mesh_list
+    rows = [(cfg.end_time / m_steps, err) for m_steps, err in
+            zip(cfg.steps_list, _ERRORS[cfg.method](n, cfg))]
     rate = fit_rate([r[0] for r in rows], [r[1] for r in rows])
     _write_csv(cfg.out, "k,error", rows)
     _write_summary(_summary_path(cfg.out), [
@@ -173,17 +167,10 @@ def converge_k(cfg):
 
 
 def converge_h(cfg):
-    """Mesh-refinement sweep at fixed fine time step; rows (h, error)."""
-    m_steps = (cfg.steps_list[0] if len(cfg.steps_list) == 1
-               else cfg.steps_list[-1])
-    rows = []
-    for n in cfg.mesh_list:
-        mesh_h = math.sqrt(2.0) / n
-        if cfg.method == "streamfct":
-            err = _stream_error(n, m_steps, cfg)
-        else:
-            err = _mini_error(n, m_steps, cfg)
-        rows.append((mesh_h, err))
+    """Mesh-refinement sweep at one fixed time step; rows (h, error)."""
+    (m_steps,) = cfg.steps_list
+    rows = [(math.sqrt(2.0) / n, err) for n in cfg.mesh_list
+            for err in _ERRORS[cfg.method](n, cfg)]
     rate = fit_rate([r[0] for r in rows], [r[1] for r in rows])
     _write_csv(cfg.out, "h,error", rows)
     _write_summary(_summary_path(cfg.out), [
@@ -255,8 +242,7 @@ def diagnostics(cfg):
     too small; all other checks are reported with their measured value
     against the documented tolerance.
     """
-    n = cfg.mesh_list[0]
-    m_steps = cfg.steps_list[0]
+    (n,), (m_steps,) = cfg.mesh_list, cfg.steps_list
     r = cfg.dg_order
     rng = np.random.default_rng(7)
 
@@ -268,7 +254,7 @@ def diagnostics(cfg):
     psi = mf.psi_exact()
     # the Ritz projections solve with the certifying factor of a_h, which
     # dg_solve releases
-    e_chi, e_rh, e_pik = best_approx_terms(psi, space, form, partition, r)
+    e_chi, e_rh, e_pik = best_approx_terms(psi, form, partition, r)
     sol = dg_solve(form, partition, r, f=f, psi0=None)
 
     report = []
@@ -399,6 +385,30 @@ _DEFAULTS = {
 }
 
 
+# the refinement lists a study holds fixed (one entry each) or does not
+# read, and the studies that run the stream-function method alone
+_FIXED_LISTS = {"converge-k": ("mesh_list",), "converge-h": ("steps_list",),
+                "diagnostics": ("mesh_list", "steps_list"),
+                "compare-mini": ("mesh_list",)}
+_UNREAD = {"stationary": ("steps_list",)}
+_STREAM_ONLY = ("stationary", "diagnostics")
+
+
+def _check_inputs(study, values, given):
+    """Refuse an input the study would not use; ``given`` maps each key
+    set by a flag or the config file to the name it was set by."""
+    for key in _FIXED_LISTS.get(study, ()):
+        if len(values[key]) != 1:
+            raise ValueError(f"{given[key]}: {study} takes one entry, "
+                             f"got {len(values[key])}")
+    for key in _UNREAD.get(study, ()):
+        if key in given:
+            raise ValueError(f"{given[key]}: not read by {study}")
+    if study in _STREAM_ONLY and values["method"] != "streamfct":
+        raise ValueError(f"{given['method']}: {study} runs the "
+                         f"stream-function method only")
+
+
 def _parse_int_list(text):
     return tuple(int(part) for part in text.split(",") if part)
 
@@ -432,6 +442,7 @@ def _config_from_args(args):
     values = {"method": "streamfct", "degree": 2, "dg_order": 0, "eta": None,
               "rhs": "g", "end_time": 1.0}
     values.update(_DEFAULTS[args.command])
+    given = {}
     if args.config:
         file_cfg = _load_config_file(args.config)
         casts = {"mesh_list": _parse_int_list, "steps_list": _parse_int_list,
@@ -441,16 +452,18 @@ def _config_from_args(args):
             if key not in casts:
                 raise ValueError(f"unknown config key {key!r}")
             values[key] = _cast(casts[key], raw, key)
+            given[key] = key
     for key in ("method", "degree", "dg_order", "eta", "rhs", "out"):
         flag = getattr(args, key)
         if flag is not None:
             values[key] = flag
-    if args.mesh_list:
-        values["mesh_list"] = _cast(_parse_int_list, args.mesh_list,
-                                    "--mesh-list")
-    if args.steps_list:
-        values["steps_list"] = _cast(_parse_int_list, args.steps_list,
-                                     "--steps-list")
+            given[key] = "--" + key.replace("_", "-")
+    for key in ("mesh_list", "steps_list"):
+        flag = getattr(args, key)
+        if flag:
+            given[key] = "--" + key.replace("_", "-")
+            values[key] = _cast(_parse_int_list, flag, given[key])
+    _check_inputs(args.command, values, given)
     # outputs are written after the study has run: check where they go now
     out_dir = Path(values["out"]).parent
     if not out_dir.is_dir():

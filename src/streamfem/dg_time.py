@@ -30,9 +30,8 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .fem import (_exact_gradients, _h1_lift, _space_weights, _term_load,
-                  gradient_tables, h1_projection, load_provider,
-                  sample_time_factors, space_time_squares)
+from .fem import (_h1_lift, _space_weights, gradient_tables, h1_projection,
+                  sample_time_factors, space_time_squares, term_tables)
 from .linalg import Factorized, SolverError, refine
 from .quadrature import interval_rule
 
@@ -222,11 +221,11 @@ def dg_solve(form, partition, order, f=None, psi0=None, load_rule=None,
     partition : TimePartition
     order : int
         Polynomial degree r >= 0 in time.
-    f : field, callable or None
-        Scalar data; fields are expanded into one load per separable
-        term, assembled once per space (``FeSpace.term_table``), a
-        callable t -> full load vector is used as given, None means a
-        vanishing right-hand side.
+    f : field or None
+        Scalar data, None for a vanishing right-hand side.  The load of
+        interval m is sum_i k_m sum_q w_q ell_a(tau_q) sigma_i(t_mq) b_i:
+        the time factors sampled once (``sample_time_factors``) times the
+        load b_i of each separable term (``term_tables``).
     psi0 : FeFunction, field or None
         Initial datum, entering through its H1_0 projection.
     load_rule : QuadratureRule, optional
@@ -246,20 +245,21 @@ def dg_solve(form, partition, order, f=None, psi0=None, load_rule=None,
     k_free = space.h1_free()
     a_free = form.matrix_free
 
-    if f is None:
-        load = None
-    elif hasattr(f, "terms"):
-        load = load_provider(space, f, rule=load_rule)
-    else:
-        load = f
-
-    rule = interval_rule(data_time_points(order))
     coupling, mass = basis.coupling(), basis.gram()
+    lengths = partition.lengths
+    nb = order + 1
+    if f is None:  # no terms
+        loads = np.zeros((0, free.size))
+        weights = np.zeros((partition.num_intervals, nb, 0))
+    else:
+        loads = term_tables(space, f, "load", load_rule)[:, free]
+        rule = interval_rule(data_time_points(order))
+        sig, _ = sample_time_factors(f, partition, rule)
+        tested = rule.weights[:, None] * basis.values(rule.points)
+        weights = lengths[:, None, None] * (tested.T @ sig)    # (M, r+1, I)
 
     u_prev = _initial_coefficients(space, psi0)[free]
-    lengths = partition.lengths
     uniform = np.allclose(lengths, lengths[0], rtol=1e-12, atol=0.0)
-    nb = order + 1
     coeffs = np.zeros((partition.num_intervals, nb, space.n_dofs))
 
     modes = None
@@ -273,13 +273,8 @@ def dg_solve(form, partition, order, f=None, psi0=None, load_rule=None,
             except SolverError as exc:
                 raise _at_interval(exc, m) from exc
 
-        rhs = np.zeros((nb, free.size))
-        if load is not None:
-            t0 = partition.nodes[m]
-            for tau, wq in zip(rule.points, rule.weights):
-                bvec = load(t0 + km * tau)[free]
-                rhs += (wq * km) * np.outer(basis.values(tau), bvec)
-        rhs += np.outer(basis.left_values, k_free @ u_prev)
+        rhs = (weights[m] @ loads
+               + np.outer(basis.left_values, k_free @ u_prev))
 
         try:
             block = refine(system, partial(_diagonal_solve, modes), rhs,
@@ -399,7 +394,7 @@ def stability_data_norm(form, f, partition, psi0=None):
     spatial factor w_i of each separable term is lifted to g_i with
     (grad g_i, grad v) = <w_i, v> for all discrete v, which leaves the
     discrete trajectory unchanged.  The loads <w_i, v> are those of
-    ``dg_solve`` (``FeSpace.term_table``), the time integral takes 8
+    ``dg_solve`` (``term_tables``), the time integral takes 8
     Gauss points per interval.  Returns
     ||grad g||^2_{I x Omega} + |||P_h psi0|||_h^2.
     """
@@ -407,8 +402,8 @@ def stability_data_norm(form, f, partition, psi0=None):
     free = space.free_dofs
     k_free = space.h1_free()
 
-    lifts = [space.h1_factor()(_term_load(space, "load", static)[free])
-             for _, static in f.static_terms()]
+    lifts = [space.h1_factor()(load[free])
+             for load in term_tables(space, f, "load")]
     gram = np.array([[gi @ (k_free @ gj) for gj in lifts] for gi in lifts])
 
     rule = interval_rule(8)
@@ -422,7 +417,7 @@ def stability_data_norm(form, f, partition, psi0=None):
     return total
 
 
-def best_approx_terms(psi, space, form, partition, order):
+def best_approx_terms(psi, form, partition, order):
     """The three projection errors of the best-approximation bound.
 
     Returns (E_chi, E_Rh, E_pik): the gradient-norm distances of the
@@ -430,21 +425,21 @@ def best_approx_terms(psi, space, form, partition, order):
     projection composed with the interval-wise time projection), to its
     energy-form projection, and to its time projection.  Separable
     structure is exploited: each spatial factor is projected once, its
-    gradient load shared with ``bh_analytic`` (``FeSpace.term_table``).
+    gradient load shared with ``bh_analytic`` (``term_tables``).
     The norms take 5 Gauss points per interval and the data rule in
     space.
     """
     from .cip import ritz_projection
 
+    space = form.space
     rule = space.default_data_rule()
     trule = interval_rule(5)
-    statics = [static for _, static in psi.static_terms()]
-    exact = _exact_gradients(space, psi, rule)
+    exact = term_tables(space, psi, "grad", rule)
     ritz = gradient_tables(space, rule, [
-        ritz_projection(form, w).coefficients for w in statics])
+        ritz_projection(form, w).coefficients for _, w in psi.static_terms()])
     h1p = gradient_tables(space, rule, [
-        _h1_lift(space, _term_load(space, "grad load", w, rule))
-        for w in statics])
+        _h1_lift(space, b)
+        for b in term_tables(space, psi, "grad load", rule)])
     exact_minus_ritz = exact - ritz
     exact_and_h1p = np.concatenate([exact, h1p])
 
@@ -553,8 +548,7 @@ def bh_analytic(form, psi, partition, order, vcoef, time_points=None,
     # the space of the form, not its penalty, and its key holds the
     # clamping flag, so a field flagged unclamped is still refused
     statics = [static for _, static in psi.static_terms()]
-    gloads = np.stack([_term_load(space, "grad load", w, vrule)
-                       for w in statics])                       # (I, n)
+    gloads = term_tables(space, psi, "grad load", vrule)        # (I, n)
     cpairs = np.stack([space.term_table(
         ("pairing", edge_points, psi.clamped), w, vrule,
         lambda: consistency_pairing(form, w, volume_rule=vrule,

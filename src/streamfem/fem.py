@@ -34,12 +34,16 @@ before it is squared, so an error, a small difference of nearly equal
 tables, is taken inside it as at the Gauss points; the expansion
 sum_jk (C^T W C)_jk (T_j, T_k) would subtract large inner products and
 lose the digits in which the tables agree.  The static data of a
-separable field (loads and exact gradients of its spatial factors w_i)
-is evaluated once per space (``FeSpace.term_table``).
+separable field (loads, values and exact gradients of its spatial
+factors w_i) is stacked by ``term_tables``, one (I, ...) array per kind,
+and evaluated once per space (``FeSpace.term_table``).  Every time
+integral of the data, the interval loads of the solvers included, sums
+static term tables times the sigma_i sampled by ``sample_time_factors``,
+so its time rule is decided there alone.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -50,8 +54,8 @@ from .quadrature import interval_rule, triangle_rule
 __all__ = ["FeSpace", "FeFunction", "reference_basis", "build_space",
            "element_matrices", "assemble_tested", "assemble_h1_stiffness",
            "assemble_load_scalar", "assemble_load_dual",
-           "assemble_load_gradient", "h1_projection",
-           "load_provider", "separable_load", "evaluate", "h1_seminorm",
+           "assemble_load_gradient", "h1_projection", "term_tables",
+           "evaluate", "h1_seminorm",
            "h1_field_error", "sample_time_factors", "gradient_tables",
            "value_tables", "space_time_squares", "space_time_h1_error"]
 
@@ -153,16 +157,18 @@ class FeSpace:
     The space caches what depends on it alone, for as long as it lives:
     the rule tables (``phys_points``, ``basis_table``), the H1 stiffness
     matrix, its free block and factor, and the static data of separable
-    fields (``term_table``), one entry per kind, spatial term and rule:
+    fields (``term_table``), one entry per kind, spatial term and rule;
+    ``term_tables`` stacks the first four over the terms of a field:
 
-    - ``"load"`` and ``"dual load"``: the load vector of each term of the
-      data of ``load_provider``, scalar or paired with the rotated
-      gradient; ``dg_time.stability_data_norm`` lifts the scalar ones;
-    - ``"grad"``: the exact gradient table (F, Q, 2) of each term, shared
-      by ``space_time_h1_error`` and ``dg_time.best_approx_terms``;
+    - ``"load"``: the scalar load vector of each term, shared by
+      ``dg_time.dg_solve`` and ``dg_time.stability_data_norm``;
     - ``"grad load"``: the gradient load of each term, shared by
       ``dg_time.bh_analytic`` and the H1_0 projections of
       ``dg_time.best_approx_terms``;
+    - ``"grad"``: the exact gradient table (F, Q, 2) of each term, shared
+      by ``space_time_h1_error`` and ``dg_time.best_approx_terms``;
+    - ``"value"``: the value table (F, Q) or (F, Q, 2) of each term, read
+      by ``mini_stokes.velocity_error_l2``;
     - ``("pairing", edge_points, clamped)``: the consistency pairing of
       each term in ``dg_time.bh_analytic`` (it does not depend on the
       penalty).
@@ -408,30 +414,24 @@ def assemble_load_gradient(space, w, t=0.0, rule=None):
                            rule)
 
 
-def separable_load(fld, assemble):
-    """Callable t -> sum_i sigma_i(t) b_i with b_i = assemble(w_i).
+def term_tables(space, fld, kind, rule=None):
+    """The static tables of every term of a separable field, (I, ...).
 
-    ``assemble`` maps the static field of one term to its load vector,
-    so each spatial load is assembled once.
+    ``kind`` is ``"load"`` (the scalar load), ``"grad load"`` (the
+    gradient load), ``"grad"`` (exact gradients at the rule points) or
+    ``"value"`` (values at the rule points) of each spatial factor w_i;
+    each table is built once per space and rule (``FeSpace.term_table``).
     """
-    loads = [(tf, assemble(static)) for tf, static in fld.static_terms()]
-    return lambda t: sum(tf.fn(t) * b for tf, b in loads)
-
-
-def _term_load(space, kind, static, rule=None):
-    """The load of kind "load", "dual load" or "grad load" of the one-term
-    field ``static``, assembled once per space (``FeSpace.term_table``)."""
     rule = rule or space.default_data_rule()
-    assemble = {"load": assemble_load_scalar, "dual load": assemble_load_dual,
-                "grad load": assemble_load_gradient}[kind]
-    return space.term_table(kind, static, rule,
-                            lambda: assemble(space, static, 0.0, rule=rule))
 
-
-def load_provider(space, f, rule=None, dual=False):
-    """Callable t -> load vector, one load per separable term and space."""
-    kind = "dual load" if dual else "load"
-    return separable_load(f, lambda w: _term_load(space, kind, w, rule))
+    def build(static):
+        if kind == "load":
+            return assemble_load_scalar(space, static, 0.0, rule=rule)
+        if kind == "grad load":
+            return assemble_load_gradient(space, static, 0.0, rule=rule)
+        return getattr(static, kind)(0.0, space.phys_points(rule))
+    return np.stack([space.term_table(kind, w, rule, partial(build, w))
+                     for _, w in fld.static_terms()])
 
 
 # -- projections and evaluation ---------------------------------------
@@ -588,17 +588,6 @@ def h1_field_error(space, coefficients, fld, t=0.0, rule=None):
     return float(np.sqrt(max(val, 0.0)))
 
 
-def _exact_gradients(space, fld, rule):
-    """Gradients of the spatial factors w_i at the rule points, (I, F, Q, 2).
-
-    Each term's table is evaluated once per space (``FeSpace.term_table``).
-    """
-    pts = space.phys_points(rule)
-    return np.stack([space.term_table("grad", w, rule,
-                                      lambda: w.grad(0.0, pts))
-                     for _, w in fld.static_terms()])
-
-
 def space_time_h1_error(sol, psi, time_points=5, rule=None):
     """|| grad(psi - psi_kh) ||_{L2(I x Omega)} by Gauss-in-time quadrature.
 
@@ -608,7 +597,7 @@ def space_time_h1_error(sol, psi, time_points=5, rule=None):
     space = sol.space
     rule = rule or space.default_data_rule()
     trule = interval_rule(time_points)
-    exact = _exact_gradients(space, psi, rule)
+    exact = term_tables(space, psi, "grad", rule)
     sig, _ = sample_time_factors(psi, sol.partition, trule)
     minus_basis = -sol.basis.values(trule.points)              # (P, r+1)
 

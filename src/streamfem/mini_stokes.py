@@ -21,8 +21,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fem import (FeSpace, _scatter_matrix, _space_weights, assemble_tested,
-                  element_matrices, sample_time_factors, separable_load,
-                  space_time_squares, value_tables)
+                  element_matrices, sample_time_factors, space_time_squares,
+                  term_tables, value_tables)
 from .linalg import Factorized, SolverError, build_csr
 from .quadrature import interval_rule
 
@@ -148,9 +148,13 @@ def mini_transient_solve(space, partition, g, rtol=1e-10):
 
     lengths = partition.lengths
     uniform = np.allclose(lengths, lengths[0], rtol=1e-12, atol=0.0)
-    trule = interval_rule(3)
     rule = space.default_data_rule()
-    load = separable_load(g, lambda w: _velocity_load(space, w, rule))
+    loads = np.array([_velocity_load(space, w, rule)
+                      for _, w in g.static_terms()])
+    # int_{I_m} sigma_i dt by 3 Gauss points, (M, I)
+    trule = interval_rule(3)
+    sig, _ = sample_time_factors(g, partition, trule)
+    weights = lengths[:, None] * (trule.weights @ sig)
 
     m_count = partition.num_intervals
     n_p = space.n_pressure
@@ -172,10 +176,7 @@ def mini_transient_solve(space, partition, g, rtol=1e-10):
                 factor = Factorized(saddle, rtol=rtol)
             except SolverError as exc:
                 raise _at_step(exc, m) from exc
-        t0 = partition.nodes[m]
-        rhs_u = mass @ velocities[m]
-        for tau, wq in zip(trule.points, trule.weights):
-            rhs_u = rhs_u + (wq * km) * load(t0 + km * tau)
+        rhs_u = mass @ velocities[m] + weights[m] @ loads
         rhs = np.concatenate([rhs_u, np.zeros(n_p), [0.0]])
         try:
             x = factor(rhs)
@@ -199,8 +200,7 @@ def velocity_error_l2(sol, u_exact, time_points=3, rule=None):
     space = sol.space
     rule = rule or space.default_data_rule()
     trule = interval_rule(time_points)
-    pts = space.phys_points(rule)
-    exact = np.stack([term.value(pts) for _, term in u_exact.terms])
+    exact = term_tables(space, u_exact, "value", rule)
     sig, _ = sample_time_factors(u_exact, sol.partition, trule)
     minus_one = -np.ones((len(trule), 1))
 

@@ -102,6 +102,19 @@ def test_config_precedence(tmp_path):
     (["converge-k", "--mesh-list", "2", "--steps-list", "0,2"], None),
     (["converge-k", "--mesh-list", "2", "--eta", "-1"], None),
     (["converge-k", "--mesh-list", "2"], "end_time = -1\n"),
+    (["converge-k", "--mesh-list", "2,4", "--steps-list", "1,2"], None),
+    (["converge-k", "--steps-list", "1,2"], "mesh_list = 2,4\n"),
+    (["compare-mini", "--mesh-list", "2,4", "--steps-list", "1,2"], None),
+    (["converge-h", "--mesh-list", "2,4", "--steps-list", "1,2"], None),
+    (["converge-h", "--mesh-list", "2,4"], "steps_list = 1,2\n"),
+    (["diagnostics", "--mesh-list", "2,4", "--steps-list", "1"], None),
+    (["diagnostics", "--mesh-list", "2", "--steps-list", "1,2"], None),
+    (["stationary", "--mesh-list", "2,4", "--steps-list", "4"], None),
+    (["stationary", "--mesh-list", "2,4"], "steps_list = 4\n"),
+    (["diagnostics", "--method", "mini", "--mesh-list", "2",
+      "--steps-list", "1"], None),
+    (["stationary", "--method", "mini", "--mesh-list", "2,4"], None),
+    (["stationary", "--mesh-list", "2,4"], "method = mini\n"),
 ])
 def test_config_errors_exit_2(tmp_path, capsys, argv, config):
     """Bad flags, config keys, list entries, out-of-range values and files
@@ -131,6 +144,29 @@ def test_config_errors_exit_2(tmp_path, capsys, argv, config):
 ])
 def test_bad_values_name_the_option_and_format(tmp_path, capsys, argv,
                                                config, message):
+    if config is not None:
+        path = tmp_path / "study.cfg"
+        path.write_text(config)
+        argv = argv + ["--config", str(path)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "study.csv")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.strip().splitlines()[-1] == \
+        f"streamfem: error: {message}"
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["converge-k", "--mesh-list", "2,4"], None,
+     "--mesh-list: converge-k takes one entry, got 2"),
+    (["diagnostics"], "steps_list = 1,2,4\n",
+     "steps_list: diagnostics takes one entry, got 3"),
+    (["stationary", "--steps-list", "4"], None,
+     "--steps-list: not read by stationary"),
+    (["diagnostics", "--method", "mini"], None,
+     "--method: diagnostics runs the stream-function method only"),
+])
+def test_unused_inputs_name_the_option_and_the_study(tmp_path, capsys, argv,
+                                                     config, message):
     if config is not None:
         path = tmp_path / "study.cfg"
         path.write_text(config)

@@ -81,6 +81,13 @@ class _MockSpace:
     def h1_factor(self):
         return Factorized(self._k)
 
+    def default_data_rule(self):
+        return None
+
+    def term_table(self, kind, static, rule, build):
+        """Every spatial factor has the load 1 on the one DOF."""
+        return np.array([1.0])
+
 
 class _MockForm:
     def __init__(self, lam, space):
@@ -170,7 +177,9 @@ def test_dg1_scalar_polynomial_load():
     space = _MockSpace()
     form = _MockForm(lam_v, space)
     part = make_partition(1, k_v)
-    sol = dg_solve(form, part, 1, f=lambda t: np.array([t]))
+    f = mf.ScalarField([(mf.TimeFactor(lambda t: t, lambda t: 1.0),
+                         mf.SpatialTerm(None))])
+    sol = dg_solve(form, part, 1, f=f)
     assert sol.coefficients[0, :, 0] == pytest.approx(
         np.array(oracle.evalf(16), dtype=float).ravel(), rel=1e-12)
 
@@ -387,7 +396,7 @@ def _monolithic_solve(form, partition, order, f, psi0):
     """The dG(r) sweep on the assembled (r+1)-block interval system
     kron(C, K) + k kron(M, A), the oracle of the diagonalized solve."""
     import scipy.sparse as sp
-    from streamfem.fem import load_provider
+    from streamfem.fem import assemble_load_scalar, sample_time_factors
     from streamfem.quadrature import interval_rule
 
     space = form.space
@@ -395,24 +404,27 @@ def _monolithic_solve(form, partition, order, f, psi0):
     k_free, a_free = space.h1_free(), form.matrix_free
     basis = TimeBasis(order)
     coupling, mass = basis.coupling(), basis.gram()
-    load = load_provider(space, f)
+    lengths = partition.lengths
+    # the interval loads sum_i k_m sum_q w_q ell_a(tau_q) sigma_i(t_mq) b_i,
+    # summed in the order of dg_solve
+    loads = np.array([assemble_load_scalar(space, w)[free]
+                      for _, w in f.static_terms()])
     rule = interval_rule(data_time_points(order))
+    sig, _ = sample_time_factors(f, partition, rule)
+    tested = rule.weights[:, None] * basis.values(rule.points)
+    weights = lengths[:, None, None] * (tested.T @ sig)
     u_prev = h1_projection(space, psi0).coefficients[free]
     coeffs = np.zeros((partition.num_intervals, order + 1, space.n_dofs))
-    lengths = partition.lengths
     # one system k for a uniform partition, as in dg_solve: the lengths
     # of make_partition agree to roundoff, not bit for bit
     system_k = lengths if np.ptp(lengths) > 1e-12 * lengths[0] \
         else np.full_like(lengths, lengths[0])
-    for m, km in enumerate(lengths):
+    for m in range(partition.num_intervals):
         factor = Factorized(
             sp.kron(sp.csr_matrix(coupling), k_free)
             + sp.kron(sp.csr_matrix(system_k[m] * mass), a_free))
-        rhs = np.zeros((order + 1, free.size))
-        for tau, wq in zip(rule.points, rule.weights):
-            rhs += (wq * km) * np.outer(
-                basis.values(tau), load(partition.nodes[m] + km * tau)[free])
-        rhs += np.outer(basis.left_values, k_free @ u_prev)
+        rhs = (weights[m] @ loads
+               + np.outer(basis.left_values, k_free @ u_prev))
         block = factor(rhs.ravel()).reshape(order + 1, free.size)
         coeffs[m][:, free] = block
         u_prev = block[-1]
@@ -529,7 +541,7 @@ def test_stability_bounded_under_refinement():
 def test_best_approx_zero_field(space_n4_l2):
     form = assemble_cip(space_n4_l2)
     part = make_partition(2)
-    terms = best_approx_terms(_zero_field(), space_n4_l2, form, part, 0)
+    terms = best_approx_terms(_zero_field(), form, part, 0)
     assert terms == (0.0, 0.0, 0.0)
 
 
@@ -566,7 +578,7 @@ def test_best_approx_pik_rates():
         errs = []
         for m in (4, 8, 16, 32):
             part = make_partition(m)
-            _, _, e_pik = best_approx_terms(psi, space, form, part, order)
+            _, _, e_pik = best_approx_terms(psi, form, part, order)
             errs.append(e_pik)
         slope = np.polyfit(np.log([1.0 / m for m in (8, 16, 32)]),
                            np.log(errs[1:]), 1)[0]

@@ -8,8 +8,8 @@ from streamfem import manufactured as mf
 from streamfem.fem import (FeFunction, assemble_h1_stiffness,
                            assemble_load_dual, assemble_load_scalar,
                            build_space, evaluate, h1_field_error,
-                           h1_projection, h1_seminorm, load_provider,
-                           reference_basis, _lattice)
+                           h1_projection, h1_seminorm, reference_basis,
+                           term_tables, _lattice)
 from streamfem.linalg import symmetry_gap
 from streamfem.mesh import build_structured_mesh, uniform_refine
 from streamfem.quadrature import QuadratureRule, triangle_rule
@@ -260,12 +260,15 @@ def test_dual_route_matches_scalar_route():
     assert np.abs(b_dual[idx] - b_scal[idx]).max() < 1e-8 * max(scale, 1.0)
 
 
-def test_load_provider_matches_direct(space_n4_l2):
+def test_term_loads_times_time_factors_match_direct(space_n4_l2):
+    """sum_i sigma_i(t) b_i from the stacked term loads is the load of
+    the whole field at t."""
     f = mf.f_scalar()
-    provider = load_provider(space_n4_l2, f)
+    loads = term_tables(space_n4_l2, f, "load")
     for t in (0.1, 0.37):
+        sig = np.array([tf.fn(t) for tf, _ in f.terms])
         direct = assemble_load_scalar(space_n4_l2, f, t)
-        assert provider(t) == pytest.approx(direct, abs=1e-12)
+        assert sig @ loads == pytest.approx(direct, abs=1e-12)
 
 
 # -- projection and evaluation -------------------------------------------

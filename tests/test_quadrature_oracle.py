@@ -52,7 +52,7 @@ def computed(request):
     for r in (0, 1):
         sol = dg_solve(form, part, r, f=f)
         out[f"error_r{r}"] = space_time_h1_error(sol, psi)
-    out["best_approx_r1"] = best_approx_terms(psi, space, form, part, 1)
+    out["best_approx_r1"] = best_approx_terms(psi, form, part, 1)
     out["data_norm"] = stability_data_norm(form, f, part, psi0=mf.phi())
     v = np.random.default_rng(11).standard_normal(sol.coefficients.shape)
     v[:, :, space.boundary_dofs] = 0.0

@@ -13,6 +13,8 @@ from streamfem.dg_time import (best_approx_terms, bh_analytic, dg_solve,
                                make_partition, stability_data_norm)
 from streamfem.fem import build_space, space_time_h1_error, space_time_squares
 from streamfem.mesh import build_structured_mesh
+from streamfem.mini_stokes import (build_mini_space, mini_transient_solve,
+                                   velocity_error_l2)
 from streamfem.quadrature import interval_rule, triangle_rule
 
 
@@ -129,7 +131,7 @@ def test_loads_and_exact_gradients_once_per_rule(space):
 
     # best_approx_terms shares the exact gradient table; its one new
     # evaluation is the gradient load of the H1 projection
-    best_approx_terms(psi, space, form, part, 0)
+    best_approx_terms(psi, form, part, 0)
     assert psi.terms[0][1].grad.calls == 3
 
 
@@ -146,8 +148,23 @@ def test_stability_and_best_approximation_share_the_loads(space):
     v = np.zeros((2, 2, space.n_dofs))
     bh_analytic(form, psi, part, 1, v)
     assert psi.terms[0][1].grad.calls == 1
-    best_approx_terms(psi, space, form, part, 0)
+    best_approx_terms(psi, form, part, 0)
     assert psi.terms[0][1].grad.calls == 2      # the exact gradient table
+
+
+def test_velocity_error_values_once_per_rule():
+    """velocity_error_l2 reads the value table of each term of u from the
+    space, once per space and rule."""
+    space = build_mini_space(build_structured_mesh(2))
+    part = make_partition(2)
+    sol = mini_transient_solve(space, part, mf.g_field())
+    u = mf.VectorField([(tf, _counting_term(term))
+                        for tf, term in mf.g_field().terms])
+    errors = [velocity_error_l2(sol, u) for _ in range(2)]
+    assert [term.value.calls for _, term in u.terms] == [1, 1]
+    assert errors[0] == errors[1]
+    velocity_error_l2(sol, u, rule=triangle_rule(6))
+    assert [term.value.calls for _, term in u.terms] == [2, 2]
 
 
 def test_bh_analytic_pairs_each_term_once(space, monkeypatch):
