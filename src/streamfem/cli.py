@@ -385,12 +385,15 @@ _DEFAULTS = {
 }
 
 
-# the refinement lists a study holds fixed (one entry each) or does not
-# read, and the studies that run the stream-function method alone
+# the refinement lists a study holds fixed (one entry each), the inputs
+# a study or a method does not read, and the studies that run the
+# stream-function method alone
 _FIXED_LISTS = {"converge-k": ("mesh_list",), "converge-h": ("steps_list",),
                 "diagnostics": ("mesh_list", "steps_list"),
                 "compare-mini": ("mesh_list",)}
-_UNREAD = {"stationary": ("steps_list",)}
+_UNREAD = {"stationary": ("steps_list", "dg_order", "rhs"),
+           "compare-mini": ("method", "rhs"),
+           "mini": ("degree", "dg_order", "eta")}
 _STREAM_ONLY = ("stationary", "diagnostics")
 
 
@@ -401,12 +404,15 @@ def _check_inputs(study, values, given):
         if len(values[key]) != 1:
             raise ValueError(f"{given[key]}: {study} takes one entry, "
                              f"got {len(values[key])}")
-    for key in _UNREAD.get(study, ()):
-        if key in given:
-            raise ValueError(f"{given[key]}: not read by {study}")
-    if study in _STREAM_ONLY and values["method"] != "streamfct":
+    method = values["method"]
+    if study in _STREAM_ONLY and method != "streamfct":
         raise ValueError(f"{given['method']}: {study} runs the "
                          f"stream-function method only")
+    for owner, where in ((study, study),
+                         (method, f"{study} with method {method}")):
+        for key in _UNREAD.get(owner, ()):
+            if key in given:
+                raise ValueError(f"{given[key]}: not read by {where}")
 
 
 def _parse_int_list(text):

@@ -4,8 +4,11 @@ Each interval carries a degree-r polynomial in the Lagrange basis at
 right Gauss-Radau points, so the value at the right endpoint is a nodal
 coefficient and no extrapolation is needed.  The transient solve is an
 interval-by-interval forward sweep: interval m couples to the past only
-through the gradient inner product with the outgoing value at t_{m-1},
-seeded at m=1 by the H1_0 projection of the initial datum.
+through K applied to the outgoing value at t_{m-1}, seeded at m=1 by
+the H1_0 projection of the initial datum.  One sweep
+(``_forward_sweep``) serves dG(r) for the stream function (K the
+gradient stiffness, A the eliminated a_h) and dG(0) for the MINI
+saddle, whose mass diag(M, M, 0, 0) is singular (``mini_stokes``).
 
 The interval system C (K X) + k M (A X) = R couples the r+1 nodal values
 through the time matrices C (derivative plus incoming jump) and M
@@ -23,6 +26,10 @@ cond  1     3.23  8.99  28.3  95.3  331   1.17e3
 
 so every interval's residual is checked on the coupled system, not on
 the diagonalized one.
+
+The space-time forms (``bh_primal``, ``bh_dual``, ``stability_functional``)
+pair all intervals at once on (M, r+1, n) coefficient blocks; their jump
+terms are shifts of the blocks by one interval.
 """
 
 from dataclasses import dataclass
@@ -208,11 +215,8 @@ def dg_solve(form, partition, order, f=None, psi0=None, load_rule=None,
     """Forward sweep for the fully discrete transient problem.
 
     Interval m solves C (K X) + k_m M (A X) = R for its (r+1, n_free)
-    block X of nodal values (C = ``TimeBasis.coupling()``, M =
-    ``TimeBasis.gram()``) through the factors of ``time_modes``, shared
-    by all intervals of a uniform partition.  Each interval is refined
-    (``linalg.refine``) until ||R - C(KX) - k_m M(AX)|| <= rtol ||R||, a
-    residual from C, M, K and A alone; a failure raises a
+    block X of nodal values, with K the gradient stiffness and A the
+    eliminated a_h (``_forward_sweep``); a failure raises a
     ``SolverError`` carrying the 1-based ``interval`` and ``residual``.
 
     Parameters
@@ -222,10 +226,10 @@ def dg_solve(form, partition, order, f=None, psi0=None, load_rule=None,
     order : int
         Polynomial degree r >= 0 in time.
     f : field or None
-        Scalar data, None for a vanishing right-hand side.  The load of
-        interval m is sum_i k_m sum_q w_q ell_a(tau_q) sigma_i(t_mq) b_i:
-        the time factors sampled once (``sample_time_factors``) times the
-        load b_i of each separable term (``term_tables``).
+        Scalar data, None for a vanishing right-hand side.  Its time
+        factors are sampled at ``data_time_points(order)`` Gauss points
+        per interval (``sample_time_factors``) and its separable terms
+        load once each (``term_tables``).
     psi0 : FeFunction, field or None
         Initial datum, entering through its H1_0 projection.
     load_rule : QuadratureRule, optional
@@ -241,69 +245,81 @@ def dg_solve(form, partition, order, f=None, psi0=None, load_rule=None,
     form.release_factor()
     space = form.space
     free = space.free_dofs
-    basis = TimeBasis(order)
-    k_free = space.h1_free()
-    a_free = form.matrix_free
-
-    coupling, mass = basis.coupling(), basis.gram()
-    lengths = partition.lengths
-    nb = order + 1
+    rule = interval_rule(data_time_points(order))
     if f is None:  # no terms
         loads = np.zeros((0, free.size))
-        weights = np.zeros((partition.num_intervals, nb, 0))
+        sig = np.zeros((partition.num_intervals, len(rule), 0))
     else:
         loads = term_tables(space, f, "load", load_rule)[:, free]
-        rule = interval_rule(data_time_points(order))
         sig, _ = sample_time_factors(f, partition, rule)
-        tested = rule.weights[:, None] * basis.values(rule.points)
-        weights = lengths[:, None, None] * (tested.T @ sig)    # (M, r+1, I)
-
-    u_prev = _initial_coefficients(space, psi0)[free]
-    uniform = np.allclose(lengths, lengths[0], rtol=1e-12, atol=0.0)
-    coeffs = np.zeros((partition.num_intervals, nb, space.n_dofs))
-
-    modes = None
-    for m in range(partition.num_intervals):
-        km = lengths[m]
-        if modes is None or not uniform:
-            modes = None  # the previous factors go before the next exist
-            try:
-                modes, system = _interval_system(order, coupling, mass,
-                                                 k_free, a_free, km)
-            except SolverError as exc:
-                raise _at_interval(exc, m) from exc
-
-        rhs = (weights[m] @ loads
-               + np.outer(basis.left_values, k_free @ u_prev))
-
-        try:
-            block = refine(system, partial(_diagonal_solve, modes), rhs,
-                           rtol)
-        except SolverError as exc:
-            raise _at_interval(exc, m) from exc
+    coeffs = np.zeros((partition.num_intervals, order + 1, space.n_dofs))
+    for m, block in enumerate(_forward_sweep(
+            space.h1_free(), form.matrix_free, loads, sig, rule,
+            partition.lengths, _initial_coefficients(space, psi0)[free],
+            order, rtol)):
         coeffs[m][:, free] = block
-        u_prev = block[-1]
-
     return DgSolution(partition, space, order, coeffs)
 
 
-def _interval_system(order, coupling, mass, k_free, a_free, km):
+def _forward_sweep(k_mat, a_mat, loads, sig, rule, lengths, u0, order,
+                   rtol):
+    """The dG(r) interval sweep C (K X) + k_m M (A X) = R from u0.
+
+    K and A act on the unknowns of one time node and K may be singular
+    (the MINI saddle has mass diag(M, M, 0, 0)).  The load of interval m
+    is R = k_m sum_q w_q ell_a(tau_q) sigma_i(t_mq) b_i + ell(0) (K u_{m-1}):
+    the time factors ``sig`` (M, Q, I) sampled at the points of ``rule``,
+    the stacked loads b (I, n) and the outgoing value of the previous
+    interval.  Each interval is solved through the mode factors of
+    ``time_modes``, shared by all intervals of a uniform partition, and
+    refined (``linalg.refine``) until ||R - C(KX) - k_m M(AX)|| <= rtol
+    ||R||, a residual from C, M, K and A alone.  A failure is tagged with
+    its 1-based interval.  Yields the (r+1, n) block of each interval in
+    turn, so the caller stores it where it belongs and no second copy of
+    the trajectory exists.
+    """
+    basis = TimeBasis(order)
+    coupling, mass = basis.coupling(), basis.gram()
+    tested = rule.weights[:, None] * basis.values(rule.points)
+    weights = lengths[:, None, None] * (tested.T @ sig)        # (M, r+1, I)
+    uniform = np.allclose(lengths, lengths[0], rtol=1e-12, atol=0.0)
+    u_prev = u0
+    modes = None
+    for m, km in enumerate(lengths):
+        try:
+            if modes is None or not uniform:
+                modes = None  # the previous factors go before the next exist
+                modes, system = _interval_system(order, coupling, mass,
+                                                 k_mat, a_mat, km)
+            rhs = (weights[m] @ loads
+                   + np.outer(basis.left_values, k_mat @ u_prev))
+            block = refine(system, partial(_diagonal_solve, modes), rhs,
+                           rtol)
+        except SolverError as exc:
+            raise SolverError(f"interval {m + 1}: {exc}",
+                              residual=exc.residual,
+                              interval=m + 1) from exc
+        yield block
+        u_prev = block[-1]
+
+
+def _interval_system(order, coupling, mass, k_mat, a_mat, km):
     """The mode factors and the coupled operator of an interval.
 
-    The operator X -> C (K X) + k M (A X) on (r+1, n_free) blocks is
-    built from the time matrices, K and A alone, never from the
+    The operator X -> C (K X) + k M (A X) on (r+1, n) blocks is built
+    from the time matrices, K and A alone, never from the
     eigen-decomposition, so a wrong one fails the residual check.  At
     dG(0), C = M = Lambda = [1], so the operator is the factor's own
     assembled K + k A: summed as K x + k A x instead, a residual at the
     roundoff floor can round over rtol and cost a refinement step.
     """
-    modes = [(Factorized(lam * k_free + km * a_free, rtol=None), v, w)
+    modes = [(Factorized(lam * k_mat + km * a_mat, rtol=None), v, w)
              for lam, v, w in time_modes(order)]
     if order == 0:
         mat = modes[0][0].a
         return modes, lambda x: (mat @ x[0])[None]
-    return modes, lambda x: (coupling @ (k_free @ x.T).T
-                             + km * (mass @ (a_free @ x.T).T))
+    return modes, lambda x: (coupling @ (k_mat @ x.T).T
+                             + km * (mass @ (a_mat @ x.T).T))
 
 
 def _diagonal_solve(modes, rhs):
@@ -312,12 +328,6 @@ def _diagonal_solve(modes, rhs):
     for factor, v, w in modes:
         x += np.outer(v, factor(w @ rhs)).real
     return x
-
-
-def _at_interval(exc, m):
-    """The solver error of 0-based interval m, tagged with the interval."""
-    return SolverError(f"interval {m + 1}: {exc}", residual=exc.residual,
-                       interval=m + 1)
 
 
 def time_projection_values(order, partition, fn):
@@ -358,33 +368,23 @@ def stability_functional(sol, form, psi0=None):
     S1 sums the squared gradient norms of the time derivative, S2
     integrates the lifted operator action, S3 accumulates the jumps
     scaled by 1/k_m, the first jump taken against the projected initial
-    datum.  S1 vanishes identically for r = 0.
+    datum.  S1 vanishes identically for r = 0.  Each row of the lift
+    K^-1 A X is its own solve with its own residual check.
     """
     space = sol.space
     free = space.free_dofs
     k_free = space.h1_free()
-    a_free = form.matrix_free
-    k_factor = space.h1_factor()
     basis = sol.basis
-    mass = basis.gram()
-    dgram = basis.gram(da=1, db=1)
     lengths = sol.partition.lengths
-
-    s1 = s2 = s3 = 0.0
-    u_prev = _initial_coefficients(space, psi0)[free]
-    for m in range(sol.partition.num_intervals):
-        km = lengths[m]
-        block = sol.coefficients[m][:, free]
-        if sol.order > 0:
-            kb = (k_free @ block.T).T
-            s1 += float(np.einsum("ba,af,bf->", dgram, block, kb)) / km
-        lifted = np.array([k_factor(a_free @ ba) for ba in block])
-        klift = (k_free @ lifted.T).T
-        s2 += km * float(np.einsum("ba,af,bf->", mass, lifted, klift))
-        jump = basis.left_values @ block - u_prev
-        s3 += float(jump @ (k_free @ jump)) / km
-        u_prev = block[-1]
-    return s1, s2, s3
+    x = sol.coefficients[..., free]                             # (M, r+1, n)
+    ax = (form.matrix_free @ x.reshape(-1, free.size).T).T
+    lifted = np.array([space.h1_factor()(row) for row in ax]).reshape(x.shape)
+    prev = np.concatenate([_initial_coefficients(space, psi0)[free][None],
+                           x[:-1, -1]])
+    jumps = (basis.left_values @ x - prev)[:, None]
+    return (_pair_blocks(basis.gram(da=1, db=1), k_free, x, x, 1.0 / lengths),
+            _pair_blocks(basis.gram(), k_free, lifted, lifted, lengths),
+            _pair_blocks(_ONE, k_free, jumps, jumps, 1.0 / lengths))
 
 
 def stability_data_norm(form, f, partition, psi0=None):
@@ -425,18 +425,19 @@ def best_approx_terms(psi, form, partition, order):
     projection composed with the interval-wise time projection), to its
     energy-form projection, and to its time projection.  Separable
     structure is exploited: each spatial factor is projected once, its
-    gradient load shared with ``bh_analytic`` (``term_tables``).
-    The norms take 5 Gauss points per interval and the data rule in
-    space.
+    gradient load and consistency pairing shared with ``bh_analytic``
+    and its Ritz projection solved with ``form.factor()``.  The norms
+    take 5 Gauss points per interval and the data rule in space.
     """
-    from .cip import ritz_projection
-
     space = form.space
+    free = space.free_dofs
     rule = space.default_data_rule()
     trule = interval_rule(5)
     exact = term_tables(space, psi, "grad", rule)
-    ritz = gradient_tables(space, rule, [
-        ritz_projection(form, w).coefficients for _, w in psi.static_terms()])
+    ritz = np.zeros((len(psi.terms), space.n_dofs))
+    ritz[:, free] = [form.factor()(pair[free])
+                     for pair in _pairings(form, psi, rule)]
+    ritz = gradient_tables(space, rule, ritz)
     h1p = gradient_tables(space, rule, [
         _h1_lift(space, b)
         for b in term_tables(space, psi, "grad load", rule)])
@@ -465,6 +466,20 @@ def best_approx_terms(psi, form, partition, order):
 # -- the space-time bilinear form on coefficient blocks -----------------
 
 
+_ONE = np.ones((1, 1))  # the Gram matrix of one-node blocks (jump terms)
+
+
+def _pair_blocks(gram, mat, x, y, scale=None):
+    """sum_m scale_m sum_ab G[b, a] (S x_ma) . y_mb over all intervals.
+
+    x and y are (M, r+1, n) blocks (r+1 = 1 for values at one time) and
+    S an (n, n) matrix; scale_m = 1 when ``scale`` is None.
+    """
+    sx = (mat @ x.reshape(-1, x.shape[-1]).T).T.reshape(x.shape)
+    per = np.einsum("ba,maf,mbf->m", gram, sx, y)
+    return float(per.sum() if scale is None else scale @ per)
+
+
 def bh_primal(form, partition, order, ucoef, vcoef):
     """Space-time form in its forward shape on coefficient blocks.
 
@@ -472,60 +487,29 @@ def bh_primal(form, partition, order, ucoef, vcoef):
     the incoming values at t_0; the jump terms couple each interval to
     the previous one.
     """
-    space = form.space
-    k = space.h1_stiffness()
-    a = form.matrix
+    k = form.space.h1_stiffness()
     basis = TimeBasis(order)
-    g10 = basis.gram(da=1)
-    mass = basis.gram()
-    left = basis.left_values
-    lengths = partition.lengths
-
-    total = 0.0
-    for m in range(partition.num_intervals):
-        ub = ucoef[m]
-        vb = vcoef[m]
-        ku = (k @ ub.T).T
-        au = (a @ ub.T).T
-        total += float(np.einsum("ba,af,bf->", g10, ku, vb))
-        total += lengths[m] * float(np.einsum("ba,af,bf->", mass, au, vb))
-        v_plus = left @ vb
-        u_plus = left @ ub
-        if m == 0:
-            total += float(u_plus @ (k @ v_plus))
-        else:
-            jump = u_plus - ucoef[m - 1][-1]
-            total += float(jump @ (k @ v_plus))
-    return total
+    u_prev = np.concatenate([np.zeros_like(ucoef[:1, -1]), ucoef[:-1, -1]])
+    jumps = (basis.left_values @ ucoef - u_prev)[:, None]
+    return (_pair_blocks(basis.gram(da=1), k, ucoef, vcoef)
+            + _pair_blocks(basis.gram(), form.matrix, ucoef, vcoef,
+                           partition.lengths)
+            + _pair_blocks(_ONE, k, jumps,
+                           (basis.left_values @ vcoef)[:, None]))
 
 
 def bh_dual(form, partition, order, ucoef, vcoef):
     """Space-time form in its backward shape (integrated by parts)."""
-    space = form.space
-    k = space.h1_stiffness()
-    a = form.matrix
+    k = form.space.h1_stiffness()
     basis = TimeBasis(order)
-    g01 = basis.gram(db=1)
-    mass = basis.gram()
-    left = basis.left_values
-    lengths = partition.lengths
-    m_count = partition.num_intervals
-
-    total = 0.0
-    for m in range(m_count):
-        ub = ucoef[m]
-        vb = vcoef[m]
-        ku = (k @ ub.T).T
-        au = (a @ ub.T).T
-        total -= float(np.einsum("ba,af,bf->", g01, ku, vb))
-        total += lengths[m] * float(np.einsum("ba,af,bf->", mass, au, vb))
-        u_minus = ub[-1]
-        if m < m_count - 1:
-            jump = left @ vcoef[m + 1] - vb[-1]
-            total -= float(u_minus @ (k @ jump))
-        else:
-            total += float(u_minus @ (k @ vb[-1]))
-    return total
+    # v_{m+1}^+ - v_m^-, with v_{M+1}^+ = 0 closing the final term
+    v_next = np.concatenate([basis.left_values @ vcoef[1:],
+                             np.zeros_like(vcoef[:1, -1])])
+    jumps = (v_next - vcoef[:, -1])[:, None]
+    return (-_pair_blocks(basis.gram(db=1), k, ucoef, vcoef)
+            + _pair_blocks(basis.gram(), form.matrix, ucoef, vcoef,
+                           partition.lengths)
+            - _pair_blocks(_ONE, k, ucoef[:, -1:], jumps))
 
 
 def bh_analytic(form, psi, partition, order, vcoef, time_points=None,
@@ -537,23 +521,12 @@ def bh_analytic(form, psi, partition, order, vcoef, time_points=None,
     pairing, and the initial term pairs the field at t = 0.  The time
     rule defaults to that of ``dg_solve``, ``data_time_points(order)``.
     """
-    from .cip import consistency_pairing
-
     space = form.space
     basis = TimeBasis(order)
     rule = interval_rule(time_points or data_time_points(order))
     vrule = volume_rule or space.default_data_rule()
-
-    # static data of each term, once per space; the pairing reads only
-    # the space of the form, not its penalty, and its key holds the
-    # clamping flag, so a field flagged unclamped is still refused
-    statics = [static for _, static in psi.static_terms()]
     gloads = term_tables(space, psi, "grad load", vrule)        # (I, n)
-    cpairs = np.stack([space.term_table(
-        ("pairing", edge_points, psi.clamped), w, vrule,
-        lambda: consistency_pairing(form, w, volume_rule=vrule,
-                                    edge_points=edge_points))
-        for w in statics])
+    cpairs = _pairings(form, psi, vrule, edge_points)
 
     # pairings of every load with v at every Gauss point, (M, P, I)
     lv = basis.values(rule.points)
@@ -566,3 +539,21 @@ def bh_analytic(form, psi, partition, order, vcoef, time_points=None,
     sig0 = np.array([tf.fn(0.0) for tf, _ in psi.terms])
     total += float((sig0 @ gloads) @ (basis.left_values @ vcoef[0]))
     return total
+
+
+def _pairings(form, psi, rule, edge_points=8):
+    """a_h(w_i, .) of every spatial factor of a clamped field, (I, n_dofs).
+
+    Built once per space (``FeSpace.term_table``): the consistency
+    pairing reads only the space of the form, not its penalty, and its
+    key holds the clamping flag, so a field flagged unclamped is still
+    refused.
+    """
+    from .cip import consistency_pairing
+
+    space = form.space
+    return np.stack([space.term_table(
+        ("pairing", edge_points, psi.clamped), w, rule,
+        lambda: consistency_pairing(form, w, volume_rule=rule,
+                                    edge_points=edge_points))
+        for _, w in psi.static_terms()])

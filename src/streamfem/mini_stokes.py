@@ -6,7 +6,10 @@ continuous P1 constrained to zero mean through one Lagrange multiplier.
 Time stepping is the lowest-order discontinuous scheme (one implicit
 step per interval with the data integrated over the interval), which is
 the pressure-coupled baseline the stream-function solver is measured
-against.
+against.  It is the dG(0) sweep of ``dg_time`` that also serves the
+stream function, here on (u, p, lambda) with the singular mass
+diag(M, M, 0, 0): the factors, the residual refinement and the
+interval-tagged errors are the same code.
 
 The scalar velocity space is an ``FeSpace`` (``MiniSpace``) that sets
 only its DOF layout and its reference basis, so the mass, stiffness,
@@ -20,10 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .dg_time import _forward_sweep
 from .fem import (FeSpace, _scatter_matrix, _space_weights, assemble_tested,
                   element_matrices, sample_time_factors, space_time_squares,
                   term_tables, value_tables)
-from .linalg import Factorized, SolverError, build_csr
+from .linalg import build_csr
 from .quadrature import interval_rule
 
 __all__ = ["MiniSpace", "build_mini_space", "mini_transient_solve",
@@ -139,60 +143,31 @@ def mini_transient_solve(space, partition, g, rtol=1e-10):
     Per step: (u_m - u_{m-1}, v) + k_m (grad u_m, grad v)
     - k_m (p_m, div v) + k_m (q, div u_m) = int_{I_m} (g, v) dt,
     from u_0 = 0, with a one-multiplier zero-mean constraint on the
-    pressure.
+    pressure.  This is the dG(0) sweep of ``dg_time`` with the singular
+    mass diag(M, M, 0, 0) and the operator [[S, -B^T, 0], [B, 0, c],
+    [0, c^T, 0]] over (u, p, lambda), whose K + k A is the saddle matrix;
+    the data time integral takes 3 Gauss points per interval.
     """
-    mass = sp.block_diag([_mass(space)] * 2, format="csr")
+    n_p = space.n_pressure
+    mass = sp.block_diag([_mass(space)] * 2
+                         + [sp.csr_matrix((n_p + 1, n_p + 1))], format="csr")
     stiff = sp.block_diag([space.h1_free()] * 2, format="csr")
     div = _divergence(space)
-    cvec = _pressure_integrals(space)
+    cvec = sp.csr_matrix(_pressure_integrals(space).reshape(-1, 1))
+    oper = sp.bmat([[stiff, -div.T, None], [div, None, cvec],
+                    [None, cvec.T, None]], format="csr")
 
-    lengths = partition.lengths
-    uniform = np.allclose(lengths, lengths[0], rtol=1e-12, atol=0.0)
     rule = space.default_data_rule()
-    loads = np.array([_velocity_load(space, w, rule)
-                      for _, w in g.static_terms()])
-    # int_{I_m} sigma_i dt by 3 Gauss points, (M, I)
+    loads = np.pad([_velocity_load(space, w, rule)
+                    for _, w in g.static_terms()], ((0, 0), (0, n_p + 1)))
     trule = interval_rule(3)
     sig, _ = sample_time_factors(g, partition, trule)
-    weights = lengths[:, None] * (trule.weights @ sig)
-
-    m_count = partition.num_intervals
-    n_p = space.n_pressure
-    velocities = np.zeros((m_count + 1, space.n_velocity))
-    pressures = np.zeros((m_count, n_p))
-    multipliers = np.zeros(m_count)
-
-    factor = None
-    csp = sp.csr_matrix(cvec.reshape(-1, 1))
-    for m in range(m_count):
-        km = lengths[m]
-        if factor is None or not uniform:
-            saddle = sp.bmat([
-                [mass + km * stiff, -km * div.T, None],
-                [km * div, None, km * csp],
-                [None, km * csp.T, None],
-            ], format="csr")
-            try:
-                factor = Factorized(saddle, rtol=rtol)
-            except SolverError as exc:
-                raise _at_step(exc, m) from exc
-        rhs_u = mass @ velocities[m] + weights[m] @ loads
-        rhs = np.concatenate([rhs_u, np.zeros(n_p), [0.0]])
-        try:
-            x = factor(rhs)
-        except SolverError as exc:
-            raise _at_step(exc, m) from exc
-        velocities[m + 1] = x[:space.n_velocity]
-        pressures[m] = x[space.n_velocity:space.n_velocity + n_p]
-        multipliers[m] = x[-1]
-
-    return MiniSolution(space, partition, velocities, pressures, multipliers)
-
-
-def _at_step(exc, m):
-    """The solver error of 0-based step m, tagged with the step."""
-    return SolverError(f"step {m + 1}: {exc}", residual=exc.residual,
-                       interval=m + 1)
+    x = np.array([block[0] for block in _forward_sweep(
+        mass, oper, loads, sig, trule, partition.lengths,
+        np.zeros(mass.shape[0]), 0, rtol)])
+    n_v = space.n_velocity
+    velocities = np.vstack([np.zeros(n_v), x[:, :n_v]])
+    return MiniSolution(space, partition, velocities, x[:, n_v:-1], x[:, -1])
 
 
 def velocity_error_l2(sol, u_exact, time_points=3, rule=None):

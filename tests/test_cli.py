@@ -115,6 +115,23 @@ def test_config_precedence(tmp_path):
       "--steps-list", "1"], None),
     (["stationary", "--method", "mini", "--mesh-list", "2,4"], None),
     (["stationary", "--mesh-list", "2,4"], "method = mini\n"),
+    (["stationary", "--dg-order", "5", "--mesh-list", "2,4"], None),
+    (["stationary", "--rhs", "g_tilde", "--mesh-list", "2,4"], None),
+    (["stationary", "--mesh-list", "2,4"], "dg_order = 1\n"),
+    (["compare-mini", "--method", "streamfct", "--mesh-list", "2",
+      "--steps-list", "1,2"], None),
+    (["compare-mini", "--rhs", "f", "--mesh-list", "2",
+      "--steps-list", "1,2"], None),
+    (["compare-mini", "--mesh-list", "2", "--steps-list", "1,2"],
+     "rhs = g\n"),
+    (["converge-k", "--method", "mini", "--degree", "3", "--mesh-list", "2",
+      "--steps-list", "1,2"], None),
+    (["converge-k", "--method", "mini", "--dg-order", "3", "--mesh-list",
+      "2", "--steps-list", "1,2"], None),
+    (["converge-h", "--method", "mini", "--eta", "8", "--mesh-list", "2,4",
+      "--steps-list", "2"], None),
+    (["converge-k", "--mesh-list", "2", "--steps-list", "1,2"],
+     "method = mini\ndegree = 3\n"),
 ])
 def test_config_errors_exit_2(tmp_path, capsys, argv, config):
     """Bad flags, config keys, list entries, out-of-range values and files
@@ -164,6 +181,9 @@ def test_bad_values_name_the_option_and_format(tmp_path, capsys, argv,
      "--steps-list: not read by stationary"),
     (["diagnostics", "--method", "mini"], None,
      "--method: diagnostics runs the stream-function method only"),
+    (["converge-k", "--method", "mini", "--dg-order", "3", "--mesh-list",
+      "2", "--steps-list", "1,2"], None,
+     "--dg-order: not read by converge-k with method mini"),
 ])
 def test_unused_inputs_name_the_option_and_the_study(tmp_path, capsys, argv,
                                                      config, message):

@@ -313,6 +313,119 @@ def test_primal_dual_agreement(order, space_n4_l2, rng):
         assert abs(p - d) <= 1e-11 * (abs(p) + abs(d))
 
 
+def _loop_primal(form, partition, order, ucoef, vcoef):
+    """bh_primal written out interval by interval, its oracle."""
+    k, a = form.space.h1_stiffness(), form.matrix
+    basis = TimeBasis(order)
+    g10, mass, left = basis.gram(da=1), basis.gram(), basis.left_values
+    total = 0.0
+    for m in range(partition.num_intervals):
+        ub, vb = ucoef[m], vcoef[m]
+        total += float(np.einsum("ba,af,bf->", g10, (k @ ub.T).T, vb))
+        total += partition.lengths[m] * float(
+            np.einsum("ba,af,bf->", mass, (a @ ub.T).T, vb))
+        u_before = ucoef[m - 1][-1] if m else 0.0
+        total += float((left @ ub - u_before) @ (k @ (left @ vb)))
+    return total
+
+
+def _loop_dual(form, partition, order, ucoef, vcoef):
+    """bh_dual written out interval by interval, its oracle."""
+    k, a = form.space.h1_stiffness(), form.matrix
+    basis = TimeBasis(order)
+    g01, mass, left = basis.gram(db=1), basis.gram(), basis.left_values
+    m_count = partition.num_intervals
+    total = 0.0
+    for m in range(m_count):
+        ub, vb = ucoef[m], vcoef[m]
+        total -= float(np.einsum("ba,af,bf->", g01, (k @ ub.T).T, vb))
+        total += partition.lengths[m] * float(
+            np.einsum("ba,af,bf->", mass, (a @ ub.T).T, vb))
+        if m < m_count - 1:
+            total -= float(ub[-1] @ (k @ (left @ vcoef[m + 1] - vb[-1])))
+        else:
+            total += float(ub[-1] @ (k @ vb[-1]))
+    return total
+
+
+def _loop_stability(sol, form, psi0=None):
+    """stability_functional written out interval by interval, its oracle."""
+    space = sol.space
+    free = space.free_dofs
+    k_free, a_free = space.h1_free(), form.matrix_free
+    basis = sol.basis
+    mass, dgram = basis.gram(), basis.gram(da=1, db=1)
+    s1 = s2 = s3 = 0.0
+    u_prev = (h1_projection(space, psi0).coefficients[free]
+              if psi0 is not None else np.zeros(free.size))
+    for m, km in enumerate(sol.partition.lengths):
+        block = sol.coefficients[m][:, free]
+        if sol.order > 0:
+            kb = (k_free @ block.T).T
+            s1 += float(np.einsum("ba,af,bf->", dgram, block, kb)) / km
+        lifted = np.array([space.h1_factor()(a_free @ b) for b in block])
+        klift = (k_free @ lifted.T).T
+        s2 += km * float(np.einsum("ba,af,bf->", mass, lifted, klift))
+        jump = basis.left_values @ block - u_prev
+        s3 += float(jump @ (k_free @ jump)) / km
+        u_prev = block[-1]
+    return s1, s2, s3
+
+
+def _random_blocks(rng, space, shape):
+    out = rng.standard_normal(shape)
+    out[:, :, space.boundary_dofs] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("graded", [False, True], ids=["uniform", "graded"])
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_block_forms_match_the_interval_loops(order, graded, space_n4_l2,
+                                              rng):
+    """bh_primal, bh_dual and stability_functional pair all intervals at
+    once; the interval-by-interval forms are their oracles."""
+    form = assemble_cip(space_n4_l2)
+    part = make_partition(5)
+    if graded:
+        part = TimePartition(part.nodes ** 2)
+    shape = (5, order + 1, space_n4_l2.n_dofs)
+    for _ in range(3):
+        u = _random_blocks(rng, space_n4_l2, shape)
+        v = _random_blocks(rng, space_n4_l2, shape)
+        for got, want in ((bh_primal(form, part, order, u, v),
+                           _loop_primal(form, part, order, u, v)),
+                          (bh_dual(form, part, order, u, v),
+                           _loop_dual(form, part, order, u, v))):
+            assert abs(got - want) <= 1e-13 * abs(want)
+    sol = dg_solve(form, part, order, f=mf.f_scalar(), psi0=mf.phi())
+    for psi0 in (None, mf.phi()):
+        got = stability_functional(sol, form, psi0)
+        want = _loop_stability(sol, form, psi0)
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+        if order == 0:
+            assert got[0] == 0.0
+
+
+def test_primal_dual_check_fails_on_a_wrong_gram(space_n4_l2, rng,
+                                                 monkeypatch):
+    """With the derivative Gram matrix of bh_primal alone transposed, the
+    two forms disagree: the shared kernel does not make them equal."""
+    form = assemble_cip(space_n4_l2)
+    part = make_partition(3)
+    shape = (3, 2, space_n4_l2.n_dofs)
+    u = _random_blocks(rng, space_n4_l2, shape)
+    v = _random_blocks(rng, space_n4_l2, shape)
+    gram = TimeBasis.gram
+
+    def transposed(self, da=0, db=0):
+        g = gram(self, da, db)
+        return g.T if (da, db) == (1, 0) else g
+    monkeypatch.setattr(TimeBasis, "gram", transposed)
+    p = bh_primal(form, part, 1, u, v)
+    d = bh_dual(form, part, 1, u, v)
+    assert abs(p - d) > 1e-11 * (abs(p) + abs(d))
+
+
 @pytest.mark.parametrize("order", [0, 1])
 def test_galerkin_orthogonality(order, rng):
     # the identity holds up to data quadrature, so the data must be

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from streamfem import manufactured as mf
-from streamfem.dg_time import make_partition
+from streamfem.dg_time import TimePartition, make_partition
 from streamfem.linalg import SolverError
 from streamfem.mesh import build_structured_mesh
 from streamfem.mini_stokes import (build_mini_space, divergence_residual,
@@ -83,7 +83,66 @@ def test_solver_error_carries_step_and_residual():
     assert exc.interval == 1
     assert 0.0 < exc.residual < 1e-10
     assert exc.__cause__.residual == exc.residual
-    assert str(exc).startswith("step 1: residual")
+    assert str(exc).startswith("interval 1: residual")
+
+
+def _saddle_step_solve(space, partition, g):
+    """One factored saddle system per step length, the oracle of the
+    dG(0) sweep: (M + k S, -k B^T, 0; k B, 0, k c; 0, k c^T, 0) times
+    (u_m, p_m, lambda_m) = (M u_{m-1} + int_{I_m} (g, v) dt, 0, 0).  The
+    data integral is summed in the sweep's order: a (1, I) by (I, n)
+    product over all n unknowns, the loads of the pressure rows zero."""
+    import scipy.sparse as sp
+    from streamfem.fem import sample_time_factors
+    from streamfem.linalg import Factorized
+    from streamfem.mini_stokes import (_divergence, _mass,
+                                       _pressure_integrals, _velocity_load)
+    from streamfem.quadrature import interval_rule
+
+    mass = sp.block_diag([_mass(space)] * 2, format="csr")
+    stiff = sp.block_diag([space.h1_free()] * 2, format="csr")
+    div = _divergence(space)
+    csp = sp.csr_matrix(_pressure_integrals(space).reshape(-1, 1))
+    rule = space.default_data_rule()
+    n_v, n_p = space.n_velocity, space.n_pressure
+    loads = np.pad([_velocity_load(space, w, rule)
+                    for _, w in g.static_terms()], ((0, 0), (0, n_p + 1)))
+    trule = interval_rule(3)
+    sig, _ = sample_time_factors(g, partition, trule)
+    lengths = partition.lengths
+    weights = lengths[:, None, None] * (trule.weights @ sig)[:, None]
+    uniform = np.allclose(lengths, lengths[0], rtol=1e-12, atol=0.0)
+    velocities = np.zeros((lengths.size + 1, n_v))
+    pressures = np.zeros((lengths.size, n_p))
+    multipliers = np.zeros(lengths.size)
+    factor = None
+    for m, km in enumerate(lengths):
+        if factor is None or not uniform:
+            factor = Factorized(sp.bmat([
+                [mass + km * stiff, -km * div.T, None],
+                [km * div, None, km * csp],
+                [None, km * csp.T, None]], format="csr"))
+        x = factor(np.concatenate([mass @ velocities[m], np.zeros(n_p + 1)])
+                   + (weights[m] @ loads)[0])
+        velocities[m + 1] = x[:n_v]
+        pressures[m] = x[n_v:-1]
+        multipliers[m] = x[-1]
+    return velocities, pressures, multipliers
+
+
+@pytest.mark.parametrize("graded", [False, True], ids=["uniform", "graded"])
+@pytest.mark.parametrize("field", ["g", "g_tilde"])
+def test_sweep_matches_the_saddle_step_oracle(graded, field):
+    space = build_mini_space(build_structured_mesh(8))
+    part = make_partition(12)
+    if graded:
+        part = TimePartition(part.nodes ** 2)
+    g = mf.g_tilde() if field == "g_tilde" else mf.g_field()
+    sol = mini_transient_solve(space, part, g)
+    want = _saddle_step_solve(space, part, g)
+    for got, ref in zip((sol.velocities, sol.pressures, sol.multipliers),
+                        want):
+        assert np.array_equal(got, ref)
 
 
 def test_divergence_and_pressure_mean():

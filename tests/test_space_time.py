@@ -11,7 +11,8 @@ from streamfem import manufactured as mf
 from streamfem.cip import assemble_cip
 from streamfem.dg_time import (best_approx_terms, bh_analytic, dg_solve,
                                make_partition, stability_data_norm)
-from streamfem.fem import build_space, space_time_h1_error, space_time_squares
+from streamfem.fem import (build_space, h1_field_error, sample_time_factors,
+                           space_time_h1_error, space_time_squares)
 from streamfem.mesh import build_structured_mesh
 from streamfem.mini_stokes import (build_mini_space, mini_transient_solve,
                                    velocity_error_l2)
@@ -167,7 +168,9 @@ def test_velocity_error_values_once_per_rule():
     assert [term.value.calls for _, term in u.terms] == [2, 2]
 
 
-def test_bh_analytic_pairs_each_term_once(space, monkeypatch):
+@pytest.fixture
+def pairing_calls(monkeypatch):
+    """The targets of every ``cip.consistency_pairing`` call, in order."""
     calls = []
     pairing = cip.consistency_pairing
 
@@ -175,7 +178,11 @@ def test_bh_analytic_pairs_each_term_once(space, monkeypatch):
         calls.append(args[1])
         return pairing(*args, **kwargs)
     monkeypatch.setattr(cip, "consistency_pairing", counted)
+    return calls
 
+
+def test_bh_analytic_pairs_each_term_once(space, pairing_calls):
+    calls = pairing_calls
     psi = _counting_psi()
     part = make_partition(2)
     v = np.random.default_rng(3).standard_normal((2, 2, space.n_dofs))
@@ -197,6 +204,29 @@ def test_bh_analytic_pairs_each_term_once(space, monkeypatch):
     unclamped = mf.ScalarField(psi.terms)
     with pytest.raises(ValueError, match="clamped"):
         bh_analytic(forms[0], unclamped, part, 1, v)
+
+
+def test_best_approximation_reads_the_cached_pairing(space, pairing_calls):
+    """best_approx_terms solves its Ritz projections from the consistency
+    pairing bh_analytic caches, so a diagnostics run pairs psi's one term
+    once; E_Rh is that of ritz_projection."""
+    form = assemble_cip(space)
+    part = make_partition(2)
+    psi = mf.psi_exact()
+    _, e_rh, _ = best_approx_terms(psi, form, part, 0)
+    v = np.zeros((2, 1, space.n_dofs))
+    bh_analytic(form, psi, part, 0, v)
+    assert len(pairing_calls) == 1
+
+    # psi = sigma(t) w: E_Rh is the static Ritz error of w times the L2
+    # norm of sigma by the same 5 Gauss points per interval
+    (_, w), = psi.static_terms()
+    static = h1_field_error(space, cip.ritz_projection(form, w).coefficients,
+                            w)
+    trule = interval_rule(5)
+    sig, _ = sample_time_factors(psi, part, trule)
+    sigma_sq = part.lengths @ (sig[..., 0] ** 2 @ trule.weights)
+    assert e_rh == pytest.approx(static * np.sqrt(sigma_sq), rel=1e-12)
 
 
 def test_a_new_term_or_space_evaluates_afresh(space):
