@@ -8,16 +8,15 @@ mixed solver serves as the pressure-coupled baseline for the
 robustness comparison.
 """
 
-from .mesh import Mesh, build_structured_mesh, uniform_refine
+from .mesh import Mesh, build_structured_mesh
 from .quadrature import QuadratureRule, triangle_rule, interval_rule
 from .fem import (FeSpace, FeFunction, build_space, reference_basis,
                   assemble_h1_stiffness, assemble_load_scalar,
                   assemble_load_dual, assemble_load_gradient, h1_projection,
-                  evaluate, h1_seminorm, h1_field_error, space_time_h1_error)
+                  h1_field_error, space_time_h1_error)
 from .linalg import SolverError, Factorized
 from .cip import (CipForm, CoercivityError, assemble_cip, triple_norm,
-                  consistency_pairing, ritz_projection, apply_Ah,
-                  solve_stationary)
+                  consistency_pairing, ritz_projection, apply_Ah)
 from .dg_time import (TimePartition, DgSolution, make_partition, dg_solve,
                       time_projection_values, stability_functional,
                       stability_data_norm, best_approx_terms)

@@ -30,7 +30,7 @@ from .quadrature import interval_rule
 
 __all__ = ["CoercivityError", "CipForm", "assemble_cip", "triple_norm",
            "consistency_pairing", "ritz_projection", "apply_Ah",
-           "solve_stationary", "default_penalty"]
+           "default_penalty"]
 
 # smallest coercive penalty on the structured meshes, exact check:
 #   degree 2:  2.48 (n=8)  2.60 (n=16)  2.63 (n=32)    (bisected to 0.05)
@@ -58,11 +58,10 @@ class CipForm:
     """Assembled interior-penalty form with its eliminated SPD block.
 
     ``assemble_cip`` hands the form the LU that certified coercivity, so
-    ``factor()`` returns it and a Ritz or stationary solve factors a_h
-    zero more times.  The form holds that factor until a transient solve
-    releases it (``release_factor``, first thing in ``dg_solve``, which
-    never solves with a_h alone); ``factor()`` then factors again on
-    demand.
+    ``factor()`` returns it and a Ritz solve factors a_h zero more times.
+    The form holds that factor until a transient solve releases it
+    (``release_factor``, first thing in ``dg_solve``, which never solves
+    with a_h alone); ``factor()`` then factors again on demand.
     """
 
     space: object
@@ -281,8 +280,8 @@ def triple_norm(form, v):
     return float(np.sqrt(max(quad, 0.0)))
 
 
-def consistency_pairing(form, w, t=0.0, volume_rule=None, edge_points=8):
-    """Vector of a_h(w, phi_i) for a clamped analytic target w.
+def consistency_pairing(form, w, volume_rule=None, edge_points=8):
+    """Vector of a_h(w, phi_i) for a clamped static analytic target w.
 
     Valid for w with w = dw/dn = 0 on the boundary (the caller asserts
     this); the jump terms of w vanish identically and are omitted, so
@@ -295,8 +294,8 @@ def consistency_pairing(form, w, t=0.0, volume_rule=None, edge_points=8):
         raise ValueError("consistency pairing requires a clamped target "
                          "(w and grad w vanishing on the boundary)")
     vol_rule = volume_rule or space.default_data_rule()
-    out = assemble_tested(space, w.hess(t, space.phys_points(vol_rule)), 2,
-                          vol_rule)
+    out = assemble_tested(space, w.hess(0.0, space.phys_points(vol_rule)),
+                          2, vol_rule)
 
     erule = interval_rule(edge_points)
     svals = erule.points
@@ -312,7 +311,7 @@ def consistency_pairing(form, w, t=0.0, volume_rule=None, edge_points=8):
 
     def add_edges(edges, jump, gdofs):
         n = normals[edges][:, None, :, None]                  # (E, 1, 2, 1)
-        d2n_w = (np.swapaxes(n, 2, 3) @ w.hess(t, edge_points_phys(edges))
+        d2n_w = (np.swapaxes(n, 2, 3) @ w.hess(0.0, edge_points_phys(edges))
                  @ n)[..., 0, 0]                              # (E, Q)
         weights = d2n_w * erule.weights * mesh.edge_lengths[edges][:, None]
         np.add.at(out, gdofs, (weights[:, None, :] @ jump)[:, 0])
@@ -334,12 +333,12 @@ def consistency_pairing(form, w, t=0.0, volume_rule=None, edge_points=8):
     return out
 
 
-def ritz_projection(form, w, t=0.0):
+def ritz_projection(form, w):
     """Best approximation in a_h: a_h(w - R_h w, chi) = 0 for all chi."""
     if isinstance(w, FeFunction):
         rhs = form.matrix @ w.coefficients
     else:
-        rhs = consistency_pairing(form, w, t)
+        rhs = consistency_pairing(form, w)
     space = form.space
     out = np.zeros(space.n_dofs)
     out[space.free_dofs] = form.factor()(rhs[space.free_dofs])
@@ -354,15 +353,3 @@ def apply_Ah(form, v):
     out[space.free_dofs] = space.h1_factor()(rhs)
     return FeFunction(space, out)
 
-
-def solve_stationary(form, rhs):
-    """Solve a_h(psi_h, phi) = rhs[phi] for psi_h (rhs over all DOFs)."""
-    space = form.space
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape == (space.n_dofs,):
-        rhs = rhs[space.free_dofs]
-    elif rhs.shape != (space.free_dofs.size,):
-        raise ValueError("rhs length must match the full or free DOF count")
-    out = np.zeros(space.n_dofs)
-    out[space.free_dofs] = form.factor()(rhs)
-    return FeFunction(space, out)

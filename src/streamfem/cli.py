@@ -4,8 +4,9 @@ versus stream-function comparison, with deterministic CSV output.
 Every study writes one CSV per series (header ``k,error`` or
 ``h,error``, 12 significant digits) plus a key=value summary file with
 the fitted rate (least-squares slope over the last three refinement
-levels, 6 significant digits; other summary values keep 12) and, for
-the stream-function method, the expected asymptotic rate.
+levels, or over both when a sweep has two; 6 significant digits, other
+summary values keep 12), the number of levels fitted and, for the
+stream-function method, the expected asymptotic rate.
 """
 
 import argparse
@@ -73,14 +74,19 @@ class StudyConfig:
                              f"got {self.end_time}")
 
 
-def fit_rate(xs, errors, points=3):
-    """Least-squares slope of log(error) vs log(x) over the last levels."""
-    xs = np.asarray(xs, dtype=float)[-points:]
-    errors = np.asarray(errors, dtype=float)[-points:]
-    lx = np.log(xs)
-    le = np.log(errors)
-    slope = np.polyfit(lx, le, 1)[0]
-    return float(slope)
+_FIT_LEVELS = 3  # the fitted rate is the slope over the last three levels
+
+
+def fit_rate(xs, errors):
+    """Least-squares slope of log(error) vs log(x) over the last three
+    levels, or over all of them when there are fewer."""
+    lx = np.log(np.asarray(xs, dtype=float)[-_FIT_LEVELS:])
+    le = np.log(np.asarray(errors, dtype=float)[-_FIT_LEVELS:])
+    return float(np.polyfit(lx, le, 1)[0])
+
+
+def _fit_points(rows):
+    return ("fit_points", str(min(_FIT_LEVELS, len(rows))))
 
 
 def _fmt(x):
@@ -161,7 +167,7 @@ def converge_k(cfg):
         ("rhs", cfg.rhs), ("degree", str(cfg.degree)),
         ("dg_order", str(cfg.dg_order)), ("n", str(n)),
         ("fitted_rate", rate), *_expected_rate(cfg, cfg.dg_order + 1),
-        ("fit_points", "3"),
+        _fit_points(rows),
     ])
     return rows, rate
 
@@ -178,7 +184,7 @@ def converge_h(cfg):
         ("rhs", cfg.rhs), ("degree", str(cfg.degree)),
         ("dg_order", str(cfg.dg_order)), ("steps", str(m_steps)),
         ("fitted_rate", rate), *_expected_rate(cfg, cfg.degree),
-        ("fit_points", "3"),
+        _fit_points(rows),
     ])
     return rows, rate
 
@@ -199,7 +205,7 @@ def stationary_study(cfg):
     _write_summary(_summary_path(cfg.out), [
         ("study", "stationary"), ("degree", str(cfg.degree)),
         ("fitted_rate", rate), ("expected_rate", str(cfg.degree)),
-        ("fit_points", "3"),
+        _fit_points(rows),
     ])
     return rows, rate
 
@@ -385,21 +391,25 @@ _DEFAULTS = {
 }
 
 
-# the refinement lists a study holds fixed (one entry each), the inputs
-# a study or a method does not read, and the studies that run the
-# stream-function method alone
+# the refinement lists a study holds fixed (one entry each) and the one
+# it sweeps and fits a rate to, the inputs a study or a method does not
+# read, and the studies that run the stream-function method alone
 _FIXED_LISTS = {"converge-k": ("mesh_list",), "converge-h": ("steps_list",),
                 "diagnostics": ("mesh_list", "steps_list"),
                 "compare-mini": ("mesh_list",)}
+_SWEPT_LIST = {"converge-k": "steps_list", "compare-mini": "steps_list",
+               "converge-h": "mesh_list", "stationary": "mesh_list"}
 _UNREAD = {"stationary": ("steps_list", "dg_order", "rhs"),
            "compare-mini": ("method", "rhs"),
+           "diagnostics": ("rhs",),
            "mini": ("degree", "dg_order", "eta")}
 _STREAM_ONLY = ("stationary", "diagnostics")
 
 
 def _check_inputs(study, values, given):
-    """Refuse an input the study would not use; ``given`` maps each key
-    set by a flag or the config file to the name it was set by."""
+    """Refuse an input the study would not use, and a swept list it
+    cannot fit a rate to; ``given`` maps each key set by a flag or the
+    config file to the name it was set by."""
     for key in _FIXED_LISTS.get(study, ()):
         if len(values[key]) != 1:
             raise ValueError(f"{given[key]}: {study} takes one entry, "
@@ -413,6 +423,13 @@ def _check_inputs(study, values, given):
         for key in _UNREAD.get(owner, ()):
             if key in given:
                 raise ValueError(f"{given[key]}: not read by {where}")
+    swept = _SWEPT_LIST.get(study)
+    if swept in given:
+        levels = values[swept]
+        if len(levels) < 2 or any(b <= a for a, b in zip(levels, levels[1:])):
+            raise ValueError(f"{given[swept]}: {study} fits a rate to at "
+                             f"least two strictly increasing entries, "
+                             f"got {','.join(map(str, levels))}")
 
 
 def _parse_int_list(text):

@@ -72,10 +72,6 @@ class TimePartition:
     def lengths(self):
         return np.diff(self.nodes)
 
-    @property
-    def k_max(self):
-        return float(self.lengths.max())
-
 
 def make_partition(num_intervals, end_time=1.0):
     """Uniform partition of (0, T] into M intervals."""
@@ -188,10 +184,6 @@ class DgSolution:
         self.order = order
         self.basis = TimeBasis(order)
         self.coefficients = coefficients  # (M, r+1, n_dofs)
-
-    def value_minus(self, m):
-        """Outgoing value at t_{m+1} taken from interval index m (0-based)."""
-        return self.coefficients[m, -1]
 
 
 def data_time_points(order):

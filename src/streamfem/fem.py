@@ -2,7 +2,7 @@
 
 Degree-l nodal spaces with vectorized assembly of the H1 stiffness
 matrix, load vectors (scalar data, vector data paired with the rotated
-gradient, and gradient data), the H1_0 projection and point evaluation.
+gradient, and gradient data) and the H1_0 projection.
 A space is its DOF layout and its reference basis (``FeSpace.reference``);
 a subclass that changes only these, such as the P1-plus-bubble velocity
 space of ``mini_stokes``, runs on the same kernels.
@@ -55,7 +55,6 @@ __all__ = ["FeSpace", "FeFunction", "reference_basis", "build_space",
            "element_matrices", "assemble_tested", "assemble_h1_stiffness",
            "assemble_load_scalar", "assemble_load_dual",
            "assemble_load_gradient", "h1_projection", "term_tables",
-           "evaluate", "h1_seminorm",
            "h1_field_error", "sample_time_factors", "gradient_tables",
            "value_tables", "space_time_squares", "space_time_h1_error"]
 
@@ -381,10 +380,10 @@ def assemble_tested(space, data, order, rule):
                        minlength=space.n_dofs)
 
 
-def assemble_h1_stiffness(space, rule=None):
+def assemble_h1_stiffness(space):
     """Matrix of (grad phi_j, grad phi_i) over the full DOF set."""
-    rule = rule or space.default_matrix_rule()
-    return _scatter_matrix(space, element_matrices(space, rule, 1))
+    return _scatter_matrix(space, element_matrices(
+        space, space.default_matrix_rule(), 1))
 
 
 def assemble_load_scalar(space, f, t=0.0, rule=None):
@@ -434,7 +433,7 @@ def term_tables(space, fld, kind, rule=None):
                      for _, w in fld.static_terms()])
 
 
-# -- projections and evaluation ---------------------------------------
+# -- projections -------------------------------------------------------
 
 
 def h1_projection(space, w, rule=None):
@@ -454,43 +453,6 @@ def _h1_lift(space, b):
     out = np.zeros(space.n_dofs)
     out[space.free_dofs] = space.h1_factor()(b[space.free_dofs])
     return out
-
-
-def _evaluate_many(space, coefficients, points):
-    """Values and gradients at arbitrary physical points (brute-force)."""
-    arr = np.asarray(points, dtype=float)
-    lead_shape = arr.shape[:-1]
-    pts = np.atleast_2d(arr.reshape(-1, 2))
-    diff = pts[:, None, :] - space.origins[None, :, :]
-    # reference coordinates of every point in every triangle
-    ref = np.einsum("fij,pfj->pfi", space.jac_inv, diff)
-    tol = 1e-12
-    inside = (ref[..., 0] >= -tol) & (ref[..., 1] >= -tol) & \
-             (ref.sum(axis=-1) <= 1.0 + tol)
-    tri = np.argmax(inside, axis=1)
-    if not inside[np.arange(pts.shape[0]), tri].all():
-        raise ValueError("point outside the mesh domain")
-    loc = ref[np.arange(pts.shape[0]), tri]
-    vals = space.reference(loc, 0)
-    grads_ref = space.reference(loc, 1)
-    grads = np.einsum("pld,pdi->pli", grads_ref, space.jac_inv[tri])
-    c = coefficients[space.dof_map[tri]]
-    value = np.einsum("pl,pl->p", vals, c)
-    grad = np.einsum("pli,pl->pi", grads, c)
-    if arr.ndim == 1:
-        return value[0], grad[0]
-    return value.reshape(lead_shape), grad.reshape(lead_shape + (2,))
-
-
-def evaluate(f, x):
-    """Point evaluation of an FeFunction: (value, gradient)."""
-    return _evaluate_many(f.space, f.coefficients, x)
-
-
-def h1_seminorm(space, coefficients):
-    """sqrt(c^T K c) = || grad v_h ||_Omega."""
-    k = space.h1_stiffness()
-    return float(np.sqrt(max(coefficients @ (k @ coefficients), 0.0)))
 
 
 # -- space-time quadrature of separable fields ------------------------
@@ -579,10 +541,10 @@ def space_time_squares(wdet, trule, lengths, blocks):
 # -- error integration -------------------------------------------------
 
 
-def h1_field_error(space, coefficients, fld, t=0.0, rule=None):
-    """|| grad(w(t) - v_h) ||_Omega by quadrature for an analytic w."""
-    rule = rule or space.default_data_rule()
-    diff = (fld.grad(t, space.phys_points(rule))
+def h1_field_error(space, coefficients, fld):
+    """|| grad(w - v_h) ||_Omega by quadrature for a static analytic w."""
+    rule = space.default_data_rule()
+    diff = (fld.grad(0.0, space.phys_points(rule))
             - gradient_tables(space, rule, [coefficients])[0])
     val = _weighted_squares(_space_weights(space.jac_det, rule), diff[None])[0]
     return float(np.sqrt(max(val, 0.0)))

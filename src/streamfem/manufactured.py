@@ -16,8 +16,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 __all__ = ["TimeFactor", "SpatialTerm", "ScalarField", "VectorField",
-           "phi", "phi_laplacian", "phi_bilaplacian", "psi_exact", "u_exact",
-           "g_field", "g_tilde", "f_scalar"]
+           "phi", "psi_exact", "u_exact", "g_field", "g_tilde", "f_scalar"]
 
 TWO_PI = 2.0 * math.pi
 PERTURBATION_SCALE = 1.0e5
@@ -67,14 +66,13 @@ class _FieldBase:
         self.terms: Sequence[Tuple[TimeFactor, SpatialTerm]] = tuple(terms)
         self.clamped = clamped
 
-    def _sum(self, t, x, pick, use_dt=False):
+    def _sum(self, t, x, pick):
         total = None
         for tf, term in self.terms:
             f = getattr(term, pick)
             if f is None:
                 raise ValueError(f"{pick} not available for this field")
-            c = tf.dfn(t) if use_dt else tf.fn(t)
-            piece = c * f(np.asarray(x, dtype=float))
+            piece = tf.fn(t) * f(np.asarray(x, dtype=float))
             total = piece if total is None else total + piece
         return total
 
@@ -96,9 +94,6 @@ class _FieldBase:
 
     def hess(self, t, x):
         return self._sum(t, x, "hess")
-
-    def dt_value(self, t, x):
-        return self._sum(t, x, "value", use_dt=True)
 
 
 class ScalarField(_FieldBase):
@@ -200,15 +195,6 @@ _PERTURBATION = SpatialTerm(_perturbation_value)
 def phi():
     """Stream-function profile sin(2 pi x1)^2 sin(2 pi x2)^2."""
     return ScalarField([(TimeFactor.one(), _PHI)], clamped=True)
-
-
-def phi_laplacian():
-    return ScalarField([(TimeFactor.one(), _LAP_PHI)])
-
-
-def phi_bilaplacian():
-    """Biharmonic load of the static profile (stationary runs)."""
-    return ScalarField([(TimeFactor.one(), _BILAP_PHI)])
 
 
 def psi_exact():

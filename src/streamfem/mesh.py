@@ -1,4 +1,4 @@
-"""Conforming triangulations of axis-aligned rectangles.
+"""Conforming triangulations, and the structured one of the unit square.
 
 Meshes are immutable after construction and carry the full edge data
 needed by interior-penalty assembly: unique edge list, edge/triangle
@@ -7,8 +7,7 @@ adjacency, boundary flags and per-edge unit normals.
 
 import numpy as np
 
-__all__ = ["Mesh", "build_structured_mesh", "uniform_refine",
-           "affine_geometry"]
+__all__ = ["Mesh", "build_structured_mesh", "affine_geometry"]
 
 # local edges of a triangle (a, b, c), traversed counterclockwise
 _LOCAL_EDGES = ((0, 1), (1, 2), (2, 0))
@@ -38,8 +37,6 @@ class Mesh:
     normals : ndarray, shape (E, 2)
         Unit normal per edge: for interior edges pointing from T- into
         T+, for boundary edges pointing out of the domain.
-    mesh_size_h : float
-        Maximum triangle diameter.
     """
 
     def __init__(self, vertices, triangles):
@@ -136,41 +133,23 @@ class Mesh:
         d2 = p[:, 2] - p[:, 0]
         return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
-    @property
-    def mesh_size_h(self):
-        p = self.vertices[self.triangles]
-        diam = 0.0
-        for i, j in _LOCAL_EDGES:
-            d = p[:, j] - p[:, i]
-            diam = max(diam, float(np.hypot(d[:, 0], d[:, 1]).max()))
-        return diam
-
     def boundary_vertices(self):
         """Indices of vertices lying on the boundary."""
         return np.unique(self.edges[self.boundary_edge])
 
 
-def build_structured_mesh(n, domain=((0.0, 1.0), (0.0, 1.0))):
-    """Uniform n-by-n triangulation of an axis-aligned rectangle.
+def build_structured_mesh(n):
+    """Uniform n-by-n triangulation of the unit square.
 
     Every grid cell is split along the same lower-left to upper-right
     diagonal, which keeps vertex, edge and DOF orderings reproducible.
-
-    Parameters
-    ----------
-    n : int
-        Number of cells per direction, n >= 1.
-    domain : pair of pairs
-        ((xmin, xmax), (ymin, ymax)).
+    The unit square is the domain on which the manufactured data of
+    ``manufactured`` is clamped.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    (x0, x1), (y0, y1) = domain
-    if not (x1 > x0 and y1 > y0):
-        raise ValueError("domain must have positive side lengths")
-    xs = np.linspace(x0, x1, n + 1)
-    ys = np.linspace(y0, y1, n + 1)
-    xx, yy = np.meshgrid(xs, ys, indexing="xy")
+    xs = np.linspace(0.0, 1.0, n + 1)
+    xx, yy = np.meshgrid(xs, xs, indexing="xy")
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
 
     def vid(i, j):
@@ -188,24 +167,6 @@ def build_structured_mesh(n, domain=((0.0, 1.0), (0.0, 1.0))):
             triangles[t + 1] = (a, c, d)
             t += 2
     return Mesh(vertices, triangles)
-
-
-def uniform_refine(mesh):
-    """Split every triangle into 4 using edge midpoints; h halves."""
-    v = mesh.num_vertices
-    mid = 0.5 * (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]])
-    vertices = np.vstack([mesh.vertices, mid])
-
-    tris = mesh.triangles
-    m01 = v + mesh.tri_edges[:, 0]
-    m12 = v + mesh.tri_edges[:, 1]
-    m20 = v + mesh.tri_edges[:, 2]
-    children = np.empty((4 * mesh.num_triangles, 3), dtype=np.int64)
-    children[0::4] = np.column_stack([tris[:, 0], m01, m20])
-    children[1::4] = np.column_stack([m01, tris[:, 1], m12])
-    children[2::4] = np.column_stack([m20, m12, tris[:, 2]])
-    children[3::4] = np.column_stack([m01, m12, m20])
-    return Mesh(vertices, children)
 
 
 def affine_geometry(mesh):

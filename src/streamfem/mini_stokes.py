@@ -31,8 +31,7 @@ from .linalg import build_csr
 from .quadrature import interval_rule
 
 __all__ = ["MiniSpace", "build_mini_space", "mini_transient_solve",
-           "MiniSolution", "velocity_error_l2", "divergence_residual",
-           "pressure_mean"]
+           "MiniSolution", "velocity_error_l2"]
 
 _GRAD_HATS = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -190,15 +189,3 @@ def velocity_error_l2(sol, u_exact, time_points=3, rule=None):
     total = space_time_squares(_space_weights(space.jac_det, rule), trule,
                                sol.partition.lengths, blocks())
     return float(np.sqrt(max(total, 0.0)))
-
-
-def divergence_residual(sol, step):
-    """max_j |(q_j, div u_m)|: satisfaction of the constraint rows."""
-    return float(np.abs(_divergence(sol.space)
-                        @ sol.velocities[step + 1]).max())
-
-
-def pressure_mean(sol, step):
-    """Mean value of the step pressure (zero up to solver tolerance)."""
-    cvec = _pressure_integrals(sol.space)
-    return float(cvec @ sol.pressures[step]) / float(cvec.sum())

@@ -9,10 +9,9 @@ from streamfem import cip, dg_time
 from streamfem import manufactured as mf
 from streamfem.cip import (CoercivityError, _assemble_matrices, apply_Ah,
                            assemble_cip, consistency_pairing,
-                           ritz_projection, solve_stationary, triple_norm)
+                           ritz_projection, triple_norm)
 from streamfem.fem import (FeFunction, assemble_load_gradient,
-                           assemble_load_scalar, build_space, h1_field_error,
-                           h1_seminorm)
+                           assemble_load_scalar, build_space, h1_field_error)
 from streamfem.linalg import Factorized, symmetry_gap
 from streamfem.mesh import build_structured_mesh
 from streamfem.quadrature import triangle_rule
@@ -212,7 +211,7 @@ def test_consistency_pairing_zero(form_n8_l2):
 
 def test_consistency_pairing_requires_clamped(form_n8_l2):
     with pytest.raises(ValueError):
-        consistency_pairing(form_n8_l2, mf.phi_laplacian())
+        consistency_pairing(form_n8_l2, mf.ScalarField(mf.phi().terms))
 
 
 def test_consistency_pairing_locality(form_n8_l2):
@@ -336,50 +335,68 @@ def test_apply_Ah_self_adjoint(form_n8_l2, rng):
         assert abs(lhs - rhs) <= 1e-9 * (abs(lhs) + abs(rhs))
 
 
+def _solve_a_h(form, rhs):
+    """FeFunction psi_h with a_h(psi_h, phi) = rhs[phi], rhs over all DOFs."""
+    space = form.space
+    out = np.zeros(space.n_dofs)
+    out[space.free_dofs] = form.factor()(rhs[space.free_dofs])
+    return FeFunction(space, out)
+
+
+def _h1_norm(space, coefficients):
+    return math.sqrt(coefficients @ (space.h1_stiffness() @ coefficients))
+
+
 def test_apply_Ah_stability(form_n8_l2):
     """For w_h solving a_h(w_h, chi) = (grad g, grad chi), the lifted
     field satisfies ||grad A_h w_h|| <= ||grad g||."""
     space = form_n8_l2.space
     phi = mf.phi()
     rhs = assemble_load_gradient(space, phi)
-    wh = solve_stationary(form_n8_l2, rhs)
+    wh = _solve_a_h(form_n8_l2, rhs)
     lifted = apply_Ah(form_n8_l2, wh)
     rule = triangle_rule(8)
     pts = space.phys_points(rule)
     g = phi.grad(0.0, pts)
     norm_g = math.sqrt(np.einsum("q,fqi,fqi,f->", rule.weights, g, g,
                                  space.jac_det))
-    assert h1_seminorm(space, lifted.coefficients) <= norm_g * (1 + 1e-8)
+    assert _h1_norm(space, lifted.coefficients) <= norm_g * (1 + 1e-8)
 
 
 def test_solve_stationary_zero(form_n8_l2):
-    out = solve_stationary(form_n8_l2, np.zeros(form_n8_l2.space.n_dofs))
+    out = _solve_a_h(form_n8_l2, np.zeros(form_n8_l2.space.n_dofs))
     assert np.all(out.coefficients == 0.0)
 
 
 def test_solve_stationary_matches_ritz(form_n8_l2):
-    phi = mf.phi()
-    rhs = consistency_pairing(form_n8_l2, phi)
-    a = solve_stationary(form_n8_l2, rhs)
-    b = ritz_projection(form_n8_l2, phi)
-    assert a.coefficients == pytest.approx(b.coefficients, abs=1e-12)
+    """The Ritz projection, solved with the certifying factor, matches a
+    dense solve of a_h against the consistency pairing."""
+    space = form_n8_l2.space
+    free = space.free_dofs
+    pairing = consistency_pairing(form_n8_l2, mf.phi())
+    dense = np.linalg.solve(form_n8_l2.matrix_free.toarray(), pairing[free])
+    got = ritz_projection(form_n8_l2, mf.phi()).coefficients
+    assert got[free] == pytest.approx(dense, rel=1e-9, abs=1e-12)
+    assert np.all(got[space.boundary_dofs] == 0.0)
 
 
 def test_solve_stationary_biharmonic_load_converges():
     """Solving with the bilaplacian load reproduces the profile; the
     distance to the energy projection shrinks at second order."""
     phi = mf.phi()
+    # the static bilaplacian term of the transient data f
+    _, bilaplacian = mf.f_scalar().static_terms()[1]
     errs = []
     gaps = []
     for n in (8, 16, 32):
         space = build_space(build_structured_mesh(n), 2)
         form = assemble_cip(space)
-        rhs = assemble_load_scalar(space, mf.phi_bilaplacian(),
+        rhs = assemble_load_scalar(space, bilaplacian,
                                    rule=triangle_rule(16))
-        sol = solve_stationary(form, rhs)
+        sol = _solve_a_h(form, rhs)
         errs.append(h1_field_error(space, sol.coefficients, phi))
         proj = ritz_projection(form, phi)
-        gaps.append(h1_seminorm(space, sol.coefficients - proj.coefficients))
+        gaps.append(_h1_norm(space, sol.coefficients - proj.coefficients))
     # the consistent-data solve coincides with the projection up to
     # data-quadrature error, and converges at the projection's rate
     assert gaps[-1] <= 1e-4 * errs[-1]
@@ -414,13 +431,13 @@ def factor_count(monkeypatch):
 @pytest.mark.parametrize("solve", ["ritz", "stationary"])
 def test_certifying_factor_solves(space_n8_l2, factor_count, solve):
     """The LU that certifies coercivity is the one that then solves:
-    assembly plus a Ritz or stationary solve factors a_h once."""
+    assembly plus a Ritz solve or a solve through ``form.factor()``
+    factors a_h once."""
     form = assemble_cip(space_n8_l2)
     if solve == "ritz":
         ritz_projection(form, mf.phi())
     else:
-        solve_stationary(form, assemble_load_scalar(space_n8_l2,
-                                                    mf.f_scalar()))
+        _solve_a_h(form, assemble_load_scalar(space_n8_l2, mf.f_scalar()))
     assert len(factor_count) == 1
     assert form.factor() is factor_count[0]
 

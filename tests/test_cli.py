@@ -47,6 +47,7 @@ def test_study_output_format(tmp_path, capsys, argv, header, keys):
     summary = _read_summary(tmp_path / "study_summary.txt")
     assert set(summary) == keys
     assert summary["study"] == argv[0]
+    assert summary["fit_points"] == "3"
     # stream-function sweeps state the asymptotic rate: r + 1 in k for
     # dG(r), the degree l in h for the H1 error of C0IP P_l
     if "expected_rate" in summary:
@@ -87,6 +88,7 @@ def test_config_precedence(tmp_path):
     assert summary["n"] == "4"                # file over default 64
     assert summary["dg_order"] == "0"         # default
     assert len(_read_csv(out)[1]) == 2        # file over default 8,16,32,64
+    assert summary["fit_points"] == "2"       # the levels actually fitted
 
 
 @pytest.mark.parametrize("argv, config", [
@@ -95,8 +97,8 @@ def test_config_precedence(tmp_path):
     (["converge-k"], "no_such_key = 1\n"),
     (["converge-k"], "steps_list = 2,four\n"),
     (["converge-k", "--config", "no_such_dir/study.cfg"], None),
-    (["stationary", "--degree", "1", "--mesh-list", "2"], None),
-    (["stationary", "--degree", "4", "--mesh-list", "2"], None),
+    (["stationary", "--degree", "1", "--mesh-list", "2,4"], None),
+    (["stationary", "--degree", "4", "--mesh-list", "2,4"], None),
     (["converge-k", "--dg-order", "-1", "--mesh-list", "2"], None),
     (["converge-k", "--mesh-list", "0,4"], None),
     (["converge-k", "--mesh-list", "2", "--steps-list", "0,2"], None),
@@ -132,6 +134,15 @@ def test_config_precedence(tmp_path):
       "--steps-list", "2"], None),
     (["converge-k", "--mesh-list", "2", "--steps-list", "1,2"],
      "method = mini\ndegree = 3\n"),
+    (["stationary", "--mesh-list", "4"], None),
+    (["stationary", "--mesh-list", "4,4,4"], None),
+    (["stationary"], "mesh_list = 8,4\n"),
+    (["converge-h", "--mesh-list", "2,2", "--steps-list", "2"], None),
+    (["converge-k", "--mesh-list", "2", "--steps-list", "4"], None),
+    (["converge-k", "--mesh-list", "2"], "steps_list = 4,4\n"),
+    (["compare-mini", "--mesh-list", "2", "--steps-list", "2"], None),
+    (["diagnostics", "--rhs", "g_tilde"], None),
+    (["diagnostics"], "rhs = f\n"),
 ])
 def test_config_errors_exit_2(tmp_path, capsys, argv, config):
     """Bad flags, config keys, list entries, out-of-range values and files
@@ -184,6 +195,15 @@ def test_bad_values_name_the_option_and_format(tmp_path, capsys, argv,
     (["converge-k", "--method", "mini", "--dg-order", "3", "--mesh-list",
       "2", "--steps-list", "1,2"], None,
      "--dg-order: not read by converge-k with method mini"),
+    (["diagnostics", "--rhs", "g_tilde"], None,
+     "--rhs: not read by diagnostics"),
+    (["diagnostics"], "rhs = f\n", "rhs: not read by diagnostics"),
+    (["stationary", "--mesh-list", "4,4,4"], None,
+     "--mesh-list: stationary fits a rate to at least two strictly "
+     "increasing entries, got 4,4,4"),
+    (["converge-k", "--mesh-list", "2"], "steps_list = 8\n",
+     "steps_list: converge-k fits a rate to at least two strictly "
+     "increasing entries, got 8"),
 ])
 def test_unused_inputs_name_the_option_and_the_study(tmp_path, capsys, argv,
                                                      config, message):

@@ -11,8 +11,8 @@ from streamfem.dg_time import (DgSolution, TimeBasis, TimePartition,
                                make_partition, radau_points,
                                stability_data_norm, stability_functional,
                                time_projection_values)
-from streamfem.fem import (FeFunction, build_space, evaluate, h1_projection,
-                           h1_seminorm, space_time_h1_error)
+from streamfem.fem import (FeFunction, build_space, gradient_tables,
+                           h1_projection, space_time_h1_error)
 from streamfem.linalg import Factorized, SolverError
 from streamfem.mesh import build_structured_mesh
 
@@ -23,7 +23,7 @@ from streamfem.mesh import build_structured_mesh
 def test_make_partition_uniform():
     p = make_partition(4, 1.0)
     assert p.nodes == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
-    assert p.k_max == pytest.approx(0.25)
+    assert p.lengths.max() == pytest.approx(0.25)
     assert p.num_intervals == 4
 
 
@@ -204,9 +204,10 @@ def _zero_field():
 
 def test_dg0_energy_decay(space_n8_l2, form_n8_l2):
     sol = dg_solve(form_n8_l2, make_partition(16), 0, psi0=mf.phi())
-    norms = [h1_seminorm(space_n8_l2, h1_projection(
-        space_n8_l2, mf.phi()).coefficients)]
-    norms += [h1_seminorm(space_n8_l2, sol.value_minus(m)) for m in range(16)]
+    k = space_n8_l2.h1_stiffness()
+    values = [h1_projection(space_n8_l2, mf.phi()).coefficients]
+    values += [sol.coefficients[m, -1] for m in range(16)]
+    norms = [math.sqrt(c @ (k @ c)) for c in values]
     assert all(norms[i] >= norms[i + 1] - 1e-14 for i in range(16))
 
 
@@ -215,10 +216,15 @@ def test_exactly_representable_field_error_zero(space_n4_l2):
     field gives a vanishing space-time error."""
     form = assemble_cip(space_n4_l2)
     sol = dg_solve(form, make_partition(1), 0, psi0=mf.phi())
-    profile = FeFunction(space_n4_l2, sol.coefficients[0, 0])
-    frozen = mf.ScalarField([(mf.TimeFactor.one(), mf.SpatialTerm(
-        lambda x: evaluate(profile, x)[0],
-        lambda x: evaluate(profile, x)[1]))])
+    rule = space_n4_l2.default_data_rule()
+
+    def profile_grad(x):
+        # the error integral reads the gradient at the data rule points only
+        assert np.array_equal(x, space_n4_l2.phys_points(rule))
+        return gradient_tables(space_n4_l2, rule, sol.coefficients[0])[0]
+
+    frozen = mf.ScalarField([(mf.TimeFactor.one(),
+                              mf.SpatialTerm(None, profile_grad))])
     err = space_time_h1_error(sol, frozen)
     assert err < 1e-12
 

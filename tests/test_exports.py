@@ -1,6 +1,9 @@
+import ast
 import importlib
 import pkgutil
 import types
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +11,9 @@ import streamfem
 
 MODULES = sorted(info.name
                  for info in pkgutil.iter_modules(streamfem.__path__))
+
+SOURCE = Path(streamfem.__file__).resolve().parent
+PERFBENCH = SOURCE.parent.parent / "perfbench"
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -22,3 +28,40 @@ def test_package_exports_are_public_names_of_their_modules():
         if name.startswith("_") or isinstance(obj, types.ModuleType):
             continue
         assert name in importlib.import_module(obj.__module__).__all__, name
+
+
+def _reads(path, strings):
+    """Names a source file reads: the ids of Name nodes and the attributes
+    of Attribute nodes, and with ``strings`` also every string constant.
+
+    A def or class statement, an import and an ``__all__`` entry are none
+    of these, so a name's definition and its exports do not count."""
+    out = Counter()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif (strings and isinstance(node, ast.Constant)
+              and isinstance(node.value, str)):
+            out[node.value] += 1
+    return out
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    """Each name in a module's ``__all__`` is read somewhere in the
+    package (its own module included) or in the benchmark code, whose
+    span table names its traced entry points as strings.  A name only
+    the tests read is deleted, not shipped."""
+    reads = Counter()
+    for path in SOURCE.glob("*.py"):
+        if path.name != "__init__.py":   # the package re-exports only
+            reads += _reads(path, strings=False)
+    for path in PERFBENCH.glob("*.py"):
+        if not path.name.startswith("test_"):
+            reads += _reads(path, strings=True)
+    unread = [f"{name}.{export}" for name in MODULES
+              for export in importlib.import_module(
+                  f"streamfem.{name}").__all__
+              if not reads[export]]
+    assert unread == []

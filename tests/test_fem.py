@@ -7,11 +7,11 @@ import scipy.integrate
 from streamfem import manufactured as mf
 from streamfem.fem import (FeFunction, assemble_h1_stiffness,
                            assemble_load_dual, assemble_load_scalar,
-                           build_space, evaluate, h1_field_error,
-                           h1_projection, h1_seminorm, reference_basis,
-                           term_tables, _lattice)
+                           build_space, gradient_tables, h1_field_error,
+                           h1_projection, reference_basis, term_tables,
+                           value_tables, _lattice)
 from streamfem.linalg import symmetry_gap
-from streamfem.mesh import build_structured_mesh, uniform_refine
+from streamfem.mesh import build_structured_mesh
 from streamfem.quadrature import QuadratureRule, triangle_rule
 
 
@@ -315,7 +315,8 @@ def test_projection_stability(space_n8_l2):
     g = phi.grad(0.0, pts)
     norm_w = np.sqrt(np.einsum("q,fqi,fqi,f->", rule.weights, g, g,
                                space_n8_l2.jac_det))
-    assert h1_seminorm(space_n8_l2, proj.coefficients) <= \
+    c = proj.coefficients
+    assert math.sqrt(c @ (space_n8_l2.h1_stiffness() @ c)) <= \
         norm_w * (1.0 + 1e-8)
 
 
@@ -334,11 +335,16 @@ def test_projection_rate_two():
 
 
 def test_evaluate_reproduces_linear():
+    """The P1 interpolant of x1 has value x1 and gradient (1, 0) at the
+    rule points of every cell."""
     space = build_space(build_structured_mesh(2), 1)
     coef = space.mesh.vertices[:, 0].copy()
-    val, grad = evaluate(FeFunction(space, coef), np.array([0.3, 0.7]))
-    assert val == pytest.approx(0.3, abs=1e-13)
-    assert grad == pytest.approx([1.0, 0.0], abs=1e-12)
+    rule = triangle_rule(2)
+    val = value_tables(space, rule, [coef])[0]
+    grad = gradient_tables(space, rule, [coef])[0]
+    assert val == pytest.approx(space.phys_points(rule)[..., 0], abs=1e-13)
+    assert grad[..., 0] == pytest.approx(np.ones(val.shape), abs=1e-12)
+    assert grad[..., 1] == pytest.approx(np.zeros(val.shape), abs=1e-12)
 
 
 def test_evaluate_reproduces_quadratic():
@@ -348,19 +354,17 @@ def test_evaluate_reproduces_quadratic():
     pts = space.origins[:, None, :] + np.einsum("fij,lj->fli", space.jac, lat)
     coef = np.zeros(space.n_dofs)
     coef[space.dof_map.ravel()] = (pts[..., 0] * pts[..., 1]).ravel()
-    val, _ = evaluate(FeFunction(space, coef), np.array([0.25, 0.5]))
-    assert val == pytest.approx(0.125, abs=1e-13)
+    rule = triangle_rule(4)
+    xy = space.phys_points(rule)
+    val = value_tables(space, rule, [coef])[0]
+    assert val == pytest.approx(xy[..., 0] * xy[..., 1], abs=1e-13)
 
 
 def test_evaluate_zero_function(space_n4_l2):
-    val, grad = evaluate(FeFunction(space_n4_l2), np.array([0.4, 0.4]))
-    assert val == 0.0
-    assert grad == pytest.approx([0.0, 0.0])
-
-
-def test_evaluate_outside_domain(space_n4_l2):
-    with pytest.raises(ValueError):
-        evaluate(FeFunction(space_n4_l2), np.array([1.5, 0.5]))
+    rule = triangle_rule(4)
+    zero = [FeFunction(space_n4_l2).coefficients]
+    assert np.all(value_tables(space_n4_l2, rule, zero) == 0.0)
+    assert np.all(gradient_tables(space_n4_l2, rule, zero) == 0.0)
 
 
 def test_coefficient_length_checked(space_n4_l2):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from streamfem.mesh import build_structured_mesh, uniform_refine
+from streamfem.mesh import build_structured_mesh
 
 
 def test_smallest_mesh_counts():
@@ -24,23 +24,24 @@ def test_euler_relation(n):
 
 
 def test_mesh_size_is_cell_diagonal():
+    """The longest edge, the diameter of every triangle, is the diagonal
+    sqrt(2) / n that the studies report as h."""
     m = build_structured_mesh(4)
-    assert m.mesh_size_h == pytest.approx(np.sqrt(2.0) / 4, abs=1e-15)
+    assert m.edge_lengths.max() == pytest.approx(np.sqrt(2.0) / 4,
+                                                 abs=1e-15)
 
 
 def test_rejects_degenerate_input():
     with pytest.raises(ValueError):
         build_structured_mesh(0)
-    with pytest.raises(ValueError):
-        build_structured_mesh(2, domain=((0.0, 0.0), (0.0, 1.0)))
 
 
 def test_positive_ccw_areas_and_total_area():
     for n in (1, 3, 6):
-        m = build_structured_mesh(n, domain=((0.0, 2.0), (0.0, 1.0)))
+        m = build_structured_mesh(n)
         areas = m.signed_areas()
         assert np.all(areas > 0)
-        assert areas.sum() == pytest.approx(2.0, rel=1e-12)
+        assert areas.sum() == pytest.approx(1.0, rel=1e-12)
 
 
 def test_adjacency_counts_and_consistency():
@@ -114,20 +115,3 @@ def test_interior_vertical_edge_n2():
     else:
         pytest.fail("no interior vertical edge found")
 
-
-def test_uniform_refine_matches_structured():
-    fine = uniform_refine(build_structured_mesh(1))
-    ref = build_structured_mesh(2)
-    assert fine.num_triangles == ref.num_triangles == 8
-    assert fine.num_vertices == ref.num_vertices == 9
-    assert fine.num_edges == ref.num_edges == 16
-    assert sorted(map(tuple, np.sort(fine.vertices, axis=0).tolist())) == \
-        sorted(map(tuple, np.sort(ref.vertices, axis=0).tolist()))
-
-
-def test_refine_twice_counts_and_h():
-    m = build_structured_mesh(1)
-    m2 = uniform_refine(uniform_refine(m))
-    assert m2.num_triangles == 32
-    assert m2.mesh_size_h == pytest.approx(m.mesh_size_h / 4)
-    assert m2.signed_areas().sum() == pytest.approx(1.0, rel=1e-12)

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from streamfem import dg_time, linalg
 from streamfem import manufactured as mf
 from streamfem.dg_time import TimePartition, make_partition
 from streamfem.linalg import SolverError
 from streamfem.mesh import build_structured_mesh
-from streamfem.mini_stokes import (build_mini_space, divergence_residual,
-                                   mini_transient_solve, pressure_mean,
+from streamfem.mini_stokes import (_divergence, _pressure_integrals,
+                                   build_mini_space, mini_transient_solve,
                                    velocity_error_l2)
 from streamfem.quadrature import QuadratureRule
 
@@ -145,13 +146,44 @@ def test_sweep_matches_the_saddle_step_oracle(graded, field):
         assert np.array_equal(got, ref)
 
 
+def _max_divergence_row(sol, step):
+    """max_j |(q_j, div u_m)|: satisfaction of the constraint rows."""
+    return float(np.abs(_divergence(sol.space)
+                        @ sol.velocities[step + 1]).max())
+
+
+def _mean_pressure(sol, step):
+    """Mean value of the step pressure (zero up to solver tolerance)."""
+    cvec = _pressure_integrals(sol.space)
+    return float(cvec @ sol.pressures[step]) / float(cvec.sum())
+
+
 def test_divergence_and_pressure_mean():
     space = build_mini_space(build_structured_mesh(4))
     part = make_partition(4)
     sol = mini_transient_solve(space, part, mf.g_field())
     for step in (0, 3):
-        assert divergence_residual(sol, step) < 1e-9
-        assert abs(pressure_mean(sol, step)) < 1e-10
+        assert _max_divergence_row(sol, step) < 1e-9
+        assert abs(_mean_pressure(sol, step)) < 1e-10
+
+
+def test_saddle_factor_keeps_its_ordering(monkeypatch):
+    """The saddle LU pivots off its diagonal only past the zero pressure
+    block, so it keeps the minimum-degree fill: 96 202 entries at n=16.
+    A pivot threshold of 0.1 left the diagonal 177 times there and
+    filled 197 863."""
+    fills = []
+
+    class Recording(linalg.Factorized):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            fills.append(self._lu.L.nnz + self._lu.U.nnz)
+
+    monkeypatch.setattr(dg_time, "Factorized", Recording)
+    mini_transient_solve(build_mini_space(build_structured_mesh(16)),
+                         make_partition(8), mf.g_field())
+    assert len(fills) == 1
+    assert fills[0] < 120_000
 
 
 def test_velocity_error_of_zero_solution_is_data_norm():
