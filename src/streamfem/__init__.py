@@ -15,7 +15,7 @@ from .fem import (FeSpace, FeFunction, build_space, reference_basis,
                   assemble_load_dual, assemble_load_gradient, h1_projection,
                   h1_field_error, space_time_h1_error)
 from .linalg import SolverError, Factorized
-from .cip import (CipForm, CoercivityError, assemble_cip, triple_norm,
+from .cip import (CipForm, CoercivityError, assemble_cip,
                   consistency_pairing, ritz_projection, apply_Ah)
 from .dg_time import (TimePartition, DgSolution, make_partition, dg_solve,
                       time_projection_values, stability_functional,

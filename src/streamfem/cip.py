@@ -28,7 +28,7 @@ from .linalg import Factorized, SolverError, build_csr
 from .mesh import _LOCAL_EDGES, _VERT_REF
 from .quadrature import interval_rule
 
-__all__ = ["CoercivityError", "CipForm", "assemble_cip", "triple_norm",
+__all__ = ["CoercivityError", "CipForm", "assemble_cip",
            "consistency_pairing", "ritz_projection", "apply_Ah",
            "default_penalty"]
 
@@ -57,6 +57,7 @@ def _edge_rule_points(degree):
 class CipForm:
     """Assembled interior-penalty form with its eliminated SPD block.
 
+    Its public members are the form ``dg_time`` reads (its module notes).
     ``assemble_cip`` hands the form the LU that certified coercivity, so
     ``factor()`` returns it and a Ritz solve factors a_h zero more times.
     The form holds that factor until a transient solve releases it
@@ -78,6 +79,32 @@ class CipForm:
     def release_factor(self):
         """Drop the cached LU of a_h; ``factor()`` rebuilds it lazily."""
         self._factor = None
+
+    def pairings(self, psi, rule=None):
+        """a_h(w_i, .) of every spatial factor of a clamped field, (I, n_dofs).
+
+        Built once per space (``FeSpace.term_table``, key ``("pairing",
+        clamped)``): the consistency pairing reads only the space of the
+        form, not its penalty, and its key holds the clamping flag, so a
+        field flagged unclamped is still refused.
+        """
+        space = self.space
+        rule = rule or space.default_data_rule()
+        return np.stack([space.term_table(
+            ("pairing", psi.clamped), w, rule,
+            lambda: consistency_pairing(self, w, volume_rule=rule))
+            for _, w in psi.static_terms()])
+
+    def triple_norm(self, v):
+        """Energy norm sqrt(a_h(v, v)); raises when coercivity fails."""
+        c = v.coefficients if isinstance(v, FeFunction) else np.asarray(v)
+        quad = float(c @ (self.matrix @ c))
+        floor = -1e-12 * float(c @ c)
+        if quad < floor:
+            raise CoercivityError(
+                f"a_h(v, v) = {quad:.3e} is negative; penalty eta={self.eta} "
+                "is too small")
+        return float(np.sqrt(max(quad, 0.0)))
 
 
 def _edge_frames(mesh, flip=None):
@@ -143,7 +170,7 @@ def _side_traces(space, tri, local_edge, normals, svals):
     return dn.reshape(shape), d2n.reshape(shape)
 
 
-def assemble_cip(space, eta=None, flip_normals=None):
+def assemble_cip(space, eta=None):
     """Assemble the penalized biharmonic form over a Lagrange space.
 
     Parameters
@@ -153,9 +180,6 @@ def assemble_cip(space, eta=None, flip_normals=None):
         Hessian information).
     eta : float, optional
         Penalty weight; defaults to 5 (degree 2) or 10 (degree 3).
-    flip_normals : bool array, optional
-        Per-edge flags flipping the normal choice; the result must not
-        change (exposed for the orientation-invariance check).
 
     Raises CoercivityError unless the eliminated block is positive
     definite, read exactly off its LU pivots (``Factorized.definite``).
@@ -177,7 +201,7 @@ def assemble_cip(space, eta=None, flip_normals=None):
     # On stationary-fine the kept factor is alive while ritz_projection
     # builds its pairing (+17 MB), and it saves that workload the second
     # factor of a_h (wall time 2.30 -> 1.49 s).
-    full, free = _assemble_matrices(space, eta, flip_normals)
+    full, free = _assemble_matrices(space, eta, None)
     try:
         factor = Factorized(free)
         definite = factor.definite
@@ -268,18 +292,6 @@ def _assemble_matrices(space, eta, flip_normals):
     return full, free
 
 
-def triple_norm(form, v):
-    """Energy norm sqrt(a_h(v, v)); raises when coercivity fails."""
-    c = v.coefficients if isinstance(v, FeFunction) else np.asarray(v)
-    quad = float(c @ (form.matrix @ c))
-    floor = -1e-12 * float(c @ c)
-    if quad < floor:
-        raise CoercivityError(
-            f"a_h(v, v) = {quad:.3e} is negative; penalty eta={form.eta} "
-            "is too small")
-    return float(np.sqrt(max(quad, 0.0)))
-
-
 def consistency_pairing(form, w, volume_rule=None, edge_points=8):
     """Vector of a_h(w, phi_i) for a clamped static analytic target w.
 
@@ -335,10 +347,7 @@ def consistency_pairing(form, w, volume_rule=None, edge_points=8):
 
 def ritz_projection(form, w):
     """Best approximation in a_h: a_h(w - R_h w, chi) = 0 for all chi."""
-    if isinstance(w, FeFunction):
-        rhs = form.matrix @ w.coefficients
-    else:
-        rhs = consistency_pairing(form, w)
+    rhs = consistency_pairing(form, w)
     space = form.space
     out = np.zeros(space.n_dofs)
     out[space.free_dofs] = form.factor()(rhs[space.free_dofs])

@@ -66,12 +66,11 @@ class StudyConfig:
             if min(getattr(self, name)) < 1:
                 raise ValueError(f"{name}: expected entries >= 1, "
                                  f"got {getattr(self, name)}")
-        if self.eta is not None and self.eta <= 0.0:
-            raise ValueError(f"eta: expected a positive number, "
-                             f"got {self.eta}")
-        if self.end_time <= 0.0:
-            raise ValueError(f"end_time: expected a positive number, "
-                             f"got {self.end_time}")
+        for name in ("eta", "end_time"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < math.inf:
+                raise ValueError(f"{name}: expected a positive finite "
+                                 f"number, got {value}")
 
 
 _FIT_LEVELS = 3  # the fitted rate is the slope over the last three levels
@@ -83,10 +82,6 @@ def fit_rate(xs, errors):
     lx = np.log(np.asarray(xs, dtype=float)[-_FIT_LEVELS:])
     le = np.log(np.asarray(errors, dtype=float)[-_FIT_LEVELS:])
     return float(np.polyfit(lx, le, 1)[0])
-
-
-def _fit_points(rows):
-    return ("fit_points", str(min(_FIT_LEVELS, len(rows))))
 
 
 def _fmt(x):
@@ -116,11 +111,22 @@ def _summary_path(out):
     return p.with_name(p.stem + "_summary.txt")
 
 
-def _expected_rate(cfg, rate):
-    """The asymptotic rate of a stream-function sweep, as a summary entry:
-    r + 1 in k for dG(r), l in h for the H1 error of C0IP P_l (l >= 2).
-    The fitted rate at the default levels is pre-asymptotic."""
-    return [("expected_rate", str(rate))] if cfg.method == "streamfct" else []
+def _sweep(cfg, study, header, rows, entries, expected):
+    """Fit the rate of a sweep's (x, error) rows, write them to the CSV and
+    the summary: the study, ``entries``, the fitted rate, the expected
+    asymptotic rate of a stream-function sweep and the levels fitted.
+    ``expected`` is r + 1 in k for dG(r), l in h for the H1 error of C0IP
+    P_l (l >= 2); the fitted rate at the default levels is pre-asymptotic.
+    """
+    rate = fit_rate([r[0] for r in rows], [r[1] for r in rows])
+    _write_csv(cfg.out, header, rows)
+    stream = cfg.method == "streamfct"
+    _write_summary(_summary_path(cfg.out), [
+        ("study", study), *entries, ("fitted_rate", rate),
+        *([("expected_rate", str(expected))] if stream else []),
+        ("fit_points", str(min(_FIT_LEVELS, len(rows)))),
+    ])
+    return rows, rate
 
 
 def _stream_rhs(cfg):
@@ -160,16 +166,9 @@ def converge_k(cfg):
     (n,) = cfg.mesh_list
     rows = [(cfg.end_time / m_steps, err) for m_steps, err in
             zip(cfg.steps_list, _ERRORS[cfg.method](n, cfg))]
-    rate = fit_rate([r[0] for r in rows], [r[1] for r in rows])
-    _write_csv(cfg.out, "k,error", rows)
-    _write_summary(_summary_path(cfg.out), [
-        ("study", "converge-k"), ("method", cfg.method),
-        ("rhs", cfg.rhs), ("degree", str(cfg.degree)),
-        ("dg_order", str(cfg.dg_order)), ("n", str(n)),
-        ("fitted_rate", rate), *_expected_rate(cfg, cfg.dg_order + 1),
-        _fit_points(rows),
-    ])
-    return rows, rate
+    return _sweep(cfg, "converge-k", "k,error", rows, [
+        ("method", cfg.method), ("rhs", cfg.rhs), ("degree", str(cfg.degree)),
+        ("dg_order", str(cfg.dg_order)), ("n", str(n))], cfg.dg_order + 1)
 
 
 def converge_h(cfg):
@@ -177,16 +176,9 @@ def converge_h(cfg):
     (m_steps,) = cfg.steps_list
     rows = [(math.sqrt(2.0) / n, err) for n in cfg.mesh_list
             for err in _ERRORS[cfg.method](n, cfg)]
-    rate = fit_rate([r[0] for r in rows], [r[1] for r in rows])
-    _write_csv(cfg.out, "h,error", rows)
-    _write_summary(_summary_path(cfg.out), [
-        ("study", "converge-h"), ("method", cfg.method),
-        ("rhs", cfg.rhs), ("degree", str(cfg.degree)),
-        ("dg_order", str(cfg.dg_order)), ("steps", str(m_steps)),
-        ("fitted_rate", rate), *_expected_rate(cfg, cfg.degree),
-        _fit_points(rows),
-    ])
-    return rows, rate
+    return _sweep(cfg, "converge-h", "h,error", rows, [
+        ("method", cfg.method), ("rhs", cfg.rhs), ("degree", str(cfg.degree)),
+        ("dg_order", str(cfg.dg_order)), ("steps", str(m_steps))], cfg.degree)
 
 
 def stationary_study(cfg):
@@ -200,14 +192,8 @@ def stationary_study(cfg):
         proj = ritz_projection(form, phi)
         err = h1_field_error(space, proj.coefficients, phi)
         rows.append((math.sqrt(2.0) / n, err))
-    rate = fit_rate([r[0] for r in rows], [r[1] for r in rows])
-    _write_csv(cfg.out, "h,error", rows)
-    _write_summary(_summary_path(cfg.out), [
-        ("study", "stationary"), ("degree", str(cfg.degree)),
-        ("fitted_rate", rate), ("expected_rate", str(cfg.degree)),
-        _fit_points(rows),
-    ])
-    return rows, rate
+    return _sweep(cfg, "stationary", "h,error", rows,
+                  [("degree", str(cfg.degree))], cfg.degree)
 
 
 def compare_mini(cfg):
@@ -349,6 +335,10 @@ def diagnostics(cfg):
     return report
 
 
+_SWEEPS = {"converge-k": converge_k, "converge-h": converge_h,
+           "stationary": stationary_study}
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="streamfem",
@@ -433,7 +423,7 @@ def _check_inputs(study, values, given):
 
 
 def _parse_int_list(text):
-    return tuple(int(part) for part in text.split(",") if part)
+    return tuple(int(part) for part in text.split(","))
 
 
 _EXPECTED = {_parse_int_list: "comma-separated integers", int: "an integer",
@@ -509,15 +499,9 @@ def main(argv=None):
     except (ValueError, OSError) as exc:  # bad flag, config file or key
         parser.error(str(exc))
     failed = False
-    if args.command == "converge-k":
-        rows, rate = converge_k(cfg)
-        print(f"converge-k: fitted rate {rate:.3f}")
-    elif args.command == "converge-h":
-        rows, rate = converge_h(cfg)
-        print(f"converge-h: fitted rate {rate:.3f}")
-    elif args.command == "stationary":
-        rows, rate = stationary_study(cfg)
-        print(f"stationary: fitted rate {rate:.3f}")
+    if args.command in _SWEEPS:
+        _, rate = _SWEEPS[args.command](cfg)
+        print(f"{args.command}: fitted rate {rate:.3f}")
     elif args.command == "compare-mini":
         _, ratio, sf_gap, checks = compare_mini(cfg)
         print(f"compare-mini: blow-up ratio {ratio:.3g}, "

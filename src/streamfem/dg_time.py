@@ -30,6 +30,14 @@ the diagonalized one.
 The space-time forms (``bh_primal``, ``bh_dual``, ``stability_functional``)
 pair all intervals at once on (M, r+1, n) coefficient blocks; their jump
 terms are shifts of the blocks by one interval.
+
+The space discretization enters only through a form with seven members:
+``space``; ``matrix`` and ``matrix_free``, a_h on all DOFs and on the
+free ones; ``factor()`` and ``release_factor()``, the cached LU of the
+free block; ``pairings(psi, rule)``, a_h(w_i, .) of every spatial factor
+of a clamped field; and ``triple_norm(v)``, sqrt(a_h(v, v)).
+``cip.CipForm`` is one such form, and this module imports nothing from
+``cip``.
 """
 
 from dataclasses import dataclass
@@ -213,7 +221,7 @@ def dg_solve(form, partition, order, f=None, psi0=None, load_rule=None,
 
     Parameters
     ----------
-    form : CipForm
+    form : the space form (module notes), e.g. ``cip.CipForm``
     partition : TimePartition
     order : int
         Polynomial degree r >= 0 in time.
@@ -230,7 +238,7 @@ def dg_solve(form, partition, order, f=None, psi0=None, load_rule=None,
         Relative residual of every interval solve.
 
     The sweep never solves with A alone, so its first step releases the
-    form's cached factor of A (``CipForm.release_factor``), before K, the
+    form's cached factor of A (``form.release_factor``), before K, the
     loads or any mode factor exist: the previous factors go before the
     next exist.  A later ``form.factor()`` factors A again.
     """
@@ -404,8 +412,7 @@ def stability_data_norm(form, f, partition, psi0=None):
     total = float(partition.lengths @ (quad @ rule.weights))
 
     if psi0 is not None:
-        from .cip import triple_norm
-        total += triple_norm(form, h1_projection(space, psi0)) ** 2
+        total += form.triple_norm(h1_projection(space, psi0)) ** 2
     return total
 
 
@@ -428,7 +435,7 @@ def best_approx_terms(psi, form, partition, order):
     exact = term_tables(space, psi, "grad", rule)
     ritz = np.zeros((len(psi.terms), space.n_dofs))
     ritz[:, free] = [form.factor()(pair[free])
-                     for pair in _pairings(form, psi, rule)]
+                     for pair in form.pairings(psi, rule)]
     ritz = gradient_tables(space, rule, ritz)
     h1p = gradient_tables(space, rule, [
         _h1_lift(space, b)
@@ -505,7 +512,7 @@ def bh_dual(form, partition, order, ucoef, vcoef):
 
 
 def bh_analytic(form, psi, partition, order, vcoef, time_points=None,
-                volume_rule=None, edge_points=8):
+                volume_rule=None):
     """Space-time form applied to a smooth clamped field against blocks.
 
     Realizes the extension of the form to continuous-in-time arguments:
@@ -516,9 +523,8 @@ def bh_analytic(form, psi, partition, order, vcoef, time_points=None,
     space = form.space
     basis = TimeBasis(order)
     rule = interval_rule(time_points or data_time_points(order))
-    vrule = volume_rule or space.default_data_rule()
-    gloads = term_tables(space, psi, "grad load", vrule)        # (I, n)
-    cpairs = _pairings(form, psi, vrule, edge_points)
+    gloads = term_tables(space, psi, "grad load", volume_rule)  # (I, n)
+    cpairs = form.pairings(psi, volume_rule)
 
     # pairings of every load with v at every Gauss point, (M, P, I)
     lv = basis.values(rule.points)
@@ -531,21 +537,3 @@ def bh_analytic(form, psi, partition, order, vcoef, time_points=None,
     sig0 = np.array([tf.fn(0.0) for tf, _ in psi.terms])
     total += float((sig0 @ gloads) @ (basis.left_values @ vcoef[0]))
     return total
-
-
-def _pairings(form, psi, rule, edge_points=8):
-    """a_h(w_i, .) of every spatial factor of a clamped field, (I, n_dofs).
-
-    Built once per space (``FeSpace.term_table``): the consistency
-    pairing reads only the space of the form, not its penalty, and its
-    key holds the clamping flag, so a field flagged unclamped is still
-    refused.
-    """
-    from .cip import consistency_pairing
-
-    space = form.space
-    return np.stack([space.term_table(
-        ("pairing", edge_points, psi.clamped), w, rule,
-        lambda: consistency_pairing(form, w, volume_rule=rule,
-                                    edge_points=edge_points))
-        for _, w in psi.static_terms()])

@@ -157,7 +157,7 @@ class FeSpace:
     the rule tables (``phys_points``, ``basis_table``), the H1 stiffness
     matrix, its free block and factor, and the static data of separable
     fields (``term_table``), one entry per kind, spatial term and rule;
-    ``term_tables`` stacks the first four over the terms of a field:
+    ``term_tables`` stacks these four kinds over the terms of a field:
 
     - ``"load"``: the scalar load vector of each term, shared by
       ``dg_time.dg_solve`` and ``dg_time.stability_data_norm``;
@@ -167,10 +167,7 @@ class FeSpace:
     - ``"grad"``: the exact gradient table (F, Q, 2) of each term, shared
       by ``space_time_h1_error`` and ``dg_time.best_approx_terms``;
     - ``"value"``: the value table (F, Q) or (F, Q, 2) of each term, read
-      by ``mini_stokes.velocity_error_l2``;
-    - ``("pairing", edge_points, clamped)``: the consistency pairing of
-      each term in ``dg_time.bh_analytic`` (it does not depend on the
-      penalty).
+      by ``mini_stokes.velocity_error_l2``.
     """
 
     def __init__(self, mesh, degree):

@@ -143,6 +143,16 @@ def test_config_precedence(tmp_path):
     (["compare-mini", "--mesh-list", "2", "--steps-list", "2"], None),
     (["diagnostics", "--rhs", "g_tilde"], None),
     (["diagnostics"], "rhs = f\n"),
+    (["converge-k", "--mesh-list", "2", "--steps-list", "1,2", "--eta",
+      "nan"], None),
+    (["converge-k", "--mesh-list", "2", "--steps-list", "1,2", "--eta",
+      "inf"], None),
+    (["converge-k", "--mesh-list", "2", "--steps-list", "1,2"],
+     "end_time = nan\n"),
+    (["converge-k", "--mesh-list", "2", "--steps-list", "1,2"],
+     "end_time = inf\n"),
+    (["converge-h", "--mesh-list", "2,,4,", "--steps-list", "2"], None),
+    (["converge-h", "--steps-list", "2"], "mesh_list = 2,,4\n"),
 ])
 def test_config_errors_exit_2(tmp_path, capsys, argv, config):
     """Bad flags, config keys, list entries, out-of-range values and files

@@ -447,8 +447,7 @@ def test_galerkin_orthogonality(order, rng):
     for _ in range(5):
         v = rng.standard_normal(sol.coefficients.shape)
         v[:, :, space.boundary_dofs] = 0.0
-        lhs = bh_analytic(form, psi, part, order, v, volume_rule=rule,
-                          edge_points=16)
+        lhs = bh_analytic(form, psi, part, order, v, volume_rule=rule)
         rhs = bh_primal(form, part, order, sol.coefficients, v)
         assert abs(lhs - rhs) <= 1e-7 * (abs(lhs) + abs(rhs) + 1e-30)
 
@@ -713,3 +712,40 @@ def test_solution_error_decreases_with_time_refinement():
         sol = dg_solve(form, make_partition(m), 0, f=mf.f_scalar())
         errs.append(space_time_h1_error(sol, psi))
     assert errs[0] > errs[1] > errs[2]
+
+
+# -- the form protocol ---------------------------------------------------
+
+
+class _FormView:
+    """The seven members of a form the time layer reads, and no others."""
+
+    __slots__ = ("space", "matrix", "matrix_free", "factor",
+                 "release_factor", "pairings", "triple_norm")
+
+    def __init__(self, form):
+        for name in self.__slots__:
+            setattr(self, name, getattr(form, name))
+
+
+def test_time_layer_reads_the_form_only_through_its_protocol(space_n4_l2,
+                                                             rng):
+    form = assemble_cip(space_n4_l2)
+    part, order = make_partition(4), 1
+    psi, f = mf.psi_exact(), mf.f_scalar()
+    v = rng.standard_normal((4, order + 1, space_n4_l2.n_dofs))
+    v[:, :, space_n4_l2.boundary_dofs] = 0.0
+
+    def results(target):
+        sol = dg_solve(target, part, order, f=f)
+        return [sol.coefficients,
+                bh_analytic(target, psi, part, order, v),
+                bh_primal(target, part, order, sol.coefficients, v),
+                best_approx_terms(psi, target, part, order),
+                stability_functional(sol, target),
+                stability_data_norm(target, f, part, psi0=mf.phi())]
+
+    view = _FormView(form)
+    assert not hasattr(view, "eta")
+    for through_form, through_view in zip(results(form), results(view)):
+        assert np.array_equal(through_form, through_view)

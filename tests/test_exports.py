@@ -65,3 +65,18 @@ def test_every_export_has_a_caller_outside_the_tests():
                   f"streamfem.{name}").__all__
               if not reads[export]]
     assert unread == []
+
+
+def test_time_layer_imports_nothing_from_cip():
+    """``dg_time`` reads the space discretization only through its form:
+    it imports no ``cip`` module or name, and the CIP edge rule
+    (``edge_points``) appears nowhere in it."""
+    source = (SOURCE / "dg_time.py").read_text()
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(alias.name for alias in node.names)
+        if isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module)
+    assert not [name for name in imported if "cip" in name.split(".")]
+    assert "edge_points" not in source
