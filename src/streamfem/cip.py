@@ -80,20 +80,18 @@ class CipForm:
         """Drop the cached LU of a_h; ``factor()`` rebuilds it lazily."""
         self._factor = None
 
-    def pairings(self, psi, rule=None):
+    def pairings(self, psi):
         """a_h(w_i, .) of every spatial factor of a clamped field, (I, n_dofs).
 
-        Built once per space (``FeSpace.term_table``, key ``("pairing",
-        clamped)``): the consistency pairing reads only the space of the
-        form, not its penalty, and its key holds the clamping flag, so a
-        field flagged unclamped is still refused.
+        Built once per space and data rule (``FeSpace.term_table``, key
+        ``("pairing", clamped)``): the consistency pairing reads only the
+        space of the form, not its penalty, and its key holds the
+        clamping flag, so a field flagged unclamped is still refused.
         """
         space = self.space
-        rule = rule or space.default_data_rule()
-        return np.stack([space.term_table(
-            ("pairing", psi.clamped), w, rule,
-            lambda: consistency_pairing(self, w, volume_rule=rule))
-            for _, w in psi.static_terms()])
+        return np.stack([space.term_table(("pairing", psi.clamped), w,
+                                          lambda: consistency_pairing(self, w))
+                         for _, w in psi.static_terms()])
 
     def triple_norm(self, v):
         """Energy norm sqrt(a_h(v, v)); raises when coercivity fails."""
@@ -292,24 +290,25 @@ def _assemble_matrices(space, eta, flip_normals):
     return full, free
 
 
-def consistency_pairing(form, w, volume_rule=None, edge_points=8):
+def consistency_pairing(form, w):
     """Vector of a_h(w, phi_i) for a clamped static analytic target w.
 
     Valid for w with w = dw/dn = 0 on the boundary (the caller asserts
     this); the jump terms of w vanish identically and are omitted, so
     only the element Hessian contraction and the average-of-second-
-    normal-derivative term against the test jumps remain.
+    normal-derivative term against the test jumps remain.  The volume
+    term takes the data rule of the space, the edge term 8 Gauss points.
     """
     space = form.space
     mesh = space.mesh
     if not getattr(w, "clamped", False):
         raise ValueError("consistency pairing requires a clamped target "
                          "(w and grad w vanishing on the boundary)")
-    vol_rule = volume_rule or space.default_data_rule()
+    vol_rule = space.default_data_rule()
     out = assemble_tested(space, w.hess(0.0, space.phys_points(vol_rule)),
                           2, vol_rule)
 
-    erule = interval_rule(edge_points)
+    erule = interval_rule(8)
     svals = erule.points
     normals, minus, plus, lminus, lplus = _edge_frames(mesh)
     interior = np.flatnonzero(~mesh.boundary_edge)

@@ -12,17 +12,19 @@ stream-function method, the expected asymptotic rate.
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import manufactured as mf
-from .cip import _assemble_matrices, assemble_cip, ritz_projection
-from .dg_time import (best_approx_terms, bh_analytic, bh_primal, dg_solve,
-                      make_partition, stability_data_norm,
+from .cip import (CoercivityError, _assemble_matrices, apply_Ah,
+                  assemble_cip, ritz_projection)
+from .dg_time import (best_approx_terms, bh_analytic, bh_dual, bh_primal,
+                      dg_solve, make_partition, stability_data_norm,
                       stability_functional)
-from .fem import build_space, h1_field_error, space_time_h1_error
+from .fem import FeFunction, build_space, h1_field_error, space_time_h1_error
+from .linalg import SolverError, symmetry_gap
 from .mesh import build_structured_mesh
 from .mini_stokes import build_mini_space, mini_transient_solve, \
     velocity_error_l2
@@ -268,7 +270,6 @@ def diagnostics(cfg):
         gap = max(gap, abs(lhs - rhs) / scale)
     check("jump identity", gap, 1e-13)
 
-    from .linalg import symmetry_gap
     check("a_h symmetry", symmetry_gap(form.matrix), 0.0)
 
     # the check compares matrices only, so the flipped one is not certified
@@ -279,8 +280,6 @@ def diagnostics(cfg):
     scale = float(np.abs(form.matrix.data).max())
     check("normal orientation invariance", orient / scale, 1e-13)
 
-    from .cip import apply_Ah
-    from .fem import FeFunction
     adj = 0.0
     for _ in range(3):
         u = np.zeros(space.n_dofs)
@@ -295,7 +294,6 @@ def diagnostics(cfg):
     check("A_h self-adjointness", adj, 1e-9)
 
     pd_gap = 0.0
-    from .dg_time import bh_dual
     for _ in range(3):
         ub = rng.standard_normal(sol.coefficients.shape)
         vb = rng.standard_normal(sol.coefficients.shape)
@@ -389,7 +387,7 @@ _FIXED_LISTS = {"converge-k": ("mesh_list",), "converge-h": ("steps_list",),
                 "compare-mini": ("mesh_list",)}
 _SWEPT_LIST = {"converge-k": "steps_list", "compare-mini": "steps_list",
                "converge-h": "mesh_list", "stationary": "mesh_list"}
-_UNREAD = {"stationary": ("steps_list", "dg_order", "rhs"),
+_UNREAD = {"stationary": ("steps_list", "dg_order", "rhs", "end_time"),
            "compare-mini": ("method", "rhs"),
            "diagnostics": ("rhs",),
            "mini": ("degree", "dg_order", "eta")}
@@ -499,22 +497,28 @@ def main(argv=None):
     except (ValueError, OSError) as exc:  # bad flag, config file or key
         parser.error(str(exc))
     failed = False
-    if args.command in _SWEEPS:
-        _, rate = _SWEEPS[args.command](cfg)
-        print(f"{args.command}: fitted rate {rate:.3f}")
-    elif args.command == "compare-mini":
-        _, ratio, sf_gap, checks = compare_mini(cfg)
-        print(f"compare-mini: blow-up ratio {ratio:.3g}, "
-              f"stream-function column gap {sf_gap:.3g}")
-        for name, ok in checks:
-            print(f"{'PASS' if ok else 'FAIL'}: {name}")
-            failed |= not ok
-    else:
-        report = diagnostics(cfg)
-        for name, value, tol, ok in report:
-            print(f"{'PASS' if ok else 'FAIL'}: {name}: {value:.3e} "
-                  f"(tolerance {tol:.3e})")
-            failed |= not ok
+    try:
+        if args.command in _SWEEPS:
+            _, rate = _SWEEPS[args.command](cfg)
+            print(f"{args.command}: fitted rate {rate:.3f}")
+        elif args.command == "compare-mini":
+            _, ratio, sf_gap, checks = compare_mini(cfg)
+            print(f"compare-mini: blow-up ratio {ratio:.3g}, "
+                  f"stream-function column gap {sf_gap:.3g}")
+            for name, ok in checks:
+                print(f"{'PASS' if ok else 'FAIL'}: {name}")
+                failed |= not ok
+        else:
+            report = diagnostics(cfg)
+            for name, value, tol, ok in report:
+                print(f"{'PASS' if ok else 'FAIL'}: {name}: {value:.3e} "
+                      f"(tolerance {tol:.3e})")
+                failed |= not ok
+    except CoercivityError as exc:  # a penalty only the exact check refuses
+        parser.error(str(exc))
+    except SolverError as exc:      # a solve that missed its contract
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 1
     if cfg.assert_checks and failed:
         return 1
     return 0

@@ -34,10 +34,15 @@ terms are shifts of the blocks by one interval.
 The space discretization enters only through a form with seven members:
 ``space``; ``matrix`` and ``matrix_free``, a_h on all DOFs and on the
 free ones; ``factor()`` and ``release_factor()``, the cached LU of the
-free block; ``pairings(psi, rule)``, a_h(w_i, .) of every spatial factor
-of a clamped field; and ``triple_norm(v)``, sqrt(a_h(v, v)).
+free block; ``pairings(psi)``, a_h(w_i, .) of every spatial factor of
+a clamped field; and ``triple_norm(v)``, sqrt(a_h(v, v)).
 ``cip.CipForm`` is one such form, and this module imports nothing from
 ``cip``.
+
+Every integral decides its own quadrature: space integrals of the data
+read ``FeSpace.default_data_rule()``, and each time integral takes the
+Gauss rule its docstring names, ``data_time_points(r)`` for the loads
+of ``dg_solve`` and the analytic side of ``bh_analytic``.
 """
 
 from dataclasses import dataclass
@@ -210,8 +215,7 @@ def _initial_coefficients(space, psi0):
     return h1_projection(space, psi0).coefficients
 
 
-def dg_solve(form, partition, order, f=None, psi0=None, load_rule=None,
-             rtol=1e-10):
+def dg_solve(form, partition, order, f=None, psi0=None, rtol=1e-10):
     """Forward sweep for the fully discrete transient problem.
 
     Interval m solves C (K X) + k_m M (A X) = R for its (r+1, n_free)
@@ -229,11 +233,9 @@ def dg_solve(form, partition, order, f=None, psi0=None, load_rule=None,
         Scalar data, None for a vanishing right-hand side.  Its time
         factors are sampled at ``data_time_points(order)`` Gauss points
         per interval (``sample_time_factors``) and its separable terms
-        load once each (``term_tables``).
+        load once each with the data rule (``term_tables``).
     psi0 : FeFunction, field or None
         Initial datum, entering through its H1_0 projection.
-    load_rule : QuadratureRule, optional
-        Space rule for the data loads (default: the data rule).
     rtol : float
         Relative residual of every interval solve.
 
@@ -250,7 +252,7 @@ def dg_solve(form, partition, order, f=None, psi0=None, load_rule=None,
         loads = np.zeros((0, free.size))
         sig = np.zeros((partition.num_intervals, len(rule), 0))
     else:
-        loads = term_tables(space, f, "load", load_rule)[:, free]
+        loads = term_tables(space, f, "load")[:, free]
         sig, _ = sample_time_factors(f, partition, rule)
     coeffs = np.zeros((partition.num_intervals, order + 1, space.n_dofs))
     for m, block in enumerate(_forward_sweep(
@@ -432,14 +434,13 @@ def best_approx_terms(psi, form, partition, order):
     free = space.free_dofs
     rule = space.default_data_rule()
     trule = interval_rule(5)
-    exact = term_tables(space, psi, "grad", rule)
+    exact = term_tables(space, psi, "grad")
     ritz = np.zeros((len(psi.terms), space.n_dofs))
     ritz[:, free] = [form.factor()(pair[free])
-                     for pair in form.pairings(psi, rule)]
+                     for pair in form.pairings(psi)]
     ritz = gradient_tables(space, rule, ritz)
     h1p = gradient_tables(space, rule, [
-        _h1_lift(space, b)
-        for b in term_tables(space, psi, "grad load", rule)])
+        _h1_lift(space, b) for b in term_tables(space, psi, "grad load")])
     exact_minus_ritz = exact - ritz
     exact_and_h1p = np.concatenate([exact, h1p])
 
@@ -511,20 +512,21 @@ def bh_dual(form, partition, order, ucoef, vcoef):
             - _pair_blocks(_ONE, k, ucoef[:, -1:], jumps))
 
 
-def bh_analytic(form, psi, partition, order, vcoef, time_points=None,
-                volume_rule=None):
+def bh_analytic(form, psi, partition, order, vcoef):
     """Space-time form applied to a smooth clamped field against blocks.
 
     Realizes the extension of the form to continuous-in-time arguments:
     the field's jumps vanish, its elliptic pairing is the consistency
-    pairing, and the initial term pairs the field at t = 0.  The time
-    rule defaults to that of ``dg_solve``, ``data_time_points(order)``.
+    pairing, and the initial term pairs the field at t = 0.  Its time
+    rule is that of ``dg_solve``, ``data_time_points(order)``, and its
+    space rule the data rule, so Galerkin orthogonality holds up to the
+    space quadrature of the two sides.
     """
     space = form.space
     basis = TimeBasis(order)
-    rule = interval_rule(time_points or data_time_points(order))
-    gloads = term_tables(space, psi, "grad load", volume_rule)  # (I, n)
-    cpairs = form.pairings(psi, volume_rule)
+    rule = interval_rule(data_time_points(order))
+    gloads = term_tables(space, psi, "grad load")               # (I, n)
+    cpairs = form.pairings(psi)
 
     # pairings of every load with v at every Gauss point, (M, P, I)
     lv = basis.values(rule.points)

@@ -156,8 +156,9 @@ class FeSpace:
     The space caches what depends on it alone, for as long as it lives:
     the rule tables (``phys_points``, ``basis_table``), the H1 stiffness
     matrix, its free block and factor, and the static data of separable
-    fields (``term_table``), one entry per kind, spatial term and rule;
-    ``term_tables`` stacks these four kinds over the terms of a field:
+    fields (``term_table``), one entry per kind, spatial term and data
+    rule; ``term_tables`` stacks these four kinds over the terms of a
+    field:
 
     - ``"load"``: the scalar load vector of each term, shared by
       ``dg_time.dg_solve`` and ``dg_time.stability_data_norm``;
@@ -234,13 +235,15 @@ class FeSpace:
             self._cache[key] = (rule, build())
         return self._cache[key][1]
 
-    def term_table(self, kind, static, rule, build):
+    def term_table(self, kind, static, build):
         """``build()`` for the one-term field ``static``, once per space.
 
         ``static`` is a field of ``static_terms()``; the key holds its
         SpatialTerm itself, so no id of a freed term can pass to another
-        while the entry exists.  The table is read-only, since every later
-        caller shares it.
+        while the entry exists, and the rule ``default_data_rule()``
+        returns at the call, so no table built with another data rule is
+        returned.  The table is read-only, since every later caller
+        shares it.
         """
         (_, term), = static.terms
 
@@ -248,7 +251,7 @@ class FeSpace:
             table = build()
             table.setflags(write=False)
             return table
-        return self._rule_table((kind, term), rule, frozen)
+        return self._rule_table((kind, term), self.default_data_rule(), frozen)
 
     def default_matrix_rule(self):
         return triangle_rule(2 * self.degree)
@@ -383,57 +386,60 @@ def assemble_h1_stiffness(space):
         space, space.default_matrix_rule(), 1))
 
 
-def assemble_load_scalar(space, f, t=0.0, rule=None):
-    """Load vector b_i = int f(t, x) phi_i dx at one time."""
-    rule = rule or space.default_data_rule()
-    return assemble_tested(space, f.value(t, space.phys_points(rule)), 0,
+def assemble_load_scalar(space, f):
+    """Load vector b_i = int f(x) phi_i dx of a static field f (its value
+    at t = 0), with the data rule."""
+    rule = space.default_data_rule()
+    return assemble_tested(space, f.value(0.0, space.phys_points(rule)), 0,
                            rule)
 
 
-def assemble_load_dual(space, g, t=0.0, rule=None):
-    """Load b_i = int g . (d2 phi_i, -d1 phi_i) dx for vector data g.
+def assemble_load_dual(space, g):
+    """Load b_i = int g . (d2 phi_i, -d1 phi_i) dx of a static vector
+    field g (its value at t = 0), with the data rule.
 
     This realizes the functional f = -curl(g) through the rotated
     gradient of the test function, without differentiating g:
     g . (d2 phi, -d1 phi) = (-g2, g1) . grad phi.
     """
-    rule = rule or space.default_data_rule()
-    gv = g.value(t, space.phys_points(rule))
+    rule = space.default_data_rule()
+    gv = g.value(0.0, space.phys_points(rule))
     return assemble_tested(space, np.stack([-gv[..., 1], gv[..., 0]], -1),
                            1, rule)
 
 
-def assemble_load_gradient(space, w, t=0.0, rule=None):
-    """Load b_i = int grad(w) . grad(phi_i) dx for a field w."""
-    rule = rule or space.default_data_rule()
-    return assemble_tested(space, w.grad(t, space.phys_points(rule)), 1,
+def assemble_load_gradient(space, w):
+    """Load b_i = int grad(w) . grad(phi_i) dx of a static field w (its
+    value at t = 0), with the data rule."""
+    rule = space.default_data_rule()
+    return assemble_tested(space, w.grad(0.0, space.phys_points(rule)), 1,
                            rule)
 
 
-def term_tables(space, fld, kind, rule=None):
+def term_tables(space, fld, kind):
     """The static tables of every term of a separable field, (I, ...).
 
     ``kind`` is ``"load"`` (the scalar load), ``"grad load"`` (the
-    gradient load), ``"grad"`` (exact gradients at the rule points) or
-    ``"value"`` (values at the rule points) of each spatial factor w_i;
-    each table is built once per space and rule (``FeSpace.term_table``).
+    gradient load), ``"grad"`` (exact gradients at the data rule points)
+    or ``"value"`` (values at the data rule points) of each spatial
+    factor w_i; each table is built once per space and data rule
+    (``FeSpace.term_table``).
     """
-    rule = rule or space.default_data_rule()
-
     def build(static):
         if kind == "load":
-            return assemble_load_scalar(space, static, 0.0, rule=rule)
+            return assemble_load_scalar(space, static)
         if kind == "grad load":
-            return assemble_load_gradient(space, static, 0.0, rule=rule)
-        return getattr(static, kind)(0.0, space.phys_points(rule))
-    return np.stack([space.term_table(kind, w, rule, partial(build, w))
+            return assemble_load_gradient(space, static)
+        return getattr(static, kind)(
+            0.0, space.phys_points(space.default_data_rule()))
+    return np.stack([space.term_table(kind, w, partial(build, w))
                      for _, w in fld.static_terms()])
 
 
 # -- projections -------------------------------------------------------
 
 
-def h1_projection(space, w, rule=None):
+def h1_projection(space, w):
     """H1_0 projection onto the space: (grad Pw, grad v) = (grad w, grad v)."""
     if isinstance(w, FeFunction):
         if w.space is space:
@@ -441,7 +447,7 @@ def h1_projection(space, w, rule=None):
         else:
             raise ValueError("projection across spaces needs an analytic field")
     else:
-        b = assemble_load_gradient(space, w, 0.0, rule=rule)
+        b = assemble_load_gradient(space, w)
     return FeFunction(space, _h1_lift(space, b))
 
 
@@ -547,16 +553,16 @@ def h1_field_error(space, coefficients, fld):
     return float(np.sqrt(max(val, 0.0)))
 
 
-def space_time_h1_error(sol, psi, time_points=5, rule=None):
+def space_time_h1_error(sol, psi, time_points=5):
     """|| grad(psi - psi_kh) ||_{L2(I x Omega)} by Gauss-in-time quadrature.
 
     The discrete solution is taken right-continuous on each interval
     (t_{m-1}, t_m]; space integrals use the data quadrature rule.
     """
     space = sol.space
-    rule = rule or space.default_data_rule()
+    rule = space.default_data_rule()
     trule = interval_rule(time_points)
-    exact = term_tables(space, psi, "grad", rule)
+    exact = term_tables(space, psi, "grad")
     sig, _ = sample_time_factors(psi, sol.partition, trule)
     minus_basis = -sol.basis.values(trule.points)              # (P, r+1)
 

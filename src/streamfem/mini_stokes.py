@@ -169,12 +169,13 @@ def mini_transient_solve(space, partition, g, rtol=1e-10):
     return MiniSolution(space, partition, velocities, x[:, n_v:-1], x[:, -1])
 
 
-def velocity_error_l2(sol, u_exact, time_points=3, rule=None):
-    """|| u - u_kh ||_{L2(I x Omega)} for the piecewise-constant steps."""
+def velocity_error_l2(sol, u_exact):
+    """|| u - u_kh ||_{L2(I x Omega)} for the piecewise-constant steps,
+    with the data rule in space and 3 Gauss points per interval."""
     space = sol.space
-    rule = rule or space.default_data_rule()
-    trule = interval_rule(time_points)
-    exact = term_tables(space, u_exact, "value", rule)
+    rule = space.default_data_rule()
+    trule = interval_rule(3)
+    exact = term_tables(space, u_exact, "value")
     sig, _ = sample_time_factors(u_exact, sol.partition, trule)
     minus_one = -np.ones((len(trule), 1))
 

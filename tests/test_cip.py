@@ -219,7 +219,7 @@ def test_consistency_pairing_locality(form_n8_l2):
     assert pair.shape == (form_n8_l2.space.n_dofs,)
 
 
-def test_consistency_pairing_against_brute_force():
+def test_consistency_pairing_against_brute_force(monkeypatch):
     """Pairing entries on the n=2 mesh against an independent dense-rule
     integration of both term groups."""
     mesh = build_structured_mesh(2)
@@ -227,7 +227,10 @@ def test_consistency_pairing_against_brute_force():
     form = assemble_cip(space)
     phi = mf.phi()
     rule = triangle_rule(30)
-    pair = consistency_pairing(form, phi, volume_rule=rule, edge_points=24)
+    # this coarse mesh needs a denser volume rule than the data rule; the
+    # shipped 8-point edge rule already meets the tolerance
+    monkeypatch.setattr(space, "default_data_rule", lambda: rule)
+    pair = consistency_pairing(form, phi)
 
     # brute force: loop triangles and edges with plain dense quadrature
     from streamfem.quadrature import interval_rule
@@ -370,7 +373,7 @@ def test_solve_stationary_matches_ritz(form_n8_l2):
     assert np.all(got[space.boundary_dofs] == 0.0)
 
 
-def test_solve_stationary_biharmonic_load_converges():
+def test_solve_stationary_biharmonic_load_converges(monkeypatch):
     """Solving with the bilaplacian load reproduces the profile; the
     distance to the energy projection shrinks at second order."""
     phi = mf.phi()
@@ -381,8 +384,9 @@ def test_solve_stationary_biharmonic_load_converges():
     for n in (8, 16, 32):
         space = build_space(build_structured_mesh(n), 2)
         form = assemble_cip(space)
-        rhs = assemble_load_scalar(space, bilaplacian,
-                                   rule=triangle_rule(16))
+        with monkeypatch.context() as mp:
+            mp.setattr(space, "default_data_rule", lambda: triangle_rule(16))
+            rhs = assemble_load_scalar(space, bilaplacian)
         sol = _solve_a_h(form, rhs)
         errs.append(h1_field_error(space, sol.coefficients, phi))
         proj = ritz_projection(form, phi)

@@ -153,6 +153,7 @@ def test_config_precedence(tmp_path):
      "end_time = inf\n"),
     (["converge-h", "--mesh-list", "2,,4,", "--steps-list", "2"], None),
     (["converge-h", "--steps-list", "2"], "mesh_list = 2,,4\n"),
+    (["stationary", "--mesh-list", "2,4"], "end_time = 7\n"),
 ])
 def test_config_errors_exit_2(tmp_path, capsys, argv, config):
     """Bad flags, config keys, list entries, out-of-range values and files
@@ -214,6 +215,8 @@ def test_bad_values_name_the_option_and_format(tmp_path, capsys, argv,
     (["converge-k", "--mesh-list", "2"], "steps_list = 8\n",
      "steps_list: converge-k fits a rate to at least two strictly "
      "increasing entries, got 8"),
+    (["stationary", "--mesh-list", "2,4"], "end_time = 7\n",
+     "end_time: not read by stationary"),
 ])
 def test_unused_inputs_name_the_option_and_the_study(tmp_path, capsys, argv,
                                                      config, message):
@@ -262,3 +265,38 @@ def test_missing_output_directory_exits_2_before_any_work(tmp_path, capsys,
     assert "Traceback" not in "\n".join(err)
     assert assembled == []
     assert not missing.exists()
+
+
+def test_too_small_penalty_is_a_one_line_usage_error(tmp_path, capsys):
+    """A positive penalty that only the exact coercivity check refuses
+    ends in one usage line with exit code 2, not a traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main(["converge-k", "--mesh-list", "2", "--steps-list", "1,2",
+              "--eta", "0.5", "--out", str(tmp_path / "k.csv")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1] == \
+        "streamfem: error: eta=0.5 is too small: a_h is not definite"
+    assert "Traceback" not in "\n".join(err)
+    assert not (tmp_path / "k.csv").exists()
+
+
+def test_solver_failure_is_one_error_line_and_exit_1(tmp_path, capsys,
+                                                     monkeypatch):
+    """A solve that misses its residual contract ends in one error line
+    with its message and exit code 1, not a traceback."""
+    import streamfem.cli as cli
+    from streamfem.linalg import SolverError
+
+    def fail(form, w):
+        raise SolverError("residual 2.190e-10 above rtol 1.0e-10",
+                          residual=2.19e-10)
+    monkeypatch.setattr(cli, "ritz_projection", fail)
+    code = main(["stationary", "--mesh-list", "2,4",
+                 "--out", str(tmp_path / "s.csv")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "streamfem: error: residual 2.190e-10 above rtol 1.0e-10"]
+    assert captured.out == ""
+    assert not (tmp_path / "s.csv").exists()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from streamfem import dg_time
 from streamfem import manufactured as mf
 from streamfem.cip import assemble_cip
 from streamfem.dg_time import (DgSolution, TimeBasis, TimePartition,
@@ -81,10 +82,7 @@ class _MockSpace:
     def h1_factor(self):
         return Factorized(self._k)
 
-    def default_data_rule(self):
-        return None
-
-    def term_table(self, kind, static, rule, build):
+    def term_table(self, kind, static, build):
         """Every spatial factor has the load 1 on the one DOF."""
         return np.array([1.0])
 
@@ -433,21 +431,21 @@ def test_primal_dual_check_fails_on_a_wrong_gram(space_n4_l2, rng,
 
 
 @pytest.mark.parametrize("order", [0, 1])
-def test_galerkin_orthogonality(order, rng):
+def test_galerkin_orthogonality(order, rng, monkeypatch):
     # the identity holds up to data quadrature, so the data must be
-    # resolved identically on both routes: elevate the space rule (the
-    # time rule is shared by default)
+    # resolved identically on both routes: elevate the data rule of the
+    # space (the time rule is shared)
     from streamfem.quadrature import triangle_rule
     space = build_space(build_structured_mesh(4), 2)
+    monkeypatch.setattr(space, "default_data_rule", lambda: triangle_rule(20))
     form = assemble_cip(space)
     part = make_partition(8)
     psi = mf.psi_exact()
-    rule = triangle_rule(20)
-    sol = dg_solve(form, part, order, f=mf.f_scalar(), load_rule=rule)
+    sol = dg_solve(form, part, order, f=mf.f_scalar())
     for _ in range(5):
         v = rng.standard_normal(sol.coefficients.shape)
         v[:, :, space.boundary_dofs] = 0.0
-        lhs = bh_analytic(form, psi, part, order, v, volume_rule=rule)
+        lhs = bh_analytic(form, psi, part, order, v)
         rhs = bh_primal(form, part, order, sol.coefficients, v)
         assert abs(lhs - rhs) <= 1e-7 * (abs(lhs) + abs(rhs) + 1e-30)
 
@@ -462,13 +460,18 @@ def diagnostics_default_run():
 
 
 def _orthogonality_residuals(run, rng, time_points=None):
+    """The residuals of five random test blocks; ``time_points`` replaces
+    the data time rule of ``bh_analytic`` alone, not that of the solve."""
     form, part, sol = run
     out = []
     for _ in range(5):
         v = rng.standard_normal(sol.coefficients.shape)
         v[:, :, form.space.boundary_dofs] = 0.0
-        lhs = bh_analytic(form, mf.psi_exact(), part, 0, v,
-                          time_points=time_points)
+        with pytest.MonkeyPatch.context() as mp:
+            if time_points is not None:
+                mp.setattr(dg_time, "data_time_points",
+                           lambda order: time_points)
+            lhs = bh_analytic(form, mf.psi_exact(), part, 0, v)
         rhs = bh_primal(form, part, 0, sol.coefficients, v)
         out.append(abs(lhs - rhs) / (abs(lhs) + abs(rhs)))
     return np.array(out)

@@ -1,8 +1,9 @@
 import ast
 import importlib
+import inspect
 import pkgutil
 import types
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
@@ -65,6 +66,61 @@ def test_every_export_has_a_caller_outside_the_tests():
                   f"streamfem.{name}").__all__
               if not reads[export]]
     assert unread == []
+
+
+def _passed(paths):
+    """The arguments that the calls in ``paths`` pass, per called name: the
+    keyword names and the positions."""
+    out = defaultdict(set)
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                out[name].update(range(len(node.args)))
+                out[name].update(kw.arg for kw in node.keywords)
+    return out
+
+
+# defaults that no call in the package or the benchmark sets, and why each
+# stays
+UNSET_DEFAULTS = {
+    "dg_solve.rtol": "the residual contract, which ROADMAP item 1 redefines",
+    "mini_transient_solve.rtol": "the residual contract, which ROADMAP "
+                                 "item 1 redefines",
+    "stability_functional.psi0": "the initial datum of the problem",
+    "stability_data_norm.psi0": "the initial datum of the problem",
+    "space_time_h1_error.time_points": "the benchmark tracer binds it to "
+                                       "count fem.error_evals",
+    "main.argv": "the console entry point calls main()",
+}
+
+
+def test_every_default_is_set_outside_the_tests():
+    """Every parameter with a default of a function in a module's
+    ``__all__`` is passed, by keyword or at its position, by some call in
+    the package or the benchmark code, or is listed with its reason in
+    ``UNSET_DEFAULTS``.  A default only the tests change is a setting no
+    program varies: the function decides it itself."""
+    passed = _passed([*SOURCE.glob("*.py"),
+                      *(path for path in PERFBENCH.glob("*.py")
+                        if not path.name.startswith("test_"))])
+    unset = []
+    for name in MODULES:
+        module = importlib.import_module(f"streamfem.{name}")
+        for export in module.__all__:
+            fn = getattr(module, export)
+            if not inspect.isfunction(fn):
+                continue
+            calls = passed[export]
+            for pos, param in enumerate(
+                    inspect.signature(fn).parameters.values()):
+                if param.default is not param.empty and not (
+                        calls & {pos, param.name}):
+                    unset.append(f"{export}.{param.name}")
+    extra = [key for key in unset if key not in UNSET_DEFAULTS]
+    assert not extra, f"defaults no program sets: {', '.join(extra)}"
+    assert sorted(UNSET_DEFAULTS) == sorted(unset)
 
 
 def test_time_layer_imports_nothing_from_cip():

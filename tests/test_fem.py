@@ -7,9 +7,9 @@ import scipy.integrate
 from streamfem import manufactured as mf
 from streamfem.fem import (FeFunction, assemble_h1_stiffness,
                            assemble_load_dual, assemble_load_scalar,
-                           build_space, gradient_tables, h1_field_error,
-                           h1_projection, reference_basis, term_tables,
-                           value_tables, _lattice)
+                           assemble_tested, build_space, gradient_tables,
+                           h1_field_error, h1_projection, reference_basis,
+                           term_tables, value_tables, _lattice)
 from streamfem.linalg import symmetry_gap
 from streamfem.mesh import build_structured_mesh
 from streamfem.quadrature import QuadratureRule, triangle_rule
@@ -157,6 +157,12 @@ def _constant_field(value):
     return ScalarField([(TimeFactor.one(), SpatialTerm(val, grad))])
 
 
+def _load_at(assemble, space, fld, t):
+    """The load of a separable field at time t: sum_i sigma_i(t) times the
+    load of the static factor w_i."""
+    return sum(tf.fn(t) * assemble(space, w) for tf, w in fld.static_terms())
+
+
 def test_zero_load(space_n4_l2):
     b = assemble_load_scalar(space_n4_l2, _constant_field(0.0))
     assert np.all(b == 0.0)
@@ -168,7 +174,7 @@ def test_unit_load_sums_to_area():
     assert b.sum() == pytest.approx(1.0, rel=1e-12)
 
 
-def test_scalar_load_against_adaptive_quadrature():
+def test_scalar_load_against_adaptive_quadrature(monkeypatch):
     """Entries of the manufactured load at t = 0.25 against per-entry
     adaptive quadrature with independently fitted basis polynomials.
 
@@ -180,7 +186,8 @@ def test_scalar_load_against_adaptive_quadrature():
     space = build_space(mesh, 2)
     f = mf.f_scalar()
     t = 0.25
-    b = assemble_load_scalar(space, f, t, rule=triangle_rule(30))
+    monkeypatch.setattr(space, "default_data_rule", lambda: triangle_rule(30))
+    b = _load_at(assemble_load_scalar, space, f, t)
 
     lat = _lattice(2)
     checked = 0
@@ -245,16 +252,16 @@ def test_dual_load_constant_field_interior_zero():
     assert np.abs(b[space.free_dofs]).max() < 1e-13
 
 
-def test_dual_route_matches_scalar_route():
+def test_dual_route_matches_scalar_route(monkeypatch):
     """The vector data paired with rotated gradients must reproduce the
     closed-form scalar data entry by entry (interior DOFs); the two
     integrands differ analytically by one integration by parts, so the
     rule must resolve the oscillatory data."""
     space = build_space(build_structured_mesh(4), 2)
     t = 0.25
-    rule = triangle_rule(24)
-    b_dual = assemble_load_dual(space, mf.g_field(), t, rule=rule)
-    b_scal = assemble_load_scalar(space, mf.f_scalar(), t, rule=rule)
+    monkeypatch.setattr(space, "default_data_rule", lambda: triangle_rule(24))
+    b_dual = _load_at(assemble_load_dual, space, mf.g_field(), t)
+    b_scal = _load_at(assemble_load_scalar, space, mf.f_scalar(), t)
     idx = space.free_dofs
     scale = np.abs(b_scal[idx]).max()
     assert np.abs(b_dual[idx] - b_scal[idx]).max() < 1e-8 * max(scale, 1.0)
@@ -262,12 +269,14 @@ def test_dual_route_matches_scalar_route():
 
 def test_term_loads_times_time_factors_match_direct(space_n4_l2):
     """sum_i sigma_i(t) b_i from the stacked term loads is the load of
-    the whole field at t."""
+    the whole field at t, tested directly at the data rule points."""
     f = mf.f_scalar()
     loads = term_tables(space_n4_l2, f, "load")
+    rule = space_n4_l2.default_data_rule()
     for t in (0.1, 0.37):
         sig = np.array([tf.fn(t) for tf, _ in f.terms])
-        direct = assemble_load_scalar(space_n4_l2, f, t)
+        direct = assemble_tested(
+            space_n4_l2, f.value(t, space_n4_l2.phys_points(rule)), 0, rule)
         assert sig @ loads == pytest.approx(direct, abs=1e-12)
 
 

@@ -192,12 +192,16 @@ def test_velocity_error_of_zero_solution_is_data_norm():
     zero = mf.VectorField([(mf.TimeFactor.one(),
                             mf.SpatialTerm(lambda p: np.zeros(p.shape)))])
     sol = mini_transient_solve(space, part, zero)
-    u = mf.u_exact()
-    # on this coarse mesh the oscillatory integrand needs elevated rules
-    from streamfem.quadrature import triangle_rule
-    err = velocity_error_l2(sol, u, time_points=20, rule=triangle_rule(20))
-    # squared mean of sin(2 pi t) is 1/2 and || Curl phi ||^2 = 3 pi^2 / 2
-    exact = math.sqrt(0.5 * 1.5 * math.pi ** 2)
+
+    def w(p):
+        return np.stack([p[..., 0] ** 2, p[..., 0] * p[..., 1]], axis=-1)
+    # u = t w(x): |u|^2 is of degree 2 in t and 4 in x, so the shipped
+    # rules (3 Gauss points per interval, the degree-8 data rule) are exact
+    u = mf.VectorField([(mf.TimeFactor(lambda t: t, lambda t: 1.0),
+                         mf.SpatialTerm(w))])
+    err = velocity_error_l2(sol, u)
+    # int_0^1 t^2 dt = 1/3 and || w ||^2 = 1/5 + 1/9 = 14/45
+    exact = math.sqrt(14.0 / 135.0)
     assert err == pytest.approx(exact, rel=1e-6)
 
 

@@ -113,7 +113,7 @@ def space():
     return build_space(build_structured_mesh(4), 2)
 
 
-def test_loads_and_exact_gradients_once_per_rule(space):
+def test_loads_and_exact_gradients_once_per_rule(space, monkeypatch):
     form = assemble_cip(space)
     part = make_partition(3)
     f, psi = _counting_load(), _counting_psi()
@@ -123,10 +123,11 @@ def test_loads_and_exact_gradients_once_per_rule(space):
     assert psi.terms[0][1].grad.calls == 1
     assert errors[0] == errors[1]
 
-    # another rule is another entry
-    coarse = triangle_rule(6)
-    dg_solve(form, part, 0, f=f, load_rule=coarse)
-    space_time_h1_error(sols[0], psi, rule=coarse)
+    # another data rule of the space is another entry
+    with monkeypatch.context() as mp:
+        mp.setattr(space, "default_data_rule", lambda: triangle_rule(6))
+        dg_solve(form, part, 0, f=f)
+        space_time_h1_error(sols[0], psi)
     assert [term.value.calls for _, term in f.terms] == [2, 2]
     assert psi.terms[0][1].grad.calls == 2
 
@@ -153,9 +154,9 @@ def test_stability_and_best_approximation_share_the_loads(space):
     assert psi.terms[0][1].grad.calls == 2      # the exact gradient table
 
 
-def test_velocity_error_values_once_per_rule():
+def test_velocity_error_values_once_per_rule(monkeypatch):
     """velocity_error_l2 reads the value table of each term of u from the
-    space, once per space and rule."""
+    space, once per space and data rule."""
     space = build_mini_space(build_structured_mesh(2))
     part = make_partition(2)
     sol = mini_transient_solve(space, part, mf.g_field())
@@ -164,7 +165,8 @@ def test_velocity_error_values_once_per_rule():
     errors = [velocity_error_l2(sol, u) for _ in range(2)]
     assert [term.value.calls for _, term in u.terms] == [1, 1]
     assert errors[0] == errors[1]
-    velocity_error_l2(sol, u, rule=triangle_rule(6))
+    monkeypatch.setattr(space, "default_data_rule", lambda: triangle_rule(6))
+    velocity_error_l2(sol, u)
     assert [term.value.calls for _, term in u.terms] == [2, 2]
 
 
@@ -256,7 +258,7 @@ def test_cached_tables_are_read_only(space):
     psi = mf.psi_exact()
     rule = space.default_data_rule()
     (_, w), = psi.static_terms()
-    table = space.term_table("grad", w, rule,
+    table = space.term_table("grad", w,
                              lambda: w.grad(0.0, space.phys_points(rule)))
     with pytest.raises(ValueError):
         table[0, 0, 0] = 1.0
