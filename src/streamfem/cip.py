@@ -3,17 +3,19 @@
 The bilinear form combines element integrals of D^2 v : D^2 w with edge
 integrals of the average second normal derivative against the jump of
 the normal derivative, plus the (eta / |e|)-weighted jump-jump penalty.
-Jump and average follow the two-sided convention on interior edges
-(normal pointing from T- into T+) and the one-sided convention
-jump = -dv/dn, avg = d^2 v/dn^2 on boundary edges; the assembled matrix
-is independent of which of the two normals is chosen per edge.
+On an interior edge with normal n pointing from T- into T+,
+[[dv/dn]] = dv+/dn - dv-/dn and {d^2 v/dn^2} is the mean of both sides;
+on a boundary edge [[dv/dn]] = -dv/dn and {d^2 v/dn^2} = d^2 v/dn^2.
+This convention is written once, in ``_edge_parts``, the edge iterator
+that both the matrix and the consistency pairing walk; the assembled
+matrix is independent of which of the two normals is chosen per edge.
 
 The kernels work on reference tables, never on physical per-cell basis
 tables.  The element term is ``fem.element_matrices`` at k = 2: one
 product of the per-cell factor det J (G kron G), G = J^-1 J^-T, with the
 reference Hessian tensor.  Edge traces contract the reference gradient
-and Hessian, tabulated once on each of the six oriented local edges,
-with the reference normal nu = J^-1 n.  The volume term of
+or Hessian, tabulated on each of the six oriented local edges, with the
+reference normal nu = J^-1 n.  The volume term of
 ``consistency_pairing`` pulls D^2 w back to J^-1 (D^2 w) J^-T and tests
 it against the reference Hessians with one product.
 """
@@ -122,13 +124,37 @@ def _edge_frames(mesh, flip=None):
     return normals, minus, plus, lminus, lplus
 
 
-def _edge_tables(degree, svals):
-    """Reference gradients and Hessians on the six oriented local edges.
+def _edge_parts(space, flip=None):
+    """The interior edges, then the boundary edges, with their sides.
+
+    Yields (edges, normals, sides, gdofs) per nonempty part: the edge
+    ids, their normals (E, 2), the sides as (triangles, local edges,
+    jump sign, average weight), and the int32 DOFs of the sides' local
+    bases side by side (E, sum n_loc).  An interior edge has the sides
+    T+ (sign +1) and T- (sign -1), each of average weight 1/2; a
+    boundary edge has T- alone, of sign -1 and weight 1.
+    """
+    mesh = space.mesh
+    dof = space.dof_map.astype(np.int32)
+    normals, minus, plus, lminus, lplus = _edge_frames(mesh, flip)
+    for edges, sides in ((~mesh.boundary_edge, ((plus, lplus, 1.0, 0.5),
+                                                (minus, lminus, -1.0, 0.5))),
+                         (mesh.boundary_edge, ((minus, lminus, -1.0, 1.0),))):
+        edges = np.flatnonzero(edges)
+        if edges.size:
+            sides = [(tri[edges], loc[edges], sign, weight)
+                     for tri, loc, sign, weight in sides]
+            yield (edges, normals[edges], sides,
+                   np.concatenate([dof[tri] for tri, *_ in sides], axis=1))
+
+
+def _edge_tables(degree, svals, order):
+    """Reference derivatives of one order on the six oriented local edges.
 
     Configuration 2 * le + f covers local edge le = (i, j) run from its
     lower to its higher global vertex (the orientation shared edge DOFs
-    use): j -> i for f = 0 and i -> j for f = 1.  Returns
-    (6, 2, Q * n_loc) and (6, 4, Q * n_loc) tables; row a, or 2a + b,
+    use): j -> i for f = 0 and i -> j for f = 1.  Returns a
+    (6, 2**order, Q * n_loc) table; row a (order 1) or 2a + b (order 2)
     holds d_a phi^ or d_a d_b phi^ at every point.
     """
     pts = []
@@ -136,36 +162,45 @@ def _edge_tables(degree, svals):
         a, b = _VERT_REF[i], _VERT_REF[j]
         for r0, r1 in ((b, a), (a, b)):
             pts.append(np.outer(1.0 - svals, r0) + np.outer(svals, r1))
-    pts = np.array(pts)                                        # (6, Q, 2)
-    grad = reference_basis(degree, pts, 1)                     # (6, Q, L, 2)
-    hess = reference_basis(degree, pts, 2).reshape(grad.shape[:3] + (4,))
-    return (np.moveaxis(grad, -1, 1).reshape(6, 2, -1),
-            np.moveaxis(hess, -1, 1).reshape(6, 4, -1))
+    ref = reference_basis(degree, np.array(pts), order)     # (6, Q, L, ...)
+    ref = ref.reshape(ref.shape[:3] + (-1,))
+    return np.moveaxis(ref, -1, 1).reshape(6, 2 ** order, -1)
 
 
-def _side_traces(space, tri, local_edge, normals, svals):
-    """Normal-derivative and second-normal-derivative traces on edges.
+def _side_traces(space, tri, local_edge, normals, svals, order):
+    """Normal derivatives of one order of a side's local basis on edges.
 
-    Returns (dn, d2n) of shape (E, Q, n_loc): derivatives along the
-    edge normal of the local basis of triangle `tri`, evaluated on the
-    edge from that triangle's side.  With the reference normal
-    nu = J^-1 n, dn = nu . grad phi^ and d2n = nu^T (D^2 phi^) nu, so
-    each edge configuration is one matrix product against its table.
+    Returns (E, Q, n_loc): the first (order 1) or second (order 2)
+    derivative along the edge normal of the local basis of triangle
+    `tri`, evaluated on the edge from that triangle's side.  With the
+    reference normal nu = J^-1 n, dn = nu . grad phi^ and
+    d2n = nu^T (D^2 phi^) nu, so each edge configuration is one matrix
+    product against its table.
     """
     i_loc, j_loc = np.array(_LOCAL_EDGES).T[:, local_edge]
     tris = space.mesh.triangles
     config = 2 * local_edge + (tris[tri, i_loc] < tris[tri, j_loc])
-    grad, hess = _edge_tables(space.degree, svals)
+    table = _edge_tables(space.degree, svals, order)
     nu = (space.jac_inv[tri] @ normals[:, :, None])[..., 0]   # (E, 2)
-    nu_nu = (nu[:, :, None] * nu[:, None, :]).reshape(-1, 4)
-    dn = np.empty((len(tri), grad.shape[-1]))
-    d2n = np.empty_like(dn)
+    if order == 2:
+        nu = (nu[:, :, None] * nu[:, None, :]).reshape(-1, 4)
+    out = np.empty((len(tri), table.shape[-1]))
     for k in range(6):
         sel = config == k
-        dn[sel] = nu[sel] @ grad[k]
-        d2n[sel] = nu_nu[sel] @ hess[k]
-    shape = (len(tri), len(svals), -1)
-    return dn.reshape(shape), d2n.reshape(shape)
+        out[sel] = nu[sel] @ table[k]
+    return out.reshape(len(tri), len(svals), -1)
+
+
+def _edge_traces(space, sides, normals, svals, order):
+    """[[dn phi]] (order 1) or {d2n phi} (order 2) on one part's edges.
+
+    The sides' traces times their jump sign or average weight, side by
+    side as the part's DOFs stand, (E, Q, sum n_loc).
+    """
+    return np.concatenate([
+        (sign if order == 1 else weight)
+        * _side_traces(space, tri, loc, normals, svals, order)
+        for tri, loc, sign, weight in sides], axis=2)
 
 
 def assemble_cip(space, eta=None):
@@ -197,8 +232,9 @@ def assemble_cip(space, eta=None):
     #   high-order        134.3   158.0   134.6
     #   diagnostics        83.4    88.2    83.0
     # On stationary-fine the kept factor is alive while ritz_projection
-    # builds its pairing (+17 MB), and it saves that workload the second
-    # factor of a_h (wall time 2.30 -> 1.49 s).
+    # builds its pairing (+13 MB: 273.3 kept against 260.1 dropped), and
+    # it saves that workload the second factor of a_h (wall time
+    # 2.30 -> 1.49 s).
     full, free = _assemble_matrices(space, eta, None)
     try:
         factor = Factorized(free)
@@ -221,11 +257,9 @@ def _assemble_matrices(space, eta, flip_normals):
     """
     mesh = space.mesh
     dof = space.dof_map.astype(np.int32)
-    n_loc = dof.shape[1]
-    interior = np.flatnonzero(~mesh.boundary_edge)
-    boundary = np.flatnonzero(mesh.boundary_edge)
-    size = (len(dof) + len(boundary)) * n_loc ** 2 \
-        + len(interior) * (2 * n_loc) ** 2
+    parts = list(_edge_parts(space, flip_normals))
+    size = dof.size * dof.shape[1] + sum(gdofs.size * gdofs.shape[1]
+                                         for *_, gdofs in parts)
     rows = np.empty(size, dtype=np.int32)
     cols = np.empty(size, dtype=np.int32)
     vals = np.empty(size)
@@ -248,7 +282,6 @@ def _assemble_matrices(space, eta, flip_normals):
 
     erule = interval_rule(_edge_rule_points(space.degree))
     svals = erule.points
-    normals, minus, plus, lminus, lplus = _edge_frames(mesh, flip_normals)
 
     def accumulate(edges, jump, avg, gdofs):
         wjump = jump * erule.weights[:, None]
@@ -261,24 +294,9 @@ def _assemble_matrices(space, eta, flip_normals):
         # |e| cancels against 1/|e| in the penalty
         np.add(cross, pen, out=claim(gdofs))
 
-    if interior.size:
-        n_int = normals[interior]
-        dn_p, d2n_p = _side_traces(space, plus[interior], lplus[interior],
-                                   n_int, svals)
-        dn_m, d2n_m = _side_traces(space, minus[interior], lminus[interior],
-                                   n_int, svals)
-        jump = np.concatenate([dn_p, -dn_m], axis=2)
-        avg = 0.5 * np.concatenate([d2n_p, d2n_m], axis=2)
-        del dn_p, d2n_p, dn_m, d2n_m
-        gdofs = np.concatenate([dof[plus[interior]], dof[minus[interior]]],
-                               axis=1)
-        accumulate(interior, jump, avg, gdofs)
-        del jump, avg
-
-    if boundary.size:
-        dn_b, d2n_b = _side_traces(space, minus[boundary], lminus[boundary],
-                                   normals[boundary], svals)
-        accumulate(boundary, -dn_b, d2n_b, dof[minus[boundary]])
+    for edges, normals, sides, gdofs in parts:
+        accumulate(edges, _edge_traces(space, sides, normals, svals, 1),
+                   _edge_traces(space, sides, normals, svals, 2), gdofs)
 
     full = build_csr(rows, cols, vals, (space.n_dofs, space.n_dofs))
     del rows, cols, vals
@@ -293,60 +311,45 @@ def _assemble_matrices(space, eta, flip_normals):
 def consistency_pairing(form, w):
     """Vector of a_h(w, phi_i) for a clamped static analytic target w.
 
-    Valid for w with w = dw/dn = 0 on the boundary (the caller asserts
-    this); the jump terms of w vanish identically and are omitted, so
-    only the element Hessian contraction and the average-of-second-
-    normal-derivative term against the test jumps remain.  The volume
-    term takes the data rule of the space, the edge term 8 Gauss points.
+    Valid for w with w = dw/dn = 0 on the boundary, so a field not
+    flagged ``clamped`` is refused; the jump terms of w vanish
+    identically and are omitted, so only the element Hessian contraction
+    and the average-of-second-normal-derivative term against the test
+    jumps remain.  The volume term takes the data rule of the space, the
+    edge term 8 Gauss points.
     """
     space = form.space
     mesh = space.mesh
     if not getattr(w, "clamped", False):
         raise ValueError("consistency pairing requires a clamped target "
                          "(w and grad w vanishing on the boundary)")
-    vol_rule = space.default_data_rule()
-    out = assemble_tested(space, w.hess(0.0, space.phys_points(vol_rule)),
-                          2, vol_rule)
+    rule = space.default_data_rule()
+    out = assemble_tested(space, w.hess(0.0, space.phys_points(rule)), 2,
+                          rule)
 
     erule = interval_rule(8)
     svals = erule.points
-    normals, minus, plus, lminus, lplus = _edge_frames(mesh)
-    interior = np.flatnonzero(~mesh.boundary_edge)
-    boundary = np.flatnonzero(mesh.boundary_edge)
     lo = mesh.vertices[np.minimum(mesh.edges[:, 0], mesh.edges[:, 1])]
     hi = mesh.vertices[np.maximum(mesh.edges[:, 0], mesh.edges[:, 1])]
-
-    def edge_points_phys(edges):
-        return (lo[edges][:, None, :] * (1.0 - svals)[None, :, None]
-                + hi[edges][:, None, :] * svals[None, :, None])
-
-    def add_edges(edges, jump, gdofs):
-        n = normals[edges][:, None, :, None]                  # (E, 1, 2, 1)
-        d2n_w = (np.swapaxes(n, 2, 3) @ w.hess(0.0, edge_points_phys(edges))
-                 @ n)[..., 0, 0]                              # (E, Q)
+    for edges, normals, sides, gdofs in _edge_parts(space):
+        pts = (lo[edges][:, None, :] * (1.0 - svals)[None, :, None]
+               + hi[edges][:, None, :] * svals[None, :, None])
+        n = normals[:, None, :, None]                         # (E, 1, 2, 1)
+        d2n_w = (np.swapaxes(n, 2, 3) @ w.hess(0.0, pts) @ n)[..., 0, 0]
         weights = d2n_w * erule.weights * mesh.edge_lengths[edges][:, None]
+        jump = _edge_traces(space, sides, normals, svals, 1)
         np.add.at(out, gdofs, (weights[:, None, :] @ jump)[:, 0])
-
-    if interior.size:
-        n_int = normals[interior]
-        dn_p, _ = _side_traces(space, plus[interior], lplus[interior],
-                               n_int, svals)
-        dn_m, _ = _side_traces(space, minus[interior], lminus[interior],
-                               n_int, svals)
-        jump = np.concatenate([dn_p, -dn_m], axis=2)
-        gdofs = np.concatenate([space.dof_map[plus[interior]],
-                                space.dof_map[minus[interior]]], axis=1)
-        add_edges(interior, jump, gdofs)
-    if boundary.size:
-        dn_b, _ = _side_traces(space, minus[boundary], lminus[boundary],
-                               normals[boundary], svals)
-        add_edges(boundary, -dn_b, space.dof_map[minus[boundary]])
     return out
 
 
 def ritz_projection(form, w):
-    """Best approximation in a_h: a_h(w - R_h w, chi) = 0 for all chi."""
-    rhs = consistency_pairing(form, w)
+    """Best approximation in a_h: a_h(w - R_h w, chi) = 0 for all chi.
+
+    The field w is taken at t = 0: the load is the sum of sigma_i(0)
+    a_h(w_i, .) over its terms, read through ``form.pairings`` and so
+    built once per space.
+    """
+    rhs = np.array([tf.fn(0.0) for tf, _ in w.terms]) @ form.pairings(w)
     space = form.space
     out = np.zeros(space.n_dofs)
     out[space.free_dofs] = form.factor()(rhs[space.free_dofs])

@@ -12,7 +12,7 @@ stream-function method, the expected asymptotic rate.
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -450,8 +450,8 @@ def _load_config_file(path):
 
 def _config_from_args(args):
     # precedence: explicit flags > config file > built-in defaults
-    values = {"method": "streamfct", "degree": 2, "dg_order": 0, "eta": None,
-              "rhs": "g", "end_time": 1.0}
+    values = {f.name: f.default for f in fields(StudyConfig)
+              if f.name != "assert_checks"}
     values.update(_DEFAULTS[args.command])
     given = {}
     if args.config:
@@ -479,14 +479,7 @@ def _config_from_args(args):
     out_dir = Path(values["out"]).parent
     if not out_dir.is_dir():
         raise ValueError(f"--out: no such directory {str(out_dir)!r}")
-    return StudyConfig(
-        method=values["method"], degree=values["degree"],
-        dg_order=values["dg_order"], eta=values["eta"],
-        mesh_list=tuple(values["mesh_list"]),
-        steps_list=tuple(values["steps_list"]), rhs=values["rhs"],
-        out=values["out"], end_time=values["end_time"],
-        assert_checks=args.assert_checks,
-    )
+    return StudyConfig(**values, assert_checks=args.assert_checks)
 
 
 def main(argv=None):

@@ -344,10 +344,6 @@ def time_projection_values(order, partition, fn):
     basis = TimeBasis(order)
     nodes = partition.nodes
     out = np.zeros((partition.num_intervals, order + 1))
-    if order == 0:
-        out[:, 0] = [fn(t) for t in nodes[1:]]
-        return out
-
     rule = interval_rule(max(12, order + 2))
     powers = np.vander(rule.points, order, increasing=True)   # (Q, r)
     lvals = basis.values(rule.points)                         # (Q, r+1)

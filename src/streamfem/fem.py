@@ -167,8 +167,9 @@ class FeSpace:
       ``dg_time.best_approx_terms``;
     - ``"grad"``: the exact gradient table (F, Q, 2) of each term, shared
       by ``space_time_h1_error`` and ``dg_time.best_approx_terms``;
-    - ``"value"``: the value table (F, Q) or (F, Q, 2) of each term, read
-      by ``mini_stokes.velocity_error_l2``.
+    - ``"value"``: the value table (F, Q) or (F, Q, 2) of each term,
+      shared by the velocity loads of ``mini_stokes.mini_transient_solve``
+      and ``mini_stokes.velocity_error_l2``.
     """
 
     def __init__(self, mesh, degree):

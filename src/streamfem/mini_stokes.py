@@ -120,11 +120,16 @@ def _pressure_integrals(space):
     return assemble_tested(space, ones, 0, rule)[:space.n_pressure]
 
 
-def _velocity_load(space, g, rule):
-    """Vector load (g, v) over the stacked velocity DOFs."""
-    gv = g.value(0.0, space.phys_points(rule))
-    return np.concatenate([assemble_tested(space, gv[..., c], 0, rule)[
-        space.free_dofs] for c in range(2)])
+def _velocity_loads(space, g):
+    """Vector loads (g_i, v) of every term over the stacked velocity DOFs.
+
+    Each component of the cached value table of g_i (``term_tables``) is
+    tested against the scalar space; returns (I, n_velocity).
+    """
+    rule = space.default_data_rule()
+    return np.array([np.concatenate([assemble_tested(
+        space, values[..., c], 0, rule)[space.free_dofs] for c in range(2)])
+        for values in term_tables(space, g, "value")])
 
 
 @dataclass
@@ -156,9 +161,7 @@ def mini_transient_solve(space, partition, g, rtol=1e-10):
     oper = sp.bmat([[stiff, -div.T, None], [div, None, cvec],
                     [None, cvec.T, None]], format="csr")
 
-    rule = space.default_data_rule()
-    loads = np.pad([_velocity_load(space, w, rule)
-                    for _, w in g.static_terms()], ((0, 0), (0, n_p + 1)))
+    loads = np.pad(_velocity_loads(space, g), ((0, 0), (0, n_p + 1)))
     trule = interval_rule(3)
     sig, _ = sample_time_factors(g, partition, trule)
     x = np.array([block[0] for block in _forward_sweep(

@@ -97,17 +97,15 @@ def _saddle_step_solve(space, partition, g):
     from streamfem.fem import sample_time_factors
     from streamfem.linalg import Factorized
     from streamfem.mini_stokes import (_divergence, _mass,
-                                       _pressure_integrals, _velocity_load)
+                                       _pressure_integrals, _velocity_loads)
     from streamfem.quadrature import interval_rule
 
     mass = sp.block_diag([_mass(space)] * 2, format="csr")
     stiff = sp.block_diag([space.h1_free()] * 2, format="csr")
     div = _divergence(space)
     csp = sp.csr_matrix(_pressure_integrals(space).reshape(-1, 1))
-    rule = space.default_data_rule()
     n_v, n_p = space.n_velocity, space.n_pressure
-    loads = np.pad([_velocity_load(space, w, rule)
-                    for _, w in g.static_terms()], ((0, 0), (0, n_p + 1)))
+    loads = np.pad(_velocity_loads(space, g), ((0, 0), (0, n_p + 1)))
     trule = interval_rule(3)
     sig, _ = sample_time_factors(g, partition, trule)
     lengths = partition.lengths

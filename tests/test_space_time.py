@@ -170,6 +170,22 @@ def test_velocity_error_values_once_per_rule(monkeypatch):
     assert [term.value.calls for _, term in u.terms] == [2, 2]
 
 
+def test_velocity_loads_and_errors_share_the_value_tables():
+    """Two MINI solves on one space and the velocity error evaluate each
+    spatial term once: the loads read the value tables of g, whose first
+    term is that of u."""
+    space = build_mini_space(build_structured_mesh(2))
+    part = make_partition(2)
+    (sigma, curl_phi), = mf.u_exact().terms
+    curl_phi = _counting_term(curl_phi)
+    g = mf.VectorField([(tf, curl_phi if i == 0 else _counting_term(term))
+                        for i, (tf, term) in enumerate(mf.g_field().terms)])
+    sols = [mini_transient_solve(space, part, g) for _ in range(2)]
+    assert np.array_equal(sols[0].velocities, sols[1].velocities)
+    velocity_error_l2(sols[0], mf.VectorField([(sigma, curl_phi)]))
+    assert [term.value.calls for _, term in g.terms] == [1, 1]
+
+
 @pytest.fixture
 def pairing_calls(monkeypatch):
     """The targets of every ``cip.consistency_pairing`` call, in order."""
@@ -229,6 +245,17 @@ def test_best_approximation_reads_the_cached_pairing(space, pairing_calls):
     sig, _ = sample_time_factors(psi, part, trule)
     sigma_sq = part.lengths @ (sig[..., 0] ** 2 @ trule.weights)
     assert e_rh == pytest.approx(static * np.sqrt(sigma_sq), rel=1e-12)
+
+
+def test_ritz_projection_reads_the_cached_pairing(space, pairing_calls):
+    """ritz_projection solves from form.pairings, so two projections of
+    phi and the best approximation of psi = sin(2 pi t) phi pair their
+    one shared term once."""
+    form = assemble_cip(space)
+    first, second = (cip.ritz_projection(form, mf.phi()) for _ in range(2))
+    assert np.array_equal(first.coefficients, second.coefficients)
+    best_approx_terms(mf.psi_exact(), form, make_partition(2), 0)
+    assert len(pairing_calls) == 1
 
 
 def test_a_new_term_or_space_evaluates_afresh(space):

@@ -11,11 +11,17 @@ Prints three counts for every ``src/streamfem/*.py``:
   functions named in the module's ``__all__``, the settable values its
   public functions offer.
 
-Run from anywhere: ``python tools/src_lines.py``.
+Run from anywhere: ``python tools/src_lines.py``.  With ``--against
+REF`` it prints, per file and in total, the change of each count from
+the git ref REF to the working tree instead; the text at REF is read
+with ``git show REF:<path>``, and a file missing on either side counts
+as 0.
 """
 
+import argparse
 import ast
 import io
+import subprocess
 import sys
 import tokenize
 from pathlib import Path
@@ -65,14 +71,42 @@ def count(text):
     return text.count("\n"), len(code - docs), _exported_defaults(tree)
 
 
-def main():
-    total = [0, 0, 0]
+def _at_ref(ref):
+    """{file name: source text} of the package at a git ref."""
+    root = SOURCE.parent.parent
+
+    def git(*args):
+        done = subprocess.run(["git", *args], cwd=root, capture_output=True,
+                              text=True)
+        if done.returncode:
+            sys.exit(f"src_lines: {done.stderr.strip()}")
+        return done.stdout
+    paths = git("ls-tree", "--name-only", ref, "--",
+                SOURCE.relative_to(root).as_posix() + "/").split()
+    return {Path(path).name: git("show", f"{ref}:{path}")
+            for path in paths if path.endswith(".py")}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--against", metavar="REF",
+                        help="print the change of each count since REF")
+    args = parser.parse_args(argv)
+    now = {path.name: count(path.read_text())
+           for path in SOURCE.glob("*.py")}
+    if args.against:
+        before = {name: count(text)
+                  for name, text in _at_ref(args.against).items()}
+        now = {name: tuple(a - b for a, b in
+                           zip(now.get(name, (0, 0, 0)),
+                               before.get(name, (0, 0, 0))))
+               for name in now.keys() | before.keys()}
+    sign = "+" if args.against else ""
+    total = tuple(map(sum, zip(*now.values())))
     print(f"{'file':<20} {'lines':>6} {'code':>6} {'defaults':>8}")
-    for path in sorted(SOURCE.glob("*.py")):
-        counts = count(path.read_text())
-        total = [a + b for a, b in zip(total, counts)]
-        print(f"{path.name:<20} {counts[0]:>6} {counts[1]:>6} {counts[2]:>8}")
-    print(f"{'total':<20} {total[0]:>6} {total[1]:>6} {total[2]:>8}")
+    for name, counts in sorted(now.items()) + [("total", total)]:
+        print(f"{name:<20} " + " ".join(f"{c:>{sign}{width}}" for c, width
+                                        in zip(counts, (6, 6, 8))))
     return 0
 
 
