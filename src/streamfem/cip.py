@@ -57,9 +57,12 @@ def _edge_rule_points(degree):
 
 @dataclass
 class CipForm:
-    """Assembled interior-penalty form with its eliminated SPD block.
+    """Interior-penalty form, held as its eliminated SPD block.
 
     Its public members are the form ``dg_time`` reads (its module notes).
+    The method reads a_h only on V_h, whose boundary DOFs are zero, so
+    the form keeps the free block alone (``_assemble_matrices`` also
+    returns the full matrix).
     ``assemble_cip`` hands the form the LU that certified coercivity, so
     ``factor()`` returns it and a Ritz solve factors a_h zero more times.
     The form holds that factor until a transient solve releases it
@@ -69,8 +72,7 @@ class CipForm:
 
     space: object
     eta: float
-    matrix: object                      # full n_dofs x n_dofs CSR
-    matrix_free: object                 # boundary DOFs eliminated
+    matrix_free: object                 # boundary DOFs eliminated, CSR
     _factor: object = dc_field(default=None, repr=False)
 
     def factor(self):
@@ -96,9 +98,13 @@ class CipForm:
                          for _, w in psi.static_terms()])
 
     def triple_norm(self, v):
-        """Energy norm sqrt(a_h(v, v)); raises when coercivity fails."""
+        """Energy norm sqrt(a_h(v, v)); raises when coercivity fails.
+
+        v lies in V_h, so a_h is read on its free DOFs.
+        """
         c = v.coefficients if isinstance(v, FeFunction) else np.asarray(v)
-        quad = float(c @ (self.matrix @ c))
+        c = c[self.space.free_dofs]
+        quad = float(c @ (self.matrix_free @ c))
         floor = -1e-12 * float(c @ c)
         if quad < floor:
             raise CoercivityError(
@@ -167,15 +173,15 @@ def _edge_tables(degree, svals, order):
     return np.moveaxis(ref, -1, 1).reshape(6, 2 ** order, -1)
 
 
-def _side_traces(space, tri, local_edge, normals, svals, order):
+def _side_traces(space, tri, local_edge, normals, svals, order, out):
     """Normal derivatives of one order of a side's local basis on edges.
 
-    Returns (E, Q, n_loc): the first (order 1) or second (order 2)
-    derivative along the edge normal of the local basis of triangle
-    `tri`, evaluated on the edge from that triangle's side.  With the
-    reference normal nu = J^-1 n, dn = nu . grad phi^ and
+    Writes (E, Q, n_loc) into ``out``: the first (order 1) or second
+    (order 2) derivative along the edge normal of the local basis of
+    triangle `tri`, evaluated on the edge from that triangle's side.
+    With the reference normal nu = J^-1 n, dn = nu . grad phi^ and
     d2n = nu^T (D^2 phi^) nu, so each edge configuration is one matrix
-    product against its table.
+    product against its table, stored straight into its rows of ``out``.
     """
     i_loc, j_loc = np.array(_LOCAL_EDGES).T[:, local_edge]
     tris = space.mesh.triangles
@@ -184,23 +190,25 @@ def _side_traces(space, tri, local_edge, normals, svals, order):
     nu = (space.jac_inv[tri] @ normals[:, :, None])[..., 0]   # (E, 2)
     if order == 2:
         nu = (nu[:, :, None] * nu[:, None, :]).reshape(-1, 4)
-    out = np.empty((len(tri), table.shape[-1]))
     for k in range(6):
         sel = config == k
-        out[sel] = nu[sel] @ table[k]
-    return out.reshape(len(tri), len(svals), -1)
+        out[sel] = (nu[sel] @ table[k]).reshape(-1, *out.shape[1:])
 
 
 def _edge_traces(space, sides, normals, svals, order):
     """[[dn phi]] (order 1) or {d2n phi} (order 2) on one part's edges.
 
     The sides' traces times their jump sign or average weight, side by
-    side as the part's DOFs stand, (E, Q, sum n_loc).
+    side as the part's DOFs stand, (E, Q, sum n_loc): one array, each
+    side's traces written into its slice and scaled there.
     """
-    return np.concatenate([
-        (sign if order == 1 else weight)
-        * _side_traces(space, tri, loc, normals, svals, order)
-        for tri, loc, sign, weight in sides], axis=2)
+    n_loc = space.dof_map.shape[1]
+    out = np.empty((len(normals), len(svals), n_loc * len(sides)))
+    for s, (tri, loc, sign, weight) in enumerate(sides):
+        part = out[:, :, s * n_loc:(s + 1) * n_loc]
+        _side_traces(space, tri, loc, normals, svals, order, part)
+        part *= sign if order == 1 else weight
+    return out
 
 
 def assemble_cip(space, eta=None):
@@ -223,19 +231,21 @@ def assemble_cip(space, eta=None):
         eta = default_penalty(space.degree)
     if eta <= 0.0:
         raise ValueError("penalty must be positive")
-    # The assembly buffers die with the helper, before the certifying
-    # factor exists.  The form keeps that factor for factor(), and
-    # dg_solve releases it first.  perfbench peak RSS (MB):
+    # The assembly buffers and the full matrix die with the helper's
+    # result, before the certifying factor exists.  The form keeps that
+    # factor for factor(), and dg_solve releases it first.  perfbench
+    # peak RSS (MB; the last column is the median of 10 runs, the others
+    # one run each):
     #                   dropped   kept   kept, released by dg_solve
-    #   stationary-fine   258.0   275.7   275.5
-    #   time-sweep        181.5   256.1   181.4
-    #   high-order        134.3   158.0   134.6
-    #   diagnostics        83.4    88.2    83.0
+    #   stationary-fine   251.8   252.6   252.5
+    #   time-sweep        173.3   261.6   175.0  (runs read 173 to 181)
+    #   high-order        129.3   154.5   129.3
+    #   diagnostics        84.2    88.3    84.6
     # On stationary-fine the kept factor is alive while ritz_projection
-    # builds its pairing (+13 MB: 273.3 kept against 260.1 dropped), and
+    # builds its pairing (+0.7 MB: 252.5 kept against 251.8 dropped), and
     # it saves that workload the second factor of a_h (wall time
-    # 2.30 -> 1.49 s).
-    full, free = _assemble_matrices(space, eta, None)
+    # 1.73 -> 1.37 s).
+    free = _assemble_matrices(space, eta, None)[1]
     try:
         factor = Factorized(free)
         definite = factor.definite
@@ -243,7 +253,7 @@ def assemble_cip(space, eta=None):
         definite = False
     if not definite:
         raise CoercivityError(f"eta={eta} is too small: a_h is not definite")
-    return CipForm(space, float(eta), full, free, _factor=factor)
+    return CipForm(space, float(eta), free, _factor=factor)
 
 
 def _assemble_matrices(space, eta, flip_normals):
@@ -357,9 +367,12 @@ def ritz_projection(form, w):
 
 
 def apply_Ah(form, v):
-    """Discrete lifting A_h v with (grad A_h v, grad chi) = a_h(v, chi)."""
+    """Discrete lifting A_h v with (grad A_h v, grad chi) = a_h(v, chi).
+
+    v lies in V_h; a_h is read on its free DOFs.
+    """
     space = form.space
-    rhs = (form.matrix @ v.coefficients)[space.free_dofs]
+    rhs = form.matrix_free @ v.coefficients[space.free_dofs]
     out = np.zeros(space.n_dofs)
     out[space.free_dofs] = space.h1_factor()(rhs)
     return FeFunction(space, out)

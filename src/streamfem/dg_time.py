@@ -31,11 +31,12 @@ The space-time forms (``bh_primal``, ``bh_dual``, ``stability_functional``)
 pair all intervals at once on (M, r+1, n) coefficient blocks; their jump
 terms are shifts of the blocks by one interval.
 
-The space discretization enters only through a form with seven members:
-``space``; ``matrix`` and ``matrix_free``, a_h on all DOFs and on the
-free ones; ``factor()`` and ``release_factor()``, the cached LU of the
-free block; ``pairings(psi)``, a_h(w_i, .) of every spatial factor of
-a clamped field; and ``triple_norm(v)``, sqrt(a_h(v, v)).
+The space discretization enters only through a form with six members:
+``space``; ``matrix_free``, a_h on the free DOFs (every discrete
+argument lies in V_h, whose boundary DOFs are zero, so no other part of
+a_h is read); ``factor()`` and ``release_factor()``, the cached LU of
+``matrix_free``; ``pairings(psi)``, a_h(w_i, .) of every spatial factor
+of a clamped field; and ``triple_norm(v)``, sqrt(a_h(v, v)).
 ``cip.CipForm`` is one such form, and this module imports nothing from
 ``cip``.
 
@@ -479,32 +480,37 @@ def _pair_blocks(gram, mat, x, y, scale=None):
 def bh_primal(form, partition, order, ucoef, vcoef):
     """Space-time form in its forward shape on coefficient blocks.
 
-    Both arguments have shape (M, r+1, n_dofs).  The initial term pairs
-    the incoming values at t_0; the jump terms couple each interval to
-    the previous one.
+    Both arguments have shape (M, r+1, n_dofs) and lie in V_h; a_h is
+    read on their free DOFs.  The initial term pairs the incoming values
+    at t_0; the jump terms couple each interval to the previous one.
     """
     k = form.space.h1_stiffness()
     basis = TimeBasis(order)
     u_prev = np.concatenate([np.zeros_like(ucoef[:1, -1]), ucoef[:-1, -1]])
     jumps = (basis.left_values @ ucoef - u_prev)[:, None]
+    free = form.space.free_dofs
     return (_pair_blocks(basis.gram(da=1), k, ucoef, vcoef)
-            + _pair_blocks(basis.gram(), form.matrix, ucoef, vcoef,
-                           partition.lengths)
+            + _pair_blocks(basis.gram(), form.matrix_free, ucoef[..., free],
+                           vcoef[..., free], partition.lengths)
             + _pair_blocks(_ONE, k, jumps,
                            (basis.left_values @ vcoef)[:, None]))
 
 
 def bh_dual(form, partition, order, ucoef, vcoef):
-    """Space-time form in its backward shape (integrated by parts)."""
+    """Space-time form in its backward shape (integrated by parts).
+
+    Both arguments lie in V_h, as for ``bh_primal``.
+    """
     k = form.space.h1_stiffness()
     basis = TimeBasis(order)
     # v_{m+1}^+ - v_m^-, with v_{M+1}^+ = 0 closing the final term
     v_next = np.concatenate([basis.left_values @ vcoef[1:],
                              np.zeros_like(vcoef[:1, -1])])
     jumps = (v_next - vcoef[:, -1])[:, None]
+    free = form.space.free_dofs
     return (-_pair_blocks(basis.gram(db=1), k, ucoef, vcoef)
-            + _pair_blocks(basis.gram(), form.matrix, ucoef, vcoef,
-                           partition.lengths)
+            + _pair_blocks(basis.gram(), form.matrix_free, ucoef[..., free],
+                           vcoef[..., free], partition.lengths)
             - _pair_blocks(_ONE, k, ucoef[:, -1:], jumps))
 
 

@@ -117,9 +117,14 @@ class Factorized:
             self._scale = 1.0 / np.sqrt(row_max)
         else:
             self._scale = np.ones(self.a.shape[0])
-        d = sp.diags(self._scale)
+        # D A D entry by entry, (s_i a_ij) s_j as the products D A and
+        # (D A) D round it; like them, it drops the entries that are zero
+        scaled = self.a.tocsc()
+        scaled.data *= self._scale[scaled.indices]
+        scaled.data *= np.repeat(self._scale, np.diff(scaled.indptr))
+        scaled.eliminate_zeros()
         try:
-            self._lu = spla.splu((d @ self.a @ d).tocsc(),
+            self._lu = spla.splu(scaled,
                                  permc_spec="MMD_AT_PLUS_A",
                                  diag_pivot_thresh=0.0,
                                  options={"SymmetricMode": True})

@@ -78,17 +78,20 @@ class Mesh:
         ne = edges.shape[0]
 
         tri_edges = inverse.reshape(nf, 3)
-        edge_tris = np.full((ne, 2), -1, dtype=np.int64)
-        edge_local = np.full((ne, 2), -1, dtype=np.int64)
-        # triangles are visited in ascending index order, so slot 0 is T-
-        for f in range(nf):
-            for le in range(3):
-                e = tri_edges[f, le]
-                slot = 0 if edge_tris[e, 0] < 0 else 1
-                if slot == 1 and edge_tris[e, 1] >= 0:
-                    raise ValueError(f"edge {e} shared by more than 2 triangles")
-                edge_tris[e, slot] = f
-                edge_local[e, slot] = le
+        counts = np.bincount(tri_edges.ravel(), minlength=ne)
+        if np.any(counts > 2):
+            raise ValueError(f"edge {np.argmax(counts > 2)} shared by more "
+                             "than 2 triangles")
+        # local edge 3 f + le, grouped by edge in ascending order (a stable
+        # sort), so each edge's first slot is its lower triangle, T-
+        order = np.argsort(tri_edges.ravel(), kind="stable")
+        start = np.cumsum(counts) - counts
+        shared = counts == 2
+        slots = np.full((ne, 2), -1, dtype=np.int64)
+        slots[:, 0] = order[start]
+        slots[shared, 1] = order[start[shared] + 1]
+        edge_tris = slots // 3                                # -1 stays -1
+        edge_local = np.where(slots < 0, -1, slots % 3)
 
         boundary = edge_tris[:, 1] < 0
 

@@ -5,7 +5,7 @@ import pytest
 
 from streamfem import dg_time
 from streamfem import manufactured as mf
-from streamfem.cip import assemble_cip
+from streamfem.cip import _assemble_matrices, assemble_cip
 from streamfem.dg_time import (DgSolution, TimeBasis, TimePartition,
                                best_approx_terms, bh_analytic, bh_dual,
                                bh_primal, data_time_points, dg_solve,
@@ -92,7 +92,6 @@ class _MockForm:
         import scipy.sparse as sp
         self.space = space
         self.matrix_free = sp.csr_matrix(np.array([[lam]]))
-        self.matrix = self.matrix_free
 
     def release_factor(self):
         pass
@@ -319,7 +318,8 @@ def test_primal_dual_agreement(order, space_n4_l2, rng):
 
 def _loop_primal(form, partition, order, ucoef, vcoef):
     """bh_primal written out interval by interval, its oracle."""
-    k, a = form.space.h1_stiffness(), form.matrix
+    k = form.space.h1_stiffness()
+    a = _assemble_matrices(form.space, form.eta, None)[0]
     basis = TimeBasis(order)
     g10, mass, left = basis.gram(da=1), basis.gram(), basis.left_values
     total = 0.0
@@ -335,7 +335,8 @@ def _loop_primal(form, partition, order, ucoef, vcoef):
 
 def _loop_dual(form, partition, order, ucoef, vcoef):
     """bh_dual written out interval by interval, its oracle."""
-    k, a = form.space.h1_stiffness(), form.matrix
+    k = form.space.h1_stiffness()
+    a = _assemble_matrices(form.space, form.eta, None)[0]
     basis = TimeBasis(order)
     g01, mass, left = basis.gram(db=1), basis.gram(), basis.left_values
     m_count = partition.num_intervals
@@ -721,10 +722,10 @@ def test_solution_error_decreases_with_time_refinement():
 
 
 class _FormView:
-    """The seven members of a form the time layer reads, and no others."""
+    """The six members of a form the time layer reads, and no others."""
 
-    __slots__ = ("space", "matrix", "matrix_free", "factor",
-                 "release_factor", "pairings", "triple_norm")
+    __slots__ = ("space", "matrix_free", "factor", "release_factor",
+                 "pairings", "triple_norm")
 
     def __init__(self, form):
         for name in self.__slots__:

@@ -16,10 +16,10 @@ import numpy as np
 import pytest
 
 from streamfem import manufactured as mf
-from streamfem.cip import (_assemble_matrices, _edge_frames,
-                           _edge_rule_points, _side_traces, assemble_cip,
-                           consistency_pairing, default_penalty,
-                           ritz_projection)
+from streamfem.cip import (_assemble_matrices, _edge_frames, _edge_parts,
+                           _edge_rule_points, _edge_traces, _side_traces,
+                           assemble_cip, consistency_pairing,
+                           default_penalty, ritz_projection)
 from streamfem.fem import (_weighted_squares, assemble_h1_stiffness,
                            assemble_load_dual, assemble_load_gradient,
                            assemble_load_scalar, build_space, gradient_tables,
@@ -321,8 +321,10 @@ def test_side_traces(space, flip):
                      (minus[interior], lminus[interior])):
         old = oracle_side_traces(space, tri, loc, normals[interior], svals)
         for order, want in zip((1, 2), old):
-            assert_close(_side_traces(space, tri, loc, normals[interior],
-                                      svals, order), want)
+            got = np.empty(want.shape)
+            _side_traces(space, tri, loc, normals[interior], svals, order,
+                         got)
+            assert_close(got, want)
 
 
 def test_consistency_pairing(space):
@@ -413,6 +415,27 @@ def test_pairing_tabulates_no_hessian_traces():
     finally:
         tracemalloc.stop()
     assert peak < 11e6
+
+
+def test_edge_traces_are_built_in_place():
+    """Traced peak of the interior jump traces at n=32, P3, against the
+    array they fill.
+
+    Each side's traces are written and scaled in their slice of that one
+    array (1.38 times its size at the peak).  Side copies, scaled copies
+    and their concatenation took 2.0 times (numpy 2.4).
+    """
+    space = build_space(build_structured_mesh(32), 3)
+    svals = interval_rule(_edge_rule_points(3)).points
+    _, normals, sides, _ = next(_edge_parts(space))
+    _edge_traces(space, sides, normals, svals, 1)
+    tracemalloc.start()
+    try:
+        out = _edge_traces(space, sides, normals, svals, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * out.nbytes
 
 
 @pytest.fixture(scope="module", params=(4, 8), ids=lambda n: f"n{n}")

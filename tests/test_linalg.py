@@ -131,3 +131,27 @@ def test_definite_rejects_complex(space_n4_l2):
     """Definiteness is read off real symmetric factors only."""
     with pytest.raises(ValueError):
         Factorized(_complex_shifted(space_n4_l2)).definite
+
+
+@pytest.mark.parametrize("shift", [1.0, 2.0 + np.sqrt(2.0) * 1j])
+def test_equilibration_is_the_sparse_products(space_n4_l2, shift,
+                                              monkeypatch):
+    """The matrix handed to splu is D A D bit for bit as the products
+    D @ A @ D form it, with the explicit zeros they drop dropped."""
+    from streamfem import linalg
+    from streamfem.cip import assemble_cip
+    a = (shift * space_n4_l2.h1_free()
+         + 0.1 * assemble_cip(space_n4_l2).matrix_free).tocsr()
+    rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+    a.data[np.flatnonzero(a.indices != rows)[:3]] = 0.0  # explicit zeros
+    splu, handed = linalg.spla.splu, []
+    monkeypatch.setattr(linalg.spla, "splu",
+                        lambda m, **kw: handed.append(m) or splu(m, **kw))
+    fac = Factorized(a)
+    d = sp.diags(fac._scale)
+    want = (d @ a @ d).tocsc()
+    got, = handed
+    assert want.nnz < a.nnz
+    for name in ("indptr", "indices", "data"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    assert got.data.dtype == want.data.dtype

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from streamfem.mesh import build_structured_mesh
+from streamfem.mesh import Mesh, build_structured_mesh
 
 
 def test_smallest_mesh_counts():
@@ -115,3 +115,37 @@ def test_interior_vertical_edge_n2():
     else:
         pytest.fail("no interior vertical edge found")
 
+
+
+def _loop_adjacency(mesh):
+    """edge_tris and edge_local by a loop over the local edges, their
+    oracle: triangles are visited in ascending order, so slot 0 is T-."""
+    edge_tris = np.full((mesh.num_edges, 2), -1, dtype=np.int64)
+    edge_local = np.full((mesh.num_edges, 2), -1, dtype=np.int64)
+    for f in range(mesh.num_triangles):
+        for le in range(3):
+            e = mesh.tri_edges[f, le]
+            slot = 0 if edge_tris[e, 0] < 0 else 1
+            edge_tris[e, slot] = f
+            edge_local[e, slot] = le
+    return edge_tris, edge_local
+
+
+@pytest.mark.parametrize("shuffled", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 4, 16])
+def test_adjacency_matches_the_local_edge_loop(n, shuffled):
+    m = build_structured_mesh(n)
+    if shuffled:
+        order = np.random.default_rng(n).permutation(m.num_triangles)
+        m = Mesh(m.vertices, m.triangles[order])
+    edge_tris, edge_local = _loop_adjacency(m)
+    assert np.array_equal(m.edge_tris, edge_tris)
+    assert np.array_equal(m.edge_local, edge_local)
+
+
+def test_rejects_an_edge_of_three_triangles():
+    vertices = [[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [1.0, 1.0]]
+    triangles = [[0, 1, 2], [1, 0, 3], [0, 1, 4]]
+    with pytest.raises(ValueError,
+                       match="edge 0 shared by more than 2 triangles"):
+        Mesh(vertices, triangles)
