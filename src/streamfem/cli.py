@@ -1,7 +1,17 @@
 """Experiment drivers: convergence sweeps, diagnostics and the mixed
 versus stream-function comparison, with deterministic CSV output.
 
-Every study writes one CSV per series (header ``k,error`` or
+Each subcommand is one ``Study`` entry of ``STUDIES``: its runner, its
+default refinement lists and output path, the list it fits a rate to,
+the inputs it does not read and whether it runs the stream-function
+method only.  A refinement list that is neither swept nor unread takes
+one entry.  Every runner returns one ``Record``: the rows of each CSV
+and the entries of each summary file, by path, the lines it prints and
+its checks.  ``main`` parses and checks the inputs before any work, runs
+the study, writes the record with the one writer ``_write``, prints its
+lines and, with ``--assert``, exits 1 when a check fails.
+
+Every sweep writes one CSV per series (header ``k,error`` or
 ``h,error``, 12 significant digits) plus a key=value summary file with
 the fitted rate (least-squares slope over the last three refinement
 levels, or over both when a sweep has two; 6 significant digits, other
@@ -12,7 +22,7 @@ stream-function method, the expected asymptotic rate.
 import argparse
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +39,9 @@ from .mesh import build_structured_mesh
 from .mini_stokes import build_mini_space, mini_transient_solve, \
     velocity_error_l2
 
-__all__ = ["StudyConfig", "converge_k", "converge_h", "stationary_study",
-           "diagnostics", "compare_mini", "fit_rate", "main"]
+__all__ = ["StudyConfig", "Record", "Study", "STUDIES", "converge_k",
+           "converge_h", "stationary_study", "diagnostics", "compare_mini",
+           "fit_rate", "main"]
 
 _RHS_CHOICES = ("g", "g_tilde", "f")
 
@@ -48,7 +59,6 @@ class StudyConfig:
     rhs: str = "g"
     out: str = "study.csv"
     end_time: float = 1.0
-    assert_checks: bool = False
 
     def __post_init__(self):
         if self.method not in ("streamfct", "mini"):
@@ -98,14 +108,27 @@ def _fmt_value(key, val):
     return f"{val:.6g}" if key == "fitted_rate" else _fmt(val)
 
 
-def _write_csv(path, header, rows):
-    lines = [header] + [",".join(_fmt(v) for v in row) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
+@dataclass
+class Record:
+    """What a study run produced: ``csvs`` maps each CSV path to its
+    (header, rows), ``summaries`` each summary path to its (key, value)
+    entries; ``lines`` are printed and ``checks`` are the (name, value,
+    tolerance, ok) tuples that ``--assert`` reads."""
+
+    csvs: dict
+    summaries: dict
+    lines: list
+    checks: list
 
 
-def _write_summary(path, entries):
-    lines = [f"{key}={_fmt_value(key, val)}" for key, val in entries]
-    Path(path).write_text("\n".join(lines) + "\n")
+def _write(record):
+    """Write the record's CSVs and summary files, the CLI's one writer."""
+    for path, (header, rows) in record.csvs.items():
+        lines = [header] + [",".join(_fmt(v) for v in row) for row in rows]
+        Path(path).write_text("\n".join(lines) + "\n")
+    for path, entries in record.summaries.items():
+        lines = [f"{key}={_fmt_value(key, val)}" for key, val in entries]
+        Path(path).write_text("\n".join(lines) + "\n")
 
 
 def _summary_path(out):
@@ -114,21 +137,19 @@ def _summary_path(out):
 
 
 def _sweep(cfg, study, header, rows, entries, expected):
-    """Fit the rate of a sweep's (x, error) rows, write them to the CSV and
-    the summary: the study, ``entries``, the fitted rate, the expected
+    """The record of a sweep's (x, error) rows: the CSV and the summary,
+    which holds the study, ``entries``, the fitted rate, the expected
     asymptotic rate of a stream-function sweep and the levels fitted.
     ``expected`` is r + 1 in k for dG(r), l in h for the H1 error of C0IP
     P_l (l >= 2); the fitted rate at the default levels is pre-asymptotic.
     """
     rate = fit_rate([r[0] for r in rows], [r[1] for r in rows])
-    _write_csv(cfg.out, header, rows)
     stream = cfg.method == "streamfct"
-    _write_summary(_summary_path(cfg.out), [
-        ("study", study), *entries, ("fitted_rate", rate),
-        *([("expected_rate", str(expected))] if stream else []),
-        ("fit_points", str(min(_FIT_LEVELS, len(rows)))),
-    ])
-    return rows, rate
+    summary = [("study", study), *entries, ("fitted_rate", rate),
+               *([("expected_rate", str(expected))] if stream else []),
+               ("fit_points", str(min(_FIT_LEVELS, len(rows))))]
+    return Record({cfg.out: (header, rows)}, {_summary_path(cfg.out): summary},
+                  [f"{study}: fitted rate {rate:.3f}"], [])
 
 
 def _stream_rhs(cfg):
@@ -206,30 +227,35 @@ def compare_mini(cfg):
     the error blow-up ratio of the perturbed mixed runs.
     """
     base = Path(cfg.out)
-    series = {}
+    csvs, summaries, errors = {}, {}, {}
     for tag, method, rhs in (("mini_g", "mini", "g"),
                              ("mini_gtilde", "mini", "g_tilde"),
                              ("sf_g", "streamfct", "g"),
                              ("sf_gtilde", "streamfct", "g_tilde")):
-        sub = replace(cfg, method=method, rhs=rhs,
-                      out=str(base.with_name(f"{base.stem}_{tag}.csv")))
-        rows, rate = converge_k(sub)
-        series[tag] = rows
-    finest = -1
-    ratio = series["mini_gtilde"][finest][1] / series["mini_g"][finest][1]
-    sf_gap = max(abs(a[1] - b[1]) for a, b in
-                 zip(series["sf_g"], series["sf_gtilde"]))
-    _write_summary(_summary_path(cfg.out), [
+        out = str(base.with_name(f"{base.stem}_{tag}.csv"))
+        sub = converge_k(replace(cfg, method=method, rhs=rhs, out=out))
+        csvs.update(sub.csvs)
+        summaries.update(sub.summaries)
+        errors[tag] = [err for _, err in sub.csvs[out][1]]
+    ratio = errors["mini_gtilde"][-1] / errors["mini_g"][-1]
+    sf_gap = max(abs(a - b) for a, b in zip(errors["sf_g"],
+                                            errors["sf_gtilde"]))
+    summaries[_summary_path(cfg.out)] = [
         ("study", "compare-mini"),
         ("mini_blowup_ratio", ratio),
         ("streamfct_column_gap", sf_gap),
-    ])
-    checks = [("mini blow-up ratio >= 10", ratio >= 10.0),
-              ("stream-function columns identical", sf_gap <= 1e-12)]
-    return series, ratio, sf_gap, checks
+    ]
+    checks = [("mini blow-up ratio >= 10", ratio, 10.0, ratio >= 10.0),
+              ("stream-function columns identical", sf_gap, 1e-12,
+               sf_gap <= 1e-12)]
+    return Record(csvs, summaries, [
+        f"compare-mini: blow-up ratio {ratio:.3g}, "
+        f"stream-function column gap {sf_gap:.3g}",
+        *(f"{'PASS' if ok else 'FAIL'}: {name}" for name, *_, ok in checks)],
+        checks)
 
 
-def diagnostics(cfg):
+def _diagnose(cfg):
     """Single-run identity and stability report with pass/fail lines.
 
     Raises CoercivityError straight from assembly when the penalty is
@@ -323,18 +349,58 @@ def diagnostics(cfg):
     report.append(("error vs best-approximation bound",
                    total, bound, total <= bound))
 
-    _write_summary(_summary_path(cfg.out), [
+    summary = [
         ("study", "diagnostics"), ("n", str(n)), ("steps", str(m_steps)),
         ("dg_order", str(r)),
         ("total_error", total), ("E_chi", e_chi), ("E_Rh", e_rh),
         ("E_pik", e_pik), ("S1", s1), ("S2", s2), ("S3", s3),
         ("data_norm_sq", data),
-    ] + [(name.replace(" ", "_"), val) for name, val, _, _ in report])
-    return report
+    ] + [(name.replace(" ", "_"), val) for name, val, _, _ in report]
+    lines = [f"{'PASS' if ok else 'FAIL'}: {name}: {value:.3e} "
+             f"(tolerance {tol:.3e})" for name, value, tol, ok in report]
+    return Record({}, {_summary_path(cfg.out): summary}, lines, report)
 
 
-_SWEEPS = {"converge-k": converge_k, "converge-h": converge_h,
-           "stationary": stationary_study}
+def diagnostics(cfg):
+    """Run the diagnostics study, write its summary file and return its
+    checks, the (name, value, tolerance, ok) tuples: the one study that
+    ``perfbench`` runs through this module, which reads both."""
+    record = _diagnose(cfg)
+    _write(record)
+    return record.checks
+
+
+@dataclass(frozen=True)
+class Study:
+    """One subcommand: its runner, its default refinement lists and
+    output path, the list it fits a rate to (None: none), the inputs it
+    does not read and whether it runs the stream-function method only."""
+
+    run: object
+    mesh_list: tuple
+    steps_list: tuple
+    out: str
+    swept: str = None
+    unread: tuple = ()
+    stream_only: bool = False
+
+
+STUDIES = {
+    "converge-k": Study(converge_k, (64,), (8, 16, 32, 64), "converge_k.csv",
+                        "steps_list"),
+    "converge-h": Study(converge_h, (4, 8, 16, 32), (256,), "converge_h.csv",
+                        "mesh_list"),
+    "stationary": Study(stationary_study, (4, 8, 16, 32), (1,),
+                        "stationary.csv", "mesh_list",
+                        ("steps_list", "dg_order", "rhs", "end_time"), True),
+    "diagnostics": Study(_diagnose, (16,), (32,), "diagnostics.csv",
+                         unread=("rhs",), stream_only=True),
+    "compare-mini": Study(compare_mini, (8,), (8, 16, 32, 64, 128),
+                          "compare.csv", "steps_list", ("method", "rhs")),
+}
+
+# the inputs a method does not read
+_METHOD_UNREAD = {"mini": ("degree", "dg_order", "eta")}
 
 
 def _build_parser():
@@ -343,8 +409,7 @@ def _build_parser():
         description="Convergence and robustness studies for the "
                     "stream-function Stokes solver")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("converge-k", "converge-h", "stationary", "diagnostics",
-                 "compare-mini"):
+    for name in STUDIES:
         p = sub.add_parser(name)
         p.add_argument("--method", default=None,
                        choices=["streamfct", "mini"])
@@ -365,58 +430,31 @@ def _build_parser():
     return parser
 
 
-_DEFAULTS = {
-    "converge-k": {"mesh_list": (64,), "steps_list": (8, 16, 32, 64),
-                   "out": "converge_k.csv"},
-    "converge-h": {"mesh_list": (4, 8, 16, 32), "steps_list": (256,),
-                   "out": "converge_h.csv"},
-    "stationary": {"mesh_list": (4, 8, 16, 32), "steps_list": (1,),
-                   "out": "stationary.csv"},
-    "diagnostics": {"mesh_list": (16,), "steps_list": (32,),
-                    "out": "diagnostics.csv"},
-    "compare-mini": {"mesh_list": (8,), "steps_list": (8, 16, 32, 64, 128),
-                     "out": "compare.csv"},
-}
-
-
-# the refinement lists a study holds fixed (one entry each) and the one
-# it sweeps and fits a rate to, the inputs a study or a method does not
-# read, and the studies that run the stream-function method alone
-_FIXED_LISTS = {"converge-k": ("mesh_list",), "converge-h": ("steps_list",),
-                "diagnostics": ("mesh_list", "steps_list"),
-                "compare-mini": ("mesh_list",)}
-_SWEPT_LIST = {"converge-k": "steps_list", "compare-mini": "steps_list",
-               "converge-h": "mesh_list", "stationary": "mesh_list"}
-_UNREAD = {"stationary": ("steps_list", "dg_order", "rhs", "end_time"),
-           "compare-mini": ("method", "rhs"),
-           "diagnostics": ("rhs",),
-           "mini": ("degree", "dg_order", "eta")}
-_STREAM_ONLY = ("stationary", "diagnostics")
-
-
-def _check_inputs(study, values, given):
+def _check_inputs(name, values, given):
     """Refuse an input the study would not use, and a swept list it
     cannot fit a rate to; ``given`` maps each key set by a flag or the
     config file to the name it was set by."""
-    for key in _FIXED_LISTS.get(study, ()):
-        if len(values[key]) != 1:
-            raise ValueError(f"{given[key]}: {study} takes one entry, "
+    study = STUDIES[name]
+    for key in ("mesh_list", "steps_list"):
+        fixed = key != study.swept and key not in study.unread
+        if fixed and len(values[key]) != 1:
+            raise ValueError(f"{given[key]}: {name} takes one entry, "
                              f"got {len(values[key])}")
     method = values["method"]
-    if study in _STREAM_ONLY and method != "streamfct":
-        raise ValueError(f"{given['method']}: {study} runs the "
+    if study.stream_only and method != "streamfct":
+        raise ValueError(f"{given['method']}: {name} runs the "
                          f"stream-function method only")
-    for owner, where in ((study, study),
-                         (method, f"{study} with method {method}")):
-        for key in _UNREAD.get(owner, ()):
+    for unread, where in ((study.unread, name),
+                          (_METHOD_UNREAD.get(method, ()),
+                           f"{name} with method {method}")):
+        for key in unread:
             if key in given:
                 raise ValueError(f"{given[key]}: not read by {where}")
-    swept = _SWEPT_LIST.get(study)
-    if swept in given:
-        levels = values[swept]
+    if study.swept in given:
+        levels = values[study.swept]
         if len(levels) < 2 or any(b <= a for a, b in zip(levels, levels[1:])):
-            raise ValueError(f"{given[swept]}: {study} fits a rate to at "
-                             f"least two strictly increasing entries, "
+            raise ValueError(f"{given[study.swept]}: {name} fits a rate to "
+                             f"at least two strictly increasing entries, "
                              f"got {','.join(map(str, levels))}")
 
 
@@ -424,6 +462,9 @@ def _parse_int_list(text):
     return tuple(int(part) for part in text.split(","))
 
 
+# the cast of each flag and config key, from the StudyConfig field types
+_CASTS = {f.name: {tuple: _parse_int_list}.get(f.type, f.type)
+          for f in fields(StudyConfig)}
 _EXPECTED = {_parse_int_list: "comma-separated integers", int: "an integer",
              float: "a number"}
 
@@ -450,36 +491,31 @@ def _load_config_file(path):
 
 def _config_from_args(args):
     # precedence: explicit flags > config file > built-in defaults
-    values = {f.name: f.default for f in fields(StudyConfig)
-              if f.name != "assert_checks"}
-    values.update(_DEFAULTS[args.command])
+    study = STUDIES[args.command]
+    values = asdict(StudyConfig(mesh_list=study.mesh_list,
+                                steps_list=study.steps_list, out=study.out))
     given = {}
     if args.config:
-        file_cfg = _load_config_file(args.config)
-        casts = {"mesh_list": _parse_int_list, "steps_list": _parse_int_list,
-                 "degree": int, "dg_order": int, "eta": float,
-                 "end_time": float, "method": str, "rhs": str, "out": str}
-        for key, raw in file_cfg.items():
-            if key not in casts:
+        for key, raw in _load_config_file(args.config).items():
+            if key not in _CASTS:
                 raise ValueError(f"unknown config key {key!r}")
-            values[key] = _cast(casts[key], raw, key)
+            values[key] = _cast(_CASTS[key], raw, key)
             given[key] = key
-    for key in ("method", "degree", "dg_order", "eta", "rhs", "out"):
-        flag = getattr(args, key)
+    # end_time has no flag; argparse has cast the numeric flags already
+    for key, cast in _CASTS.items():
+        flag = getattr(args, key, None)
         if flag is not None:
-            values[key] = flag
             given[key] = "--" + key.replace("_", "-")
-    for key in ("mesh_list", "steps_list"):
-        flag = getattr(args, key)
-        if flag:
-            given[key] = "--" + key.replace("_", "-")
-            values[key] = _cast(_parse_int_list, flag, given[key])
+            values[key] = _cast(cast, flag, given[key])
     _check_inputs(args.command, values, given)
     # outputs are written after the study has run: check where they go now
-    out_dir = Path(values["out"]).parent
-    if not out_dir.is_dir():
-        raise ValueError(f"--out: no such directory {str(out_dir)!r}")
-    return StudyConfig(**values, assert_checks=args.assert_checks)
+    out, name = Path(values["out"]), given.get("out", "--out")
+    if not out.name or out.is_dir():
+        raise ValueError(f"{name}: expected a file to write, "
+                         f"got {values['out']!r}")
+    if not out.parent.is_dir():
+        raise ValueError(f"{name}: no such directory {str(out.parent)!r}")
+    return StudyConfig(**values)
 
 
 def main(argv=None):
@@ -489,32 +525,18 @@ def main(argv=None):
         cfg = _config_from_args(args)
     except (ValueError, OSError) as exc:  # bad flag, config file or key
         parser.error(str(exc))
-    failed = False
     try:
-        if args.command in _SWEEPS:
-            _, rate = _SWEEPS[args.command](cfg)
-            print(f"{args.command}: fitted rate {rate:.3f}")
-        elif args.command == "compare-mini":
-            _, ratio, sf_gap, checks = compare_mini(cfg)
-            print(f"compare-mini: blow-up ratio {ratio:.3g}, "
-                  f"stream-function column gap {sf_gap:.3g}")
-            for name, ok in checks:
-                print(f"{'PASS' if ok else 'FAIL'}: {name}")
-                failed |= not ok
-        else:
-            report = diagnostics(cfg)
-            for name, value, tol, ok in report:
-                print(f"{'PASS' if ok else 'FAIL'}: {name}: {value:.3e} "
-                      f"(tolerance {tol:.3e})")
-                failed |= not ok
+        record = STUDIES[args.command].run(cfg)
     except CoercivityError as exc:  # a penalty only the exact check refuses
         parser.error(str(exc))
     except SolverError as exc:      # a solve that missed its contract
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 1
-    if cfg.assert_checks and failed:
-        return 1
-    return 0
+    _write(record)
+    for line in record.lines:
+        print(line)
+    failed = not all(ok for *_, ok in record.checks)
+    return int(args.assert_checks and failed)
 
 
 if __name__ == "__main__":

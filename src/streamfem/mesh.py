@@ -74,7 +74,11 @@ class Mesh:
             pairs[le::3, 0] = tris[:, i]
             pairs[le::3, 1] = tris[:, j]
         pairs_sorted = np.sort(pairs, axis=1)
-        edges, inverse = np.unique(pairs_sorted, axis=0, return_inverse=True)
+        # the key lo * V + hi sorts as the pair (lo, hi) does
+        nv = self.vertices.shape[0]
+        keys, inverse = np.unique(pairs_sorted[:, 0] * nv + pairs_sorted[:, 1],
+                                  return_inverse=True)
+        edges = np.column_stack([keys // nv, keys % nv])
         ne = edges.shape[0]
 
         tri_edges = inverse.reshape(nf, 3)

@@ -1,5 +1,10 @@
+import argparse
+import ast
+import inspect
+
 import pytest
 
+from streamfem import cli
 from streamfem.cli import main
 
 
@@ -154,6 +159,8 @@ def test_config_precedence(tmp_path):
     (["converge-h", "--mesh-list", "2,,4,", "--steps-list", "2"], None),
     (["converge-h", "--steps-list", "2"], "mesh_list = 2,,4\n"),
     (["stationary", "--mesh-list", "2,4"], "end_time = 7\n"),
+    (["stationary", "--mesh-list", ""], None),
+    (["converge-k", "--mesh-list", "2", "--steps-list", ""], None),
 ])
 def test_config_errors_exit_2(tmp_path, capsys, argv, config):
     """Bad flags, config keys, list entries, out-of-range values and files
@@ -180,6 +187,10 @@ def test_config_errors_exit_2(tmp_path, capsys, argv, config):
      "steps_list: expected comma-separated integers, got '2,four'"),
     (["converge-k"], "degree = two\n",
      "degree: expected an integer, got 'two'"),
+    (["stationary", "--mesh-list", ""], None,
+     "--mesh-list: expected comma-separated integers, got ''"),
+    (["converge-k", "--mesh-list", "2", "--steps-list", ""], None,
+     "--steps-list: expected comma-separated integers, got ''"),
 ])
 def test_bad_values_name_the_option_and_format(tmp_path, capsys, argv,
                                                config, message):
@@ -300,3 +311,50 @@ def test_solver_failure_is_one_error_line_and_exit_1(tmp_path, capsys,
         "streamfem: error: residual 2.190e-10 above rtol 1.0e-10"]
     assert captured.out == ""
     assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["stationary", "--mesh-list", "2,4", "--out", "{tmp}"], None,
+     "--out: expected a file to write, got '{tmp}'"),
+    (["diagnostics", "--out", "{tmp}"], None,
+     "--out: expected a file to write, got '{tmp}'"),
+    (["compare-mini", "--mesh-list", "2", "--steps-list", "1,2",
+      "--out", ""], None, "--out: expected a file to write, got ''"),
+    (["stationary", "--mesh-list", "2,4"], "out =\n",
+     "out: expected a file to write, got ''"),
+    (["stationary", "--mesh-list", "2,4"], "out = {tmp}/no_dir/x.csv\n",
+     "out: no such directory '{tmp}/no_dir'"),
+])
+def test_bad_out_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                         argv, config, message):
+    """An output path that is empty, a directory or in a missing directory
+    is a usage error naming the option or key as given, found before any
+    mesh is built."""
+    built = []
+    monkeypatch.setattr(cli, "build_structured_mesh",
+                        lambda *a: built.append(a))
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    if config is not None:
+        path = tmp_path / "study.cfg"
+        path.write_text(config.format(tmp=tmp_path))
+        argv = argv + ["--config", str(path)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1] == f"streamfem: error: {message.format(tmp=tmp_path)}"
+    assert built == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        (["study.cfg"] if config is not None else [])
+
+
+def test_the_parser_and_main_read_only_the_study_table():
+    """The subcommands are exactly the keys of ``STUDIES`` and ``main``
+    names no study, so a study is added by its table entry alone."""
+    (subcommands,) = [action for action in cli._build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction)]
+    assert list(subcommands.choices) == list(cli.STUDIES)
+    constants = {node.value for node in
+                 ast.walk(ast.parse(inspect.getsource(cli.main)))
+                 if isinstance(node, ast.Constant)}
+    assert not constants & set(cli.STUDIES)

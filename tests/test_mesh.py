@@ -149,3 +149,30 @@ def test_rejects_an_edge_of_three_triangles():
     with pytest.raises(ValueError,
                        match="edge 0 shared by more than 2 triangles"):
         Mesh(vertices, triangles)
+
+
+def _pair_edges(mesh):
+    """The edge list and the local edges' indices into it by a row-wise
+    ``np.unique`` of the sorted vertex pairs, their oracle."""
+    pairs = np.sort(mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2),
+                    axis=1)
+    edges, inverse = np.unique(pairs, axis=0, return_inverse=True)
+    return edges, inverse.reshape(-1, 3)
+
+
+def _scrambled_mesh():
+    """Two squares side by side with the vertex numbers out of grid
+    order, so that a key's sort order differs from the coordinates'."""
+    vertices = [[1.0, 1.0], [0.0, 0.0], [2.0, 0.0], [0.0, 1.0], [1.0, 0.0],
+                [2.0, 1.0]]
+    triangles = [[4, 5, 0], [1, 4, 0], [4, 2, 5], [1, 0, 3]]
+    return Mesh(vertices, triangles)
+
+
+@pytest.mark.parametrize("mesh", [*map(build_structured_mesh, (1, 2, 16, 64)),
+                                  _scrambled_mesh()],
+                         ids=["n=1", "n=2", "n=16", "n=64", "scrambled"])
+def test_edges_match_the_row_wise_unique(mesh):
+    edges, tri_edges = _pair_edges(mesh)
+    assert np.array_equal(mesh.edges, edges)
+    assert np.array_equal(mesh.tri_edges, tri_edges)

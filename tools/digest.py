@@ -13,11 +13,15 @@ Prints one ``label digest`` line per artifact:
   ``converge-k --method mini`` studies, each run in a temporary
   directory.
 
-Run from anywhere: ``python tools/digest.py``.  Running it on two trees
-and diffing the outputs checks that a change left every one of these
-bit-identical.
+Run from anywhere: ``python tools/digest.py``.  With ``--against REF``
+it extracts the git ref REF with ``git archive`` into a temporary
+directory, runs REF's own ``tools/digest.py`` there and prints only the
+labels whose digests differ between REF and the working tree (a label
+missing on one side differs); it exits 1 when any label differs.  That
+checks that a change left every one of these bit-identical.
 """
 
+import argparse
 import hashlib
 import os
 import subprocess
@@ -94,10 +98,37 @@ def study_lines():
                 yield f"study {label} {path.name}", _digest(path.read_bytes())
 
 
-def main():
+def _digests_at(ref):
+    """{label: digest} printed by the ``tools/digest.py`` of git ref REF."""
+    def run(*cmd, **kwargs):
+        done = subprocess.run(cmd, capture_output=True, **kwargs)
+        if done.returncode:
+            sys.exit(f"digest: {done.stderr.decode().strip()}")
+        return done.stdout
+
+    with tempfile.TemporaryDirectory() as tmp:
+        run("tar", "-x", "-C", tmp,
+            input=run("git", "archive", ref, cwd=ROOT))
+        out = run(sys.executable, str(Path(tmp) / "tools" / "digest.py"))
+    return dict(line.rsplit(": ", 1) for line in out.decode().splitlines())
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--against", metavar="REF",
+                        help="print only the labels whose digests differ "
+                             "at REF")
+    args = parser.parse_args(argv)
+    before = _digests_at(args.against) if args.against else None
+    differ = []
     for label, digest in (*numeric_lines(), *study_lines()):
-        print(f"{label}: {digest}", flush=True)
-    return 0
+        if before is None:
+            print(f"{label}: {digest}", flush=True)
+        elif before.pop(label, None) != digest:
+            differ.append(label)
+    for label in differ + sorted(before or ()):
+        print(label)
+    return 1 if differ or before else 0
 
 
 if __name__ == "__main__":
