@@ -3,13 +3,14 @@ versus stream-function comparison, with deterministic CSV output.
 
 Each subcommand is one ``Study`` entry of ``STUDIES``: its runner, its
 default refinement lists and output path, the list it fits a rate to,
-the inputs it does not read and whether it runs the stream-function
-method only.  A refinement list that is neither swept nor unread takes
-one entry.  Every runner returns one ``Record``: the rows of each CSV
-and the entries of each summary file, by path, the lines it prints and
-its checks.  ``main`` parses and checks the inputs before any work, runs
-the study, writes the record with the one writer ``_write``, prints its
-lines and, with ``--assert``, exits 1 when a check fails.
+the inputs it does not read, whether it runs the stream-function method
+only and the paths it writes, derived from ``out``.  A refinement list
+that is neither swept nor unread takes one entry.  Every runner returns
+one ``Record``: the rows of each CSV and the entries of each summary
+file, by path, the lines it prints and its checks.  ``main`` parses and
+checks the inputs and output paths before any work, runs the study,
+writes the record with the one writer ``_write``, prints its lines and,
+with ``--assert``, exits 1 when a check fails.
 
 Every sweep writes one CSV per series (header ``k,error`` or
 ``h,error``, 12 significant digits) plus a key=value summary file with
@@ -136,6 +137,16 @@ def _summary_path(out):
     return p.with_name(p.stem + "_summary.txt")
 
 
+def _sweep_paths(out):
+    """The CSV and the summary file of a sweep, derived from ``out``."""
+    return (Path(out),), (_summary_path(out),)
+
+
+def _summary_only(out):
+    """The paths of a study that writes only its summary file."""
+    return (), (_summary_path(out),)
+
+
 def _sweep(cfg, study, header, rows, entries, expected):
     """The record of a sweep's (x, error) rows: the CSV and the summary,
     which holds the study, ``entries``, the fitted rate, the expected
@@ -148,7 +159,8 @@ def _sweep(cfg, study, header, rows, entries, expected):
     summary = [("study", study), *entries, ("fitted_rate", rate),
                *([("expected_rate", str(expected))] if stream else []),
                ("fit_points", str(min(_FIT_LEVELS, len(rows))))]
-    return Record({cfg.out: (header, rows)}, {_summary_path(cfg.out): summary},
+    (csv,), (summary_path,) = _sweep_paths(cfg.out)
+    return Record({csv: (header, rows)}, {summary_path: summary},
                   [f"{study}: fitted rate {rate:.3f}"], [])
 
 
@@ -219,28 +231,38 @@ def stationary_study(cfg):
                   [("degree", str(cfg.degree))], cfg.degree)
 
 
+_COMPARE_RUNS = (("mini_g", "mini", "g"), ("mini_gtilde", "mini", "g_tilde"),
+                 ("sf_g", "streamfct", "g"),
+                 ("sf_gtilde", "streamfct", "g_tilde"))
+
+
+def _compare_paths(out):
+    """The CSV of each compare-mini sweep (suffixes _mini_g, _mini_gtilde,
+    _sf_g, _sf_gtilde), then their summary files and its own, last."""
+    base = Path(out)
+    csvs = tuple(base.with_name(f"{base.stem}_{tag}.csv")
+                 for tag, *_ in _COMPARE_RUNS)
+    return csvs, (*map(_summary_path, csvs), _summary_path(out))
+
+
 def compare_mini(cfg):
     """Mixed solver under g and g_tilde next to the stream-function runs.
 
-    Emits four sibling CSVs (suffixes _mini_g, _mini_gtilde, _sf_g,
-    _sf_gtilde) over the time-refinement sweep at one mesh, and reports
-    the error blow-up ratio of the perturbed mixed runs.
+    Emits four sibling CSVs (``_compare_paths``) over the time-refinement
+    sweep at one mesh, and reports the error blow-up ratio of the
+    perturbed mixed runs.
     """
-    base = Path(cfg.out)
+    paths, summary_paths = _compare_paths(cfg.out)
     csvs, summaries, errors = {}, {}, {}
-    for tag, method, rhs in (("mini_g", "mini", "g"),
-                             ("mini_gtilde", "mini", "g_tilde"),
-                             ("sf_g", "streamfct", "g"),
-                             ("sf_gtilde", "streamfct", "g_tilde")):
-        out = str(base.with_name(f"{base.stem}_{tag}.csv"))
-        sub = converge_k(replace(cfg, method=method, rhs=rhs, out=out))
+    for path, (tag, method, rhs) in zip(paths, _COMPARE_RUNS):
+        sub = converge_k(replace(cfg, method=method, rhs=rhs, out=str(path)))
         csvs.update(sub.csvs)
         summaries.update(sub.summaries)
-        errors[tag] = [err for _, err in sub.csvs[out][1]]
+        errors[tag] = [err for _, err in sub.csvs[path][1]]
     ratio = errors["mini_gtilde"][-1] / errors["mini_g"][-1]
     sf_gap = max(abs(a - b) for a, b in zip(errors["sf_g"],
                                             errors["sf_gtilde"]))
-    summaries[_summary_path(cfg.out)] = [
+    summaries[summary_paths[-1]] = [
         ("study", "compare-mini"),
         ("mini_blowup_ratio", ratio),
         ("streamfct_column_gap", sf_gap),
@@ -358,7 +380,8 @@ def _diagnose(cfg):
     ] + [(name.replace(" ", "_"), val) for name, val, _, _ in report]
     lines = [f"{'PASS' if ok else 'FAIL'}: {name}: {value:.3e} "
              f"(tolerance {tol:.3e})" for name, value, tol, ok in report]
-    return Record({}, {_summary_path(cfg.out): summary}, lines, report)
+    (), (summary_path,) = _summary_only(cfg.out)
+    return Record({}, {summary_path: summary}, lines, report)
 
 
 def diagnostics(cfg):
@@ -374,7 +397,9 @@ def diagnostics(cfg):
 class Study:
     """One subcommand: its runner, its default refinement lists and
     output path, the list it fits a rate to (None: none), the inputs it
-    does not read and whether it runs the stream-function method only."""
+    does not read, whether it runs the stream-function method only and
+    ``paths(out)``, the (CSV paths, summary paths) that its runner writes,
+    the keys of its record."""
 
     run: object
     mesh_list: tuple
@@ -383,6 +408,7 @@ class Study:
     swept: str = None
     unread: tuple = ()
     stream_only: bool = False
+    paths: object = _sweep_paths
 
 
 STUDIES = {
@@ -394,9 +420,11 @@ STUDIES = {
                         "stationary.csv", "mesh_list",
                         ("steps_list", "dg_order", "rhs", "end_time"), True),
     "diagnostics": Study(_diagnose, (16,), (32,), "diagnostics.csv",
-                         unread=("rhs",), stream_only=True),
+                         unread=("rhs",), stream_only=True,
+                         paths=_summary_only),
     "compare-mini": Study(compare_mini, (8,), (8, 16, 32, 64, 128),
-                          "compare.csv", "steps_list", ("method", "rhs")),
+                          "compare.csv", "steps_list", ("method", "rhs"),
+                          paths=_compare_paths),
 }
 
 # the inputs a method does not read
@@ -413,9 +441,9 @@ def _build_parser():
         p = sub.add_parser(name)
         p.add_argument("--method", default=None,
                        choices=["streamfct", "mini"])
-        p.add_argument("--degree", type=int, default=None)
-        p.add_argument("--dg-order", type=int, default=None)
-        p.add_argument("--eta", type=float, default=None)
+        p.add_argument("--degree", default=None)
+        p.add_argument("--dg-order", default=None)
+        p.add_argument("--eta", default=None)
         p.add_argument("--mesh-list", default=None,
                        help="comma-separated cell counts, e.g. 4,8,16,32")
         p.add_argument("--steps-list", default=None,
@@ -501,7 +529,7 @@ def _config_from_args(args):
                 raise ValueError(f"unknown config key {key!r}")
             values[key] = _cast(_CASTS[key], raw, key)
             given[key] = key
-    # end_time has no flag; argparse has cast the numeric flags already
+    # end_time has no flag; a flag's string is cast like its config key
     for key, cast in _CASTS.items():
         flag = getattr(args, key, None)
         if flag is not None:
@@ -510,9 +538,14 @@ def _config_from_args(args):
     _check_inputs(args.command, values, given)
     # outputs are written after the study has run: check where they go now
     out, name = Path(values["out"]), given.get("out", "--out")
-    if not out.name or out.is_dir():
+    if not out.name:
         raise ValueError(f"{name}: expected a file to write, "
                          f"got {values['out']!r}")
+    csvs, summaries = study.paths(out)
+    for path in (out, *csvs, *summaries):
+        if path.is_dir():
+            raise ValueError(f"{name}: expected a file to write, "
+                             f"got {str(path)!r}")
     if not out.parent.is_dir():
         raise ValueError(f"{name}: no such directory {str(out.parent)!r}")
     return StudyConfig(**values)

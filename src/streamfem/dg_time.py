@@ -17,6 +17,8 @@ through the time matrices C (derivative plus incoming jump) and M
 per eigenvalue: a real factor per real eigenvalue and a complex one per
 conjugate pair (Richter, Springer and Vexler, Numer. Math. 124 (2013);
 Smears, IMA J. Numer. Anal. 37 (2017)).  dG(0) is Lambda = V = [1].
+The factors are built again only where the step length changes, so a
+run of equal steps, such as a whole uniform partition, shares one set.
 The 2-norm condition number of V (unit columns) grows with r:
 
 ====  ====  ====  ====  ====  ====  ====  =======
@@ -53,7 +55,7 @@ import numpy as np
 
 from .fem import (_h1_lift, _space_weights, gradient_tables, h1_projection,
                   sample_time_factors, space_time_squares, term_tables)
-from .linalg import Factorized, SolverError, refine
+from .linalg import _RTOL, Factorized, SolverError, refine
 from .quadrature import interval_rule
 
 __all__ = ["TimePartition", "make_partition", "radau_points", "TimeBasis",
@@ -216,7 +218,7 @@ def _initial_coefficients(space, psi0):
     return h1_projection(space, psi0).coefficients
 
 
-def dg_solve(form, partition, order, f=None, psi0=None, rtol=1e-10):
+def dg_solve(form, partition, order, f=None, psi0=None):
     """Forward sweep for the fully discrete transient problem.
 
     Interval m solves C (K X) + k_m M (A X) = R for its (r+1, n_free)
@@ -237,8 +239,6 @@ def dg_solve(form, partition, order, f=None, psi0=None, rtol=1e-10):
         load once each with the data rule (``term_tables``).
     psi0 : FeFunction, field or None
         Initial datum, entering through its H1_0 projection.
-    rtol : float
-        Relative residual of every interval solve.
 
     The sweep never solves with A alone, so its first step releases the
     form's cached factor of A (``form.release_factor``), before K, the
@@ -259,13 +259,12 @@ def dg_solve(form, partition, order, f=None, psi0=None, rtol=1e-10):
     for m, block in enumerate(_forward_sweep(
             space.h1_free(), form.matrix_free, loads, sig, rule,
             partition.lengths, _initial_coefficients(space, psi0)[free],
-            order, rtol)):
+            order)):
         coeffs[m][:, free] = block
     return DgSolution(partition, space, order, coeffs)
 
 
-def _forward_sweep(k_mat, a_mat, loads, sig, rule, lengths, u0, order,
-                   rtol):
+def _forward_sweep(k_mat, a_mat, loads, sig, rule, lengths, u0, order):
     """The dG(r) interval sweep C (K X) + k_m M (A X) = R from u0.
 
     K and A act on the unknowns of one time node and K may be singular
@@ -274,30 +273,31 @@ def _forward_sweep(k_mat, a_mat, loads, sig, rule, lengths, u0, order,
     the time factors ``sig`` (M, Q, I) sampled at the points of ``rule``,
     the stacked loads b (I, n) and the outgoing value of the previous
     interval.  Each interval is solved through the mode factors of
-    ``time_modes``, shared by all intervals of a uniform partition, and
-    refined (``linalg.refine``) until ||R - C(KX) - k_m M(AX)|| <= rtol
-    ||R||, a residual from C, M, K and A alone.  A failure is tagged with
-    its 1-based interval.  Yields the (r+1, n) block of each interval in
-    turn, so the caller stores it where it belongs and no second copy of
+    ``time_modes`` and refined (``linalg.refine``) until
+    ||R - C(KX) - k M(AX)|| <= _RTOL ||R||, a residual from C, M, K and A
+    alone.  A run of intervals whose lengths agree with the first one's,
+    k, to 1e-12 relative shares the factors and the operator built with
+    k; they are dropped before the next run's exist.  A failure is tagged
+    with its 1-based interval.  Yields the (r+1, n) block of each interval
+    in turn, so the caller stores it where it belongs and no second copy of
     the trajectory exists.
     """
     basis = TimeBasis(order)
     coupling, mass = basis.coupling(), basis.gram()
     tested = rule.weights[:, None] * basis.values(rule.points)
     weights = lengths[:, None, None] * (tested.T @ sig)        # (M, r+1, I)
-    uniform = np.allclose(lengths, lengths[0], rtol=1e-12, atol=0.0)
-    u_prev = u0
-    modes = None
+    u_prev, k_run = u0, 0.0
     for m, km in enumerate(lengths):
         try:
-            if modes is None or not uniform:
+            if abs(km - k_run) > 1e-12 * k_run:  # a new run of steps
                 modes = None  # the previous factors go before the next exist
                 modes, system = _interval_system(order, coupling, mass,
                                                  k_mat, a_mat, km)
+                k_run = km
             rhs = (weights[m] @ loads
                    + np.outer(basis.left_values, k_mat @ u_prev))
             block = refine(system, partial(_diagonal_solve, modes), rhs,
-                           rtol)
+                           _RTOL)
         except SolverError as exc:
             raise SolverError(f"interval {m + 1}: {exc}",
                               residual=exc.residual,

@@ -2,12 +2,11 @@
 
 Storage is scipy CSR throughout.  ``Factorized`` is the one solve
 entry point: ``Factorized(a)(b)`` factorizes with sparse LU once, real
-or complex, and holds every solve to its residual contract
-||Ax - b|| <= rtol * ||b||.  ``refine`` is the one iterative-refinement
-loop behind that contract (up to five correction steps before giving
-up); operators that are not a single matrix, such as the coupled dG(r)
-interval system, use it with their own product and approximate inverse.
-The same factor certifies positive definiteness (``definite``).
+or complex, holds every solve to the one residual contract
+||Ax - b|| <= _RTOL * ||b|| and certifies definiteness (``definite``).
+``refine`` is the iterative refinement behind the contract (up to five
+corrections); an operator that is not one matrix, such as the coupled
+dG(r) interval system, runs it with its own product and inverse.
 """
 
 import numpy as np
@@ -18,6 +17,7 @@ __all__ = ["SolverError", "build_csr", "symmetry_gap", "refine",
            "Factorized"]
 
 _CORRECTIONS = 5  # refinement steps before a solve gives up
+_RTOL = 1e-10     # relative residual of every solve: the contract
 
 
 class SolverError(RuntimeError):
@@ -93,9 +93,9 @@ class Factorized:
     arithmetic and takes real or complex right-hand sides; a real A
     takes real ones.
 
-    ``rtol=None`` drops the factor's own contract: a call is one LU
-    solve, the approximate inverse of a caller that runs ``refine`` on
-    its own operator (the coupled dG(r) system).
+    ``rtol=None`` drops the factor's own contract (``_RTOL`` by default):
+    a call is one LU solve, the approximate inverse of a caller that runs
+    ``refine`` on its own operator (the coupled dG(r) system).
 
     ``definite`` reads the inertia off that factor: with no row pivoted
     off the diagonal, P D A D P^T = L U with unit lower L, i.e.
@@ -108,7 +108,7 @@ class Factorized:
     for a complex A.
     """
 
-    def __init__(self, a, rtol=1e-10):
+    def __init__(self, a, rtol=_RTOL):
         self.a = a.tocsr()
         self.rtol = rtol
         row_max = np.maximum.reduceat(np.abs(self.a.data), self.a.indptr[:-1]) \

@@ -141,7 +141,7 @@ class MiniSolution:
     multipliers: np.ndarray  # (M,)
 
 
-def mini_transient_solve(space, partition, g, rtol=1e-10):
+def mini_transient_solve(space, partition, g):
     """One implicit step per interval of the mixed saddle-point system.
 
     Per step: (u_m - u_{m-1}, v) + k_m (grad u_m, grad v)
@@ -166,7 +166,7 @@ def mini_transient_solve(space, partition, g, rtol=1e-10):
     sig, _ = sample_time_factors(g, partition, trule)
     x = np.array([block[0] for block in _forward_sweep(
         mass, oper, loads, sig, trule, partition.lengths,
-        np.zeros(mass.shape[0]), 0, rtol)])
+        np.zeros(mass.shape[0]), 0)])
     n_v = space.n_velocity
     velocities = np.vstack([np.zeros(n_v), x[:, :n_v]])
     return MiniSolution(space, partition, velocities, x[:, n_v:-1], x[:, -1])

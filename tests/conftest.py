@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
-from streamfem import build_space, build_structured_mesh
+from streamfem import build_space, build_structured_mesh, cip
 from streamfem.cip import assemble_cip
+from streamfem.dg_time import TimePartition, make_partition
+from streamfem.linalg import Factorized
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "out_dirs(*names): directories that a test makes under "
+                   "its tmp_path before it runs the CLI")
 
 
 @pytest.fixture
@@ -23,3 +31,26 @@ def space_n8_l2():
 @pytest.fixture(scope="session")
 def form_n8_l2(space_n8_l2):
     return assemble_cip(space_n8_l2)
+
+
+@pytest.fixture(scope="session")
+def refined_partition():
+    """``make_partition(8)`` with the nodes 5/16 and 3/8 added: three runs
+    of bit-equal lengths, 1/8, 1/16 and 1/8."""
+    return TimePartition(np.union1d(make_partition(8).nodes, [5 / 16, 3 / 8]))
+
+
+@pytest.fixture
+def factor_count(request, monkeypatch):
+    """Counts the Factorized objects that ``cip`` builds, or the module
+    that an indirect parametrization passes."""
+    made = []
+
+    class Counting(Factorized):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(getattr(request, "param", cip), "Factorized",
+                        Counting)
+    return made

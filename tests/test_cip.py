@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from streamfem import cip, dg_time
+from streamfem import dg_time
 from streamfem import manufactured as mf
 from streamfem.cip import (CoercivityError, _assemble_matrices, apply_Ah,
                            assemble_cip, consistency_pairing,
@@ -415,20 +415,6 @@ def test_triple_norm_flags_indefinite(form_n8_l2):
 
 
 # -- one factor of a_h: certify, then solve ---------------------------
-
-
-@pytest.fixture
-def factor_count(monkeypatch):
-    """Counts the Factorized objects that cip builds."""
-    made = []
-
-    class Counting(Factorized):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            made.append(self)
-
-    monkeypatch.setattr(cip, "Factorized", Counting)
-    return made
 
 
 @pytest.mark.parametrize("solve", ["ritz", "stationary"])

@@ -191,6 +191,12 @@ def test_config_errors_exit_2(tmp_path, capsys, argv, config):
      "--mesh-list: expected comma-separated integers, got ''"),
     (["converge-k", "--mesh-list", "2", "--steps-list", ""], None,
      "--steps-list: expected comma-separated integers, got ''"),
+    (["converge-k", "--degree", "two"], None,
+     "--degree: expected an integer, got 'two'"),
+    (["converge-k", "--dg-order", "1.5"], None,
+     "--dg-order: expected an integer, got '1.5'"),
+    (["converge-k", "--eta", "five"], None,
+     "--eta: expected a number, got 'five'"),
 ])
 def test_bad_values_name_the_option_and_format(tmp_path, capsys, argv,
                                                config, message):
@@ -324,15 +330,28 @@ def test_solver_failure_is_one_error_line_and_exit_1(tmp_path, capsys,
      "out: expected a file to write, got ''"),
     (["stationary", "--mesh-list", "2,4"], "out = {tmp}/no_dir/x.csv\n",
      "out: no such directory '{tmp}/no_dir'"),
+    pytest.param(["compare-mini", "--mesh-list", "2", "--steps-list", "1,2",
+                  "--out", "{tmp}/c.csv"], None,
+                 "--out: expected a file to write, got '{tmp}/c_mini_g.csv'",
+                 marks=pytest.mark.out_dirs("c_mini_g.csv")),
+    pytest.param(["stationary", "--mesh-list", "2,4", "--out", "{tmp}/s.csv"],
+                 None,
+                 "--out: expected a file to write, got '{tmp}/s_summary.txt'",
+                 marks=pytest.mark.out_dirs("s_summary.txt")),
 ])
 def test_bad_out_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
-                                         argv, config, message):
-    """An output path that is empty, a directory or in a missing directory
-    is a usage error naming the option or key as given, found before any
-    mesh is built."""
+                                         request, argv, config, message):
+    """An output path that is empty, a directory or in a missing directory,
+    or a path derived from it (``Study.paths``) that is a directory, is a
+    usage error naming the option or key as given, found before any mesh
+    is built."""
     built = []
     monkeypatch.setattr(cli, "build_structured_mesh",
                         lambda *a: built.append(a))
+    marker = request.node.get_closest_marker("out_dirs")
+    made = list(marker.args) if marker else []
+    for name in made:
+        (tmp_path / name).mkdir()
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     if config is not None:
         path = tmp_path / "study.cfg"
@@ -345,7 +364,25 @@ def test_bad_out_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
     assert err[-1] == f"streamfem: error: {message.format(tmp=tmp_path)}"
     assert built == []
     assert sorted(p.name for p in tmp_path.iterdir()) == \
-        (["study.cfg"] if config is not None else [])
+        sorted(made + (["study.cfg"] if config is not None else []))
+
+
+# inputs small enough to run every study in a moment
+_TINY = {"converge-k": ((2,), (1, 2)), "converge-h": ((2, 4), (2,)),
+         "stationary": ((2, 4), (1,)), "diagnostics": ((2,), (2,)),
+         "compare-mini": ((2,), (1, 2))}
+
+
+@pytest.mark.parametrize("name", list(cli.STUDIES))
+def test_records_hold_the_paths_derived_from_out(tmp_path, name):
+    """A study's record writes exactly the paths its ``Study.paths``
+    derives from ``out``, the paths checked before any work."""
+    study = cli.STUDIES[name]
+    out = tmp_path / "study.csv"
+    mesh_list, steps_list = _TINY[name]
+    record = study.run(cli.StudyConfig(mesh_list=mesh_list,
+                                       steps_list=steps_list, out=str(out)))
+    assert (tuple(record.csvs), tuple(record.summaries)) == study.paths(out)
 
 
 def test_the_parser_and_main_read_only_the_study_table():

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -494,10 +495,12 @@ def test_galerkin_orthogonality_fails_with_mismatched_time_rule(
     assert res.min() > 1e-7
 
 
-def test_solver_error_carries_interval_and_residual(space_n4_l2):
+def test_solver_error_carries_interval_and_residual(space_n4_l2,
+                                                    monkeypatch):
     form = assemble_cip(space_n4_l2)
+    monkeypatch.setattr(dg_time, "_RTOL", 1e-30)
     with pytest.raises(SolverError) as info:
-        dg_solve(form, make_partition(3), 1, f=mf.f_scalar(), rtol=1e-30)
+        dg_solve(form, make_partition(3), 1, f=mf.f_scalar())
     exc = info.value
     assert exc.interval == 1
     assert 0.0 < exc.residual < 1e-10
@@ -553,14 +556,18 @@ def _monolithic_solve(form, partition, order, f, psi0):
     return coeffs
 
 
-@pytest.mark.parametrize("graded", [False, True], ids=["uniform", "graded"])
+@pytest.mark.parametrize("partition", ["uniform", "graded", "refined"])
 @pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
-def test_diagonalized_solve_matches_monolithic_oracle(order, graded,
-                                                      form_n8_p3):
-    """Ten intervals, uniform or graded (one factor set per interval)."""
+def test_diagonalized_solve_matches_monolithic_oracle(order, partition,
+                                                      form_n8_p3,
+                                                      refined_partition):
+    """Ten intervals, uniform (one factor set) or graded (one per
+    interval), or the refined partition (one per run of equal steps)."""
     part = make_partition(10)
-    if graded:
+    if partition == "graded":
         part = TimePartition(part.nodes ** 2)
+    elif partition == "refined":
+        part = refined_partition
     psi0 = mf.phi()
     want = _monolithic_solve(form_n8_p3, part, order, mf.f_scalar(), psi0)
     got = dg_solve(form_n8_p3, part, order, f=mf.f_scalar(),
@@ -568,6 +575,56 @@ def test_diagonalized_solve_matches_monolithic_oracle(order, graded,
     assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
     if order == 0:  # Lambda = V = [1]: the same system, the same rounding
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("factor_count", [dg_time], ids=["dg_time"],
+                         indirect=True)
+def test_runs_equal_to_roundoff_share_a_factor_set(form_n8_p3, factor_count):
+    """make_partition(12) with the nodes 0.3 and 0.35 added has 14
+    intervals in 6 runs, two of them of steps whose lengths agree only to
+    roundoff.  Each run is factored once, with its first length, and
+    still matches the oracle, which factors every interval with its own
+    length."""
+    part = TimePartition(np.union1d(make_partition(12).nodes, [0.3, 0.35]))
+    psi0 = mf.phi()
+    got = dg_solve(form_n8_p3, part, 0, f=mf.f_scalar(),
+                   psi0=psi0).coefficients
+    assert len(factor_count) == 6
+    want = _monolithic_solve(form_n8_p3, part, 0, mf.f_scalar(), psi0)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("factor_count", [dg_time], ids=["dg_time"],
+                         indirect=True)
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_one_factor_set_per_run_of_equal_steps(order, space_n4_l2,
+                                               refined_partition,
+                                               factor_count):
+    """The refined partition's nine intervals form three runs of equal
+    steps, and the sweep factors one set of mode factors per run."""
+    dg_solve(assemble_cip(space_n4_l2), refined_partition, order,
+             f=mf.f_scalar())
+    assert len(factor_count) == 3 * len(dg_time.time_modes(order))
+
+
+def test_a_run_drops_its_factors_before_the_next_exist(space_n4_l2,
+                                                       refined_partition,
+                                                       monkeypatch):
+    """When the step length changes, the previous run's mode factors are
+    gone before ``_interval_system`` builds the next run's."""
+    made, alive = [], []
+    interval_system = dg_time._interval_system
+
+    def spy(*args):
+        alive.append(any(ref() is not None for ref in made))
+        modes, system = interval_system(*args)
+        made.extend(weakref.ref(factor) for factor, _, _ in modes)
+        return modes, system
+
+    monkeypatch.setattr(dg_time, "_interval_system", spy)
+    dg_solve(assemble_cip(space_n4_l2), refined_partition, 1,
+             f=mf.f_scalar())
+    assert alive == [False, False, False]
 
 
 @pytest.mark.parametrize("order", [0, 1, 2, 3, 4, 5, 6])

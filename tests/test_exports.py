@@ -85,9 +85,6 @@ def _passed(paths):
 # defaults that no call in the package or the benchmark sets, and why each
 # stays
 UNSET_DEFAULTS = {
-    "dg_solve.rtol": "the residual contract, which ROADMAP item 1 redefines",
-    "mini_transient_solve.rtol": "the residual contract, which ROADMAP "
-                                 "item 1 redefines",
     "stability_functional.psi0": "the initial datum of the problem",
     "stability_data_norm.psi0": "the initial datum of the problem",
     "space_time_h1_error.time_points": "the benchmark tracer binds it to "

@@ -8,6 +8,12 @@ Prints one ``label digest`` line per artifact:
   every edge flipped;
 - ``consistency_pairing(form, phi)`` on the same spaces;
 - the ``ritz_projection(form, phi)`` coefficients at n <= 16;
+- the ``dg_solve`` coefficients at n=8 P2 for r = 0, 1, 2 (data f,
+  initial datum phi) on two non-uniform partitions: the nodes^2 grading
+  of ``make_partition(10)`` and ``make_partition(8)`` refined by the
+  nodes 5/16 and 3/8 (three runs of equal steps); and the
+  ``mini_transient_solve`` velocities, pressures and multipliers at n=8
+  under g on the grading;
 - the CSVs, summaries and stdout of the default ``stationary``,
   ``converge-k``, ``converge-h``, ``compare-mini``, ``diagnostics`` and
   ``converge-k --method mini`` studies, each run in a temporary
@@ -38,8 +44,12 @@ from streamfem import manufactured as mf  # noqa: E402
 from streamfem.cip import (_assemble_matrices, assemble_cip,  # noqa: E402
                            consistency_pairing, default_penalty,
                            ritz_projection)
+from streamfem.dg_time import (TimePartition, dg_solve,  # noqa: E402
+                               make_partition)
 from streamfem.fem import build_space  # noqa: E402
 from streamfem.mesh import build_structured_mesh  # noqa: E402
+from streamfem.mini_stokes import (build_mini_space,  # noqa: E402
+                                   mini_transient_solve)
 
 SPACES = ((8, 2), (8, 3), (16, 2), (48, 3))
 STUDIES = (("stationary",), ("converge-k",), ("converge-h",),
@@ -83,6 +93,24 @@ def numeric_lines():
                    _digest(ritz_projection(form, mf.phi()).coefficients))
 
 
+def transient_lines():
+    """Digest lines of the transient solves on non-uniform partitions."""
+    mesh = build_structured_mesh(8)
+    form = assemble_cip(build_space(mesh, 2))
+    graded = TimePartition(make_partition(10).nodes ** 2)
+    refined = TimePartition(np.union1d(make_partition(8).nodes,
+                                       [5 / 16, 3 / 8]))
+    for name, partition in (("graded", graded), ("refined", refined)):
+        for order in (0, 1, 2):
+            sol = dg_solve(form, partition, order, f=mf.f_scalar(),
+                           psi0=mf.phi())
+            yield (f"dg_solve n=8 P2 r={order} {name}",
+                   _digest(sol.coefficients))
+    sol = mini_transient_solve(build_mini_space(mesh), graded, mf.g_field())
+    yield "mini n=8 graded", _digest(sol.velocities, sol.pressures,
+                                     sol.multipliers)
+
+
 def study_lines():
     """Digest lines of the outputs of the default studies."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -121,7 +149,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     before = _digests_at(args.against) if args.against else None
     differ = []
-    for label, digest in (*numeric_lines(), *study_lines()):
+    for label, digest in (*numeric_lines(), *transient_lines(),
+                          *study_lines()):
         if before is None:
             print(f"{label}: {digest}", flush=True)
         elif before.pop(label, None) != digest:
