@@ -44,8 +44,12 @@ of a clamped field; and ``triple_norm(v)``, sqrt(a_h(v, v)).
 
 Every integral decides its own quadrature: space integrals of the data
 read ``FeSpace.default_data_rule()``, and each time integral takes the
-Gauss rule its docstring names, ``data_time_points(r)`` for the loads
-of ``dg_solve`` and the analytic side of ``bh_analytic``.
+Gauss rule its docstring names.  ``_tested_data`` tests the time
+factors that ``sample_time_factors`` samples against the dG basis; the
+loads of both sweeps and the data side of ``bh_analytic`` are these
+arrays times static tables, for ``dg_solve`` and ``bh_analytic`` at the
+same ``data_time_points(r)`` points, so Galerkin orthogonality holds up
+to the space quadrature alone.
 """
 
 from dataclasses import dataclass
@@ -212,6 +216,21 @@ def data_time_points(order):
     return order + 2
 
 
+def _tested_data(fld, partition, order, points):
+    """The time factors of a field tested against the dG(r) basis.
+
+    Returns W and W', each (M, r+1, I) for the I terms of ``fld``, with
+    W_m[a, i] = k_m sum_q w_q ell_a(tau_q) sigma_i(t_mq) and sigma_i' in
+    place of sigma_i in W', from one ``sample_time_factors`` call at a
+    Gauss rule of ``points`` points per interval.
+    """
+    rule = interval_rule(points)
+    tested = rule.weights[:, None] * TimeBasis(order).values(rule.points)
+    lengths = partition.lengths[:, None, None]
+    return tuple(lengths * (tested.T @ s)
+                 for s in sample_time_factors(fld, partition, rule))
+
+
 def _initial_coefficients(space, psi0):
     if psi0 is None:
         return np.zeros(space.n_dofs)
@@ -234,9 +253,9 @@ def dg_solve(form, partition, order, f=None, psi0=None):
         Polynomial degree r >= 0 in time.
     f : field or None
         Scalar data, None for a vanishing right-hand side.  Its time
-        factors are sampled at ``data_time_points(order)`` Gauss points
-        per interval (``sample_time_factors``) and its separable terms
-        load once each with the data rule (``term_tables``).
+        factors are tested at ``data_time_points(order)`` Gauss points
+        per interval (``_tested_data``) and its separable terms load
+        once each with the data rule (``term_tables``).
     psi0 : FeFunction, field or None
         Initial datum, entering through its H1_0 projection.
 
@@ -248,49 +267,49 @@ def dg_solve(form, partition, order, f=None, psi0=None):
     form.release_factor()
     space = form.space
     free = space.free_dofs
-    rule = interval_rule(data_time_points(order))
     if f is None:  # no terms
         loads = np.zeros((0, free.size))
-        sig = np.zeros((partition.num_intervals, len(rule), 0))
+        weights = np.zeros((partition.num_intervals, order + 1, 0))
     else:
         loads = term_tables(space, f, "load")[:, free]
-        sig, _ = sample_time_factors(f, partition, rule)
+        weights, _ = _tested_data(f, partition, order,
+                                  data_time_points(order))
     coeffs = np.zeros((partition.num_intervals, order + 1, space.n_dofs))
     for m, block in enumerate(_forward_sweep(
-            space.h1_free(), form.matrix_free, loads, sig, rule,
+            space.h1_free(), form.matrix_free, loads, weights,
             partition.lengths, _initial_coefficients(space, psi0)[free],
             order)):
         coeffs[m][:, free] = block
     return DgSolution(partition, space, order, coeffs)
 
 
-def _forward_sweep(k_mat, a_mat, loads, sig, rule, lengths, u0, order):
+def _forward_sweep(k_mat, a_mat, loads, weights, lengths, u0, order):
     """The dG(r) interval sweep C (K X) + k_m M (A X) = R from u0.
 
     K and A act on the unknowns of one time node and K may be singular
     (the MINI saddle has mass diag(M, M, 0, 0)).  The load of interval m
-    is R = k_m sum_q w_q ell_a(tau_q) sigma_i(t_mq) b_i + ell(0) (K u_{m-1}):
-    the time factors ``sig`` (M, Q, I) sampled at the points of ``rule``,
-    the stacked loads b (I, n) and the outgoing value of the previous
-    interval.  Each interval is solved through the mode factors of
-    ``time_modes`` and refined (``linalg.refine``) until
-    ||R - C(KX) - k M(AX)|| <= _RTOL ||R||, a residual from C, M, K and A
-    alone.  A run of intervals whose lengths agree with the first one's,
-    k, to 1e-12 relative shares the factors and the operator built with
-    k; they are dropped before the next run's exist.  A failure is tagged
+    is R = W_m b + ell(0) (K u_{m-1}): the tested data ``weights`` W
+    (M, r+1, I) of ``_tested_data``, the stacked loads b (I, n) and the
+    outgoing value of the previous interval.  Each interval is solved
+    through the mode factors of ``time_modes`` and refined
+    (``linalg.refine``) until ||R - C(KX) - k M(AX)|| <= _RTOL ||R||, a
+    residual from C, M, K and A alone.  A run of intervals whose lengths
+    agree with the first one's, k, to 1e-12 relative shares the factors
+    and the operator built with k; both are dropped before the next
+    run's exist.  A failure is tagged
     with its 1-based interval.  Yields the (r+1, n) block of each interval
     in turn, so the caller stores it where it belongs and no second copy of
     the trajectory exists.
     """
     basis = TimeBasis(order)
     coupling, mass = basis.coupling(), basis.gram()
-    tested = rule.weights[:, None] * basis.values(rule.points)
-    weights = lengths[:, None, None] * (tested.T @ sig)        # (M, r+1, I)
     u_prev, k_run = u0, 0.0
     for m, km in enumerate(lengths):
         try:
             if abs(km - k_run) > 1e-12 * k_run:  # a new run of steps
-                modes = None  # the previous factors go before the next exist
+                # the previous factors, and the operator that may hold
+                # their matrix (r = 0), go before the next exist
+                modes = system = None
                 modes, system = _interval_system(order, coupling, mass,
                                                  k_mat, a_mat, km)
                 k_run = km
@@ -333,32 +352,28 @@ def _diagonal_solve(modes, rhs):
     return x
 
 
-def time_projection_values(order, partition, fn):
-    """Interval-wise polynomial projection of a scalar function of time.
+def time_projection_values(order, partition, fld):
+    """Interval-wise polynomial projection of the time factors of a field.
 
-    Matches the right endpoint on every interval and, for r >= 1, the
-    moments against polynomials of degree < r, taken with 12 Gauss
-    points (r + 2 when more).  Returns the nodal values at the right
-    Radau points, shape (M, r+1); polynomials of degree <= r are
-    reproduced exactly.
+    Matches each sigma_i at the right endpoint of every interval and,
+    for r >= 1, its moments against polynomials of degree < r, taken
+    with 12 Gauss points (r + 2 when more) sampled by
+    ``sample_time_factors``.  Every interval and term is projected at
+    once, with one r x r matrix for all of them.  Returns the nodal
+    values at the right Radau points, shape (M, r+1, I) for the I terms
+    of ``fld``; polynomials of degree <= r are reproduced exactly.
     """
-    basis = TimeBasis(order)
-    nodes = partition.nodes
-    out = np.zeros((partition.num_intervals, order + 1))
     rule = interval_rule(max(12, order + 2))
     powers = np.vander(rule.points, order, increasing=True)   # (Q, r)
-    lvals = basis.values(rule.points)                         # (Q, r+1)
-    gmat = np.einsum("q,qj,qa->ja", rule.weights, powers, lvals)
-    for m in range(partition.num_intervals):
-        t0, t1 = nodes[m], nodes[m + 1]
-        km = t1 - t0
-        fvals = np.array([fn(t0 + km * tau) for tau in rule.points])
-        moments = np.einsum("q,qj,q->j", rule.weights, powers, fvals)
-        right = fn(t1)
-        out[m, :-1] = np.linalg.solve(gmat[:, :-1],
-                                      moments - gmat[:, -1] * right)
-        out[m, -1] = right
-    return out
+    gmat = np.einsum("q,qj,qa->ja", rule.weights, powers,
+                     TimeBasis(order).values(rule.points))     # (r, r+1)
+    sig, _ = sample_time_factors(fld, partition, rule)         # (M, Q, I)
+    right = np.array([[tf.fn(t) for tf, _ in fld.terms]
+                      for t in partition.nodes[1:]])           # (M, I)
+    moments = np.einsum("q,qj,mqi->mji", rule.weights, powers, sig)
+    inner = np.linalg.solve(gmat[:, :-1],
+                            moments - gmat[:, -1, None] * right[:, None])
+    return np.concatenate([inner, right[:, None]], axis=1)
 
 
 def stability_functional(sol, form, psi0=None):
@@ -444,8 +459,7 @@ def best_approx_terms(psi, form, partition, order):
     # sigma_i and its interval-wise time projection at the Gauss points
     sig, _ = sample_time_factors(psi, partition, trule)
     lv = TimeBasis(order).values(trule.points)                 # (P, r+1)
-    pik = np.stack([time_projection_values(order, partition, tf.fn)
-                    for tf, _ in psi.terms], axis=-1)           # (M, r+1, I)
+    pik = time_projection_values(order, partition, psi)         # (M, r+1, I)
     psig = lv @ pik                                             # (M, P, I)
 
     wdet = _space_weights(space.jac_det, rule)
@@ -519,24 +533,22 @@ def bh_analytic(form, psi, partition, order, vcoef):
 
     Realizes the extension of the form to continuous-in-time arguments:
     the field's jumps vanish, its elliptic pairing is the consistency
-    pairing, and the initial term pairs the field at t = 0.  Its time
-    rule is that of ``dg_solve``, ``data_time_points(order)``, and its
-    space rule the data rule, so Galerkin orthogonality holds up to the
-    space quadrature of the two sides.
+    pairing, and the initial term pairs the field at t = 0.  The data
+    term is sum W' (V b) + sum W (V c) over the gradient loads b_i and
+    the consistency pairings c_i of the terms, with the tested data W,
+    W' of ``_tested_data`` at ``data_time_points(order)``: the arrays
+    that load ``dg_solve``.  Its space rule is the data rule, so
+    Galerkin orthogonality holds up to the space quadrature of the two
+    sides.
     """
     space = form.space
     basis = TimeBasis(order)
-    rule = interval_rule(data_time_points(order))
     gloads = term_tables(space, psi, "grad load")               # (I, n)
     cpairs = form.pairings(psi)
-
-    # pairings of every load with v at every Gauss point, (M, P, I)
-    lv = basis.values(rule.points)
-    g_v = lv @ (vcoef @ gloads.T)
-    c_v = lv @ (vcoef @ cpairs.T)
-    sig, dsig = sample_time_factors(psi, partition, rule)
-    per_point = (dsig * g_v + sig * c_v).sum(axis=-1)           # (M, P)
-    total = float(partition.lengths @ (per_point @ rule.weights))
+    weights, dweights = _tested_data(psi, partition, order,
+                                     data_time_points(order))
+    total = float(np.vdot(dweights, vcoef @ gloads.T)
+                  + np.vdot(weights, vcoef @ cpairs.T))
 
     sig0 = np.array([tf.fn(0.0) for tf, _ in psi.terms])
     total += float((sig0 @ gloads) @ (basis.left_values @ vcoef[0]))

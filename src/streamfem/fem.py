@@ -38,8 +38,10 @@ separable field (loads, values and exact gradients of its spatial
 factors w_i) is stacked by ``term_tables``, one (I, ...) array per kind,
 and evaluated once per space (``FeSpace.term_table``).  Every time
 integral of the data, the interval loads of the solvers included, sums
-static term tables times the sigma_i sampled by ``sample_time_factors``,
-so its time rule is decided there alone.
+static term tables times the sigma_i sampled by ``sample_time_factors``
+(in the dG layer through ``dg_time._tested_data``), so its time rule is
+decided there alone; the time projection of ``dg_time`` samples the
+sigma_i there as well.
 """
 
 from dataclasses import dataclass, field

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .dg_time import _forward_sweep
+from .dg_time import _forward_sweep, _tested_data
 from .fem import (FeSpace, _scatter_matrix, _space_weights, assemble_tested,
                   element_matrices, sample_time_factors, space_time_squares,
                   term_tables, value_tables)
@@ -162,10 +162,9 @@ def mini_transient_solve(space, partition, g):
                     [None, cvec.T, None]], format="csr")
 
     loads = np.pad(_velocity_loads(space, g), ((0, 0), (0, n_p + 1)))
-    trule = interval_rule(3)
-    sig, _ = sample_time_factors(g, partition, trule)
+    weights, _ = _tested_data(g, partition, 0, 3)
     x = np.array([block[0] for block in _forward_sweep(
-        mass, oper, loads, sig, trule, partition.lengths,
+        mass, oper, loads, weights, partition.lengths,
         np.zeros(mass.shape[0]), 0)])
     n_v = space.n_velocity
     velocities = np.vstack([np.zeros(n_v), x[:, :n_v]])

@@ -14,7 +14,7 @@ from streamfem.dg_time import (DgSolution, TimeBasis, TimePartition,
                                stability_data_norm, stability_functional,
                                time_projection_values)
 from streamfem.fem import (FeFunction, build_space, gradient_tables,
-                           h1_projection, space_time_h1_error)
+                           h1_projection, space_time_h1_error, term_tables)
 from streamfem.linalg import Factorized, SolverError
 from streamfem.mesh import build_structured_mesh
 
@@ -230,9 +230,16 @@ def test_exactly_representable_field_error_zero(space_n4_l2):
 # -- time projection -------------------------------------------------------
 
 
+def _one_term(fn):
+    """A one-term field with time factor ``fn``; the projection reads
+    neither its derivative nor its spatial factor."""
+    return mf.ScalarField([(mf.TimeFactor(fn, lambda t: math.nan),
+                            mf.SpatialTerm(None))])
+
+
 def test_projection_r0_is_right_endpoint():
     part = make_partition(1, 1.0)
-    vals = time_projection_values(0, part, lambda t: t)
+    vals = time_projection_values(0, part, _one_term(lambda t: t))[..., 0]
     assert vals.ravel() == pytest.approx([1.0])
     # L2(0,1) distance of t to 1 is 1/sqrt(3)
     from streamfem.quadrature import interval_rule
@@ -250,7 +257,7 @@ def test_projection_reproduces_polynomials(order):
     def poly(t):
         return sum(c * t ** p for p, c in enumerate(coeffs))
 
-    vals = time_projection_values(order, part, poly)
+    vals = time_projection_values(order, part, _one_term(poly))[..., 0]
     basis = TimeBasis(order)
     for m in range(3):
         t0, t1 = part.nodes[m], part.nodes[m + 1]
@@ -264,7 +271,7 @@ def test_projection_r1_of_t_squared_oracle():
     """p(1) = 1 and a vanishing mean of (p - t^2) force p = -1/3 + 4t/3
     on a single unit interval; direct 2x2 derivation."""
     part = make_partition(1, 1.0)
-    vals = time_projection_values(1, part, lambda t: t * t)
+    vals = time_projection_values(1, part, _one_term(lambda t: t * t))[..., 0]
     # nodal values at the collocation points 1/3 and 1
     assert vals[0] == pytest.approx([-1.0 / 3.0 + 4.0 / 9.0, 1.0], abs=1e-12)
 
@@ -273,10 +280,25 @@ def test_projection_endpoint_condition():
     part = make_partition(4, 1.0)
     fn = lambda t: math.sin(2.0 * math.pi * t)
     for order in (0, 1, 2):
-        vals = time_projection_values(order, part, fn)
+        vals = time_projection_values(order, part, _one_term(fn))[..., 0]
         for m in range(4):
             assert vals[m, -1] == pytest.approx(fn(part.nodes[m + 1]),
                                                 abs=1e-14)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_projection_of_a_field_is_that_of_its_terms(order):
+    """All intervals and terms are projected at once: the projection of
+    a two-term field on a graded partition is, term by term and to
+    roundoff, the projection of each term alone."""
+    part = TimePartition(make_partition(6).nodes ** 2)
+    fns = (lambda t: math.sin(2.0 * math.pi * t), lambda t: math.exp(-t))
+    both = mf.ScalarField([_one_term(fn).terms[0] for fn in fns])
+    vals = time_projection_values(order, part, both)
+    assert vals.shape == (6, order + 1, 2)
+    for i, fn in enumerate(fns):
+        alone = time_projection_values(order, part, _one_term(fn))[..., 0]
+        assert np.abs(vals[..., i] - alone).max() <= 1e-14
 
 
 # -- jump identity and bilinear forms --------------------------------------
@@ -495,6 +517,35 @@ def test_galerkin_orthogonality_fails_with_mismatched_time_rule(
     assert res.min() > 1e-7
 
 
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_galerkin_orthogonality_of_the_solver(order, diagnostics_default_run,
+                                              rng):
+    """Fed the data that ``bh_analytic`` pairs, the gradient loads tested
+    with sigma' and the consistency pairings tested with sigma, the sweep
+    from u0 = 0 gives a trajectory U with B(U, v) = bh_analytic(psi, v)
+    up to the solve contract: no space quadrature lies between the two
+    sides, so the residual measures the solver alone.  psi(0) = 0, so
+    the initial term of ``bh_analytic`` vanishes."""
+    form, part, _ = diagnostics_default_run
+    space, psi = form.space, mf.psi_exact()
+    free = space.free_dofs
+    weights, dweights = dg_time._tested_data(psi, part, order,
+                                             data_time_points(order))
+    loads = np.concatenate([term_tables(space, psi, "grad load"),
+                            form.pairings(psi)])[:, free]
+    u = np.zeros((part.num_intervals, order + 1, space.n_dofs))
+    for m, block in enumerate(dg_time._forward_sweep(
+            space.h1_free(), form.matrix_free, loads,
+            np.concatenate([dweights, weights], axis=-1), part.lengths,
+            np.zeros(free.size), order)):
+        u[m][:, free] = block
+    for _ in range(10):
+        v = _random_blocks(rng, space, u.shape)
+        lhs = bh_analytic(form, psi, part, order, v)
+        rhs = bh_primal(form, part, order, u, v)
+        assert abs(lhs - rhs) <= 1e-10 * (abs(lhs) + abs(rhs))
+
+
 def test_solver_error_carries_interval_and_residual(space_n4_l2,
                                                     monkeypatch):
     form = assemble_cip(space_n4_l2)
@@ -607,22 +658,25 @@ def test_one_factor_set_per_run_of_equal_steps(order, space_n4_l2,
     assert len(factor_count) == 3 * len(dg_time.time_modes(order))
 
 
-def test_a_run_drops_its_factors_before_the_next_exist(space_n4_l2,
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_a_run_drops_its_factors_before_the_next_exist(order, space_n4_l2,
                                                        refined_partition,
                                                        monkeypatch):
-    """When the step length changes, the previous run's mode factors are
-    gone before ``_interval_system`` builds the next run's."""
+    """When the step length changes, the previous run's mode factors and
+    their matrices are gone before ``_interval_system`` builds the next
+    run's; at r = 0 the coupled operator holds the factor's matrix."""
     made, alive = [], []
     interval_system = dg_time._interval_system
 
     def spy(*args):
         alive.append(any(ref() is not None for ref in made))
         modes, system = interval_system(*args)
-        made.extend(weakref.ref(factor) for factor, _, _ in modes)
+        made.extend(weakref.ref(obj) for factor, _, _ in modes
+                    for obj in (factor, factor.a))
         return modes, system
 
     monkeypatch.setattr(dg_time, "_interval_system", spy)
-    dg_solve(assemble_cip(space_n4_l2), refined_partition, 1,
+    dg_solve(assemble_cip(space_n4_l2), refined_partition, order,
              f=mf.f_scalar())
     assert alive == [False, False, False]
 

@@ -14,6 +14,9 @@ Prints one ``label digest`` line per artifact:
   nodes 5/16 and 3/8 (three runs of equal steps); and the
   ``mini_transient_solve`` velocities, pressures and multipliers at n=8
   under g on the grading;
+- the three ``best_approx_terms(psi_exact, form, partition, r)`` at n=8
+  P2 for r = 0, 1, 2 on ``make_partition(7)`` and on the nodes^2
+  grading, which cover the time projection at r >= 1;
 - the CSVs, summaries and stdout of the default ``stationary``,
   ``converge-k``, ``converge-h``, ``compare-mini``, ``diagnostics`` and
   ``converge-k --method mini`` studies, each run in a temporary
@@ -44,8 +47,8 @@ from streamfem import manufactured as mf  # noqa: E402
 from streamfem.cip import (_assemble_matrices, assemble_cip,  # noqa: E402
                            consistency_pairing, default_penalty,
                            ritz_projection)
-from streamfem.dg_time import (TimePartition, dg_solve,  # noqa: E402
-                               make_partition)
+from streamfem.dg_time import (TimePartition,  # noqa: E402
+                               best_approx_terms, dg_solve, make_partition)
 from streamfem.fem import build_space  # noqa: E402
 from streamfem.mesh import build_structured_mesh  # noqa: E402
 from streamfem.mini_stokes import (build_mini_space,  # noqa: E402
@@ -94,7 +97,8 @@ def numeric_lines():
 
 
 def transient_lines():
-    """Digest lines of the transient solves on non-uniform partitions."""
+    """Digest lines of the transient solves on non-uniform partitions and
+    of the best-approximation terms."""
     mesh = build_structured_mesh(8)
     form = assemble_cip(build_space(mesh, 2))
     graded = TimePartition(make_partition(10).nodes ** 2)
@@ -109,6 +113,12 @@ def transient_lines():
     sol = mini_transient_solve(build_mini_space(mesh), graded, mf.g_field())
     yield "mini n=8 graded", _digest(sol.velocities, sol.pressures,
                                      sol.multipliers)
+    for name, partition in (("uniform", make_partition(7)),
+                            ("graded", graded)):
+        for order in (0, 1, 2):
+            yield (f"best_approx_terms n=8 P2 r={order} {name}",
+                   _digest(np.array(best_approx_terms(
+                       mf.psi_exact(), form, partition, order))))
 
 
 def study_lines():
