@@ -288,7 +288,7 @@ def _assemble_matrices(space, eta, flip_normals):
         filled = stop
         return out
 
-    claim(dof)[:] = element_matrices(space, space.default_matrix_rule(), 2)
+    claim(dof)[:] = element_matrices(space, 2)
 
     erule = interval_rule(_edge_rule_points(space.degree))
     svals = erule.points
@@ -333,9 +333,7 @@ def consistency_pairing(form, w):
     if not getattr(w, "clamped", False):
         raise ValueError("consistency pairing requires a clamped target "
                          "(w and grad w vanishing on the boundary)")
-    rule = space.default_data_rule()
-    out = assemble_tested(space, w.hess(0.0, space.phys_points(rule)), 2,
-                          rule)
+    out = assemble_tested(space, w.hess(0.0, space.phys_points()), 2)
 
     erule = interval_rule(8)
     svals = erule.points

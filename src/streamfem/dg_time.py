@@ -42,14 +42,16 @@ of a clamped field; and ``triple_norm(v)``, sqrt(a_h(v, v)).
 ``cip.CipForm`` is one such form, and this module imports nothing from
 ``cip``.
 
-Every integral decides its own quadrature: space integrals of the data
-read ``FeSpace.default_data_rule()``, and each time integral takes the
-Gauss rule its docstring names.  ``_tested_data`` tests the time
-factors that ``sample_time_factors`` samples against the dG basis; the
-loads of both sweeps and the data side of ``bh_analytic`` are these
-arrays times static tables, for ``dg_solve`` and ``bh_analytic`` at the
-same ``data_time_points(r)`` points, so Galerkin orthogonality holds up
-to the space quadrature alone.
+Every integral decides its own quadrature: space integrals take the
+space's own rule inside the ``fem`` kernels, so this module names no
+triangle rule, and each time integral takes the Gauss rule its docstring
+names.  ``_tested_data`` tests the time factors that
+``sample_time_factors`` samples against the dG basis; the loads of both
+sweeps and the data side of ``bh_analytic`` are these arrays times
+static tables, for ``dg_solve`` and ``bh_analytic`` at the same
+``data_time_points(r)`` points, so Galerkin orthogonality holds up to
+the space quadrature alone.  Only ``bh_analytic`` reads sigma_i', as
+the time factors of ``_time_derivative``.
 """
 
 from dataclasses import dataclass
@@ -219,16 +221,22 @@ def data_time_points(order):
 def _tested_data(fld, partition, order, points):
     """The time factors of a field tested against the dG(r) basis.
 
-    Returns W and W', each (M, r+1, I) for the I terms of ``fld``, with
-    W_m[a, i] = k_m sum_q w_q ell_a(tau_q) sigma_i(t_mq) and sigma_i' in
-    place of sigma_i in W', from one ``sample_time_factors`` call at a
-    Gauss rule of ``points`` points per interval.
+    Returns W, (M, r+1, I) for the I terms of ``fld``, with
+    W_m[a, i] = k_m sum_q w_q ell_a(tau_q) sigma_i(t_mq), from one
+    ``sample_time_factors`` call at a Gauss rule of ``points`` points
+    per interval.
     """
     rule = interval_rule(points)
     tested = rule.weights[:, None] * TimeBasis(order).values(rule.points)
-    lengths = partition.lengths[:, None, None]
-    return tuple(lengths * (tested.T @ s)
-                 for s in sample_time_factors(fld, partition, rule))
+    return partition.lengths[:, None, None] * (
+        tested.T @ sample_time_factors(fld, partition, rule))
+
+
+def _time_derivative(fld):
+    """The field sum_i sigma_i' w_i of a separable field, the one place
+    the time layer reads ``dfn``; its own time factors carry no
+    derivative."""
+    return type(fld)([(type(tf)(tf.dfn, None), w) for tf, w in fld.terms])
 
 
 def _initial_coefficients(space, psi0):
@@ -272,8 +280,7 @@ def dg_solve(form, partition, order, f=None, psi0=None):
         weights = np.zeros((partition.num_intervals, order + 1, 0))
     else:
         loads = term_tables(space, f, "load")[:, free]
-        weights, _ = _tested_data(f, partition, order,
-                                  data_time_points(order))
+        weights = _tested_data(f, partition, order, data_time_points(order))
     coeffs = np.zeros((partition.num_intervals, order + 1, space.n_dofs))
     for m, block in enumerate(_forward_sweep(
             space.h1_free(), form.matrix_free, loads, weights,
@@ -367,7 +374,7 @@ def time_projection_values(order, partition, fld):
     powers = np.vander(rule.points, order, increasing=True)   # (Q, r)
     gmat = np.einsum("q,qj,qa->ja", rule.weights, powers,
                      TimeBasis(order).values(rule.points))     # (r, r+1)
-    sig, _ = sample_time_factors(fld, partition, rule)         # (M, Q, I)
+    sig = sample_time_factors(fld, partition, rule)            # (M, Q, I)
     right = np.array([[tf.fn(t) for tf, _ in fld.terms]
                       for t in partition.nodes[1:]])           # (M, I)
     moments = np.einsum("q,qj,mqi->mji", rule.weights, powers, sig)
@@ -421,7 +428,7 @@ def stability_data_norm(form, f, partition, psi0=None):
     gram = np.array([[gi @ (k_free @ gj) for gj in lifts] for gi in lifts])
 
     rule = interval_rule(8)
-    sig, _ = sample_time_factors(f, partition, rule)
+    sig = sample_time_factors(f, partition, rule)
     quad = np.einsum("mpi,ij,mpj->mp", sig, gram, sig)
     total = float(partition.lengths @ (quad @ rule.weights))
 
@@ -444,25 +451,24 @@ def best_approx_terms(psi, form, partition, order):
     """
     space = form.space
     free = space.free_dofs
-    rule = space.default_data_rule()
     trule = interval_rule(5)
     exact = term_tables(space, psi, "grad")
     ritz = np.zeros((len(psi.terms), space.n_dofs))
     ritz[:, free] = [form.factor()(pair[free])
                      for pair in form.pairings(psi)]
-    ritz = gradient_tables(space, rule, ritz)
-    h1p = gradient_tables(space, rule, [
+    ritz = gradient_tables(space, ritz)
+    h1p = gradient_tables(space, [
         _h1_lift(space, b) for b in term_tables(space, psi, "grad load")])
     exact_minus_ritz = exact - ritz
     exact_and_h1p = np.concatenate([exact, h1p])
 
     # sigma_i and its interval-wise time projection at the Gauss points
-    sig, _ = sample_time_factors(psi, partition, trule)
+    sig = sample_time_factors(psi, partition, trule)
     lv = TimeBasis(order).values(trule.points)                 # (P, r+1)
     pik = time_projection_values(order, partition, psi)         # (M, r+1, I)
     psig = lv @ pik                                             # (M, P, I)
 
-    wdet = _space_weights(space.jac_det, rule)
+    wdet = _space_weights(space)
 
     def norm(coefficients, tables):
         blocks = ((c, tables) for c in coefficients)
@@ -535,18 +541,19 @@ def bh_analytic(form, psi, partition, order, vcoef):
     the field's jumps vanish, its elliptic pairing is the consistency
     pairing, and the initial term pairs the field at t = 0.  The data
     term is sum W' (V b) + sum W (V c) over the gradient loads b_i and
-    the consistency pairings c_i of the terms, with the tested data W,
-    W' of ``_tested_data`` at ``data_time_points(order)``: the arrays
-    that load ``dg_solve``.  Its space rule is the data rule, so
-    Galerkin orthogonality holds up to the space quadrature of the two
-    sides.
+    the consistency pairings c_i of the terms, with the tested data W of
+    ``_tested_data`` at ``data_time_points(order)``, the array that
+    loads ``dg_solve``, and W' the same of ``_time_derivative(psi)``.
+    Its space rule is the data rule, so Galerkin orthogonality holds up
+    to the space quadrature of the two sides.
     """
     space = form.space
     basis = TimeBasis(order)
     gloads = term_tables(space, psi, "grad load")               # (I, n)
     cpairs = form.pairings(psi)
-    weights, dweights = _tested_data(psi, partition, order,
-                                     data_time_points(order))
+    points = data_time_points(order)
+    weights = _tested_data(psi, partition, order, points)
+    dweights = _tested_data(_time_derivative(psi), partition, order, points)
     total = float(np.vdot(dweights, vcoef @ gloads.T)
                   + np.vdot(weights, vcoef @ cpairs.T))
 

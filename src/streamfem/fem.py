@@ -19,12 +19,21 @@ it against the table, ``value_tables`` maps coefficient rows to values,
 and ``gradient_tables`` maps them to reference gradients, then applies
 J^-1 per cell.
 
+The space owns its quadrature.  ``element_matrices`` reads
+``FeSpace.default_matrix_rule()``; ``assemble_tested``,
+``value_tables``, ``gradient_tables``, ``FeSpace.phys_points`` and the
+space weights read ``FeSpace.default_data_rule()``.  No caller passes a
+triangle rule to them, so a space that needs another rule changes
+these two methods alone.  ``basis_table`` takes its rule, as it serves
+both.
+
 Space-time quantities of separable fields sum_i sigma_i(t) w_i(x) share
-one quadrature: ``sample_time_factors`` evaluates the sigma_i at every
-interval Gauss point, ``gradient_tables`` gives the spatial gradients,
-and ``space_time_squares`` integrates |sum_j C_pj T_j|^2 over
-I x Omega.  With the thin QR factorization sqrt(W) C = Q R of the (P, J)
-coefficients of an interval (W the time weights),
+one quadrature: ``sample_time_factors`` evaluates the sigma_i (never
+sigma_i') at every interval Gauss point, ``gradient_tables`` gives the
+spatial gradients, and ``space_time_squares`` integrates
+|sum_j C_pj T_j|^2 over I x Omega.  With the thin QR factorization
+sqrt(W) C = Q R of the (P, J) coefficients of an interval (W the time
+weights),
 
     sum_p w_p |sum_j C_pj T_j|^2 = sum_i |sum_j R_ij T_j|^2,
 
@@ -155,6 +164,12 @@ class FeSpace:
     ``_entity_dofs()``; every table and kernel reads the basis through
     these two, so a subclass may replace them (``mini_stokes.MiniSpace``).
 
+    Its two triangle rules are ``default_matrix_rule()`` (degree 2l,
+    read by ``element_matrices``) and ``default_data_rule()`` (degree 8,
+    read by every kernel that integrates data or tabulates discrete
+    functions); the kernels read them from the space, so no caller
+    names either.
+
     The space caches what depends on it alone, for as long as it lives:
     the rule tables (``phys_points``, ``basis_table``), the H1 stiffness
     matrix, its free block and factor, and the static data of separable
@@ -262,8 +277,9 @@ class FeSpace:
     def default_data_rule(self):
         return triangle_rule(8)
 
-    def phys_points(self, rule):
-        """Images of the rule points in every triangle, (F, Q, 2)."""
+    def phys_points(self):
+        """Images of the data rule points in every triangle, (F, Q, 2)."""
+        rule = self.default_data_rule()
         return self._rule_table("pts", rule, lambda: (
             self.origins[:, None, :]
             + np.einsum("fij,qj->fqi", self.jac, rule.points)))
@@ -335,8 +351,9 @@ def _scatter_matrix(space, elem):
     return build_csr(rows, cols, elem, (space.n_dofs, space.n_dofs))
 
 
-def element_matrices(space, rule, order):
-    """int_T D^k phi_m : D^k phi_l on every triangle, (F, n_loc, n_loc).
+def element_matrices(space, order):
+    """int_T D^k phi_m : D^k phi_l on every triangle, (F, n_loc, n_loc),
+    with the matrix rule of the space.
 
     On an affine cell D^k phi = J^-T (D^k phi^) J^-1 (k = 2),
     J^-T grad phi^ (k = 1) or phi^ (k = 0, the mass matrix), so the
@@ -346,6 +363,7 @@ def element_matrices(space, rule, order):
     (F, 4**k) @ (4**k, n_loc**2).  The blocks are made bitwise
     symmetric, so the assembled matrix is exactly symmetric.
     """
+    rule = space.default_matrix_rule()
     d = 2 ** order
     table = space.basis_table(rule, order)
     n_loc = table.shape[1]
@@ -363,8 +381,8 @@ def element_matrices(space, rule, order):
     return 0.5 * (elem + elem.transpose(0, 2, 1))
 
 
-def assemble_tested(space, data, order, rule):
-    """Vector of int data : D^k phi_i dx for data at the rule points.
+def assemble_tested(space, data, order):
+    """Vector of int data : D^k phi_i dx for data at the data rule points.
 
     ``data`` holds physical values (F, Q) for k = 0, vectors (F, Q, 2)
     for k = 1 or matrices (F, Q, 2, 2) for k = 2.  They are pulled back
@@ -376,25 +394,23 @@ def assemble_tested(space, data, order, rule):
         data = data @ jinv.transpose(0, 2, 1)
     elif order == 2:
         data = jinv[:, None] @ data @ jinv.transpose(0, 2, 1)[:, None]
-    wdet = _space_weights(space.jac_det, rule)
+    wdet = _space_weights(space)
     weighted = data * wdet.reshape(wdet.shape + (1,) * order)
-    contrib = weighted.reshape(len(wdet), -1) @ space.basis_table(rule, order)
+    contrib = weighted.reshape(len(wdet), -1) @ space.basis_table(
+        space.default_data_rule(), order)
     return np.bincount(space.dof_map.ravel(), weights=contrib.ravel(),
                        minlength=space.n_dofs)
 
 
 def assemble_h1_stiffness(space):
     """Matrix of (grad phi_j, grad phi_i) over the full DOF set."""
-    return _scatter_matrix(space, element_matrices(
-        space, space.default_matrix_rule(), 1))
+    return _scatter_matrix(space, element_matrices(space, 1))
 
 
 def assemble_load_scalar(space, f):
     """Load vector b_i = int f(x) phi_i dx of a static field f (its value
     at t = 0), with the data rule."""
-    rule = space.default_data_rule()
-    return assemble_tested(space, f.value(0.0, space.phys_points(rule)), 0,
-                           rule)
+    return assemble_tested(space, f.value(0.0, space.phys_points()), 0)
 
 
 def assemble_load_dual(space, g):
@@ -405,18 +421,14 @@ def assemble_load_dual(space, g):
     gradient of the test function, without differentiating g:
     g . (d2 phi, -d1 phi) = (-g2, g1) . grad phi.
     """
-    rule = space.default_data_rule()
-    gv = g.value(0.0, space.phys_points(rule))
-    return assemble_tested(space, np.stack([-gv[..., 1], gv[..., 0]], -1),
-                           1, rule)
+    gv = g.value(0.0, space.phys_points())
+    return assemble_tested(space, np.stack([-gv[..., 1], gv[..., 0]], -1), 1)
 
 
 def assemble_load_gradient(space, w):
     """Load b_i = int grad(w) . grad(phi_i) dx of a static field w (its
     value at t = 0), with the data rule."""
-    rule = space.default_data_rule()
-    return assemble_tested(space, w.grad(0.0, space.phys_points(rule)), 1,
-                           rule)
+    return assemble_tested(space, w.grad(0.0, space.phys_points()), 1)
 
 
 def term_tables(space, fld, kind):
@@ -433,8 +445,7 @@ def term_tables(space, fld, kind):
             return assemble_load_scalar(space, static)
         if kind == "grad load":
             return assemble_load_gradient(space, static)
-        return getattr(static, kind)(
-            0.0, space.phys_points(space.default_data_rule()))
+        return getattr(static, kind)(0.0, space.phys_points())
     return np.stack([space.term_table(kind, w, partial(build, w))
                      for _, w in fld.static_terms()])
 
@@ -471,43 +482,43 @@ def _weighted_squares(wdet, values):
     return (sq[..., 0] + sq[..., 1]).reshape(lead + (-1,)) @ wdet.ravel()
 
 
-def _space_weights(det, rule):
-    """Spatial quadrature weights w_q det_f, shape (F, Q)."""
-    return det[:, None] * rule.weights[None, :]
+def _space_weights(space):
+    """Spatial weights w_q det_f of the data rule, shape (F, Q)."""
+    return space.jac_det[:, None] * space.default_data_rule().weights[None, :]
 
 
 def sample_time_factors(fld, partition, trule):
-    """sigma_i and sigma_i' of every term at every interval Gauss point.
+    """sigma_i of every term at every interval Gauss point.
 
-    Returns two arrays of shape (M, P, I) for M intervals, the P points
-    of ``trule`` mapped to each interval and the I terms of ``fld``.
+    Returns an array of shape (M, P, I) for M intervals, the P points of
+    ``trule`` mapped to each interval and the I terms of ``fld``.  Only
+    ``sigma_i`` (``fn``) is read; no derivative is evaluated.
     """
     times = (partition.nodes[:-1, None]
              + partition.lengths[:, None] * trule.points[None, :])
-    sig = np.array([[[tf.fn(t) for tf, _ in fld.terms] for t in row]
-                    for row in times])
-    dsig = np.array([[[tf.dfn(t) for tf, _ in fld.terms] for t in row]
+    return np.array([[[tf.fn(t) for tf, _ in fld.terms] for t in row]
                      for row in times])
-    return sig, dsig
 
 
-def gradient_tables(space, rule, rows):
+def gradient_tables(space, rows):
     """Gradients of the discrete functions with coefficient rows (A, n_dofs).
 
-    Returns (A, F, Q, 2) at the rule points: the reference gradients of
+    Returns (A, F, Q, 2) at the data rule points: the reference gradients of
     all rows and cells in one matrix product against the basis table,
     then one batched 2 x 2 product with J^-1 per cell.
     """
     coef = np.asarray(rows)[:, space.dof_map]                  # (A, F, L)
-    ref = coef.reshape(-1, coef.shape[-1]) @ space.basis_table(rule, 1).T
+    ref = coef.reshape(-1, coef.shape[-1]) @ space.basis_table(
+        space.default_data_rule(), 1).T
     return ref.reshape(coef.shape[:2] + (-1, 2)) @ space.jac_inv
 
 
-def value_tables(space, rule, rows):
+def value_tables(space, rows):
     """Values of the discrete functions with coefficient rows (A, n_dofs)
-    at the rule points, (A, F, Q): one product against the basis table."""
+    at the data rule points, (A, F, Q): one product against the basis
+    table."""
     coef = np.asarray(rows)[:, space.dof_map]                  # (A, F, L)
-    return coef @ space.basis_table(rule, 0).T
+    return coef @ space.basis_table(space.default_data_rule(), 0).T
 
 
 def space_time_squares(wdet, trule, lengths, blocks):
@@ -549,10 +560,9 @@ def space_time_squares(wdet, trule, lengths, blocks):
 
 def h1_field_error(space, coefficients, fld):
     """|| grad(w - v_h) ||_Omega by quadrature for a static analytic w."""
-    rule = space.default_data_rule()
-    diff = (fld.grad(0.0, space.phys_points(rule))
-            - gradient_tables(space, rule, [coefficients])[0])
-    val = _weighted_squares(_space_weights(space.jac_det, rule), diff[None])[0]
+    diff = (fld.grad(0.0, space.phys_points())
+            - gradient_tables(space, [coefficients])[0])
+    val = _weighted_squares(_space_weights(space), diff[None])[0]
     return float(np.sqrt(max(val, 0.0)))
 
 
@@ -563,19 +573,18 @@ def space_time_h1_error(sol, psi, time_points=5):
     (t_{m-1}, t_m]; space integrals use the data quadrature rule.
     """
     space = sol.space
-    rule = space.default_data_rule()
     trule = interval_rule(time_points)
     exact = term_tables(space, psi, "grad")
-    sig, _ = sample_time_factors(psi, sol.partition, trule)
+    sig = sample_time_factors(psi, sol.partition, trule)
     minus_basis = -sol.basis.values(trule.points)              # (P, r+1)
 
     def blocks():
         tables = np.concatenate([exact, np.empty((sol.order + 1,)
                                                  + exact.shape[1:])])
         for m, coef in enumerate(sol.coefficients):
-            tables[len(exact):] = gradient_tables(space, rule, coef)
+            tables[len(exact):] = gradient_tables(space, coef)
             yield np.hstack([sig[m], minus_basis]), tables
 
-    total = space_time_squares(_space_weights(space.jac_det, rule), trule,
+    total = space_time_squares(_space_weights(space), trule,
                                sol.partition.lengths, blocks())
     return float(np.sqrt(max(total, 0.0)))

@@ -14,8 +14,11 @@ interval-tagged errors are the same code.
 The scalar velocity space is an ``FeSpace`` (``MiniSpace``) that sets
 only its DOF layout and its reference basis, so the mass, stiffness,
 pressure integrals, loads and error tables come from the shared
-reference-table kernels of ``fem``.  The divergence rows are one
-reference tensor sum_q w_q lambda_j d_a w_l times det J J^-T per cell.
+reference-table kernels of ``fem``, each with the rule the space gives
+it: the matrix rule for the mass and stiffness, the data rule for the
+rest.  The divergence rows are this module's own kernel: one reference
+tensor sum_q w_q lambda_j d_a w_l at the matrix rule times det J J^-T
+per cell.
 """
 
 from dataclasses import dataclass
@@ -89,8 +92,7 @@ def build_mini_space(mesh):
 def _mass(space):
     """Mass matrix of one velocity component on the free DOFs."""
     free = space.free_dofs
-    mass = _scatter_matrix(space, element_matrices(
-        space, space.default_matrix_rule(), 0))
+    mass = _scatter_matrix(space, element_matrices(space, 0))
     return mass[free][:, free]
 
 
@@ -114,10 +116,10 @@ def _divergence(space):
 
 
 def _pressure_integrals(space):
-    """(q_j, 1) for every P1 pressure DOF."""
-    rule = space.default_matrix_rule()
-    ones = np.ones((space.mesh.num_triangles, len(rule)))
-    return assemble_tested(space, ones, 0, rule)[:space.n_pressure]
+    """(q_j, 1) for every P1 pressure DOF, with the data rule (exact for
+    the hats)."""
+    ones = np.ones(space.phys_points().shape[:2])
+    return assemble_tested(space, ones, 0)[:space.n_pressure]
 
 
 def _velocity_loads(space, g):
@@ -126,9 +128,8 @@ def _velocity_loads(space, g):
     Each component of the cached value table of g_i (``term_tables``) is
     tested against the scalar space; returns (I, n_velocity).
     """
-    rule = space.default_data_rule()
     return np.array([np.concatenate([assemble_tested(
-        space, values[..., c], 0, rule)[space.free_dofs] for c in range(2)])
+        space, values[..., c], 0)[space.free_dofs] for c in range(2)])
         for values in term_tables(space, g, "value")])
 
 
@@ -162,7 +163,7 @@ def mini_transient_solve(space, partition, g):
                     [None, cvec.T, None]], format="csr")
 
     loads = np.pad(_velocity_loads(space, g), ((0, 0), (0, n_p + 1)))
-    weights, _ = _tested_data(g, partition, 0, 3)
+    weights = _tested_data(g, partition, 0, 3)
     x = np.array([block[0] for block in _forward_sweep(
         mass, oper, loads, weights, partition.lengths,
         np.zeros(mass.shape[0]), 0)])
@@ -175,10 +176,9 @@ def velocity_error_l2(sol, u_exact):
     """|| u - u_kh ||_{L2(I x Omega)} for the piecewise-constant steps,
     with the data rule in space and 3 Gauss points per interval."""
     space = sol.space
-    rule = space.default_data_rule()
     trule = interval_rule(3)
     exact = term_tables(space, u_exact, "value")
-    sig, _ = sample_time_factors(u_exact, sol.partition, trule)
+    sig = sample_time_factors(u_exact, sol.partition, trule)
     minus_one = -np.ones((len(trule), 1))
 
     def blocks():
@@ -186,9 +186,9 @@ def velocity_error_l2(sol, u_exact):
         rows = np.zeros((2, space.n_dofs))
         for m, velocity in enumerate(sol.velocities[1:]):
             rows[:, space.free_dofs] = velocity.reshape(2, -1)
-            tables[-1] = np.moveaxis(value_tables(space, rule, rows), 0, -1)
+            tables[-1] = np.moveaxis(value_tables(space, rows), 0, -1)
             yield np.hstack([sig[m], minus_one]), tables
 
-    total = space_time_squares(_space_weights(space.jac_det, rule), trule,
+    total = space_time_squares(_space_weights(space), trule,
                                sol.partition.lengths, blocks())
     return float(np.sqrt(max(total, 0.0)))

@@ -356,8 +356,8 @@ def test_apply_Ah_stability(form_n8_l2):
     rhs = assemble_load_gradient(space, phi)
     wh = _solve_a_h(form_n8_l2, rhs)
     lifted = apply_Ah(form_n8_l2, wh)
-    rule = triangle_rule(8)
-    pts = space.phys_points(rule)
+    rule = space.default_data_rule()
+    pts = space.phys_points()
     g = phi.grad(0.0, pts)
     norm_g = math.sqrt(np.einsum("q,fqi,fqi,f->", rule.weights, g, g,
                                  space.jac_det))

@@ -214,12 +214,11 @@ def test_exactly_representable_field_error_zero(space_n4_l2):
     field gives a vanishing space-time error."""
     form = assemble_cip(space_n4_l2)
     sol = dg_solve(form, make_partition(1), 0, psi0=mf.phi())
-    rule = space_n4_l2.default_data_rule()
 
     def profile_grad(x):
         # the error integral reads the gradient at the data rule points only
-        assert np.array_equal(x, space_n4_l2.phys_points(rule))
-        return gradient_tables(space_n4_l2, rule, sol.coefficients[0])[0]
+        assert np.array_equal(x, space_n4_l2.phys_points())
+        return gradient_tables(space_n4_l2, sol.coefficients[0])[0]
 
     frozen = mf.ScalarField([(mf.TimeFactor.one(),
                               mf.SpatialTerm(None, profile_grad))])
@@ -233,8 +232,7 @@ def test_exactly_representable_field_error_zero(space_n4_l2):
 def _one_term(fn):
     """A one-term field with time factor ``fn``; the projection reads
     neither its derivative nor its spatial factor."""
-    return mf.ScalarField([(mf.TimeFactor(fn, lambda t: math.nan),
-                            mf.SpatialTerm(None))])
+    return mf.ScalarField([(mf.TimeFactor(fn, None), mf.SpatialTerm(None))])
 
 
 def test_projection_r0_is_right_endpoint():
@@ -529,8 +527,10 @@ def test_galerkin_orthogonality_of_the_solver(order, diagnostics_default_run,
     form, part, _ = diagnostics_default_run
     space, psi = form.space, mf.psi_exact()
     free = space.free_dofs
-    weights, dweights = dg_time._tested_data(psi, part, order,
-                                             data_time_points(order))
+    points = data_time_points(order)
+    weights = dg_time._tested_data(psi, part, order, points)
+    dweights = dg_time._tested_data(dg_time._time_derivative(psi), part,
+                                    order, points)
     loads = np.concatenate([term_tables(space, psi, "grad load"),
                             form.pairings(psi)])[:, free]
     u = np.zeros((part.num_intervals, order + 1, space.n_dofs))
@@ -586,7 +586,7 @@ def _monolithic_solve(form, partition, order, f, psi0):
     loads = np.array([assemble_load_scalar(space, w)[free]
                       for _, w in f.static_terms()])
     rule = interval_rule(data_time_points(order))
-    sig, _ = sample_time_factors(f, partition, rule)
+    sig = sample_time_factors(f, partition, rule)
     tested = rule.weights[:, None] * basis.values(rule.points)
     weights = lengths[:, None, None] * (tested.T @ sig)
     u_prev = h1_projection(space, psi0).coefficients[free]

@@ -133,3 +133,34 @@ def test_time_layer_imports_nothing_from_cip():
             imported.add(node.module)
     assert not [name for name in imported if "cip" in name.split(".")]
     assert "edge_points" not in source
+
+
+def _callers(method):
+    """(module, top-level name) of every call of ``method`` in the
+    package: the function or class around the call."""
+    out = set()
+    for path in SOURCE.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call)
+                        and getattr(node.func, "attr", None) == method):
+                    out.add((path.stem, getattr(top, "name", None)))
+    return out
+
+
+def test_the_space_owns_its_quadrature():
+    """The ``fem`` kernels read their triangle rule from the space, so
+    only ``fem`` calls ``default_data_rule``, and ``default_matrix_rule``
+    is called elsewhere only by the MINI divergence, a kernel of its
+    own; the one-rule kernels take no rule."""
+    from streamfem import fem
+
+    assert {module for module, _ in _callers("default_data_rule")} == {"fem"}
+    matrix = _callers("default_matrix_rule")
+    assert "fem" in {module for module, _ in matrix}
+    assert {call for call in matrix if call[0] != "fem"} == {
+        ("mini_stokes", "_divergence")}
+    for kernel in (fem.element_matrices, fem.assemble_tested,
+                   fem.gradient_tables, fem.value_tables,
+                   fem.FeSpace.phys_points):
+        assert "rule" not in inspect.signature(kernel).parameters, kernel

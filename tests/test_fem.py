@@ -272,11 +272,10 @@ def test_term_loads_times_time_factors_match_direct(space_n4_l2):
     the whole field at t, tested directly at the data rule points."""
     f = mf.f_scalar()
     loads = term_tables(space_n4_l2, f, "load")
-    rule = space_n4_l2.default_data_rule()
     for t in (0.1, 0.37):
         sig = np.array([tf.fn(t) for tf, _ in f.terms])
         direct = assemble_tested(
-            space_n4_l2, f.value(t, space_n4_l2.phys_points(rule)), 0, rule)
+            space_n4_l2, f.value(t, space_n4_l2.phys_points()), 0)
         assert sig @ loads == pytest.approx(direct, abs=1e-12)
 
 
@@ -304,14 +303,10 @@ def test_rule_tables_follow_their_rule(space_n4_l2):
     space = space_n4_l2
     for k in range(20):
         old = QuadratureRule(np.array([[0.25, 0.25]]), np.array([0.5]), 0)
-        space.phys_points(old)
         space.basis_table(old)
         del old
         pts = np.array([[0.5, 0.125 + k / 100]])
         new = QuadratureRule(pts, np.array([0.5]), 0)
-        expected = space.origins + space.jac @ pts[0]
-        assert np.allclose(space.phys_points(new)[:, 0], expected,
-                           rtol=0.0, atol=1e-14)
         assert np.array_equal(space.basis_table(new),
                               reference_basis(2, pts, 0))
 
@@ -319,8 +314,8 @@ def test_rule_tables_follow_their_rule(space_n4_l2):
 def test_projection_stability(space_n8_l2):
     phi = mf.phi()
     proj = h1_projection(space_n8_l2, phi)
-    rule = triangle_rule(8)
-    pts = space_n8_l2.phys_points(rule)
+    rule = space_n8_l2.default_data_rule()
+    pts = space_n8_l2.phys_points()
     g = phi.grad(0.0, pts)
     norm_w = np.sqrt(np.einsum("q,fqi,fqi,f->", rule.weights, g, g,
                                space_n8_l2.jac_det))
@@ -348,10 +343,9 @@ def test_evaluate_reproduces_linear():
     rule points of every cell."""
     space = build_space(build_structured_mesh(2), 1)
     coef = space.mesh.vertices[:, 0].copy()
-    rule = triangle_rule(2)
-    val = value_tables(space, rule, [coef])[0]
-    grad = gradient_tables(space, rule, [coef])[0]
-    assert val == pytest.approx(space.phys_points(rule)[..., 0], abs=1e-13)
+    val = value_tables(space, [coef])[0]
+    grad = gradient_tables(space, [coef])[0]
+    assert val == pytest.approx(space.phys_points()[..., 0], abs=1e-13)
     assert grad[..., 0] == pytest.approx(np.ones(val.shape), abs=1e-12)
     assert grad[..., 1] == pytest.approx(np.zeros(val.shape), abs=1e-12)
 
@@ -363,17 +357,15 @@ def test_evaluate_reproduces_quadratic():
     pts = space.origins[:, None, :] + np.einsum("fij,lj->fli", space.jac, lat)
     coef = np.zeros(space.n_dofs)
     coef[space.dof_map.ravel()] = (pts[..., 0] * pts[..., 1]).ravel()
-    rule = triangle_rule(4)
-    xy = space.phys_points(rule)
-    val = value_tables(space, rule, [coef])[0]
+    xy = space.phys_points()
+    val = value_tables(space, [coef])[0]
     assert val == pytest.approx(xy[..., 0] * xy[..., 1], abs=1e-13)
 
 
 def test_evaluate_zero_function(space_n4_l2):
-    rule = triangle_rule(4)
     zero = [FeFunction(space_n4_l2).coefficients]
-    assert np.all(value_tables(space_n4_l2, rule, zero) == 0.0)
-    assert np.all(gradient_tables(space_n4_l2, rule, zero) == 0.0)
+    assert np.all(value_tables(space_n4_l2, zero) == 0.0)
+    assert np.all(gradient_tables(space_n4_l2, zero) == 0.0)
 
 
 def test_coefficient_length_checked(space_n4_l2):

@@ -144,7 +144,7 @@ def oracle_consistency_pairing(form, w, edge_points=8):
     space = form.space
     mesh = space.mesh
     rule = space.default_data_rule()
-    hw = w.hess(0.0, space.phys_points(rule))
+    hw = w.hess(0.0, space.phys_points())
     out = scatter(space, np.einsum("q,fqij,fqlij,f->fl", rule.weights, hw,
                                    phys_hessians(space, rule),
                                    space.jac_det))
@@ -193,7 +193,7 @@ def oracle_h1_stiffness(space):
 
 def oracle_loads(space, w, g):
     rule = space.default_data_rule()
-    pts = space.phys_points(rule)
+    pts = space.phys_points()
     grads = phys_gradients(space, rule)
     basis = reference_basis(space.degree, rule.points, 0)
     rot = np.stack([grads[..., 1], -grads[..., 0]], axis=-1)
@@ -336,7 +336,7 @@ def test_consistency_pairing(space):
 def test_gradient_tables(space):
     rule = space.default_data_rule()
     rows = np.random.default_rng(3).standard_normal((3, space.n_dofs))
-    assert_close(gradient_tables(space, rule, rows),
+    assert_close(gradient_tables(space, rows),
                  oracle_gradient_tables(space, rule, rows))
 
 

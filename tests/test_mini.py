@@ -33,15 +33,24 @@ def test_rule_tables_follow_their_rule():
     for k in range(20):
         old = QuadratureRule(np.array([[0.25, 0.25]]), np.array([0.5]), 0)
         space.basis_table(old)
-        space.phys_points(old)
         del old
         pts = np.array([[0.5, 0.125 + k / 100]])
         rule = QuadratureRule(pts, np.array([0.5]), 0)
         vals = space.basis_table(rule)
-        phys = space.phys_points(rule)
         assert vals[0, 1:3] == pytest.approx(pts[0], abs=1e-15)
-        assert np.allclose(phys[:, 0], space.origins + space.jac @ pts[0],
-                           rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 2, 8])
+def test_pressure_integrals_closed_form(n):
+    """(q_j, 1) is the sum of |T| / 3 = det J / 6 over the triangles at
+    vertex j, and the integrals of the hats sum to |Omega| = 1."""
+    space = build_mini_space(build_structured_mesh(n))
+    got = _pressure_integrals(space)
+    want = np.bincount(space.mesh.triangles.ravel(),
+                       weights=np.repeat(space.jac_det / 6.0, 3),
+                       minlength=space.n_pressure)
+    assert np.max(np.abs(got - want) / want) <= 1e-15
+    assert got.sum() == pytest.approx(1.0, rel=1e-15, abs=0.0)
 
 
 def test_zero_data_zero_solution():
@@ -107,7 +116,7 @@ def _saddle_step_solve(space, partition, g):
     n_v, n_p = space.n_velocity, space.n_pressure
     loads = np.pad(_velocity_loads(space, g), ((0, 0), (0, n_p + 1)))
     trule = interval_rule(3)
-    sig, _ = sample_time_factors(g, partition, trule)
+    sig = sample_time_factors(g, partition, trule)
     lengths = partition.lengths
     weights = lengths[:, None, None] * (trule.weights @ sig)[:, None]
     uniform = np.allclose(lengths, lengths[0], rtol=1e-12, atol=0.0)

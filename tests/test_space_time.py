@@ -10,7 +10,8 @@ from streamfem import cip
 from streamfem import manufactured as mf
 from streamfem.cip import assemble_cip
 from streamfem.dg_time import (best_approx_terms, bh_analytic, dg_solve,
-                               make_partition, stability_data_norm)
+                               make_partition, stability_data_norm,
+                               time_projection_values)
 from streamfem.fem import (build_space, h1_field_error, sample_time_factors,
                            space_time_h1_error, space_time_squares)
 from streamfem.mesh import build_structured_mesh
@@ -242,7 +243,7 @@ def test_best_approximation_reads_the_cached_pairing(space, pairing_calls):
     static = h1_field_error(space, cip.ritz_projection(form, w).coefficients,
                             w)
     trule = interval_rule(5)
-    sig, _ = sample_time_factors(psi, part, trule)
+    sig = sample_time_factors(psi, part, trule)
     sigma_sq = part.lengths @ (sig[..., 0] ** 2 @ trule.weights)
     assert e_rh == pytest.approx(static * np.sqrt(sigma_sq), rel=1e-12)
 
@@ -283,9 +284,57 @@ def test_a_new_term_or_space_evaluates_afresh(space):
 
 def test_cached_tables_are_read_only(space):
     psi = mf.psi_exact()
-    rule = space.default_data_rule()
     (_, w), = psi.static_terms()
     table = space.term_table("grad", w,
-                             lambda: w.grad(0.0, space.phys_points(rule)))
+                             lambda: w.grad(0.0, space.phys_points()))
     with pytest.raises(ValueError):
         table[0, 0, 0] = 1.0
+
+
+# -- time derivatives ----------------------------------------------------
+
+
+class _DerivativeRead(Exception):
+    pass
+
+
+def _without_derivative(fld):
+    """``fld`` with time factors whose derivative raises when read."""
+    def dfn(t):
+        raise _DerivativeRead(t)
+    return type(fld)([(mf.TimeFactor(tf.fn, dfn), w) for tf, w in fld.terms],
+                     clamped=fld.clamped)
+
+
+def test_only_bh_analytic_reads_time_derivatives(space):
+    """sigma_i' enters only the data term of ``bh_analytic``: the two
+    solvers, the time projection, the stability data norm, the
+    best-approximation terms and both space-time errors run on fields
+    whose time factors have no derivative, with the values they give
+    the same fields with one."""
+    form = assemble_cip(space)
+    part = make_partition(3)
+    f, psi = mf.f_scalar(), mf.psi_exact()
+    bare_f, bare_psi = _without_derivative(f), _without_derivative(psi)
+    sol = dg_solve(form, part, 1, f=bare_f, psi0=mf.phi())
+    assert np.array_equal(sol.coefficients, dg_solve(
+        form, part, 1, f=f, psi0=mf.phi()).coefficients)
+    assert space_time_h1_error(sol, bare_psi) == space_time_h1_error(sol, psi)
+    assert np.array_equal(time_projection_values(1, part, bare_psi),
+                          time_projection_values(1, part, psi))
+    assert (stability_data_norm(form, bare_f, part)
+            == stability_data_norm(form, f, part))
+    assert (best_approx_terms(bare_psi, form, part, 1)
+            == best_approx_terms(psi, form, part, 1))
+
+    mini = build_mini_space(build_structured_mesh(2))
+    bare_g, bare_u = (_without_derivative(mf.g_field()),
+                      _without_derivative(mf.u_exact()))
+    msol = mini_transient_solve(mini, part, bare_g)
+    assert np.array_equal(msol.velocities, mini_transient_solve(
+        mini, part, mf.g_field()).velocities)
+    assert velocity_error_l2(msol, bare_u) == velocity_error_l2(
+        msol, mf.u_exact())
+
+    with pytest.raises(_DerivativeRead):
+        bh_analytic(form, bare_psi, part, 1, sol.coefficients)

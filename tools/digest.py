@@ -8,6 +8,11 @@ Prints one ``label digest`` line per artifact:
   every edge flipped;
 - ``consistency_pairing(form, phi)`` on the same spaces;
 - the ``ritz_projection(form, phi)`` coefficients at n <= 16;
+- the ``fem`` kernels at n=8 P2 and P3: ``assemble_h1_stiffness``, the
+  ``term_tables`` of kind ``"load"`` of f and of kinds ``"grad load"``
+  and ``"grad"`` of psi_exact, and ``h1_field_error`` of the Ritz
+  projection of phi; and the MINI kernels at n=8: ``_mass``,
+  ``_divergence``, ``_pressure_integrals`` and ``_velocity_loads`` of g;
 - the ``dg_solve`` coefficients at n=8 P2 for r = 0, 1, 2 (data f,
   initial datum phi) on two non-uniform partitions: the nodes^2 grading
   of ``make_partition(10)`` and ``make_partition(8)`` refined by the
@@ -49,10 +54,12 @@ from streamfem.cip import (_assemble_matrices, assemble_cip,  # noqa: E402
                            ritz_projection)
 from streamfem.dg_time import (TimePartition,  # noqa: E402
                                best_approx_terms, dg_solve, make_partition)
-from streamfem.fem import build_space  # noqa: E402
+from streamfem.fem import (assemble_h1_stiffness, build_space,  # noqa: E402
+                           h1_field_error, term_tables)
 from streamfem.mesh import build_structured_mesh  # noqa: E402
-from streamfem.mini_stokes import (build_mini_space,  # noqa: E402
-                                   mini_transient_solve)
+from streamfem.mini_stokes import (_divergence, _mass,  # noqa: E402
+                                   _pressure_integrals, _velocity_loads,
+                                   build_mini_space, mini_transient_solve)
 
 SPACES = ((8, 2), (8, 3), (16, 2), (48, 3))
 STUDIES = (("stationary",), ("converge-k",), ("converge-h",),
@@ -94,6 +101,28 @@ def numeric_lines():
         if n <= 16:
             yield (f"ritz {tag}",
                    _digest(ritz_projection(form, mf.phi()).coefficients))
+
+
+def kernel_lines():
+    """Digest lines of the ``fem`` and MINI kernels, called directly."""
+    for degree in (2, 3):
+        space = build_space(build_structured_mesh(8), degree)
+        tag = f"n=8 P{degree}"
+        yield f"h1 stiffness {tag}", _csr_digest(assemble_h1_stiffness(space))
+        for fld, kind in ((mf.f_scalar(), "load"),
+                          (mf.psi_exact(), "grad load"),
+                          (mf.psi_exact(), "grad")):
+            yield (f"term_tables {kind} {tag}",
+                   _digest(term_tables(space, fld, kind)))
+        ritz = ritz_projection(assemble_cip(space), mf.phi()).coefficients
+        yield (f"h1_field_error ritz {tag}",
+               _digest(np.float64(h1_field_error(space, ritz, mf.phi()))))
+    mini = build_mini_space(build_structured_mesh(8))
+    yield "mini _mass n=8", _csr_digest(_mass(mini))
+    yield "mini _divergence n=8", _csr_digest(_divergence(mini))
+    yield "mini _pressure_integrals n=8", _digest(_pressure_integrals(mini))
+    yield ("mini _velocity_loads n=8",
+           _digest(_velocity_loads(mini, mf.g_field())))
 
 
 def transient_lines():
@@ -159,8 +188,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     before = _digests_at(args.against) if args.against else None
     differ = []
-    for label, digest in (*numeric_lines(), *transient_lines(),
-                          *study_lines()):
+    for label, digest in (*numeric_lines(), *kernel_lines(),
+                          *transient_lines(), *study_lines()):
         if before is None:
             print(f"{label}: {digest}", flush=True)
         elif before.pop(label, None) != digest:
