@@ -220,7 +220,8 @@ def assemble_cip(space, eta=None):
         Must have degree >= 2 (normal-derivative jumps of P1 carry no
         Hessian information).
     eta : float, optional
-        Penalty weight; defaults to 5 (degree 2) or 10 (degree 3).
+        Penalty weight, positive and finite (a ValueError before any
+        assembly otherwise); defaults to 5 (degree 2) or 10 (degree 3).
 
     Raises CoercivityError unless the eliminated block is positive
     definite, read exactly off its LU pivots (``Factorized.definite``).
@@ -229,8 +230,8 @@ def assemble_cip(space, eta=None):
         raise ValueError("interior penalty form needs degree >= 2")
     if eta is None:
         eta = default_penalty(space.degree)
-    if eta <= 0.0:
-        raise ValueError("penalty must be positive")
+    if not 0.0 < eta < np.inf:
+        raise ValueError("penalty must be positive and finite")
     # The assembly buffers and the full matrix die with the helper's
     # result, before the certifying factor exists.  The form keeps that
     # factor for factor(), and dg_solve releases it first.  perfbench

@@ -42,10 +42,14 @@ of a clamped field; and ``triple_norm(v)``, sqrt(a_h(v, v)).
 ``cip.CipForm`` is one such form, and this module imports nothing from
 ``cip``.
 
-Every integral decides its own quadrature: space integrals take the
-space's own rule inside the ``fem`` kernels, so this module names no
-triangle rule, and each time integral takes the Gauss rule its docstring
-names.  ``_tested_data`` tests the time factors that
+Every integral names its own quadrature and ``fem`` builds it:
+space integrals take the space's own rule inside the ``fem`` kernels,
+so this module names no triangle rule, and each time integral of the
+data names only its number of Gauss points, from which
+``fem.sample_time_factors`` builds the rule; the norms of
+``best_approx_terms`` are weighed by ``fem.space_time_norm``.  The one
+rule built here is the exact polynomial Gram of ``TimeBasis.gram``.
+``_tested_data`` tests the time factors that
 ``sample_time_factors`` samples against the dG basis; the loads of both
 sweeps and the data side of ``bh_analytic`` are these arrays times
 static tables, for ``dg_solve`` and ``bh_analytic`` at the same
@@ -59,8 +63,8 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .fem import (_h1_lift, _space_weights, gradient_tables, h1_projection,
-                  sample_time_factors, space_time_squares, term_tables)
+from .fem import (_h1_lift, gradient_tables, h1_projection,
+                  sample_time_factors, space_time_norm, term_tables)
 from .linalg import _RTOL, Factorized, SolverError, refine
 from .quadrature import interval_rule
 
@@ -73,7 +77,7 @@ __all__ = ["TimePartition", "make_partition", "radau_points", "TimeBasis",
 
 @dataclass(frozen=True)
 class TimePartition:
-    """Strictly increasing nodes 0 = t_0 < ... < t_M = T."""
+    """Finite, strictly increasing nodes 0 = t_0 < ... < t_M = T."""
 
     nodes: np.ndarray
 
@@ -81,6 +85,8 @@ class TimePartition:
         nodes = np.asarray(self.nodes, dtype=float)
         if nodes.ndim != 1 or nodes.size < 2:
             raise ValueError("need at least one interval")
+        if not np.all(np.isfinite(nodes)):
+            raise ValueError("nodes must be finite")
         if nodes[0] != 0.0 or np.any(np.diff(nodes) <= 0.0):
             raise ValueError("nodes must increase strictly from 0")
         object.__setattr__(self, "nodes", nodes)
@@ -226,10 +232,9 @@ def _tested_data(fld, partition, order, points):
     ``sample_time_factors`` call at a Gauss rule of ``points`` points
     per interval.
     """
-    rule = interval_rule(points)
+    rule, sig = sample_time_factors(fld, partition, points)
     tested = rule.weights[:, None] * TimeBasis(order).values(rule.points)
-    return partition.lengths[:, None, None] * (
-        tested.T @ sample_time_factors(fld, partition, rule))
+    return partition.lengths[:, None, None] * (tested.T @ sig)
 
 
 def _time_derivative(fld):
@@ -370,11 +375,10 @@ def time_projection_values(order, partition, fld):
     values at the right Radau points, shape (M, r+1, I) for the I terms
     of ``fld``; polynomials of degree <= r are reproduced exactly.
     """
-    rule = interval_rule(max(12, order + 2))
+    rule, sig = sample_time_factors(fld, partition, max(12, order + 2))
     powers = np.vander(rule.points, order, increasing=True)   # (Q, r)
     gmat = np.einsum("q,qj,qa->ja", rule.weights, powers,
                      TimeBasis(order).values(rule.points))     # (r, r+1)
-    sig = sample_time_factors(fld, partition, rule)            # (M, Q, I)
     right = np.array([[tf.fn(t) for tf, _ in fld.terms]
                       for t in partition.nodes[1:]])           # (M, I)
     moments = np.einsum("q,qj,mqi->mji", rule.weights, powers, sig)
@@ -427,8 +431,7 @@ def stability_data_norm(form, f, partition, psi0=None):
              for load in term_tables(space, f, "load")]
     gram = np.array([[gi @ (k_free @ gj) for gj in lifts] for gi in lifts])
 
-    rule = interval_rule(8)
-    sig = sample_time_factors(f, partition, rule)
+    rule, sig = sample_time_factors(f, partition, 8)
     quad = np.einsum("mpi,ij,mpj->mp", sig, gram, sig)
     total = float(partition.lengths @ (quad @ rule.weights))
 
@@ -451,7 +454,6 @@ def best_approx_terms(psi, form, partition, order):
     """
     space = form.space
     free = space.free_dofs
-    trule = interval_rule(5)
     exact = term_tables(space, psi, "grad")
     ritz = np.zeros((len(psi.terms), space.n_dofs))
     ritz[:, free] = [form.factor()(pair[free])
@@ -463,17 +465,14 @@ def best_approx_terms(psi, form, partition, order):
     exact_and_h1p = np.concatenate([exact, h1p])
 
     # sigma_i and its interval-wise time projection at the Gauss points
-    sig = sample_time_factors(psi, partition, trule)
+    trule, sig = sample_time_factors(psi, partition, 5)
     lv = TimeBasis(order).values(trule.points)                 # (P, r+1)
     pik = time_projection_values(order, partition, psi)         # (M, r+1, I)
     psig = lv @ pik                                             # (M, P, I)
 
-    wdet = _space_weights(space)
-
     def norm(coefficients, tables):
-        blocks = ((c, tables) for c in coefficients)
-        total = space_time_squares(wdet, trule, partition.lengths, blocks)
-        return float(np.sqrt(max(total, 0.0)))
+        return space_time_norm(space, partition, trule,
+                               ((c, tables) for c in coefficients))
 
     return (norm(np.concatenate([sig, -psig], axis=-1), exact_and_h1p),
             norm(sig, exact_minus_ritz),

@@ -28,12 +28,18 @@ these two methods alone.  ``basis_table`` takes its rule, as it serves
 both.
 
 Space-time quantities of separable fields sum_i sigma_i(t) w_i(x) share
-one quadrature: ``sample_time_factors`` evaluates the sigma_i (never
-sigma_i') at every interval Gauss point, ``gradient_tables`` gives the
-spatial gradients, and ``space_time_squares`` integrates
-|sum_j C_pj T_j|^2 over I x Omega.  With the thin QR factorization
-sqrt(W) C = Q R of the (P, J) coefficients of an interval (W the time
-weights),
+one quadrature, and this module owns it in time as in space.
+``sample_time_factors`` builds every time rule of the data from the
+point count its caller names and evaluates the sigma_i (never sigma_i')
+at its points in every interval; ``gradient_tables`` and
+``value_tables`` give the spatial tables; ``space_time_norm`` weighs
+|sum_j C_pj T_j|^2 with the space's data rule and the time rule and
+integrates it over I x Omega.  ``space_time_error`` is the distance of
+a separable field to a trajectory through these, for the stream
+function (``space_time_h1_error``) and the MINI velocity
+(``mini_stokes.velocity_error_l2``) alike.  With the thin QR
+factorization sqrt(W) C = Q R of the (P, J) coefficients of an interval
+(W the time weights),
 
     sum_p w_p |sum_j C_pj T_j|^2 = sum_i |sum_j R_ij T_j|^2,
 
@@ -48,9 +54,10 @@ factors w_i) is stacked by ``term_tables``, one (I, ...) array per kind,
 and evaluated once per space (``FeSpace.term_table``).  Every time
 integral of the data, the interval loads of the solvers included, sums
 static term tables times the sigma_i sampled by ``sample_time_factors``
-(in the dG layer through ``dg_time._tested_data``), so its time rule is
-decided there alone; the time projection of ``dg_time`` samples the
-sigma_i there as well.
+(in the dG layer through ``dg_time._tested_data``), and so do the
+time projection and the norms of ``dg_time``; so a time rule fitted to
+the data, such as one split at a breakpoint of sigma_i, is a change to
+``sample_time_factors`` alone.
 """
 
 from dataclasses import dataclass, field
@@ -67,7 +74,8 @@ __all__ = ["FeSpace", "FeFunction", "reference_basis", "build_space",
            "assemble_load_scalar", "assemble_load_dual",
            "assemble_load_gradient", "h1_projection", "term_tables",
            "h1_field_error", "sample_time_factors", "gradient_tables",
-           "value_tables", "space_time_squares", "space_time_h1_error"]
+           "value_tables", "space_time_norm", "space_time_error",
+           "space_time_h1_error"]
 
 SUPPORTED_DEGREES = (1, 2, 3)
 
@@ -487,17 +495,21 @@ def _space_weights(space):
     return space.jac_det[:, None] * space.default_data_rule().weights[None, :]
 
 
-def sample_time_factors(fld, partition, trule):
-    """sigma_i of every term at every interval Gauss point.
+def sample_time_factors(fld, partition, points):
+    """The ``points``-point Gauss rule on [0, 1] and sigma_i of every term
+    at its image in every interval.
 
-    Returns an array of shape (M, P, I) for M intervals, the P points of
-    ``trule`` mapped to each interval and the I terms of ``fld``.  Only
-    ``sigma_i`` (``fn``) is read; no derivative is evaluated.
+    Returns (rule, sig), sig of shape (M, P, I) for M intervals, the P
+    points of the rule and the I terms of ``fld``.  Every time rule of
+    the data is built here, so a rule that depends on the data changes
+    this function alone.  Only ``sigma_i`` (``fn``) is read; no
+    derivative is evaluated.
     """
+    rule = interval_rule(points)
     times = (partition.nodes[:-1, None]
-             + partition.lengths[:, None] * trule.points[None, :])
-    return np.array([[[tf.fn(t) for tf, _ in fld.terms] for t in row]
-                     for row in times])
+             + partition.lengths[:, None] * rule.points[None, :])
+    return rule, np.array([[[tf.fn(t) for tf, _ in fld.terms] for t in row]
+                           for row in times])
 
 
 def gradient_tables(space, rows):
@@ -521,8 +533,9 @@ def value_tables(space, rows):
     return coef @ space.basis_table(space.default_data_rule(), 0).T
 
 
-def space_time_squares(wdet, trule, lengths, blocks):
-    """sum_m k_m sum_p w_p int_Omega |sum_j C_m[p, j] T_m[j]|^2 dx.
+def space_time_norm(space, partition, trule, blocks):
+    """sqrt(sum_m k_m sum_p w_p int_Omega |sum_j C_m[p, j] T_m[j]|^2 dx),
+    with the data rule of ``space``.
 
     Each interval factors sqrt(W) C_m = Q R (thin QR, R of min(P, J)
     rows) and sums int_Omega |sum_j R[i, j] T_m[j]|^2 over the rows i of
@@ -535,24 +548,52 @@ def space_time_squares(wdet, trule, lengths, blocks):
 
     Parameters
     ----------
-    wdet : ndarray, shape (F, Q)
-        Spatial weights w_q det_f.
-    trule : QuadratureRule
-        Time rule on [0, 1] with P points, mapped to every interval.
-    lengths : ndarray, shape (M,)
+    space : FeSpace
+        Its data rule and cells weigh the tables (``_space_weights``).
+    partition : TimePartition
         Interval lengths k_m.
+    trule : QuadratureRule
+        Time rule on [0, 1] with P points, mapped to every interval, as
+        ``sample_time_factors`` returns it.
     blocks : iterable of M pairs (C_m, T_m)
         Coefficients (P, J) and tables (J, F, Q, d) per interval; a
         generator keeps one interval's tables alive at a time.
     """
+    wdet = _space_weights(space)
     sqrt_w = np.sqrt(trule.weights)[:, None]
     total = 0.0
-    for km, (coef, tables) in zip(lengths, blocks):
+    for km, (coef, tables) in zip(partition.lengths, blocks):
         r = np.linalg.qr(sqrt_w * coef, mode="r")
         values = (r @ tables.reshape(len(tables), -1)).reshape(
             (len(r),) + tables.shape[1:])
         total += km * float(_weighted_squares(wdet, values).sum())
-    return total
+    return float(np.sqrt(max(total, 0.0)))
+
+
+def space_time_error(space, fld, kind, partition, basis, discrete, points):
+    """|| fld - v ||_{L2(I x Omega)} of a separable field and a trajectory,
+    in the ``term_tables`` kind ``"grad"`` or ``"value"``.
+
+    On interval m, v = sum_a ell_a(tau) V_ma with the Lagrange basis
+    ``basis`` in time (``.values`` and ``.order``, e.g.
+    ``dg_time.TimeBasis``) and ``discrete(m)`` the (r+1, F, Q, d) tables
+    of the V_ma at the data rule points.  Each interval's tables are
+    copied into one buffer, so one interval's are alive at a time.  The
+    time integral takes ``points`` Gauss points per interval
+    (``sample_time_factors``) and the norm is ``space_time_norm``.
+    """
+    exact = term_tables(space, fld, kind)
+    trule, sig = sample_time_factors(fld, partition, points)
+    minus_basis = -basis.values(trule.points)                 # (P, r+1)
+
+    def blocks():
+        tables = np.concatenate([exact, np.empty((basis.order + 1,)
+                                                 + exact.shape[1:])])
+        for m, sig_m in enumerate(sig):
+            tables[len(exact):] = discrete(m)
+            yield np.hstack([sig_m, minus_basis]), tables
+
+    return space_time_norm(space, partition, trule, blocks())
 
 
 # -- error integration -------------------------------------------------
@@ -570,21 +611,10 @@ def space_time_h1_error(sol, psi, time_points=5):
     """|| grad(psi - psi_kh) ||_{L2(I x Omega)} by Gauss-in-time quadrature.
 
     The discrete solution is taken right-continuous on each interval
-    (t_{m-1}, t_m]; space integrals use the data quadrature rule.
+    (t_{m-1}, t_m]; space integrals use the data quadrature rule
+    (``space_time_error``).
     """
-    space = sol.space
-    trule = interval_rule(time_points)
-    exact = term_tables(space, psi, "grad")
-    sig = sample_time_factors(psi, sol.partition, trule)
-    minus_basis = -sol.basis.values(trule.points)              # (P, r+1)
-
-    def blocks():
-        tables = np.concatenate([exact, np.empty((sol.order + 1,)
-                                                 + exact.shape[1:])])
-        for m, coef in enumerate(sol.coefficients):
-            tables[len(exact):] = gradient_tables(space, coef)
-            yield np.hstack([sig[m], minus_basis]), tables
-
-    total = space_time_squares(_space_weights(space), trule,
-                               sol.partition.lengths, blocks())
-    return float(np.sqrt(max(total, 0.0)))
+    return space_time_error(
+        sol.space, psi, "grad", sol.partition, sol.basis,
+        lambda m: gradient_tables(sol.space, sol.coefficients[m]),
+        time_points)

@@ -16,9 +16,11 @@ only its DOF layout and its reference basis, so the mass, stiffness,
 pressure integrals, loads and error tables come from the shared
 reference-table kernels of ``fem``, each with the rule the space gives
 it: the matrix rule for the mass and stiffness, the data rule for the
-rest.  The divergence rows are this module's own kernel: one reference
-tensor sum_q w_q lambda_j d_a w_l at the matrix rule times det J J^-T
-per cell.
+rest.  The velocity error is ``fem.space_time_error`` with the dG(0)
+basis, so ``fem`` builds its time rule and weighs its norm, as it does
+for the stream function.  The divergence rows are this module's own
+kernel: one reference tensor sum_q w_q lambda_j d_a w_l at the matrix
+rule times det J J^-T per cell.
 """
 
 from dataclasses import dataclass
@@ -26,12 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .dg_time import _forward_sweep, _tested_data
-from .fem import (FeSpace, _scatter_matrix, _space_weights, assemble_tested,
-                  element_matrices, sample_time_factors, space_time_squares,
-                  term_tables, value_tables)
+from .dg_time import TimeBasis, _forward_sweep, _tested_data
+from .fem import (FeSpace, _scatter_matrix, assemble_tested, element_matrices,
+                  space_time_error, term_tables, value_tables)
 from .linalg import build_csr
-from .quadrature import interval_rule
 
 __all__ = ["MiniSpace", "build_mini_space", "mini_transient_solve",
            "MiniSolution", "velocity_error_l2"]
@@ -174,21 +174,14 @@ def mini_transient_solve(space, partition, g):
 
 def velocity_error_l2(sol, u_exact):
     """|| u - u_kh ||_{L2(I x Omega)} for the piecewise-constant steps,
-    with the data rule in space and 3 Gauss points per interval."""
+    with the data rule in space and 3 Gauss points per interval
+    (``fem.space_time_error`` with the dG(0) basis, whose value is 1)."""
     space = sol.space
-    trule = interval_rule(3)
-    exact = term_tables(space, u_exact, "value")
-    sig = sample_time_factors(u_exact, sol.partition, trule)
-    minus_one = -np.ones((len(trule), 1))
+    rows = np.zeros((2, space.n_dofs))
 
-    def blocks():
-        tables = np.concatenate([exact, np.empty((1,) + exact.shape[1:])])
-        rows = np.zeros((2, space.n_dofs))
-        for m, velocity in enumerate(sol.velocities[1:]):
-            rows[:, space.free_dofs] = velocity.reshape(2, -1)
-            tables[-1] = np.moveaxis(value_tables(space, rows), 0, -1)
-            yield np.hstack([sig[m], minus_one]), tables
+    def discrete(m):
+        rows[:, space.free_dofs] = sol.velocities[m + 1].reshape(2, -1)
+        return np.moveaxis(value_tables(space, rows), 0, -1)
 
-    total = space_time_squares(_space_weights(space), trule,
-                               sol.partition.lengths, blocks())
-    return float(np.sqrt(max(total, 0.0)))
+    return space_time_error(space, u_exact, "value", sol.partition,
+                            TimeBasis(0), discrete, 3)

@@ -167,6 +167,18 @@ def test_entry_oracle_sympy():
     assert np.abs(assembled - exact).max() < 1e-12 * np.abs(exact).max()
 
 
+@pytest.mark.parametrize("eta", [0.0, -1.0, math.nan, math.inf])
+def test_rejects_a_penalty_not_positive_and_finite(eta, monkeypatch):
+    """Such a penalty is refused before any assembly or factorization."""
+    from streamfem import cip
+
+    def assembled(*args):
+        raise AssertionError("assembled before the penalty was checked")
+    monkeypatch.setattr(cip, "_assemble_matrices", assembled)
+    with pytest.raises(ValueError, match="penalty must be positive"):
+        assemble_cip(build_space(build_structured_mesh(2), 2), eta)
+
+
 def test_coercivity_error_for_tiny_penalty(space_n8_l2):
     with pytest.raises(CoercivityError):
         assemble_cip(space_n8_l2, 0.1)

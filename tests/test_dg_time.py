@@ -39,6 +39,20 @@ def test_make_partition_rejects_zero():
         make_partition(0)
 
 
+@pytest.mark.parametrize("nodes, message", [
+    ([0.0, 0.5, 0.25, 1.0], "increase strictly"),
+    ([0.1, 0.5, 1.0], "from 0"),
+    ([0.0, math.nan, 1.0], "finite"),
+    ([0.0, 0.5, math.inf], "finite"),
+], ids=["decreasing", "not from 0", "nan", "inf"])
+def test_partition_rejects_bad_nodes(nodes, message):
+    """A NaN node passes every comparison and would reach the sweep, which
+    then builds no interval system; an infinite one ends in a math
+    domain error.  Both are refused here, with the message saying why."""
+    with pytest.raises(ValueError, match=message):
+        TimePartition(np.array(nodes))
+
+
 def test_radau_nodes():
     assert radau_points(0) == pytest.approx([1.0])
     assert radau_points(1) == pytest.approx([1.0 / 3.0, 1.0])
@@ -573,7 +587,6 @@ def _monolithic_solve(form, partition, order, f, psi0):
     kron(C, K) + k kron(M, A), the oracle of the diagonalized solve."""
     import scipy.sparse as sp
     from streamfem.fem import assemble_load_scalar, sample_time_factors
-    from streamfem.quadrature import interval_rule
 
     space = form.space
     free = space.free_dofs
@@ -585,8 +598,7 @@ def _monolithic_solve(form, partition, order, f, psi0):
     # summed in the order of dg_solve
     loads = np.array([assemble_load_scalar(space, w)[free]
                       for _, w in f.static_terms()])
-    rule = interval_rule(data_time_points(order))
-    sig = sample_time_factors(f, partition, rule)
+    rule, sig = sample_time_factors(f, partition, data_time_points(order))
     tested = rule.weights[:, None] * basis.values(rule.points)
     weights = lengths[:, None, None] * (tested.T @ sig)
     u_prev = h1_projection(space, psi0).coefficients[free]

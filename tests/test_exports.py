@@ -135,15 +135,17 @@ def test_time_layer_imports_nothing_from_cip():
     assert "edge_points" not in source
 
 
-def _callers(method):
-    """(module, top-level name) of every call of ``method`` in the
-    package: the function or class around the call."""
+def _callers(name):
+    """(module, top-level name) of every call of the function or method
+    ``name`` in the package: the function or class around the call."""
     out = set()
     for path in SOURCE.glob("*.py"):
         for top in ast.parse(path.read_text()).body:
             for node in ast.walk(top):
-                if (isinstance(node, ast.Call)
-                        and getattr(node.func, "attr", None) == method):
+                func = getattr(node, "func", None)
+                called = (getattr(func, "attr", None),
+                          getattr(func, "id", None))
+                if isinstance(node, ast.Call) and name in called:
                     out.add((path.stem, getattr(top, "name", None)))
     return out
 
@@ -164,3 +166,22 @@ def test_the_space_owns_its_quadrature():
                    fem.gradient_tables, fem.value_tables,
                    fem.FeSpace.phys_points):
         assert "rule" not in inspect.signature(kernel).parameters, kernel
+
+
+def test_fem_owns_the_time_quadrature_of_the_data():
+    """Every time rule of the data is built in ``fem.sample_time_factors``:
+    the other Gauss rules on an interval are the edge rules of ``cip``
+    and the exact polynomial Gram of ``dg_time.TimeBasis``.  The space
+    weights of the data rule are named only in ``fem``, whose
+    ``space_time_norm`` weighs every space-time norm, and the unweighted
+    ``space_time_squares`` is gone."""
+    from streamfem import fem
+
+    assert _callers("interval_rule") == {
+        ("fem", "sample_time_factors"), ("cip", "_assemble_matrices"),
+        ("cip", "consistency_pairing"), ("dg_time", "TimeBasis")}
+    assert [path.stem for path in SOURCE.glob("*.py")
+            if "_space_weights" in path.read_text()] == ["fem"]
+    assert not hasattr(fem, "space_time_squares")
+    assert not [path.stem for path in SOURCE.glob("*.py")
+                if "space_time_squares" in path.read_text()]

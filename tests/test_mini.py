@@ -107,7 +107,6 @@ def _saddle_step_solve(space, partition, g):
     from streamfem.linalg import Factorized
     from streamfem.mini_stokes import (_divergence, _mass,
                                        _pressure_integrals, _velocity_loads)
-    from streamfem.quadrature import interval_rule
 
     mass = sp.block_diag([_mass(space)] * 2, format="csr")
     stiff = sp.block_diag([space.h1_free()] * 2, format="csr")
@@ -115,8 +114,7 @@ def _saddle_step_solve(space, partition, g):
     csp = sp.csr_matrix(_pressure_integrals(space).reshape(-1, 1))
     n_v, n_p = space.n_velocity, space.n_pressure
     loads = np.pad(_velocity_loads(space, g), ((0, 0), (0, n_p + 1)))
-    trule = interval_rule(3)
-    sig = sample_time_factors(g, partition, trule)
+    trule, sig = sample_time_factors(g, partition, 3)
     lengths = partition.lengths
     weights = lengths[:, None, None] * (trule.weights @ sig)[:, None]
     uniform = np.allclose(lengths, lengths[0], rtol=1e-12, atol=0.0)

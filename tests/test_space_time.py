@@ -2,6 +2,7 @@
 and the static field data each space evaluates once."""
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,11 +10,12 @@ import pytest
 from streamfem import cip
 from streamfem import manufactured as mf
 from streamfem.cip import assemble_cip
-from streamfem.dg_time import (best_approx_terms, bh_analytic, dg_solve,
+from streamfem.dg_time import (TimePartition, _time_derivative,
+                               best_approx_terms, bh_analytic, dg_solve,
                                make_partition, stability_data_norm,
                                time_projection_values)
 from streamfem.fem import (build_space, h1_field_error, sample_time_factors,
-                           space_time_h1_error, space_time_squares)
+                           space_time_h1_error, space_time_norm)
 from streamfem.mesh import build_structured_mesh
 from streamfem.mini_stokes import (build_mini_space, mini_transient_solve,
                                    velocity_error_l2)
@@ -43,17 +45,43 @@ def _per_point_sum(wdet, trule, lengths, blocks):
 def test_compression_matches_the_per_point_sum(points, terms, equal_columns):
     rng = np.random.default_rng(points * 10 + terms)
     trule = interval_rule(points)
-    lengths = np.array([0.25, 0.5, 0.125])
-    wdet = rng.random((7, 6))
+    partition = TimePartition(np.cumsum([0.0, 0.25, 0.5, 0.125]))
+    space = build_space(build_structured_mesh(1), 1)
+    wdet = space.jac_det[:, None] * space.default_data_rule().weights
     blocks = []
-    for _ in lengths:
+    for _ in partition.lengths:
         coef = rng.standard_normal((points, terms))
         if equal_columns:
             coef[:, -1] = coef[:, 0]
-        blocks.append((coef, rng.standard_normal((terms, 7, 6, 2))))
-    want = _per_point_sum(wdet, trule, lengths, blocks)
-    got = space_time_squares(wdet, trule, lengths, iter(blocks))
-    assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+        blocks.append((coef, rng.standard_normal((terms,) + wdet.shape
+                                                 + (2,))))
+    want = _per_point_sum(wdet, trule, partition.lengths, blocks)
+    got = space_time_norm(space, partition, trule, iter(blocks))
+    assert got ** 2 == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+# every point count of a data time rule: 3, 5, 8, 12 and r + 2 for r <= 4
+@pytest.mark.parametrize("points", [2, 3, 4, 5, 6, 8, 12])
+def test_the_data_time_rule_integrates_sigma_and_its_derivative(points):
+    """On the nodes^2 grading of ``make_partition(10)``, the rule that
+    ``sample_time_factors`` returns integrates sigma^2 and sigma'^2 of
+    sigma(t) = t^n, n = P - 1, on every interval to their closed forms
+    (b^(2n+1) - a^(2n+1)) / (2n+1) and n^2 (b^(2n-1) - a^(2n-1)) / (2n-1),
+    taken in exact rational arithmetic; sigma' is sampled through
+    ``_time_derivative``, as ``bh_analytic`` samples it."""
+    part = TimePartition(make_partition(10).nodes ** 2)
+    n = points - 1
+    fld = mf.ScalarField([(mf.TimeFactor(lambda t: t ** n,
+                                         lambda t: n * t ** (n - 1)),
+                           mf.SpatialTerm(None))])
+    ends = [Fraction(t) for t in part.nodes]
+    for sampled, scale, power in ((fld, 1, 2 * n + 1),
+                                  (_time_derivative(fld), n * n, 2 * n - 1)):
+        rule, sig = sample_time_factors(sampled, part, points)
+        got = part.lengths * (sig[..., 0] ** 2 @ rule.weights)
+        want = [float(scale * (b ** power - a ** power) / power)
+                for a, b in zip(ends[:-1], ends[1:])]
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_error_integration_peak_memory():
@@ -242,8 +270,7 @@ def test_best_approximation_reads_the_cached_pairing(space, pairing_calls):
     (_, w), = psi.static_terms()
     static = h1_field_error(space, cip.ritz_projection(form, w).coefficients,
                             w)
-    trule = interval_rule(5)
-    sig = sample_time_factors(psi, part, trule)
+    trule, sig = sample_time_factors(psi, part, 5)
     sigma_sq = part.lengths @ (sig[..., 0] ** 2 @ trule.weights)
     assert e_rh == pytest.approx(static * np.sqrt(sigma_sq), rel=1e-12)
 

@@ -22,6 +22,12 @@ Prints one ``label digest`` line per artifact:
 - the three ``best_approx_terms(psi_exact, form, partition, r)`` at n=8
   P2 for r = 0, 1, 2 on ``make_partition(7)`` and on the nodes^2
   grading, which cover the time projection at r >= 1;
+- the consumers of the time quadrature of the data, called directly:
+  ``space_time_h1_error`` of psi_exact for each of the six ``dg_solve``
+  runs above, ``velocity_error_l2`` of u_exact for the MINI run,
+  ``stability_data_norm`` of f on the grading and
+  ``time_projection_values`` of psi_exact on the grading for
+  r = 0, 1, 2, 3;
 - the CSVs, summaries and stdout of the default ``stationary``,
   ``converge-k``, ``converge-h``, ``compare-mini``, ``diagnostics`` and
   ``converge-k --method mini`` studies, each run in a temporary
@@ -53,13 +59,15 @@ from streamfem.cip import (_assemble_matrices, assemble_cip,  # noqa: E402
                            consistency_pairing, default_penalty,
                            ritz_projection)
 from streamfem.dg_time import (TimePartition,  # noqa: E402
-                               best_approx_terms, dg_solve, make_partition)
+                               best_approx_terms, dg_solve, make_partition,
+                               stability_data_norm, time_projection_values)
 from streamfem.fem import (assemble_h1_stiffness, build_space,  # noqa: E402
-                           h1_field_error, term_tables)
+                           h1_field_error, space_time_h1_error, term_tables)
 from streamfem.mesh import build_structured_mesh  # noqa: E402
 from streamfem.mini_stokes import (_divergence, _mass,  # noqa: E402
                                    _pressure_integrals, _velocity_loads,
-                                   build_mini_space, mini_transient_solve)
+                                   build_mini_space, mini_transient_solve,
+                                   velocity_error_l2)
 
 SPACES = ((8, 2), (8, 3), (16, 2), (48, 3))
 STUDIES = (("stationary",), ("converge-k",), ("converge-h",),
@@ -126,8 +134,8 @@ def kernel_lines():
 
 
 def transient_lines():
-    """Digest lines of the transient solves on non-uniform partitions and
-    of the best-approximation terms."""
+    """Digest lines of the transient solves on non-uniform partitions, of
+    their space-time errors and of the other time-quadrature consumers."""
     mesh = build_structured_mesh(8)
     form = assemble_cip(build_space(mesh, 2))
     graded = TimePartition(make_partition(10).nodes ** 2)
@@ -139,9 +147,21 @@ def transient_lines():
                            psi0=mf.phi())
             yield (f"dg_solve n=8 P2 r={order} {name}",
                    _digest(sol.coefficients))
+            yield (f"space_time_h1_error n=8 P2 r={order} {name}",
+                   _digest(np.float64(space_time_h1_error(
+                       sol, mf.psi_exact()))))
     sol = mini_transient_solve(build_mini_space(mesh), graded, mf.g_field())
     yield "mini n=8 graded", _digest(sol.velocities, sol.pressures,
                                      sol.multipliers)
+    yield ("velocity_error_l2 mini n=8 graded",
+           _digest(np.float64(velocity_error_l2(sol, mf.u_exact()))))
+    yield ("stability_data_norm n=8 P2 graded",
+           _digest(np.float64(stability_data_norm(form, mf.f_scalar(),
+                                                  graded))))
+    for order in range(4):
+        yield (f"time_projection_values r={order} graded",
+               _digest(time_projection_values(order, graded,
+                                              mf.psi_exact())))
     for name, partition in (("uniform", make_partition(7)),
                             ("graded", graded)):
         for order in (0, 1, 2):
