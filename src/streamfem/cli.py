@@ -397,9 +397,10 @@ def diagnostics(cfg):
 class Study:
     """One subcommand: its runner, its default refinement lists and
     output path, the list it fits a rate to (None: none), the inputs it
-    does not read, whether it runs the stream-function method only and
+    does not read, whether it runs the stream-function method only,
     ``paths(out)``, the (CSV paths, summary paths) that its runner writes,
-    the keys of its record."""
+    the keys of its record, and the (key, value, reason) of each input it
+    takes at one value only."""
 
     run: object
     mesh_list: tuple
@@ -409,6 +410,7 @@ class Study:
     unread: tuple = ()
     stream_only: bool = False
     paths: object = _sweep_paths
+    fixed: tuple = ()
 
 
 STUDIES = {
@@ -424,7 +426,9 @@ STUDIES = {
                          paths=_summary_only),
     "compare-mini": Study(compare_mini, (8,), (8, 16, 32, 64, 128),
                           "compare.csv", "steps_list", ("method", "rhs"),
-                          paths=_compare_paths),
+                          paths=_compare_paths,
+                          fixed=(("dg_order", 0,
+                                  "the MINI baseline is dG(0) only"),)),
 }
 
 # the inputs a method does not read
@@ -459,9 +463,10 @@ def _build_parser():
 
 
 def _check_inputs(name, values, given):
-    """Refuse an input the study would not use, and a swept list it
-    cannot fit a rate to; ``given`` maps each key set by a flag or the
-    config file to the name it was set by."""
+    """Refuse an input the study would not use, one it takes at one value
+    only set to another, and a swept list it cannot fit a rate to;
+    ``given`` maps each key set by a flag or the config file to the name
+    it was set by."""
     study = STUDIES[name]
     for key in ("mesh_list", "steps_list"):
         fixed = key != study.swept and key not in study.unread
@@ -478,6 +483,10 @@ def _check_inputs(name, values, given):
         for key in unread:
             if key in given:
                 raise ValueError(f"{given[key]}: not read by {where}")
+    for key, value, reason in study.fixed:
+        if values[key] != value:
+            raise ValueError(f"{given[key]}: {name} takes {value} only "
+                             f"({reason}), got {values[key]}")
     if study.swept in given:
         levels = values[study.swept]
         if len(levels) < 2 or any(b <= a for a, b in zip(levels, levels[1:])):

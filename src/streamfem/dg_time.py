@@ -471,8 +471,8 @@ def best_approx_terms(psi, form, partition, order):
     psig = lv @ pik                                             # (M, P, I)
 
     def norm(coefficients, tables):
-        return space_time_norm(space, partition, trule,
-                               ((c, tables) for c in coefficients))
+        return space_time_norm(space, partition, trule, coefficients, tables,
+                               None)
 
     return (norm(np.concatenate([sig, -psig], axis=-1), exact_and_h1p),
             norm(sig, exact_minus_ritz),

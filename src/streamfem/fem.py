@@ -15,24 +15,24 @@ values, gradients or Hessians at the rule points.  ``element_matrices``
 multiplies det J times G or G kron G (G = J^-1 J^-T) by the reference
 tensor of the basis derivatives (det J alone for the mass matrix).
 ``assemble_tested`` pulls data back to reference coordinates and tests
-it against the table, ``value_tables`` maps coefficient rows to values,
-and ``gradient_tables`` maps them to reference gradients, then applies
-J^-1 per cell.
+it against the table, and ``table_writer`` maps coefficient rows to
+values, or to reference gradients and then applies J^-1 per cell, in
+place (``gradient_tables`` is its allocating form).
 
 The space owns its quadrature.  ``element_matrices`` reads
 ``FeSpace.default_matrix_rule()``; ``assemble_tested``,
-``value_tables``, ``gradient_tables``, ``FeSpace.phys_points`` and the
-space weights read ``FeSpace.default_data_rule()``.  No caller passes a
-triangle rule to them, so a space that needs another rule changes
-these two methods alone.  ``basis_table`` takes its rule, as it serves
+``table_writer``, ``FeSpace.phys_points`` and the space weights read
+``FeSpace.default_data_rule()``.  No caller passes a triangle rule to
+them, so a space that needs another rule changes these two methods
+alone.  ``basis_table`` takes its rule, as it serves
 both.
 
 Space-time quantities of separable fields sum_i sigma_i(t) w_i(x) share
 one quadrature, and this module owns it in time as in space.
 ``sample_time_factors`` builds every time rule of the data from the
 point count its caller names and evaluates the sigma_i (never sigma_i')
-at its points in every interval; ``gradient_tables`` and
-``value_tables`` give the spatial tables; ``space_time_norm`` weighs
+at its points in every interval; ``table_writer`` gives the spatial
+tables of a trajectory; ``space_time_norm`` weighs
 |sum_j C_pj T_j|^2 with the space's data rule and the time rule and
 integrates it over I x Omega.  ``space_time_error`` is the distance of
 a separable field to a trajectory through these, for the stream
@@ -48,7 +48,22 @@ combinations of its tables instead of P.  Each combination is formed
 before it is squared, so an error, a small difference of nearly equal
 tables, is taken inside it as at the Gauss points; the expansion
 sum_jk (C^T W C)_jk (T_j, T_k) would subtract large inner products and
-lose the digits in which the tables agree.  The static data of a
+lose the digits in which the tables agree.
+
+The intervals of a space-time norm are independent, and the norm is
+memory-bound, so ``space_time_norm`` integrates two contiguous halves
+of the partition at once: the calling thread one, a helper thread the
+other, each into its own entries of one length-M array that is then
+summed in interval order, so the value is bitwise that of a loop over
+the intervals.  The calling thread reads every cached table and
+allocates both halves' buffers first, so the helper touches no cache
+of the space and allocates no large array.  The memory bound is thus
+two halves' buffers, all allocated by the caller, where it was one
+interval's tables: per half the J tables of an interval, one work
+buffer for the tables written per interval and then the squares, and a
+block of about 1 MB in which the combinations are formed.
+
+The static data of a
 separable field (loads, values and exact gradients of its spatial
 factors w_i) is stacked by ``term_tables``, one (I, ...) array per kind,
 and evaluated once per space (``FeSpace.term_table``).  Every time
@@ -60,6 +75,7 @@ the data, such as one split at a breakpoint of sigma_i, is a change to
 ``sample_time_factors`` alone.
 """
 
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
@@ -73,11 +89,13 @@ __all__ = ["FeSpace", "FeFunction", "reference_basis", "build_space",
            "element_matrices", "assemble_tested", "assemble_h1_stiffness",
            "assemble_load_scalar", "assemble_load_dual",
            "assemble_load_gradient", "h1_projection", "term_tables",
-           "h1_field_error", "sample_time_factors", "gradient_tables",
-           "value_tables", "space_time_norm", "space_time_error",
+           "h1_field_error", "sample_time_factors", "table_writer",
+           "gradient_tables", "space_time_norm", "space_time_error",
            "space_time_h1_error"]
 
 SUPPORTED_DEGREES = (1, 2, 3)
+# floats of the combinations that ``space_time_norm`` forms at a time
+_BLOCK = 2 ** 17
 
 
 @lru_cache(maxsize=None)
@@ -448,14 +466,19 @@ def term_tables(space, fld, kind):
     factor w_i; each table is built once per space and data rule
     (``FeSpace.term_table``).
     """
+    return np.stack(_cached_term_tables(space, fld, kind))
+
+
+def _cached_term_tables(space, fld, kind):
+    """The cached tables of ``term_tables``, one per term, not stacked."""
     def build(static):
         if kind == "load":
             return assemble_load_scalar(space, static)
         if kind == "grad load":
             return assemble_load_gradient(space, static)
         return getattr(static, kind)(0.0, space.phys_points())
-    return np.stack([space.term_table(kind, w, partial(build, w))
-                     for _, w in fld.static_terms()])
+    return [space.term_table(kind, w, partial(build, w))
+            for _, w in fld.static_terms()]
 
 
 # -- projections -------------------------------------------------------
@@ -512,28 +535,48 @@ def sample_time_factors(fld, partition, points):
                            for row in times])
 
 
-def gradient_tables(space, rows):
-    """Gradients of the discrete functions with coefficient rows (A, n_dofs).
+def table_writer(space, order, count):
+    """The shape of the values (order 0, (A, F, Q)) or gradients (order 1,
+    (A, F, Q, 2)) of A = ``count`` coefficient rows at the data rule
+    points, and ``write(rows, out, work)``, which forms them in ``out``.
 
-    Returns (A, F, Q, 2) at the data rule points: the reference gradients of
-    all rows and cells in one matrix product against the basis table,
-    then one batched 2 x 2 product with J^-1 per cell.
+    The reference values or gradients of all rows and cells are one
+    matrix product against the basis table; gradients are formed in the
+    flat buffer ``work`` (at least as many floats as ``out``; unread at
+    order 0) and then take one batched 2 x 2 product with J^-1 per cell.
+    The cached basis table and J^-1 are read and the gather buffer is
+    allocated here, so ``write`` allocates nothing and touches no cache
+    of the space, and may run on another thread than this call.
     """
-    coef = np.asarray(rows)[:, space.dof_map]                  # (A, F, L)
-    ref = coef.reshape(-1, coef.shape[-1]) @ space.basis_table(
-        space.default_data_rule(), 1).T
-    return ref.reshape(coef.shape[:2] + (-1, 2)) @ space.jac_inv
+    basis = space.basis_table(space.default_data_rule(), order).T
+    jinv = space.jac_inv
+    dof_map = space.dof_map
+    coef = np.empty((count,) + dof_map.shape)                   # (A, F, L)
+
+    def write(rows, out, work):
+        # "clip" writes into out directly; "raise" would copy it first
+        np.take(rows, dof_map, axis=1, out=coef, mode="clip")
+        if order == 0:
+            np.matmul(coef, basis, out=out)
+            return
+        ref = work[:out.size].reshape(-1, basis.shape[1])
+        np.matmul(coef.reshape(-1, coef.shape[-1]), basis, out=ref)
+        np.matmul(ref.reshape(out.shape), jinv, out=out)
+    return (coef.shape[:2] + (basis.shape[1] // 2 ** order,)
+            + (2,) * order), write
 
 
-def value_tables(space, rows):
-    """Values of the discrete functions with coefficient rows (A, n_dofs)
-    at the data rule points, (A, F, Q): one product against the basis
-    table."""
-    coef = np.asarray(rows)[:, space.dof_map]                  # (A, F, L)
-    return coef @ space.basis_table(space.default_data_rule(), 0).T
+def gradient_tables(space, rows):
+    """Gradients of the discrete functions with coefficient rows (A, n_dofs),
+    (A, F, Q, 2) at the data rule points (``table_writer``)."""
+    rows = np.asarray(rows, dtype=float)
+    shape, write = table_writer(space, 1, len(rows))
+    out = np.empty(shape)
+    write(rows, out, np.empty(out.size))
+    return out
 
 
-def space_time_norm(space, partition, trule, blocks):
+def space_time_norm(space, partition, trule, coefficients, tables, discrete):
     """sqrt(sum_m k_m sum_p w_p int_Omega |sum_j C_m[p, j] T_m[j]|^2 dx),
     with the data rule of ``space``.
 
@@ -546,6 +589,30 @@ def space_time_norm(space, partition, trule, blocks):
     expansion through K = C^T W C, sum_jk K_jk (T_j, T_k), would subtract
     inner products of the tables and lose the digits in which they agree.
 
+    The intervals are independent, so the partition is split into two
+    contiguous halves, the first ceil(M/2) intervals and the rest (none
+    when M = 1): the calling thread integrates the first and one helper
+    thread the second, each into its own entries of one length-M array,
+    which is then summed in interval order, as a loop over the intervals
+    sums it; so the value does not depend on the split.  The calling
+    thread reads every cached table and allocates both halves' buffers
+    before the helper starts, and every interval writes into its half's
+    buffers in place, so the helper allocates no large array and touches
+    no cache.  The helper is always joined, and an exception raised in
+    its half is raised again here.
+
+    Memory: the two halves' buffers, allocated here.  Per half, with S
+    floats per table (F Q 2):
+    - the J tables of an interval, J S floats (without ``discrete`` the
+      halves share ``tables``);
+    - a work buffer of max(J - J0, min(P, J) / 2) S floats: ``discrete``
+      forms its tables in it, then the squares |R T|^2 of the interval
+      are summed into it, one row per combination;
+    - a block of about 1 MB (``_BLOCK`` floats): the combinations R T
+      are formed, squared and summed a block of columns at a time, so
+      they stay in cache.  The column edges fall between points and are
+      the same on every interval.
+
     Parameters
     ----------
     space : FeSpace
@@ -555,18 +622,82 @@ def space_time_norm(space, partition, trule, blocks):
     trule : QuadratureRule
         Time rule on [0, 1] with P points, mapped to every interval, as
         ``sample_time_factors`` returns it.
-    blocks : iterable of M pairs (C_m, T_m)
-        Coefficients (P, J) and tables (J, F, Q, d) per interval; a
-        generator keeps one interval's tables alive at a time.
+    coefficients : (M, P, J) array
+        The coefficients C_m of every interval.
+    tables : sequence of J0 <= J arrays (F, Q, 2)
+        The first J0 tables, the same on every interval; without
+        ``discrete``, J0 = J and ``tables`` is one (J, F, Q, 2) array.
+    discrete : callable or None
+        ``discrete(work)`` returns ``write(m, out)``, which writes the
+        other J - J0 tables of interval m into ``out`` and may use the
+        work buffer ``work`` (at least as many floats as ``out``) while
+        it does.  It is called on the calling thread, once per half, so
+        each half writes with its own buffers.
     """
-    wdet = _space_weights(space)
-    sqrt_w = np.sqrt(trule.weights)[:, None]
+    weights = _space_weights(space)
+    wdet = weights.ravel()
+    r = np.linalg.qr(np.sqrt(trule.weights)[:, None] * coefficients,
+                     mode="r")                                # (M, K, J)
+    n_comb, n_tables = r.shape[1:]
+    n_blocks = -(-2 * wdet.size * n_comb // _BLOCK)
+    edges = 2 * (np.arange(n_blocks + 1) * wdet.size // n_blocks)
+    parts = np.empty(len(r))
+
+    def buffers():
+        """The rows ``discrete`` writes, the writer, the squares and the
+        column blocks of one half: per block the columns of the tables,
+        the combinations, their two components and the squares they sum
+        to."""
+        work = np.empty(max(2 * (n_tables - len(tables)), n_comb)
+                        * wdet.size)
+        block = np.empty(n_comb * int(np.diff(edges).max()))
+        if discrete is None:
+            own, write = tables, None
+        else:
+            own = np.empty((n_tables,) + weights.shape + (2,))
+            for j, table in enumerate(tables):
+                own[j] = table
+            write = discrete(work)
+        flat = own.reshape(n_tables, -1)
+        squares = work[:n_comb * wdet.size].reshape(n_comb, -1)
+        blocks = []
+        for start, stop in zip(edges[:-1], edges[1:]):
+            values = block[:n_comb * (stop - start)].reshape(n_comb, -1)
+            blocks.append((flat[:, start:stop], values, values[:, 0::2],
+                           values[:, 1::2], squares[:, start // 2:stop // 2]))
+        return own[len(tables):], write, squares, blocks
+
+    def integrate(intervals, slot, write, squares, blocks):
+        for m in intervals:
+            if write is not None:
+                write(m, slot)
+            for columns, values, x, y, out in blocks:
+                np.matmul(r[m], columns, out=values)
+                np.square(values, out=values)
+                np.add(x, y, out=out)
+            parts[m] = partition.lengths[m] * float((squares @ wdet).sum())
+
+    own_half, helper_half = np.array_split(np.arange(len(r)), 2)
+    own_buffers, helper_buffers = buffers(), buffers()
+    failure = []
+
+    def helper():
+        try:
+            integrate(helper_half, *helper_buffers)
+        except BaseException as exc:     # raised again on the caller
+            failure.append(exc)
+
+    thread = threading.Thread(target=helper, name="space_time_norm")
+    thread.start()
+    try:
+        integrate(own_half, *own_buffers)
+    finally:
+        thread.join()
+    if failure:
+        raise failure[0]
     total = 0.0
-    for km, (coef, tables) in zip(partition.lengths, blocks):
-        r = np.linalg.qr(sqrt_w * coef, mode="r")
-        values = (r @ tables.reshape(len(tables), -1)).reshape(
-            (len(r),) + tables.shape[1:])
-        total += km * float(_weighted_squares(wdet, values).sum())
+    for part in parts:      # in interval order; np.sum would add pairwise
+        total += part
     return float(np.sqrt(max(total, 0.0)))
 
 
@@ -576,24 +707,20 @@ def space_time_error(space, fld, kind, partition, basis, discrete, points):
 
     On interval m, v = sum_a ell_a(tau) V_ma with the Lagrange basis
     ``basis`` in time (``.values`` and ``.order``, e.g.
-    ``dg_time.TimeBasis``) and ``discrete(m)`` the (r+1, F, Q, d) tables
-    of the V_ma at the data rule points.  Each interval's tables are
-    copied into one buffer, so one interval's are alive at a time.  The
-    time integral takes ``points`` Gauss points per interval
+    ``dg_time.TimeBasis``); ``discrete(work)`` returns ``write(m, out)``,
+    which writes the (r+1, F, Q, d) tables of the V_ma at the data rule
+    points into ``out``, in place (``space_time_norm``).  The time
+    integral takes ``points`` Gauss points per interval
     (``sample_time_factors``) and the norm is ``space_time_norm``.
     """
-    exact = term_tables(space, fld, kind)
+    exact = _cached_term_tables(space, fld, kind)
     trule, sig = sample_time_factors(fld, partition, points)
     minus_basis = -basis.values(trule.points)                 # (P, r+1)
-
-    def blocks():
-        tables = np.concatenate([exact, np.empty((basis.order + 1,)
-                                                 + exact.shape[1:])])
-        for m, sig_m in enumerate(sig):
-            tables[len(exact):] = discrete(m)
-            yield np.hstack([sig_m, minus_basis]), tables
-
-    return space_time_norm(space, partition, trule, blocks())
+    coefficients = np.concatenate(
+        [sig, np.broadcast_to(minus_basis, (len(sig),) + minus_basis.shape)],
+        axis=-1)
+    return space_time_norm(space, partition, trule, coefficients, exact,
+                           discrete)
 
 
 # -- error integration -------------------------------------------------
@@ -614,7 +741,11 @@ def space_time_h1_error(sol, psi, time_points=5):
     (t_{m-1}, t_m]; space integrals use the data quadrature rule
     (``space_time_error``).
     """
-    return space_time_error(
-        sol.space, psi, "grad", sol.partition, sol.basis,
-        lambda m: gradient_tables(sol.space, sol.coefficients[m]),
-        time_points)
+    space = sol.space
+
+    def discrete(work):
+        _, gradients = table_writer(space, 1, sol.basis.order + 1)
+        return lambda m, out: gradients(sol.coefficients[m], out, work)
+
+    return space_time_error(space, psi, "grad", sol.partition, sol.basis,
+                            discrete, time_points)

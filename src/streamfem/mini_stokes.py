@@ -30,7 +30,7 @@ import scipy.sparse as sp
 
 from .dg_time import TimeBasis, _forward_sweep, _tested_data
 from .fem import (FeSpace, _scatter_matrix, assemble_tested, element_matrices,
-                  space_time_error, term_tables, value_tables)
+                  space_time_error, table_writer, term_tables)
 from .linalg import build_csr
 
 __all__ = ["MiniSpace", "build_mini_space", "mini_transient_solve",
@@ -177,11 +177,17 @@ def velocity_error_l2(sol, u_exact):
     with the data rule in space and 3 Gauss points per interval
     (``fem.space_time_error`` with the dG(0) basis, whose value is 1)."""
     space = sol.space
-    rows = np.zeros((2, space.n_dofs))
 
-    def discrete(m):
-        rows[:, space.free_dofs] = sol.velocities[m + 1].reshape(2, -1)
-        return np.moveaxis(value_tables(space, rows), 0, -1)
+    def discrete(work):
+        rows = np.zeros((2, space.n_dofs))
+        shape, values = table_writer(space, 0, 2)
+        table = work[:np.prod(shape)].reshape(shape)
+
+        def write(m, out):
+            rows[:, space.free_dofs] = sol.velocities[m + 1].reshape(2, -1)
+            values(rows, table, None)
+            np.copyto(out[0], np.moveaxis(table, 0, -1))
+        return write
 
     return space_time_error(space, u_exact, "value", sol.partition,
                             TimeBasis(0), discrete, 3)

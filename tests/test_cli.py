@@ -80,6 +80,41 @@ def test_compare_mini_assert_exit_code(tmp_path, capsys, mesh, code):
     assert (float(summary["mini_blowup_ratio"]) >= 10.0) == (code == 0)
 
 
+@pytest.mark.parametrize("argv, config, given, order", [
+    (["--dg-order", "1"], None, "--dg-order", 1),
+    (["--dg-order", "2"], "dg_order = 0\n", "--dg-order", 2),
+    ([], "dg_order = 1\n", "dg_order", 1),
+])
+def test_compare_mini_refuses_a_nonzero_dg_order(tmp_path, capsys,
+                                                 monkeypatch, argv, config,
+                                                 given, order):
+    """The MINI baseline is dG(0) only, so compare-mini at dG(r > 0) would
+    set stream-function dG(r) against MINI dG(0): a usage error before
+    any run; --dg-order 0 is the default and runs."""
+    if config is not None:
+        path = tmp_path / "study.cfg"
+        path.write_text(config)
+        argv = argv + ["--config", str(path)]
+    runs = []
+    monkeypatch.setattr(cli, "converge_k", lambda cfg: runs.append(cfg))
+    out = tmp_path / "compare.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["compare-mini", "--mesh-list", "2", "--steps-list", "1,2",
+              *argv, "--out", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.strip().splitlines()[-1] == (
+        f"streamfem: error: {given}: compare-mini takes 0 only (the MINI "
+        f"baseline is dG(0) only), got {order}")
+    assert runs == []
+    assert not list(tmp_path.glob("*.csv"))
+
+    monkeypatch.undo()
+    assert main(["compare-mini", "--dg-order", "0", "--mesh-list", "2",
+                 "--steps-list", "1,2", "--out", str(out)]) == 0
+    assert _read_summary(tmp_path / "compare_mini_g_summary.txt")[
+        "dg_order"] == "0"
+
+
 def test_config_precedence(tmp_path):
     """Explicit flags beat the config file, which beats the defaults."""
     config = tmp_path / "study.cfg"

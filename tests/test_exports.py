@@ -163,7 +163,7 @@ def test_the_space_owns_its_quadrature():
     assert {call for call in matrix if call[0] != "fem"} == {
         ("mini_stokes", "_divergence")}
     for kernel in (fem.element_matrices, fem.assemble_tested,
-                   fem.gradient_tables, fem.value_tables,
+                   fem.gradient_tables, fem.table_writer,
                    fem.FeSpace.phys_points):
         assert "rule" not in inspect.signature(kernel).parameters, kernel
 

@@ -9,7 +9,7 @@ from streamfem.fem import (FeFunction, assemble_h1_stiffness,
                            assemble_load_dual, assemble_load_scalar,
                            assemble_tested, build_space, gradient_tables,
                            h1_field_error, h1_projection, reference_basis,
-                           term_tables, value_tables, _lattice)
+                           table_writer, term_tables, _lattice)
 from streamfem.linalg import symmetry_gap
 from streamfem.mesh import build_structured_mesh
 from streamfem.quadrature import QuadratureRule, triangle_rule
@@ -336,6 +336,14 @@ def test_projection_rate_two():
     slope = np.polyfit(np.log([np.sqrt(2) / n for n in (8, 16, 32)]),
                        np.log(errs[1:]), 1)[0]
     assert 1.7 < slope < 2.2
+
+
+def value_tables(space, rows):
+    """The values of coefficient rows at the data rule points, (A, F, Q)."""
+    shape, write = table_writer(space, 0, len(rows))
+    out = np.empty(shape)
+    write(np.asarray(rows, dtype=float), out, None)
+    return out
 
 
 def test_evaluate_reproduces_linear():

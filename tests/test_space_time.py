@@ -1,21 +1,23 @@
 """The separable space-time quadrature: its rank compression, its memory,
 and the static field data each space evaluates once."""
 
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from streamfem import cip
+from streamfem import cip, dg_time, fem, mini_stokes
 from streamfem import manufactured as mf
 from streamfem.cip import assemble_cip
-from streamfem.dg_time import (TimePartition, _time_derivative,
+from streamfem.dg_time import (TimeBasis, TimePartition, _time_derivative,
                                best_approx_terms, bh_analytic, dg_solve,
                                make_partition, stability_data_norm,
                                time_projection_values)
 from streamfem.fem import (build_space, h1_field_error, sample_time_factors,
-                           space_time_h1_error, space_time_norm)
+                           space_time_h1_error, space_time_norm, term_tables)
 from streamfem.mesh import build_structured_mesh
 from streamfem.mini_stokes import (build_mini_space, mini_transient_solve,
                                    velocity_error_l2)
@@ -56,7 +58,16 @@ def test_compression_matches_the_per_point_sum(points, terms, equal_columns):
         blocks.append((coef, rng.standard_normal((terms,) + wdet.shape
                                                  + (2,))))
     want = _per_point_sum(wdet, trule, partition.lengths, blocks)
-    got = space_time_norm(space, partition, trule, iter(blocks))
+    # no table is shared: ``discrete`` writes all of them per interval
+    shared = np.empty((0,) + wdet.shape + (2,))
+
+    def discrete(work):
+        def write(m, out):
+            out[...] = blocks[m][1]
+        return write
+    got = space_time_norm(space, partition, trule,
+                          np.array([coef for coef, _ in blocks]), shared,
+                          discrete)
     assert got ** 2 == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
@@ -85,12 +96,17 @@ def test_the_data_time_rule_integrates_sigma_and_its_derivative(points):
 
 
 def test_error_integration_peak_memory():
-    """Traced peak of one space-time error at n=32, P2, dG(0).
+    """Traced peak of one space-time error at n=32, P2, dG(0), M = 2.
 
     The interval values shrink from P = 5 rows to J = 2 (the exact term
-    and the discrete one): 7.4 MB, against 12.5 MB when every Gauss point
-    formed its own row (numpy 2.4).  The peak includes building the
-    cached exact gradient table (0.8 MB) on the fresh space.
+    and the discrete one).  Both halves of the partition hold their
+    buffers at once, per half the J tables (1.6 MB), a work buffer (the
+    discrete table, then the squares; 0.8 MB) and a block of the
+    combinations (0.8 MB): 7.6 MiB with numpy 2.4, against 7.4 MiB when
+    one interval at a time was integrated with allocating calls and
+    12.5 MB when every Gauss point formed its own row.  The peak
+    includes building the cached exact gradient table (0.8 MB) on the
+    fresh space.
     """
     space = build_space(build_structured_mesh(32), 2)
     sol = dg_solve(assemble_cip(space), make_partition(2), 0,
@@ -102,6 +118,187 @@ def test_error_integration_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2 ** 20
+
+
+# -- two halves on two threads ------------------------------------------
+
+
+def _serial_norm(space, partition, trule, coefficients, tables_of):
+    """The norm as one loop over the intervals on one thread, with
+    allocating numpy calls: sum_m k_m sum_i int |sum_j R_ij T_m[j]|^2."""
+    wdet = space.jac_det[:, None] * space.default_data_rule().weights
+    sqrt_w = np.sqrt(trule.weights)[:, None]
+    total = 0.0
+    for m, km in enumerate(partition.lengths):
+        r = np.linalg.qr(sqrt_w * coefficients[m], mode="r")
+        tables = tables_of(m)
+        values = r @ tables.reshape(len(tables), -1)
+        sq = np.square(values.reshape((len(r),) + tables.shape[1:]))
+        total += km * float(
+            ((sq[..., 0] + sq[..., 1]).reshape(len(r), -1)
+             @ wdet.ravel()).sum())
+    return float(np.sqrt(max(total, 0.0)))
+
+
+def _serial_error(space, fld, kind, sol, basis, points, tables_of):
+    """``space_time_error`` as a serial loop; ``tables_of(m)`` are the
+    (r+1, F, Q, 2) tables of the trajectory on interval m."""
+    trule, sig = sample_time_factors(fld, sol.partition, points)
+    minus_basis = -basis.values(trule.points)
+    exact = term_tables(space, fld, kind)
+    return _serial_norm(
+        space, sol.partition, trule,
+        [np.hstack([sig_m, minus_basis]) for sig_m in sig],
+        lambda m: np.concatenate([exact, tables_of(m)]))
+
+
+class _Lockstep:
+    """Table writes of the two halves of ``space_time_norm`` in lockstep.
+
+    Each writer that ``table_writer`` makes while installed waits for the
+    other half before and after each of its first ``pairs`` writes (the
+    helper's half has M // 2 intervals), so a buffer the halves share,
+    such as one coefficient row array, is written by both before either
+    reads it, and a race on it changes the result on every run instead
+    of on some.
+    """
+
+    def __init__(self, monkeypatch, pairs):
+        self.barrier = threading.Barrier(2, timeout=10.0)
+        self.pairs = pairs
+        for module in (fem, mini_stokes):
+            monkeypatch.setattr(module, "table_writer",
+                                self.wrap(module.table_writer))
+
+    def wrap(self, factory):
+        def make(*args, **kwargs):
+            shape, write = factory(*args, **kwargs)
+            done = []
+
+            def step(rows, out, work):
+                paired = len(done) < self.pairs
+                done.append(None)
+                if paired:
+                    self.barrier.wait()
+                write(rows, out, work)
+                if paired:
+                    self.barrier.wait()
+            return shape, step
+        return make
+
+
+def _gradients(space, rows):
+    """Gradients of coefficient rows at the data rule points, (A, F, Q, 2)."""
+    coef = rows[:, space.dof_map]
+    ref = coef.reshape(-1, coef.shape[-1]) @ space.basis_table(
+        space.default_data_rule(), 1).T
+    return ref.reshape(coef.shape[:2] + (-1, 2)) @ space.jac_inv
+
+
+@pytest.fixture(scope="module")
+def form_n32():
+    """At n=32 P2 the combinations of an interval span two blocks."""
+    return assemble_cip(build_space(build_structured_mesh(32), 2))
+
+
+@pytest.mark.parametrize("steps", [1, 2, 7])
+@pytest.mark.parametrize("order", [0, 2])
+def test_space_time_h1_error_equals_a_serial_loop(form_n32, monkeypatch,
+                                                  order, steps):
+    """M = 1 leaves the helper's half empty, M = 7 makes the halves
+    unequal; with the halves' writes in lockstep the split value is
+    bitwise that of one loop."""
+    sol = dg_solve(form_n32, make_partition(steps), order, f=mf.f_scalar())
+    psi = mf.psi_exact()
+    want = _serial_error(sol.space, psi, "grad", sol, sol.basis, 5,
+                         lambda m: _gradients(sol.space, sol.coefficients[m]))
+    _Lockstep(monkeypatch, steps // 2)
+    assert space_time_h1_error(sol, psi) == want
+
+
+@pytest.mark.parametrize("steps", [1, 2, 7])
+def test_velocity_error_equals_a_serial_loop(monkeypatch, steps):
+    """The MINI velocity error, each half with its own coefficient rows."""
+    space = build_mini_space(build_structured_mesh(8))
+    sol = mini_transient_solve(space, make_partition(steps), mf.g_field())
+    u = mf.u_exact()
+    basis = space.basis_table(space.default_data_rule(), 0)
+
+    def tables_of(m):
+        rows = np.zeros((2, space.n_dofs))
+        rows[:, space.free_dofs] = sol.velocities[m + 1].reshape(2, -1)
+        return np.moveaxis(rows[:, space.dof_map] @ basis.T, 0, -1)[None]
+    want = _serial_error(space, u, "value", sol, TimeBasis(0), 3, tables_of)
+    _Lockstep(monkeypatch, steps // 2)
+    assert velocity_error_l2(sol, u) == want
+
+
+@pytest.mark.parametrize("steps", [1, 2, 7])
+@pytest.mark.parametrize("order", [0, 2])
+def test_best_approx_terms_equal_a_serial_loop(form_n8_l2, monkeypatch,
+                                               order, steps):
+    """Each of the three norms equals a serial loop over the same
+    coefficients and tables."""
+    norm = dg_time.space_time_norm
+    compared = []
+
+    def checked(space, partition, trule, coefficients, tables, discrete):
+        got = norm(space, partition, trule, coefficients, tables, discrete)
+        compared.append(got == _serial_norm(space, partition, trule,
+                                            coefficients, lambda m: tables))
+        return got
+    monkeypatch.setattr(dg_time, "space_time_norm", checked)
+    best_approx_terms(mf.psi_exact(), form_n8_l2, make_partition(steps),
+                      order)
+    assert compared == [True] * 3
+
+
+def test_concurrent_callers_get_the_serial_value(form_n32):
+    """Three callers at once, six threads on two cores, with a switch
+    interval of 1 us: every value is that of the serial loop."""
+    sol = dg_solve(form_n32, make_partition(7), 1, f=mf.f_scalar())
+    psi = mf.psi_exact()
+    want = _serial_error(sol.space, psi, "grad", sol, sol.basis, 5,
+                         lambda m: _gradients(sol.space, sol.coefficients[m]))
+    space_time_h1_error(sol, psi)       # the cached tables exist before
+    got = []
+    callers = [threading.Thread(
+        target=lambda: got.append(space_time_h1_error(sol, psi)))
+        for _ in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert got == [want] * 3
+
+
+@pytest.mark.parametrize("failing", [0, 2])
+def test_an_interval_error_reaches_the_caller(failing):
+    """An exception raised on interval 2 (the helper's half of M = 3) or
+    0 (the caller's) is raised by the norm, after the helper is joined."""
+    space = build_space(build_structured_mesh(2), 1)
+    shape = space.jac_det.shape + (len(space.default_data_rule().weights), 2)
+    raised_on = []
+
+    def discrete(work):
+        def write(m, out):
+            if m == failing:
+                raised_on.append(threading.current_thread())
+                raise RuntimeError(f"interval {m}")
+            out[...] = 1.0
+        return write
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"interval {failing}"):
+        space_time_norm(space, make_partition(3), interval_rule(2),
+                        np.ones((3, 2, 1)), np.empty((0,) + shape), discrete)
+    assert threading.active_count() == before
+    assert (raised_on[0] is threading.main_thread()) == (failing == 0)
 
 
 # -- static data once per space -------------------------------------------

@@ -24,7 +24,10 @@ Prints one ``label digest`` line per artifact:
   grading, which cover the time projection at r >= 1;
 - the consumers of the time quadrature of the data, called directly:
   ``space_time_h1_error`` of psi_exact for each of the six ``dg_solve``
-  runs above, ``velocity_error_l2`` of u_exact for the MINI run,
+  runs above and for dG(0) on ``make_partition(1)`` and
+  ``make_partition(7)`` (an empty and an odd half of the norm's split),
+  ``velocity_error_l2`` of u_exact for the MINI run and for a MINI run
+  on ``make_partition(7)``,
   ``stability_data_norm`` of f on the grading and
   ``time_projection_values`` of psi_exact on the grading for
   r = 0, 1, 2, 3;
@@ -150,10 +153,22 @@ def transient_lines():
             yield (f"space_time_h1_error n=8 P2 r={order} {name}",
                    _digest(np.float64(space_time_h1_error(
                        sol, mf.psi_exact()))))
-    sol = mini_transient_solve(build_mini_space(mesh), graded, mf.g_field())
+    # the split of the space-time norm in two halves: an empty half (M=1)
+    # and unequal halves (M=7)
+    for steps in (1, 7):
+        sol = dg_solve(form, make_partition(steps), 0, f=mf.f_scalar(),
+                       psi0=mf.phi())
+        yield (f"space_time_h1_error n=8 P2 r=0 M={steps}",
+               _digest(np.float64(space_time_h1_error(sol,
+                                                      mf.psi_exact()))))
+    mini = build_mini_space(mesh)
+    sol = mini_transient_solve(mini, graded, mf.g_field())
     yield "mini n=8 graded", _digest(sol.velocities, sol.pressures,
                                      sol.multipliers)
     yield ("velocity_error_l2 mini n=8 graded",
+           _digest(np.float64(velocity_error_l2(sol, mf.u_exact()))))
+    sol = mini_transient_solve(mini, make_partition(7), mf.g_field())
+    yield ("velocity_error_l2 mini n=8 M=7",
            _digest(np.float64(velocity_error_l2(sol, mf.u_exact()))))
     yield ("stability_data_norm n=8 P2 graded",
            _digest(np.float64(stability_data_norm(form, mf.f_scalar(),
