@@ -182,14 +182,14 @@ def _stream_errors(n, cfg):
 
 
 def _mini_errors(n, cfg):
-    """Space-time L2 velocity errors of the MINI solve on the n x n mesh,
-    one per entry of ``cfg.steps_list``; the space is built once."""
+    """Space-time L2 velocity errors of the MINI dG(r) solve on the n x n
+    mesh, one per entry of ``cfg.steps_list``; the space is built once."""
     space = build_mini_space(build_structured_mesh(n))
     g = mf.g_tilde() if cfg.rhs == "g_tilde" else mf.g_field()
     u = mf.u_exact()
     for m_steps in cfg.steps_list:
-        sol = mini_transient_solve(space, make_partition(m_steps,
-                                                         cfg.end_time), g)
+        sol = mini_transient_solve(
+            space, make_partition(m_steps, cfg.end_time), cfg.dg_order, g)
         yield velocity_error_l2(sol, u)
 
 
@@ -249,8 +249,8 @@ def compare_mini(cfg):
     """Mixed solver under g and g_tilde next to the stream-function runs.
 
     Emits four sibling CSVs (``_compare_paths``) over the time-refinement
-    sweep at one mesh, and reports the error blow-up ratio of the
-    perturbed mixed runs.
+    sweep at one mesh, both methods at one dG order, and reports the
+    error blow-up ratio of the perturbed mixed runs.
     """
     paths, summary_paths = _compare_paths(cfg.out)
     csvs, summaries, errors = {}, {}, {}
@@ -397,10 +397,9 @@ def diagnostics(cfg):
 class Study:
     """One subcommand: its runner, its default refinement lists and
     output path, the list it fits a rate to (None: none), the inputs it
-    does not read, whether it runs the stream-function method only,
-    ``paths(out)``, the (CSV paths, summary paths) that its runner writes,
-    the keys of its record, and the (key, value, reason) of each input it
-    takes at one value only."""
+    does not read, whether it runs the stream-function method only and
+    ``paths(out)``, the (CSV paths, summary paths) that its runner
+    writes, the keys of its record."""
 
     run: object
     mesh_list: tuple
@@ -410,7 +409,6 @@ class Study:
     unread: tuple = ()
     stream_only: bool = False
     paths: object = _sweep_paths
-    fixed: tuple = ()
 
 
 STUDIES = {
@@ -426,13 +424,11 @@ STUDIES = {
                          paths=_summary_only),
     "compare-mini": Study(compare_mini, (8,), (8, 16, 32, 64, 128),
                           "compare.csv", "steps_list", ("method", "rhs"),
-                          paths=_compare_paths,
-                          fixed=(("dg_order", 0,
-                                  "the MINI baseline is dG(0) only"),)),
+                          paths=_compare_paths),
 }
 
 # the inputs a method does not read
-_METHOD_UNREAD = {"mini": ("degree", "dg_order", "eta")}
+_METHOD_UNREAD = {"mini": ("degree", "eta")}
 
 
 def _build_parser():
@@ -463,10 +459,9 @@ def _build_parser():
 
 
 def _check_inputs(name, values, given):
-    """Refuse an input the study would not use, one it takes at one value
-    only set to another, and a swept list it cannot fit a rate to;
-    ``given`` maps each key set by a flag or the config file to the name
-    it was set by."""
+    """Refuse an input the study would not use and a swept list it cannot
+    fit a rate to; ``given`` maps each key set by a flag or the config
+    file to the name it was set by."""
     study = STUDIES[name]
     for key in ("mesh_list", "steps_list"):
         fixed = key != study.swept and key not in study.unread
@@ -483,10 +478,6 @@ def _check_inputs(name, values, given):
         for key in unread:
             if key in given:
                 raise ValueError(f"{given[key]}: not read by {where}")
-    for key, value, reason in study.fixed:
-        if values[key] != value:
-            raise ValueError(f"{given[key]}: {name} takes {value} only "
-                             f"({reason}), got {values[key]}")
     if study.swept in given:
         levels = values[study.swept]
         if len(levels) < 2 or any(b <= a for a, b in zip(levels, levels[1:])):

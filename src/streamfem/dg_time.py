@@ -7,8 +7,10 @@ interval-by-interval forward sweep: interval m couples to the past only
 through K applied to the outgoing value at t_{m-1}, seeded at m=1 by
 the H1_0 projection of the initial datum.  One sweep
 (``_forward_sweep``) serves dG(r) for the stream function (K the
-gradient stiffness, A the eliminated a_h) and dG(0) for the MINI
-saddle, whose mass diag(M, M, 0, 0) is singular (``mini_stokes``).
+gradient stiffness, A the eliminated a_h) and for the MINI saddle,
+whose mass diag(M, M, 0, 0) is singular (``mini_stokes``): its complex
+mode factors lambda K + k A factor at pivot threshold 0 like the real
+ones.
 
 The interval system C (K X) + k M (A X) = R couples the r+1 nodal values
 through the time matrices C (derivative plus incoming jump) and M

@@ -3,20 +3,21 @@
 Per scalar velocity component the space is P1 plus a cubic bubble per
 triangle, with homogeneous velocity boundary values; the pressure is
 continuous P1 constrained to zero mean through one Lagrange multiplier.
-Time stepping is the lowest-order discontinuous scheme (one implicit
-step per interval with the data integrated over the interval), which is
-the pressure-coupled baseline the stream-function solver is measured
-against.  It is the dG(0) sweep of ``dg_time`` that also serves the
-stream function, here on (u, p, lambda) with the singular mass
-diag(M, M, 0, 0): the factors, the residual refinement and the
-interval-tagged errors are the same code.
+Time stepping is dG(r) at the right Radau points, the scheme of the
+stream-function solver at the same order, and this is the
+pressure-coupled baseline that solver is measured against.  It is the
+sweep of ``dg_time`` that also serves the stream function, here on
+(u, p, lambda) with the singular mass diag(M, M, 0, 0): the mode
+factors, the residual refinement and the interval-tagged errors are the
+same code, and the solution is held in the same (M, r+1, .) blocks of
+nodal values.
 
 The scalar velocity space is an ``FeSpace`` (``MiniSpace``) that sets
 only its DOF layout and its reference basis, so the mass, stiffness,
 pressure integrals, loads and error tables come from the shared
 reference-table kernels of ``fem``, each with the rule the space gives
 it: the matrix rule for the mass and stiffness, the data rule for the
-rest.  The velocity error is ``fem.space_time_error`` with the dG(0)
+rest.  The velocity error is ``fem.space_time_error`` with the dG(r)
 basis, so ``fem`` builds its time rule and weighs its norm, as it does
 for the stream function.  The divergence rows are this module's own
 kernel: one reference tensor sum_q w_q lambda_j d_a w_l at the matrix
@@ -133,25 +134,43 @@ def _velocity_loads(space, g):
         for values in term_tables(space, g, "value")])
 
 
+def _time_points(order):
+    """Gauss points per interval of the data and error time integrals of
+    dG(r): r + 3, exact for polynomials of degree 2r + 5.
+
+    The squared error of a degree-r trajectory then keeps, at every
+    order, the five degrees of margin for the data's time factors that
+    the 3 points of r = 0 give; r = 0 keeps the baseline's shipped rule.
+    """
+    return order + 3
+
+
 @dataclass
 class MiniSolution:
     space: MiniSpace
     partition: object
-    velocities: np.ndarray   # (M+1, 2 n_scalar); row 0 is the zero start
-    pressures: np.ndarray    # (M, n_pressure)
-    multipliers: np.ndarray  # (M,)
+    order: int
+    # nodal values at the right Radau points of every interval
+    velocities: np.ndarray   # (M, r+1, 2 n_scalar)
+    pressures: np.ndarray    # (M, r+1, n_pressure)
+    multipliers: np.ndarray  # (M, r+1)
 
 
-def mini_transient_solve(space, partition, g):
-    """One implicit step per interval of the mixed saddle-point system.
+def mini_transient_solve(space, partition, order, g):
+    """dG(r) in time for the mixed saddle-point system, from u = 0.
 
-    Per step: (u_m - u_{m-1}, v) + k_m (grad u_m, grad v)
-    - k_m (p_m, div v) + k_m (q, div u_m) = int_{I_m} (g, v) dt,
-    from u_0 = 0, with a one-multiplier zero-mean constraint on the
-    pressure.  This is the dG(0) sweep of ``dg_time`` with the singular
-    mass diag(M, M, 0, 0) and the operator [[S, -B^T, 0], [B, 0, c],
-    [0, c^T, 0]] over (u, p, lambda), whose K + k A is the saddle matrix;
-    the data time integral takes 3 Gauss points per interval.
+    On interval m the velocity u, the pressure p and the multiplier
+    lambda are polynomials of degree r, held by their values at the
+    right Radau points, with
+    int_{I_m} (u', v) + (grad u, grad v) - (p, div v) dt
+    + (u(t_{m-1}^+) - u(t_{m-1}^-), v(t_{m-1}^+)) = int_{I_m} (g, v) dt
+    and (q, div u) + lambda (q, 1) = 0, (p, 1) = 0 at every node: the
+    zero-mean constraint on the pressure.  r = 0 is one implicit step per
+    interval.  This is the sweep of ``dg_time`` at order r with the
+    singular mass diag(M, M, 0, 0) and the operator [[S, -B^T, 0],
+    [B, 0, c], [0, c^T, 0]] over (u, p, lambda), whose lambda_i K + k A
+    are the mode factors; the data is tested against the dG(r) basis at
+    ``_time_points(order)`` Gauss points per interval.
     """
     n_p = space.n_pressure
     mass = sp.block_diag([_mass(space)] * 2
@@ -163,31 +182,35 @@ def mini_transient_solve(space, partition, g):
                     [None, cvec.T, None]], format="csr")
 
     loads = np.pad(_velocity_loads(space, g), ((0, 0), (0, n_p + 1)))
-    weights = _tested_data(g, partition, 0, 3)
-    x = np.array([block[0] for block in _forward_sweep(
-        mass, oper, loads, weights, partition.lengths,
-        np.zeros(mass.shape[0]), 0)])
+    weights = _tested_data(g, partition, order, _time_points(order))
+    x = np.empty((partition.num_intervals, order + 1, mass.shape[0]))
+    for m, block in enumerate(_forward_sweep(
+            mass, oper, loads, weights, partition.lengths,
+            np.zeros(mass.shape[0]), order)):
+        x[m] = block
     n_v = space.n_velocity
-    velocities = np.vstack([np.zeros(n_v), x[:, :n_v]])
-    return MiniSolution(space, partition, velocities, x[:, n_v:-1], x[:, -1])
+    return MiniSolution(space, partition, order, x[..., :n_v],
+                        x[..., n_v:-1], x[..., -1])
 
 
 def velocity_error_l2(sol, u_exact):
-    """|| u - u_kh ||_{L2(I x Omega)} for the piecewise-constant steps,
-    with the data rule in space and 3 Gauss points per interval
-    (``fem.space_time_error`` with the dG(0) basis, whose value is 1)."""
+    """|| u - u_kh ||_{L2(I x Omega)} for the dG(r) velocity, with the
+    data rule in space and ``_time_points(r)`` Gauss points per interval
+    (``fem.space_time_error`` with the dG(r) basis)."""
     space = sol.space
 
     def discrete(work):
-        rows = np.zeros((2, space.n_dofs))
-        shape, values = table_writer(space, 0, 2)
-        table = work[:np.prod(shape)].reshape(shape)
+        # row 2a + c: component c of the velocity at Radau node a
+        rows = np.zeros((2 * sol.order + 2, space.n_dofs))
+        shape, values = table_writer(space, 0, len(rows))
+        table = work[:np.prod(shape)].reshape((-1, 2) + shape[1:])
 
         def write(m, out):
-            rows[:, space.free_dofs] = sol.velocities[m + 1].reshape(2, -1)
-            values(rows, table, None)
-            np.copyto(out[0], np.moveaxis(table, 0, -1))
+            rows[:, space.free_dofs] = sol.velocities[m].reshape(len(rows), -1)
+            values(rows, table.reshape(shape), None)
+            np.copyto(out, np.moveaxis(table, 1, -1))
         return write
 
     return space_time_error(space, u_exact, "value", sol.partition,
-                            TimeBasis(0), discrete, 3)
+                            TimeBasis(sol.order), discrete,
+                            _time_points(sol.order))

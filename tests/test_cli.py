@@ -80,39 +80,56 @@ def test_compare_mini_assert_exit_code(tmp_path, capsys, mesh, code):
     assert (float(summary["mini_blowup_ratio"]) >= 10.0) == (code == 0)
 
 
-@pytest.mark.parametrize("argv, config, given, order", [
-    (["--dg-order", "1"], None, "--dg-order", 1),
-    (["--dg-order", "2"], "dg_order = 0\n", "--dg-order", 2),
-    ([], "dg_order = 1\n", "dg_order", 1),
+@pytest.mark.parametrize("argv, config, order", [
+    (["--dg-order", "1"], None, 1),
+    (["--dg-order", "2"], "dg_order = 0\n", 2),
+    ([], "dg_order = 1\n", 1),
 ])
-def test_compare_mini_refuses_a_nonzero_dg_order(tmp_path, capsys,
-                                                 monkeypatch, argv, config,
-                                                 given, order):
-    """The MINI baseline is dG(0) only, so compare-mini at dG(r > 0) would
-    set stream-function dG(r) against MINI dG(0): a usage error before
-    any run; --dg-order 0 is the default and runs."""
+def test_compare_mini_runs_both_methods_at_the_dg_order_given(
+        tmp_path, capsys, argv, config, order):
+    """compare-mini at dG(r > 0), set by the flag or the config key, runs
+    MINI and the stream function at that one order: the run ends in its
+    checks' result, not a usage error, every sweep records the order,
+    and the MINI columns are not those of dG(0)."""
     if config is not None:
         path = tmp_path / "study.cfg"
         path.write_text(config)
         argv = argv + ["--config", str(path)]
-    runs = []
-    monkeypatch.setattr(cli, "converge_k", lambda cfg: runs.append(cfg))
-    out = tmp_path / "compare.csv"
-    with pytest.raises(SystemExit) as exc:
-        main(["compare-mini", "--mesh-list", "2", "--steps-list", "1,2",
-              *argv, "--out", str(out)])
-    assert exc.value.code == 2
-    assert capsys.readouterr().err.strip().splitlines()[-1] == (
-        f"streamfem: error: {given}: compare-mini takes 0 only (the MINI "
-        f"baseline is dG(0) only), got {order}")
-    assert runs == []
-    assert not list(tmp_path.glob("*.csv"))
 
-    monkeypatch.undo()
-    assert main(["compare-mini", "--dg-order", "0", "--mesh-list", "2",
-                 "--steps-list", "1,2", "--out", str(out)]) == 0
-    assert _read_summary(tmp_path / "compare_mini_g_summary.txt")[
-        "dg_order"] == "0"
+    def run(*flags, out):
+        code = main(["compare-mini", "--assert", "--mesh-list", "2",
+                     "--steps-list", "1,2", *flags, "--out", str(out)])
+        assert code == ("FAIL" in capsys.readouterr().out)
+        return {tag: _read_csv(out.with_name(f"{out.stem}_{tag}.csv"))[1]
+                for tag in ("mini_g", "mini_gtilde", "sf_g", "sf_gtilde")}
+
+    out = tmp_path / "compare.csv"
+    columns = run(*argv, out=out)
+    for tag in columns:
+        summary = _read_summary(tmp_path / f"compare_{tag}_summary.txt")
+        assert summary["dg_order"] == str(order)
+    lowest = run(out=tmp_path / "lowest.csv")
+    for tag in ("mini_g", "mini_gtilde"):
+        assert columns[tag] != lowest[tag]
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["--dg-order", "3"], None),
+    ([], "dg_order = 3\n"),
+])
+def test_converge_k_runs_mini_at_the_dg_order_given(tmp_path, argv, config):
+    """The MINI method reads the dG order: dG(3) on a 2-cell mesh runs,
+    records its order and has other errors than dG(0)."""
+    if config is not None:
+        path = tmp_path / "study.cfg"
+        path.write_text(config)
+        argv = argv + ["--config", str(path)]
+    base = ["converge-k", "--method", "mini", "--mesh-list", "2",
+            "--steps-list", "1,2"]
+    assert main(base + argv + ["--out", str(tmp_path / "r3.csv")]) == 0
+    assert _read_summary(tmp_path / "r3_summary.txt")["dg_order"] == "3"
+    assert main(base + ["--out", str(tmp_path / "r0.csv")]) == 0
+    assert _read_csv(tmp_path / "r3.csv") != _read_csv(tmp_path / "r0.csv")
 
 
 def test_config_precedence(tmp_path):
@@ -168,8 +185,8 @@ def test_config_precedence(tmp_path):
      "rhs = g\n"),
     (["converge-k", "--method", "mini", "--degree", "3", "--mesh-list", "2",
       "--steps-list", "1,2"], None),
-    (["converge-k", "--method", "mini", "--dg-order", "3", "--mesh-list",
-      "2", "--steps-list", "1,2"], None),
+    (["converge-k", "--method", "mini", "--eta", "8", "--mesh-list", "2",
+      "--steps-list", "1,2"], None),
     (["converge-h", "--method", "mini", "--eta", "8", "--mesh-list", "2,4",
       "--steps-list", "2"], None),
     (["converge-k", "--mesh-list", "2", "--steps-list", "1,2"],
@@ -255,9 +272,8 @@ def test_bad_values_name_the_option_and_format(tmp_path, capsys, argv,
      "--steps-list: not read by stationary"),
     (["diagnostics", "--method", "mini"], None,
      "--method: diagnostics runs the stream-function method only"),
-    (["converge-k", "--method", "mini", "--dg-order", "3", "--mesh-list",
-      "2", "--steps-list", "1,2"], None,
-     "--dg-order: not read by converge-k with method mini"),
+    (["stationary", "--dg-order", "3", "--mesh-list", "2,4"], None,
+     "--dg-order: not read by stationary"),
     (["diagnostics", "--rhs", "g_tilde"], None,
      "--rhs: not read by diagnostics"),
     (["diagnostics"], "rhs = f\n", "rhs: not read by diagnostics"),

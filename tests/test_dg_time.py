@@ -17,6 +17,7 @@ from streamfem.fem import (FeFunction, build_space, gradient_tables,
                            h1_projection, space_time_h1_error, term_tables)
 from streamfem.linalg import Factorized, SolverError
 from streamfem.mesh import build_structured_mesh
+from streamfem.mini_stokes import build_mini_space, mini_transient_solve
 
 
 # -- partitions and time basis -------------------------------------------
@@ -664,9 +665,14 @@ def test_one_factor_set_per_run_of_equal_steps(order, space_n4_l2,
                                                refined_partition,
                                                factor_count):
     """The refined partition's nine intervals form three runs of equal
-    steps, and the sweep factors one set of mode factors per run."""
+    steps, and the sweep factors one set of mode factors per run, for the
+    stream function and for the MINI saddle alike."""
     dg_solve(assemble_cip(space_n4_l2), refined_partition, order,
              f=mf.f_scalar())
+    assert len(factor_count) == 3 * len(dg_time.time_modes(order))
+    factor_count.clear()
+    mini_transient_solve(build_mini_space(space_n4_l2.mesh),
+                         refined_partition, order, mf.g_field())
     assert len(factor_count) == 3 * len(dg_time.time_modes(order))
 
 

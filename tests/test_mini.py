@@ -58,7 +58,7 @@ def test_zero_data_zero_solution():
     part = make_partition(3)
     zero = mf.VectorField([(mf.TimeFactor.one(),
                             mf.SpatialTerm(lambda p: np.zeros(p.shape)))])
-    sol = mini_transient_solve(space, part, zero)
+    sol = mini_transient_solve(space, part, 0, zero)
     assert np.abs(sol.velocities).max() == 0.0
     assert np.abs(sol.pressures).max() == 0.0
     assert velocity_error_l2(sol, zero) == 0.0
@@ -77,7 +77,7 @@ def test_gradient_forcing_moves_velocity():
         return out
 
     g = mf.VectorField([(mf.TimeFactor.one(), mf.SpatialTerm(gval))])
-    sol = mini_transient_solve(space, part, g)
+    sol = mini_transient_solve(space, part, 0, g)
     zero = mf.VectorField([(mf.TimeFactor.one(),
                             mf.SpatialTerm(lambda p: np.zeros(p.shape)))])
     err = velocity_error_l2(sol, zero)  # equals the discrete magnitude
@@ -88,7 +88,7 @@ def test_solver_error_carries_step_and_residual(monkeypatch):
     space = build_mini_space(build_structured_mesh(2))
     monkeypatch.setattr(dg_time, "_RTOL", 1e-30)
     with pytest.raises(SolverError) as info:
-        mini_transient_solve(space, make_partition(3), mf.g_field())
+        mini_transient_solve(space, make_partition(3), 0, mf.g_field())
     exc = info.value
     assert exc.interval == 1
     assert 0.0 < exc.residual < 1e-10
@@ -96,50 +96,69 @@ def test_solver_error_carries_step_and_residual(monkeypatch):
     assert str(exc).startswith("interval 1: residual")
 
 
-def _saddle_step_solve(space, partition, g):
-    """One factored saddle system per step length, the oracle of the
-    dG(0) sweep: (M + k S, -k B^T, 0; k B, 0, k c; 0, k c^T, 0) times
-    (u_m, p_m, lambda_m) = (M u_{m-1} + int_{I_m} (g, v) dt, 0, 0).  The
-    data integral is summed in the sweep's order: a (1, I) by (I, n)
-    product over all n unknowns, the loads of the pressure rows zero."""
+def _saddle_step_solve(space, partition, order, g):
+    """The dG(r) sweep on the assembled (r+1)-block interval system
+    kron(C, K) + k kron(M, A) of the saddle, K = diag(M, M, 0, 0) and
+    A = (S, -B^T, 0; B, 0, c; 0, c^T, 0) over (u, p, lambda): the oracle
+    of the diagonalized solve.  The data is tested as ``_tested_data``
+    tests it, at r + 3 Gauss points per interval, and summed in the
+    sweep's order: an (r+1, I) by (I, n) product over all n unknowns, the
+    loads of the pressure rows zero."""
     import scipy.sparse as sp
     from streamfem.fem import sample_time_factors
     from streamfem.linalg import Factorized
     from streamfem.mini_stokes import (_divergence, _mass,
                                        _pressure_integrals, _velocity_loads)
 
-    mass = sp.block_diag([_mass(space)] * 2, format="csr")
+    n_v, n_p = space.n_velocity, space.n_pressure
+    k_mat = sp.block_diag([_mass(space)] * 2
+                          + [sp.csr_matrix((n_p + 1, n_p + 1))], format="csr")
     stiff = sp.block_diag([space.h1_free()] * 2, format="csr")
     div = _divergence(space)
     csp = sp.csr_matrix(_pressure_integrals(space).reshape(-1, 1))
-    n_v, n_p = space.n_velocity, space.n_pressure
+    a_mat = sp.bmat([[stiff, -div.T, None], [div, None, csp],
+                     [None, csp.T, None]], format="csr")
+    basis = dg_time.TimeBasis(order)
+    coupling, mass = basis.coupling(), basis.gram()
     loads = np.pad(_velocity_loads(space, g), ((0, 0), (0, n_p + 1)))
-    trule, sig = sample_time_factors(g, partition, 3)
+    rule, sig = sample_time_factors(g, partition, order + 3)
+    tested = rule.weights[:, None] * basis.values(rule.points)
     lengths = partition.lengths
-    weights = lengths[:, None, None] * (trule.weights @ sig)[:, None]
-    uniform = np.allclose(lengths, lengths[0], rtol=1e-12, atol=0.0)
-    velocities = np.zeros((lengths.size + 1, n_v))
-    pressures = np.zeros((lengths.size, n_p))
-    multipliers = np.zeros(lengths.size)
-    factor = None
-    for m, km in enumerate(lengths):
-        if factor is None or not uniform:
-            factor = Factorized(sp.bmat([
-                [mass + km * stiff, -km * div.T, None],
-                [km * div, None, km * csp],
-                [None, km * csp.T, None]], format="csr"))
-        x = factor(np.concatenate([mass @ velocities[m], np.zeros(n_p + 1)])
-                   + (weights[m] @ loads)[0])
-        velocities[m + 1] = x[:n_v]
-        pressures[m] = x[n_v:-1]
-        multipliers[m] = x[-1]
-    return velocities, pressures, multipliers
+    weights = lengths[:, None, None] * (tested.T @ sig)
+    # one system k for a uniform partition, as in the sweep: the lengths
+    # of make_partition agree to roundoff, not bit for bit
+    system_k = lengths if np.ptp(lengths) > 1e-12 * lengths[0] \
+        else np.full_like(lengths, lengths[0])
+    x = np.zeros((lengths.size, order + 1, k_mat.shape[0]))
+    u_prev = np.zeros(k_mat.shape[0])
+    for m in range(lengths.size):
+        factor = Factorized(sp.kron(sp.csr_matrix(coupling), k_mat)
+                            + sp.kron(sp.csr_matrix(system_k[m] * mass),
+                                      a_mat))
+        rhs = weights[m] @ loads + np.outer(basis.left_values,
+                                            k_mat @ u_prev)
+        x[m] = factor(rhs.ravel()).reshape(order + 1, -1)
+        u_prev = x[m, -1]
+    return x[..., :n_v], x[..., n_v:-1], x[..., -1]
 
 
-@pytest.mark.parametrize("partition", ["uniform", "graded", "refined"])
-@pytest.mark.parametrize("field", ["g", "g_tilde"])
-def test_sweep_matches_the_saddle_step_oracle(partition, field,
+def _oracle_cases():
+    """(field, partition, order); the ids of r = 0 name no order."""
+    for order in (0, 1, 2):
+        for partition in ("uniform", "graded", "refined"):
+            for field in ("g", "g_tilde"):
+                tag = f"-r{order}" if order else ""
+                yield pytest.param(field, partition, order,
+                                   id=f"{field}-{partition}{tag}")
+
+
+@pytest.mark.parametrize("field, partition, order", _oracle_cases())
+def test_sweep_matches_the_saddle_step_oracle(field, partition, order,
                                               refined_partition):
+    """Bit for bit at r = 0, where Lambda = V = [1] makes the factor the
+    oracle's own matrix; to 1e-10 of each field's largest entry at r >= 1,
+    with the multipliers, zero up to roundoff, measured on the pressure
+    scale."""
     space = build_mini_space(build_structured_mesh(8))
     part = make_partition(12)
     if partition == "graded":
@@ -147,32 +166,55 @@ def test_sweep_matches_the_saddle_step_oracle(partition, field,
     elif partition == "refined":
         part = refined_partition
     g = mf.g_tilde() if field == "g_tilde" else mf.g_field()
-    sol = mini_transient_solve(space, part, g)
-    want = _saddle_step_solve(space, part, g)
-    for got, ref in zip((sol.velocities, sol.pressures, sol.multipliers),
-                        want):
-        assert np.array_equal(got, ref)
+    sol = mini_transient_solve(space, part, order, g)
+    got = (sol.velocities, sol.pressures, sol.multipliers)
+    want = _saddle_step_solve(space, part, order, g)
+    if order == 0:
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        return
+    scales = [np.abs(want[0]).max()] + [np.abs(want[1]).max()] * 2
+    for a, b, scale in zip(got, want, scales):
+        assert np.abs(a - b).max() <= 1e-10 * scale
 
 
 def _max_divergence_row(sol, step):
     """max_j |(q_j, div u_m)|: satisfaction of the constraint rows."""
     return float(np.abs(_divergence(sol.space)
-                        @ sol.velocities[step + 1]).max())
+                        @ sol.velocities[step, 0]).max())
 
 
 def _mean_pressure(sol, step):
     """Mean value of the step pressure (zero up to solver tolerance)."""
     cvec = _pressure_integrals(sol.space)
-    return float(cvec @ sol.pressures[step]) / float(cvec.sum())
+    return float(cvec @ sol.pressures[step, 0]) / float(cvec.sum())
 
 
 def test_divergence_and_pressure_mean():
     space = build_mini_space(build_structured_mesh(4))
     part = make_partition(4)
-    sol = mini_transient_solve(space, part, mf.g_field())
+    sol = mini_transient_solve(space, part, 0, mf.g_field())
     for step in (0, 3):
         assert _max_divergence_row(sol, step) < 1e-9
         assert abs(_mean_pressure(sol, step)) < 1e-10
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_divergence_vanishes_at_every_radau_node(order):
+    """The constraint rows have no mass, so dG(r) enforces B U_a = 0 at
+    each node a, not only on average over the interval: to the 1e-10
+    contract relative to ||B|| ||U_a|| (infinity norms)."""
+    from scipy.sparse.linalg import norm
+
+    space = build_mini_space(build_structured_mesh(4))
+    sol = mini_transient_solve(space, make_partition(4), order,
+                               mf.g_field())
+    div = _divergence(space)
+    values = sol.velocities.reshape(-1, space.n_velocity)
+    assert len(values) == 4 * (order + 1)
+    for u in values:
+        assert (np.abs(div @ u).max()
+                <= 1e-10 * norm(div, np.inf) * np.abs(u).max())
 
 
 def test_saddle_factor_keeps_its_ordering(monkeypatch):
@@ -189,7 +231,7 @@ def test_saddle_factor_keeps_its_ordering(monkeypatch):
 
     monkeypatch.setattr(dg_time, "Factorized", Recording)
     mini_transient_solve(build_mini_space(build_structured_mesh(16)),
-                         make_partition(8), mf.g_field())
+                         make_partition(8), 0, mf.g_field())
     assert len(fills) == 1
     assert fills[0] < 120_000
 
@@ -199,7 +241,7 @@ def test_velocity_error_of_zero_solution_is_data_norm():
     part = make_partition(2)
     zero = mf.VectorField([(mf.TimeFactor.one(),
                             mf.SpatialTerm(lambda p: np.zeros(p.shape)))])
-    sol = mini_transient_solve(space, part, zero)
+    sol = mini_transient_solve(space, part, 0, zero)
 
     def w(p):
         return np.stack([p[..., 0] ** 2, p[..., 0] * p[..., 1]], axis=-1)
@@ -219,7 +261,7 @@ def test_manufactured_error_decreases():
     errs = []
     for n, m in ((4, 8), (8, 16), (16, 32)):
         space = build_mini_space(build_structured_mesh(n))
-        sol = mini_transient_solve(space, make_partition(m), g)
+        sol = mini_transient_solve(space, make_partition(m), 0, g)
         errs.append(velocity_error_l2(sol, u))
     assert errs[0] > errs[1] > errs[2]
     assert errs[1] / errs[2] > 1.7
@@ -237,8 +279,8 @@ def test_perturbed_forcing_changes_mixed_velocity_only():
     mesh = build_structured_mesh(n)
     space = build_mini_space(mesh)
     part = make_partition(m)
-    sol_g = mini_transient_solve(space, part, mf.g_field())
-    sol_gt = mini_transient_solve(space, part, mf.g_tilde())
+    sol_g = mini_transient_solve(space, part, 0, mf.g_field())
+    sol_gt = mini_transient_solve(space, part, 0, mf.g_tilde())
     mini_change = np.abs(sol_gt.velocities - sol_g.velocities).max()
 
     # the stream-function route applies the curl analytically: both

@@ -64,7 +64,7 @@ def computed(request):
     mini_space = build_mini_space(mesh)
     for key, g in (("velocity_error", mf.g_field()),
                    ("velocity_error_gtilde", mf.g_tilde())):
-        mini = mini_transient_solve(mini_space, part, g)
+        mini = mini_transient_solve(mini_space, part, 0, g)
         out[key] = velocity_error_l2(mini, mf.u_exact())
     return n, out
 

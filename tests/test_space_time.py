@@ -216,21 +216,37 @@ def test_space_time_h1_error_equals_a_serial_loop(form_n32, monkeypatch,
     assert space_time_h1_error(sol, psi) == want
 
 
-@pytest.mark.parametrize("steps", [1, 2, 7])
-def test_velocity_error_equals_a_serial_loop(monkeypatch, steps):
-    """The MINI velocity error, each half with its own coefficient rows."""
+def _velocity_error_against_a_serial_loop(monkeypatch, order, steps):
     space = build_mini_space(build_structured_mesh(8))
-    sol = mini_transient_solve(space, make_partition(steps), mf.g_field())
+    sol = mini_transient_solve(space, make_partition(steps), order,
+                               mf.g_field())
     u = mf.u_exact()
     basis = space.basis_table(space.default_data_rule(), 0)
 
     def tables_of(m):
-        rows = np.zeros((2, space.n_dofs))
-        rows[:, space.free_dofs] = sol.velocities[m + 1].reshape(2, -1)
-        return np.moveaxis(rows[:, space.dof_map] @ basis.T, 0, -1)[None]
-    want = _serial_error(space, u, "value", sol, TimeBasis(0), 3, tables_of)
+        out = []
+        for values in sol.velocities[m]:       # one Radau node at a time
+            rows = np.zeros((2, space.n_dofs))
+            rows[:, space.free_dofs] = values.reshape(2, -1)
+            out.append(np.moveaxis(rows[:, space.dof_map] @ basis.T, 0, -1))
+        return np.array(out)
+    want = _serial_error(space, u, "value", sol, TimeBasis(order), order + 3,
+                         tables_of)
     _Lockstep(monkeypatch, steps // 2)
     assert velocity_error_l2(sol, u) == want
+
+
+@pytest.mark.parametrize("steps", [1, 2, 7])
+def test_velocity_error_equals_a_serial_loop(monkeypatch, steps):
+    """The MINI velocity error, each half with its own coefficient rows."""
+    _velocity_error_against_a_serial_loop(monkeypatch, 0, steps)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_velocity_error_of_dg_r_equals_a_serial_loop(monkeypatch, order):
+    """At r >= 1 each interval writes the two components of its r + 1
+    nodes, and the time rule has r + 3 points."""
+    _velocity_error_against_a_serial_loop(monkeypatch, order, 7)
 
 
 @pytest.mark.parametrize("steps", [1, 2, 7])
@@ -385,7 +401,7 @@ def test_velocity_error_values_once_per_rule(monkeypatch):
     space, once per space and data rule."""
     space = build_mini_space(build_structured_mesh(2))
     part = make_partition(2)
-    sol = mini_transient_solve(space, part, mf.g_field())
+    sol = mini_transient_solve(space, part, 0, mf.g_field())
     u = mf.VectorField([(tf, _counting_term(term))
                         for tf, term in mf.g_field().terms])
     errors = [velocity_error_l2(sol, u) for _ in range(2)]
@@ -406,7 +422,7 @@ def test_velocity_loads_and_errors_share_the_value_tables():
     curl_phi = _counting_term(curl_phi)
     g = mf.VectorField([(tf, curl_phi if i == 0 else _counting_term(term))
                         for i, (tf, term) in enumerate(mf.g_field().terms)])
-    sols = [mini_transient_solve(space, part, g) for _ in range(2)]
+    sols = [mini_transient_solve(space, part, 0, g) for _ in range(2)]
     assert np.array_equal(sols[0].velocities, sols[1].velocities)
     velocity_error_l2(sols[0], mf.VectorField([(sigma, curl_phi)]))
     assert [term.value.calls for _, term in g.terms] == [1, 1]
@@ -554,9 +570,9 @@ def test_only_bh_analytic_reads_time_derivatives(space):
     mini = build_mini_space(build_structured_mesh(2))
     bare_g, bare_u = (_without_derivative(mf.g_field()),
                       _without_derivative(mf.u_exact()))
-    msol = mini_transient_solve(mini, part, bare_g)
+    msol = mini_transient_solve(mini, part, 1, bare_g)
     assert np.array_equal(msol.velocities, mini_transient_solve(
-        mini, part, mf.g_field()).velocities)
+        mini, part, 1, mf.g_field()).velocities)
     assert velocity_error_l2(msol, bare_u) == velocity_error_l2(
         msol, mf.u_exact())
 

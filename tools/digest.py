@@ -18,7 +18,9 @@ Prints one ``label digest`` line per artifact:
   of ``make_partition(10)`` and ``make_partition(8)`` refined by the
   nodes 5/16 and 3/8 (three runs of equal steps); and the
   ``mini_transient_solve`` velocities, pressures and multipliers at n=8
-  under g on the grading;
+  under g on the grading for r = 0, 1, 2, at r = 0 after a zero row,
+  the initial velocity, so that its bytes are those of the earlier
+  (M+1)-row layout and ``--against`` an older ref compares them;
 - the three ``best_approx_terms(psi_exact, form, partition, r)`` at n=8
   P2 for r = 0, 1, 2 on ``make_partition(7)`` and on the nodes^2
   grading, which cover the time projection at r >= 1;
@@ -26,8 +28,8 @@ Prints one ``label digest`` line per artifact:
   ``space_time_h1_error`` of psi_exact for each of the six ``dg_solve``
   runs above and for dG(0) on ``make_partition(1)`` and
   ``make_partition(7)`` (an empty and an odd half of the norm's split),
-  ``velocity_error_l2`` of u_exact for the MINI run and for a MINI run
-  on ``make_partition(7)``,
+  ``velocity_error_l2`` of u_exact for the three MINI runs and for a
+  dG(0) MINI run on ``make_partition(7)``,
   ``stability_data_norm`` of f on the grading and
   ``time_projection_values`` of psi_exact on the grading for
   r = 0, 1, 2, 3;
@@ -162,12 +164,15 @@ def transient_lines():
                _digest(np.float64(space_time_h1_error(sol,
                                                       mf.psi_exact()))))
     mini = build_mini_space(mesh)
-    sol = mini_transient_solve(mini, graded, mf.g_field())
-    yield "mini n=8 graded", _digest(sol.velocities, sol.pressures,
-                                     sol.multipliers)
-    yield ("velocity_error_l2 mini n=8 graded",
-           _digest(np.float64(velocity_error_l2(sol, mf.u_exact()))))
-    sol = mini_transient_solve(mini, make_partition(7), mf.g_field())
+    for order in (0, 1, 2):
+        sol = mini_transient_solve(mini, graded, order, mf.g_field())
+        tag = f" r={order}" if order else ""
+        start = () if order else (np.zeros(mini.n_velocity),)
+        yield f"mini n=8{tag} graded", _digest(
+            *start, sol.velocities, sol.pressures, sol.multipliers)
+        yield (f"velocity_error_l2 mini n=8{tag} graded",
+               _digest(np.float64(velocity_error_l2(sol, mf.u_exact()))))
+    sol = mini_transient_solve(mini, make_partition(7), 0, mf.g_field())
     yield ("velocity_error_l2 mini n=8 M=7",
            _digest(np.float64(velocity_error_l2(sol, mf.u_exact()))))
     yield ("stability_data_norm n=8 P2 graded",
