@@ -6,9 +6,12 @@ the normal derivative, plus the (eta / |e|)-weighted jump-jump penalty.
 On an interior edge with normal n pointing from T- into T+,
 [[dv/dn]] = dv+/dn - dv-/dn and {d^2 v/dn^2} is the mean of both sides;
 on a boundary edge [[dv/dn]] = -dv/dn and {d^2 v/dn^2} = d^2 v/dn^2.
-This convention is written once, in ``_edge_parts``, the edge iterator
-that both the matrix and the consistency pairing walk; the assembled
-matrix is independent of which of the two normals is chosen per edge.
+The mesh fixes T-, T+, the normal and the direction of every local edge
+(``Mesh``); ``_edge_parts``, the edge iterator that both the matrix and
+the consistency pairing walk, reads them as they are.  a_h does not
+depend on that choice: the orientation check of ``diagnostics`` builds
+the same mesh with its triangles in reverse order, which swaps T- and
+T+ and the normal of every interior edge, and compares the two forms.
 
 The kernels work on reference tables, never on physical per-cell basis
 tables.  The element term is ``fem.element_matrices`` at k = 2: one
@@ -113,24 +116,7 @@ class CipForm:
         return float(np.sqrt(max(quad, 0.0)))
 
 
-def _edge_frames(mesh, flip=None):
-    """Per-edge normals and (T-, T+) roles, optionally flipped for tests."""
-    normals = mesh.normals.copy()
-    minus = mesh.edge_tris[:, 0].copy()
-    plus = mesh.edge_tris[:, 1].copy()
-    lminus = mesh.edge_local[:, 0].copy()
-    lplus = mesh.edge_local[:, 1].copy()
-    if flip is not None:
-        flip = np.asarray(flip, dtype=bool)
-        interior = ~mesh.boundary_edge
-        swap = flip & interior
-        normals[swap] *= -1.0
-        minus[swap], plus[swap] = plus[swap], minus[swap]
-        lminus[swap], lplus[swap] = lplus[swap], lminus[swap]
-    return normals, minus, plus, lminus, lplus
-
-
-def _edge_parts(space, flip=None):
+def _edge_parts(space):
     """The interior edges, then the boundary edges, with their sides.
 
     Yields (edges, normals, sides, gdofs) per nonempty part: the edge
@@ -142,7 +128,8 @@ def _edge_parts(space, flip=None):
     """
     mesh = space.mesh
     dof = space.dof_map.astype(np.int32)
-    normals, minus, plus, lminus, lplus = _edge_frames(mesh, flip)
+    minus, plus = mesh.edge_tris.T
+    lminus, lplus = mesh.edge_local.T
     for edges, sides in ((~mesh.boundary_edge, ((plus, lplus, 1.0, 0.5),
                                                 (minus, lminus, -1.0, 0.5))),
                          (mesh.boundary_edge, ((minus, lminus, -1.0, 1.0),))):
@@ -150,7 +137,7 @@ def _edge_parts(space, flip=None):
         if edges.size:
             sides = [(tri[edges], loc[edges], sign, weight)
                      for tri, loc, sign, weight in sides]
-            yield (edges, normals[edges], sides,
+            yield (edges, mesh.normals[edges], sides,
                    np.concatenate([dof[tri] for tri, *_ in sides], axis=1))
 
 
@@ -159,7 +146,8 @@ def _edge_tables(degree, svals, order):
 
     Configuration 2 * le + f covers local edge le = (i, j) run from its
     lower to its higher global vertex (the orientation shared edge DOFs
-    use): j -> i for f = 0 and i -> j for f = 1.  Returns a
+    use): j -> i for f = 0 and i -> j for f = 1, with f the mesh's
+    ``tri_edge_forward``.  Returns a
     (6, 2**order, Q * n_loc) table; row a (order 1) or 2a + b (order 2)
     holds d_a phi^ or d_a d_b phi^ at every point.
     """
@@ -183,9 +171,7 @@ def _side_traces(space, tri, local_edge, normals, svals, order, out):
     d2n = nu^T (D^2 phi^) nu, so each edge configuration is one matrix
     product against its table, stored straight into its rows of ``out``.
     """
-    i_loc, j_loc = np.array(_LOCAL_EDGES).T[:, local_edge]
-    tris = space.mesh.triangles
-    config = 2 * local_edge + (tris[tri, i_loc] < tris[tri, j_loc])
+    config = 2 * local_edge + space.mesh.tri_edge_forward[tri, local_edge]
     table = _edge_tables(space.degree, svals, order)
     nu = (space.jac_inv[tri] @ normals[:, :, None])[..., 0]   # (E, 2)
     if order == 2:
@@ -246,7 +232,7 @@ def assemble_cip(space, eta=None):
     # builds its pairing (+0.7 MB: 252.5 kept against 251.8 dropped), and
     # it saves that workload the second factor of a_h (wall time
     # 1.73 -> 1.37 s).
-    free = _assemble_matrices(space, eta, None)[1]
+    free = _assemble_matrices(space, eta)[1]
     try:
         factor = Factorized(free)
         definite = factor.definite
@@ -257,7 +243,7 @@ def assemble_cip(space, eta=None):
     return CipForm(space, float(eta), free, _factor=factor)
 
 
-def _assemble_matrices(space, eta, flip_normals):
+def _assemble_matrices(space, eta):
     """Full and boundary-eliminated CSR matrices of the penalized form.
 
     The triplets go into one preallocated (rows, cols, vals) buffer with
@@ -268,7 +254,7 @@ def _assemble_matrices(space, eta, flip_normals):
     """
     mesh = space.mesh
     dof = space.dof_map.astype(np.int32)
-    parts = list(_edge_parts(space, flip_normals))
+    parts = list(_edge_parts(space))
     size = dof.size * dof.shape[1] + sum(gdofs.size * gdofs.shape[1]
                                          for *_, gdofs in parts)
     rows = np.empty(size, dtype=np.int32)
@@ -338,8 +324,7 @@ def consistency_pairing(form, w):
 
     erule = interval_rule(8)
     svals = erule.points
-    lo = mesh.vertices[np.minimum(mesh.edges[:, 0], mesh.edges[:, 1])]
-    hi = mesh.vertices[np.maximum(mesh.edges[:, 0], mesh.edges[:, 1])]
+    lo, hi = mesh.vertices[mesh.edges.T]
     for edges, normals, sides, gdofs in _edge_parts(space):
         pts = (lo[edges][:, None, :] * (1.0 - svals)[None, :, None]
                + hi[edges][:, None, :] * svals[None, :, None])

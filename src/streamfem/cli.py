@@ -36,7 +36,7 @@ from .dg_time import (best_approx_terms, bh_analytic, bh_dual, bh_primal,
                       stability_functional)
 from .fem import FeFunction, build_space, h1_field_error, space_time_h1_error
 from .linalg import SolverError, symmetry_gap
-from .mesh import build_structured_mesh
+from .mesh import Mesh, build_structured_mesh
 from .mini_stokes import build_mini_space, mini_transient_solve, \
     velocity_error_l2
 
@@ -320,9 +320,15 @@ def _diagnose(cfg):
 
     check("a_h symmetry", symmetry_gap(form.matrix_free), 0.0)
 
-    # the check compares matrices only, so the flipped one is not certified
-    flipped = _assemble_matrices(space, form.eta,
-                                 np.ones(mesh.num_edges, dtype=bool))[1]
+    # the same mesh with its triangles in reverse order: the mesh's rule
+    # swaps T- and T+ and the normal of every interior edge.  Its a_h is
+    # compared only, not certified, and read back in this space's DOFs:
+    # new[i] is DOF i's number on the reversed mesh
+    other = build_space(Mesh(mesh.vertices, mesh.triangles[::-1]), cfg.degree)
+    new = np.empty(space.n_dofs, dtype=np.int64)
+    new[space.dof_map[::-1]] = other.dof_map
+    idx = new[space.free_dofs]
+    flipped = _assemble_matrices(other, form.eta)[0][idx][:, idx]
     diff = (form.matrix_free - flipped).tocoo()
     orient = float(np.abs(diff.data).max()) if diff.nnz else 0.0
     scale = float(np.abs(form.matrix_free.data).max())
@@ -512,8 +518,10 @@ def _load_config_file(path):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in out:
+            raise ValueError(f"{key}: given twice in the config file")
+        out[key] = value
     return out
 
 

@@ -242,12 +242,11 @@ class FeSpace:
         dof_map = np.empty((f, n_loc), dtype=np.int64)
         dof_map[:, :3] = mesh.triangles
         col = 3
-        for le, (i, j) in enumerate(_LOCAL_EDGES):
-            a = mesh.triangles[:, i]
-            b = mesh.triangles[:, j]
-            eid = mesh.tri_edges[:, le]
-            base = v + eid * n_edge
-            forward = a < b  # traversal matches the sorted global pair
+        for le in range(3):
+            base = v + mesh.tri_edges[:, le] * n_edge
+            # an edge's DOFs run from its lower to its higher vertex, so a
+            # local edge that is not forward takes them in reverse
+            forward = mesh.tri_edge_forward[:, le]
             for m in range(n_edge):
                 dof_map[:, col + m] = np.where(forward, base + m,
                                                base + (n_edge - 1 - m))

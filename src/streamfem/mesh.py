@@ -2,7 +2,8 @@
 
 Meshes are immutable after construction and carry the full edge data
 needed by interior-penalty assembly: unique edge list, edge/triangle
-adjacency, boundary flags and per-edge unit normals.
+adjacency, boundary flags, per-edge unit normals and the direction of
+each local edge.
 """
 
 import numpy as np
@@ -28,6 +29,11 @@ class Mesh:
         Sorted vertex index pairs, each edge listed once.
     tri_edges : ndarray, shape (F, 3)
         Global edge index of the local edges (0,1), (1,2), (2,0).
+    tri_edge_forward : ndarray of bool, shape (F, 3)
+        Whether each local edge (i, j) runs from its lower to its higher
+        global vertex, the direction of the sorted pair in ``edges``.
+        The edge DOFs and the edge traces of the C0IP form read their
+        orientation from here.
     edge_tris : ndarray, shape (E, 2)
         Adjacent triangle indices; the lower index (T-) first, -1 when
         the edge lies on the boundary.
@@ -37,15 +43,31 @@ class Mesh:
     normals : ndarray, shape (E, 2)
         Unit normal per edge: for interior edges pointing from T- into
         T+, for boundary edges pointing out of the domain.
+
+    The mesh is the one owner of edge orientation: T-, T+, the normal
+    and the direction of each local edge follow from the vertex and
+    triangle numbering alone.  Renumbering the triangles swaps T- and T+
+    and the normal of each interior edge whose two triangles swap order
+    (of every interior edge, in reverse order).
     """
 
     def __init__(self, vertices, triangles):
         vertices = np.asarray(vertices, dtype=float)
-        triangles = np.asarray(triangles, dtype=np.int64)
+        triangles = np.asarray(triangles)
         if vertices.ndim != 2 or vertices.shape[1] != 2:
             raise ValueError("vertices must have shape (V, 2)")
         if triangles.ndim != 2 or triangles.shape[1] != 3:
             raise ValueError("triangles must have shape (F, 3)")
+        if not np.all(np.isfinite(vertices)):
+            raise ValueError("vertex coordinates must be finite")
+        if not (np.all(np.isfinite(triangles))
+                and np.array_equal(triangles, np.round(triangles))):
+            raise ValueError("triangles must hold integer vertex indices")
+        triangles = triangles.astype(np.int64)
+        bad = triangles[(triangles < 0) | (triangles >= len(vertices))]
+        if bad.size:
+            raise ValueError(f"vertex index {bad[0]} is not one of the "
+                             f"{len(vertices)} vertices")
         self.vertices = vertices
         self.triangles = triangles
         self._build_edges()
@@ -73,6 +95,7 @@ class Mesh:
         for le, (i, j) in enumerate(_LOCAL_EDGES):
             pairs[le::3, 0] = tris[:, i]
             pairs[le::3, 1] = tris[:, j]
+        forward = (pairs[:, 0] < pairs[:, 1]).reshape(nf, 3)
         pairs_sorted = np.sort(pairs, axis=1)
         # the key lo * V + hi sorts as the pair (lo, hi) does
         nv = self.vertices.shape[0]
@@ -99,28 +122,25 @@ class Mesh:
 
         boundary = edge_tris[:, 1] < 0
 
-        # normal = outward normal of T- across its local edge; for a CCW
-        # triangle that is the directed edge rotated clockwise
-        tminus = edge_tris[:, 0]
-        lminus = edge_local[:, 0]
-        i_loc = np.array([le[0] for le in _LOCAL_EDGES])[lminus]
-        j_loc = np.array([le[1] for le in _LOCAL_EDGES])[lminus]
-        p = self.vertices[tris[tminus, i_loc]]
-        q = self.vertices[tris[tminus, j_loc]]
+        # normal = outward normal of T- across its local edge, the directed
+        # pair of slot 0; for a CCW triangle that is the edge rotated
+        # clockwise
+        p, q = self.vertices[pairs[slots[:, 0]].T]
         d = q - p
         lengths = np.hypot(d[:, 0], d[:, 1])
         normals = np.stack([d[:, 1], -d[:, 0]], axis=1) / lengths[:, None]
 
         self.edges = edges
         self.tri_edges = tri_edges
+        self.tri_edge_forward = forward
         self.edge_tris = edge_tris
         self.edge_local = edge_local
         self.boundary_edge = boundary
         self.edge_lengths = lengths
         self.normals = normals
-        for arr in (self.edges, self.tri_edges, self.edge_tris,
-                    self.edge_local, self.boundary_edge, self.edge_lengths,
-                    self.normals):
+        for arr in (self.edges, self.tri_edges, self.tri_edge_forward,
+                    self.edge_tris, self.edge_local, self.boundary_edge,
+                    self.edge_lengths, self.normals):
             arr.setflags(write=False)
 
     def _check_invariants(self):

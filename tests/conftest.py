@@ -5,6 +5,7 @@ from streamfem import build_space, build_structured_mesh, cip
 from streamfem.cip import assemble_cip
 from streamfem.dg_time import TimePartition, make_partition
 from streamfem.linalg import Factorized
+from streamfem.mesh import Mesh
 
 
 def pytest_configure(config):
@@ -31,6 +32,27 @@ def space_n8_l2():
 @pytest.fixture(scope="session")
 def form_n8_l2(space_n8_l2):
     return assemble_cip(space_n8_l2)
+
+
+@pytest.fixture(scope="session")
+def renumbered():
+    """``renumbered(space, order)`` builds the space again on its mesh
+    with the triangles taken in ``order``.  It returns that space and the
+    index array ``new``: DOF i of ``space`` is DOF new[i] of the other.
+
+    Only the triangle order changes, so the vertex and edge DOFs keep
+    their numbers and the interior DOFs of P3 move with their triangles.
+    By the mesh's rule an interior edge whose two triangles swap order
+    swaps T- and T+ and its normal.
+    """
+    def build(space, order):
+        mesh = space.mesh
+        other = build_space(Mesh(mesh.vertices, mesh.triangles[order]),
+                            space.degree)
+        new = np.empty(space.n_dofs, dtype=np.int64)
+        new[space.dof_map[order]] = other.dof_map
+        return other, new
+    return build
 
 
 @pytest.fixture(scope="session")

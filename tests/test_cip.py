@@ -32,7 +32,7 @@ def test_rejects_low_degree():
 @pytest.fixture(scope="module")
 def full_n8_l2(space_n8_l2, form_n8_l2):
     """a_h on all DOFs, which the form does not keep."""
-    return _assemble_matrices(space_n8_l2, form_n8_l2.eta, None)[0]
+    return _assemble_matrices(space_n8_l2, form_n8_l2.eta)[0]
 
 
 def test_exact_symmetry(form_n8_l2, full_n8_l2):
@@ -40,16 +40,58 @@ def test_exact_symmetry(form_n8_l2, full_n8_l2):
     assert symmetry_gap(form_n8_l2.matrix_free) == 0.0
 
 
+def _renumbering(mesh, name):
+    """The triangle order of a renumbered mesh: reversed, or a seeded
+    random permutation."""
+    if name == "reversed":
+        return np.arange(mesh.num_triangles)[::-1]
+    return np.random.default_rng(0).permutation(mesh.num_triangles)
+
+
 def test_normal_orientation_invariance(space_n8_l2, form_n8_l2, full_n8_l2,
-                                       rng):
+                                       renumbered):
+    """a_h does not depend on which side of an edge is T- or which normal
+    the edge gets.  The mesh picks both from the triangle numbering, so
+    the same mesh with its triangles renumbered flips the interior edges
+    whose two triangles swap order: reverse order flips all of them, a
+    random order about half; read back in the original DOFs, its a_h
+    is the same."""
     mesh = space_n8_l2.mesh
+    interior = ~mesh.boundary_edge
     scale = np.abs(full_n8_l2.data).max()
-    for flips in (np.ones(mesh.num_edges, dtype=bool),
-                  rng.random(mesh.num_edges) < 0.5):
-        other = _assemble_matrices(space_n8_l2, form_n8_l2.eta, flips)[0]
-        diff = (full_n8_l2 - other).tocoo()
+    for name, flipped in (("reversed", (1.0, 1.0)), ("random", (0.4, 0.6))):
+        other, new = renumbered(space_n8_l2, _renumbering(mesh, name))
+        share = np.mean(np.any(other.mesh.normals != mesh.normals,
+                               axis=1)[interior])
+        assert flipped[0] <= share <= flipped[1]
+        back = _assemble_matrices(other, form_n8_l2.eta)[0][new][:, new]
+        diff = (full_n8_l2 - back).tocoo()
         gap = np.abs(diff.data).max() if diff.nnz else 0.0
         assert gap <= 1e-13 * scale
+
+
+@pytest.fixture(scope="module", params=(2, 3), ids=lambda d: f"P{d}")
+def form_n8(request):
+    return assemble_cip(build_space(build_structured_mesh(8), request.param))
+
+
+@pytest.mark.parametrize("name", ["reversed", "random"])
+def test_pairing_and_ritz_do_not_depend_on_the_numbering(form_n8, renumbered,
+                                                        name):
+    """The consistency pairing and the Ritz projection of phi on the mesh
+    with its triangles renumbered, read back in the original DOFs, match
+    the original to roundoff.  Their edge terms read the jump of the
+    test functions' normal derivative, whose orientation the renumbering
+    flips."""
+    space = form_n8.space
+    other, new = renumbered(space, _renumbering(space.mesh, name))
+    form = assemble_cip(other, form_n8.eta)
+    for apply, tol in ((consistency_pairing, 1e-13), (ritz_projection, 1e-11)):
+        want = apply(form_n8, mf.phi())
+        got = apply(form, mf.phi())
+        if isinstance(want, FeFunction):
+            want, got = want.coefficients, got.coefficients
+        assert np.abs(got[new] - want).max() <= tol * np.abs(want).max()
 
 
 def test_entry_oracle_sympy():
@@ -163,7 +205,7 @@ def test_entry_oracle_sympy():
                                                       0, 1))
 
     exact = np.array(oracle.evalf(17), dtype=float)
-    assembled = _assemble_matrices(space, form.eta, None)[0].toarray()
+    assembled = _assemble_matrices(space, form.eta)[0].toarray()
     assert np.abs(assembled - exact).max() < 1e-12 * np.abs(exact).max()
 
 
@@ -191,7 +233,7 @@ def test_coercivity_check_is_exact(degree, below, above):
     eliminated block on both sides of the penalty threshold."""
     space = build_space(build_structured_mesh(8), degree)
     lam_min = {eta: np.linalg.eigvalsh(
-        _assemble_matrices(space, eta, None)[1].toarray()).min()
+        _assemble_matrices(space, eta)[1].toarray()).min()
         for eta in (below, above)}
     assert lam_min[below] < 0.0 < lam_min[above]
     with pytest.raises(CoercivityError):

@@ -213,6 +213,8 @@ def test_config_precedence(tmp_path):
     (["stationary", "--mesh-list", "2,4"], "end_time = 7\n"),
     (["stationary", "--mesh-list", ""], None),
     (["converge-k", "--mesh-list", "2", "--steps-list", ""], None),
+    (["converge-k", "--mesh-list", "2", "--steps-list", "1,2"],
+     "degree = 3\ndegree = 2\n"),
 ])
 def test_config_errors_exit_2(tmp_path, capsys, argv, config):
     """Bad flags, config keys, list entries, out-of-range values and files
@@ -249,6 +251,8 @@ def test_config_errors_exit_2(tmp_path, capsys, argv, config):
      "--dg-order: expected an integer, got '1.5'"),
     (["converge-k", "--eta", "five"], None,
      "--eta: expected a number, got 'five'"),
+    (["converge-k"], "degree = 3\ndegree = 2\n",
+     "degree: given twice in the config file"),
 ])
 def test_bad_values_name_the_option_and_format(tmp_path, capsys, argv,
                                                config, message):

@@ -355,7 +355,7 @@ def test_primal_dual_agreement(order, space_n4_l2, rng):
 def _loop_primal(form, partition, order, ucoef, vcoef):
     """bh_primal written out interval by interval, its oracle."""
     k = form.space.h1_stiffness()
-    a = _assemble_matrices(form.space, form.eta, None)[0]
+    a = _assemble_matrices(form.space, form.eta)[0]
     basis = TimeBasis(order)
     g10, mass, left = basis.gram(da=1), basis.gram(), basis.left_values
     total = 0.0
@@ -372,7 +372,7 @@ def _loop_primal(form, partition, order, ucoef, vcoef):
 def _loop_dual(form, partition, order, ucoef, vcoef):
     """bh_dual written out interval by interval, its oracle."""
     k = form.space.h1_stiffness()
-    a = _assemble_matrices(form.space, form.eta, None)[0]
+    a = _assemble_matrices(form.space, form.eta)[0]
     basis = TimeBasis(order)
     g01, mass, left = basis.gram(db=1), basis.gram(), basis.left_values
     m_count = partition.num_intervals

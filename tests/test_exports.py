@@ -185,3 +185,19 @@ def test_fem_owns_the_time_quadrature_of_the_data():
     assert not hasattr(fem, "space_time_squares")
     assert not [path.stem for path in SOURCE.glob("*.py")
                 if "space_time_squares" in path.read_text()]
+
+
+def test_the_mesh_owns_edge_orientation():
+    """``Mesh`` picks T-, T+, the normal and the direction of each local
+    edge, and ``cip`` reads them as they are: it has no hook that flips
+    an edge, reads no triangle's vertex numbers, and its edge iterator
+    and matrix assembly take no orientation argument."""
+    from streamfem import cip
+
+    text = (SOURCE / "cip.py").read_text()
+    assert "flip" not in text.lower()
+    assert "triangles" not in _reads(SOURCE / "cip.py", strings=False)
+    assert not hasattr(cip, "_edge_frames")
+    assert list(inspect.signature(cip._edge_parts).parameters) == ["space"]
+    assert list(inspect.signature(cip._assemble_matrices).parameters) == [
+        "space", "eta"]

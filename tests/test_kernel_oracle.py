@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from streamfem import manufactured as mf
-from streamfem.cip import (_assemble_matrices, _edge_frames, _edge_parts,
+from streamfem.cip import (_assemble_matrices, _edge_parts,
                            _edge_rule_points, _edge_traces, _side_traces,
                            assemble_cip, consistency_pairing,
                            default_penalty, ritz_projection)
@@ -92,7 +92,7 @@ def oracle_side_traces(space, tri, local_edge, normals, svals):
     return dn, d2n
 
 
-def oracle_cip_matrix(space, eta, flip_normals):
+def oracle_cip_matrix(space, eta):
     mesh = space.mesh
     rule = space.default_matrix_rule()
     hess = phys_hessians(space, rule)
@@ -106,7 +106,9 @@ def oracle_cip_matrix(space, eta, flip_normals):
     vals = [elem.ravel()]
     erule = interval_rule(_edge_rule_points(space.degree))
     svals = erule.points
-    normals, minus, plus, lminus, lplus = _edge_frames(mesh, flip_normals)
+    normals = mesh.normals
+    minus, plus = mesh.edge_tris.T
+    lminus, lplus = mesh.edge_local.T
     interior = np.flatnonzero(~mesh.boundary_edge)
     boundary = np.flatnonzero(mesh.boundary_edge)
 
@@ -150,7 +152,9 @@ def oracle_consistency_pairing(form, w, edge_points=8):
                                    space.jac_det))
     erule = interval_rule(edge_points)
     svals = erule.points
-    normals, minus, plus, lminus, lplus = _edge_frames(mesh)
+    normals = mesh.normals
+    minus, plus = mesh.edge_tris.T
+    lminus, lplus = mesh.edge_local.T
     interior = np.flatnonzero(~mesh.boundary_edge)
     boundary = np.flatnonzero(mesh.boundary_edge)
     lo = mesh.vertices[np.minimum(mesh.edges[:, 0], mesh.edges[:, 1])]
@@ -299,22 +303,29 @@ def space(request):
     return build_space(build_structured_mesh(n), degree)
 
 
-@pytest.mark.parametrize("flip", [False, True])
-def test_cip_matrix(space, flip):
-    flips = None
-    if flip:
-        flips = np.random.default_rng(5).random(space.mesh.num_edges) < 0.5
+@pytest.mark.parametrize("shuffled", [False, True])
+def test_cip_matrix(space, shuffled, renumbered):
+    """On the structured mesh and on the same mesh with its triangles in
+    a seeded random order, which flips about half of the interior edges;
+    the oracle reads its frames from the mesh it is given."""
+    if shuffled:
+        order = np.random.default_rng(5).permutation(space.mesh.num_triangles)
+        space, _ = renumbered(space, order)
     eta = 12.0
-    new = _assemble_matrices(space, eta, flips)[0]
-    old = oracle_cip_matrix(space, eta, flips)
+    new = _assemble_matrices(space, eta)[0]
+    old = oracle_cip_matrix(space, eta)
     assert_close(new.toarray(), old.toarray())
 
 
-@pytest.mark.parametrize("flip", [False, True])
-def test_side_traces(space, flip):
+@pytest.mark.parametrize("reversed_", [False, True])
+def test_side_traces(space, reversed_, renumbered):
+    """Reversing the triangle order flips every interior edge."""
+    if reversed_:
+        space, _ = renumbered(space, np.arange(space.mesh.num_triangles)[::-1])
     mesh = space.mesh
-    flips = np.ones(mesh.num_edges, dtype=bool) if flip else None
-    normals, minus, plus, lminus, lplus = _edge_frames(mesh, flips)
+    normals = mesh.normals
+    minus, plus = mesh.edge_tris.T
+    lminus, lplus = mesh.edge_local.T
     svals = interval_rule(_edge_rule_points(space.degree)).points
     interior = np.flatnonzero(~mesh.boundary_edge)
     for tri, loc in ((plus[interior], lplus[interior]),
@@ -390,7 +401,7 @@ def test_assembly_triplets_fill_one_buffer():
     space = build_space(build_structured_mesh(32), 3)
     tracemalloc.start()
     try:
-        _assemble_matrices(space, default_penalty(3), None)
+        _assemble_matrices(space, default_penalty(3))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

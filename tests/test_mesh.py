@@ -31,9 +31,35 @@ def test_mesh_size_is_cell_diagonal():
                                                  abs=1e-15)
 
 
-def test_rejects_degenerate_input():
+def test_rejects_degenerate_input(monkeypatch):
+    """Malformed input is refused by name before any edge is built."""
     with pytest.raises(ValueError):
         build_structured_mesh(0)
+    m = build_structured_mesh(1)
+    nan = m.vertices.copy()
+    nan[3, 0] = np.nan
+    # vertex 3 numbered -1, which would wrap around to it
+    negative = np.where(m.triangles == 3, -1, m.triangles)
+
+    def build(self):
+        raise AssertionError("edges built before the input was checked")
+    monkeypatch.setattr(Mesh, "_build_edges", build)
+    for args, message in (
+            ((nan, m.triangles), "vertex coordinates must be finite"),
+            ((m.vertices, m.triangles + 0.4), "integer vertex indices"),
+            ((m.vertices, negative),
+             "vertex index -1 is not one of the 4 vertices"),
+            ((m.vertices, m.triangles + 1),
+             "vertex index 4 is not one of the 4 vertices")):
+        with pytest.raises(ValueError, match=message):
+            Mesh(*args)
+
+
+def test_integral_float_indices_are_accepted():
+    m = build_structured_mesh(2)
+    other = Mesh(m.vertices, m.triangles.astype(float))
+    assert np.array_equal(other.triangles, m.triangles)
+    assert other.triangles.dtype == np.int64
 
 
 def test_positive_ccw_areas_and_total_area():
@@ -153,11 +179,13 @@ def test_rejects_an_edge_of_three_triangles():
 
 def _pair_edges(mesh):
     """The edge list and the local edges' indices into it by a row-wise
-    ``np.unique`` of the sorted vertex pairs, their oracle."""
-    pairs = np.sort(mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2),
-                    axis=1)
-    edges, inverse = np.unique(pairs, axis=0, return_inverse=True)
-    return edges, inverse.reshape(-1, 3)
+    ``np.unique`` of the sorted vertex pairs, and whether each local edge
+    runs from its lower to its higher vertex, their oracle."""
+    pairs = mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    edges, inverse = np.unique(np.sort(pairs, axis=1), axis=0,
+                               return_inverse=True)
+    return (edges, inverse.reshape(-1, 3),
+            (pairs[:, 0] < pairs[:, 1]).reshape(-1, 3))
 
 
 def _scrambled_mesh():
@@ -173,6 +201,7 @@ def _scrambled_mesh():
                                   _scrambled_mesh()],
                          ids=["n=1", "n=2", "n=16", "n=64", "scrambled"])
 def test_edges_match_the_row_wise_unique(mesh):
-    edges, tri_edges = _pair_edges(mesh)
+    edges, tri_edges, forward = _pair_edges(mesh)
     assert np.array_equal(mesh.edges, edges)
     assert np.array_equal(mesh.tri_edges, tri_edges)
+    assert np.array_equal(mesh.tri_edge_forward, forward)

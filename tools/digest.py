@@ -4,9 +4,13 @@ Prints one ``label digest`` line per artifact:
 
 - ``_assemble_matrices``, full and free (``data``, ``indices``,
   ``indptr`` and the index dtype), at n=8 P2 and P3, n=16 P2 and n=48
-  P3, with the normals of no edge, of a random half (seed 0) and of
-  every edge flipped;
+  P3 (labelled ``flip=none``, so that ``--against`` an older ref, whose
+  digests also flipped normals by hand, compares them);
 - ``consistency_pairing(form, phi)`` on the same spaces;
+- the full and free matrices and the pairing on the same spaces built
+  on the mesh with its triangles renumbered, in reverse order
+  (``triangles=reversed``) and by a random permutation with seed 0
+  (``triangles=seed 0``), each read back in the original DOF numbering;
 - the ``ritz_projection(form, phi)`` coefficients at n <= 16;
 - the ``fem`` kernels at n=8 P2 and P3: ``assemble_h1_stiffness``, the
   ``term_tables`` of kind ``"load"`` of f and of kinds ``"grad load"``
@@ -60,15 +64,15 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from streamfem import manufactured as mf  # noqa: E402
-from streamfem.cip import (_assemble_matrices, assemble_cip,  # noqa: E402
-                           consistency_pairing, default_penalty,
-                           ritz_projection)
+from streamfem.cip import (CipForm, _assemble_matrices,  # noqa: E402
+                           assemble_cip, consistency_pairing,
+                           default_penalty, ritz_projection)
 from streamfem.dg_time import (TimePartition,  # noqa: E402
                                best_approx_terms, dg_solve, make_partition,
                                stability_data_norm, time_projection_values)
 from streamfem.fem import (assemble_h1_stiffness, build_space,  # noqa: E402
                            h1_field_error, space_time_h1_error, term_tables)
-from streamfem.mesh import build_structured_mesh  # noqa: E402
+from streamfem.mesh import Mesh, build_structured_mesh  # noqa: E402
 from streamfem.mini_stokes import (_divergence, _mass,  # noqa: E402
                                    _pressure_integrals, _velocity_loads,
                                    build_mini_space, mini_transient_solve,
@@ -93,23 +97,42 @@ def _csr_digest(mat):
                    str(mat.indices.dtype).encode())
 
 
+def renumbered_lines(space, tag):
+    """Digest lines of the matrices and the pairing on ``space``'s mesh
+    with its triangles renumbered, read back in ``space``'s DOFs."""
+    mesh = space.mesh
+    n_tris = mesh.num_triangles
+    eta = default_penalty(space.degree)
+    for name, order in (("reversed", np.arange(n_tris)[::-1]),
+                        ("seed 0", np.random.default_rng(0).permutation(
+                            n_tris))):
+        other = build_space(Mesh(mesh.vertices, mesh.triangles[order]),
+                            space.degree)
+        new = np.empty(space.n_dofs, dtype=np.int64)
+        new[space.dof_map[order]] = other.dof_map
+        full, free = _assemble_matrices(other, eta)
+        label = f"{tag} triangles={name}"
+        full = full[new][:, new]
+        yield f"matrix full {label}", _csr_digest(full)
+        yield (f"matrix free {label}", _csr_digest(
+            full[space.free_dofs][:, space.free_dofs]))
+        # the pairing reads the form's space alone, so it needs no factor
+        pairing = consistency_pairing(CipForm(other, eta, free), mf.phi())
+        yield f"pairing {label}", _digest(pairing[new])
+        del full, free
+
+
 def numeric_lines():
     """Digest lines of the matrices, pairings and Ritz projections."""
     for n, degree in SPACES:
         space = build_space(build_structured_mesh(n), degree)
-        n_edges = space.mesh.num_edges
-        flips = {"none": None,
-                 "random": np.random.default_rng(0).random(n_edges) < 0.5,
-                 "all": np.ones(n_edges, dtype=bool)}
-        for name, flip in flips.items():
-            full, free = _assemble_matrices(
-                space, default_penalty(degree), flip)
-            tag = f"n={n} P{degree} flip={name}"
-            yield f"matrix full {tag}", _csr_digest(full)
-            yield f"matrix free {tag}", _csr_digest(free)
-            del full, free
-        form = assemble_cip(space)
+        full, free = _assemble_matrices(space, default_penalty(degree))
+        yield f"matrix full n={n} P{degree} flip=none", _csr_digest(full)
+        yield f"matrix free n={n} P{degree} flip=none", _csr_digest(free)
+        del full, free
         tag = f"n={n} P{degree}"
+        yield from renumbered_lines(space, tag)
+        form = assemble_cip(space)
         yield f"pairing {tag}", _digest(consistency_pairing(form, mf.phi()))
         if n <= 16:
             yield (f"ritz {tag}",
