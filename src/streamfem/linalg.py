@@ -6,7 +6,12 @@ or complex, holds every solve to the one residual contract
 ||Ax - b|| <= _RTOL * ||b|| and certifies definiteness (``definite``).
 ``refine`` is the iterative refinement behind the contract (up to five
 corrections); an operator that is not one matrix, such as the coupled
-dG(r) interval system, runs it with its own product and inverse.
+dG(r) interval system, runs it with its own product and inverse.  A
+correction that fails to halve the residual ends the refinement: the
+residual has reached the roundoff floor of the solve, and more
+corrections cannot meet the contract (the stopping rule of LAPACK's
+xGERFS; Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
+ed., SIAM 2002, section 12.1).
 """
 
 import numpy as np
@@ -56,17 +61,28 @@ def refine(apply, solve, b, rtol):
     ``apply`` is the operator x -> A x and ``solve`` an approximate
     inverse; x = solve(b) is corrected by solve(b - A x) at most
     ``_CORRECTIONS`` times.  Norms are Frobenius norms, so x and b may
-    be blocks.  Raises SolverError with the achieved relative residual.
+    be blocks.  Raises SolverError with the achieved relative residual
+    once the corrections run out, or as soon as a correction fails to at
+    least halve the residual: the refinement has stalled at its roundoff
+    floor (LAPACK xGERFS; Higham, 2nd ed., section 12.1).
     """
     norm_b = np.linalg.norm(b)
     if norm_b == 0.0:
         return np.zeros_like(b)
     x = solve(b)
+    last = np.inf
     for step in range(_CORRECTIONS + 1):
         resid = b - apply(x)
         res = np.linalg.norm(resid)
         if res <= rtol * norm_b:
             return x
+        if res > 0.5 * last:
+            plural = "" if step == 1 else "s"
+            raise SolverError(
+                f"residual {res / norm_b:.3e} above rtol {rtol:.1e}, "
+                f"stalled after {step} correction{plural}",
+                residual=res / norm_b)
+        last = res
         if step < _CORRECTIONS:
             x = x + solve(resid)
     raise SolverError(f"residual {res / norm_b:.3e} above rtol {rtol:.1e}",

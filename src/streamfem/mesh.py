@@ -52,7 +52,8 @@ class Mesh:
     """
 
     def __init__(self, vertices, triangles):
-        vertices = np.asarray(vertices, dtype=float)
+        # a copy: the mesh freezes its arrays, and not the caller's
+        vertices = np.array(vertices, dtype=float)
         triangles = np.asarray(triangles)
         if vertices.ndim != 2 or vertices.shape[1] != 2:
             raise ValueError("vertices must have shape (V, 2)")
@@ -68,6 +69,9 @@ class Mesh:
         if bad.size:
             raise ValueError(f"vertex index {bad[0]} is not one of the "
                              f"{len(vertices)} vertices")
+        unused = np.setdiff1d(np.arange(len(vertices)), triangles)
+        if unused.size:
+            raise ValueError(f"vertex {unused[0]} is used by no triangle")
         self.vertices = vertices
         self.triangles = triangles
         self._build_edges()

@@ -408,6 +408,24 @@ def test_assembly_triplets_fill_one_buffer():
     assert peak < 80e6
 
 
+def test_edge_products_take_two_scratch_blocks():
+    """Traced peak memory of the triplet assembly alone at n=32, P3.
+
+    The edge products write c + c^T straight into their triplet slots
+    and form the penalty product in the same scratch block; the in-place
+    symmetrization copies it once.  That is two (E, n, n) blocks alive
+    at once: 49.8 MB, against 59.5 MB with five (numpy 2.4, scipy 1.17).
+    """
+    space = build_space(build_structured_mesh(32), 3)
+    tracemalloc.start()
+    try:
+        _assemble_matrices(space, default_penalty(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 54e6
+
+
 def test_pairing_tabulates_no_hessian_traces():
     """Traced peak memory of the consistency pairing alone at n=32, P3.
 

@@ -3,7 +3,8 @@ import pytest
 import scipy.sparse as sp
 
 from streamfem.fem import assemble_load_scalar
-from streamfem.linalg import Factorized, SolverError, build_csr, symmetry_gap
+from streamfem.linalg import (Factorized, SolverError, build_csr, refine,
+                              symmetry_gap)
 from streamfem import manufactured as mf
 
 
@@ -155,3 +156,67 @@ def test_equilibration_is_the_sparse_products(space_n4_l2, shift,
     for name in ("indptr", "indices", "data"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
     assert got.data.dtype == want.data.dtype
+
+
+def _contracting(factor):
+    """A refinement whose residual falls by ``factor`` per solve: apply
+    is the identity and solve returns (1 - factor) times its input; the
+    calls are counted."""
+    calls = []
+
+    def solve(r):
+        calls.append(r)
+        return (1.0 - factor) * r
+    return (lambda x: x), solve, calls
+
+
+def test_stalled_refinement_raises_after_one_correction():
+    """A correction that fails to halve the residual ends the refinement:
+    two solves, not the six of the full budget."""
+    apply, solve, calls = _contracting(0.9)
+    with pytest.raises(SolverError, match="stalled after 1 correction$") \
+            as info:
+        refine(apply, solve, np.ones(3), 1e-10)
+    assert len(calls) == 2
+    assert info.value.residual == pytest.approx(0.81)
+
+
+def test_halving_refinement_runs_its_corrections():
+    """A residual that falls by 0.4 per step passes after five
+    corrections, with the x of the plain refinement bit for bit."""
+    apply, solve, calls = _contracting(0.4)
+    b = np.array([1.0, -2.0, 3.0])
+    x = refine(apply, solve, b, 0.005)
+    want = 0.6 * b
+    for _ in range(5):
+        want = want + 0.6 * (b - want)
+    assert len(calls) == 6
+    assert x.tobytes() == want.tobytes()
+
+
+class _CountingLU:
+    """Stands in for a SuperLU factor and counts its solves."""
+
+    def __init__(self, lu):
+        self.lu = lu
+        self.solves = 0
+
+    def solve(self, b):
+        self.solves += 1
+        return self.lu.solve(b)
+
+
+def test_ritz_solve_at_its_floor_stops_after_one_correction(form_n8_l2):
+    """Below its roundoff floor the n=8 P2 Ritz solve stalls at once:
+    two LU solves instead of six.  The rtol is the factor's own, since
+    the default argument binds ``_RTOL`` at definition."""
+    space = form_n8_l2.space
+    rhs = np.array([tf.fn(0.0) for tf, _ in mf.phi().terms]) \
+        @ form_n8_l2.pairings(mf.phi())
+    fac = Factorized(form_n8_l2.matrix_free, rtol=1e-30)
+    fac._lu = _CountingLU(fac._lu)
+    with pytest.raises(SolverError, match="stalled after 1 correction") \
+            as info:
+        fac(rhs[space.free_dofs])
+    assert fac._lu.solves == 2
+    assert 0.0 < info.value.residual < 1e-13

@@ -40,6 +40,8 @@ def test_rejects_degenerate_input(monkeypatch):
     nan[3, 0] = np.nan
     # vertex 3 numbered -1, which would wrap around to it
     negative = np.where(m.triangles == 3, -1, m.triangles)
+    # the square's two triangles leave a fifth vertex unused
+    spare = np.vstack([m.vertices, [[0.5, 0.5]]])
 
     def build(self):
         raise AssertionError("edges built before the input was checked")
@@ -50,9 +52,25 @@ def test_rejects_degenerate_input(monkeypatch):
             ((m.vertices, negative),
              "vertex index -1 is not one of the 4 vertices"),
             ((m.vertices, m.triangles + 1),
-             "vertex index 4 is not one of the 4 vertices")):
+             "vertex index 4 is not one of the 4 vertices"),
+            ((spare, m.triangles), "vertex 4 is used by no triangle")):
         with pytest.raises(ValueError, match=message):
             Mesh(*args)
+
+
+def test_mesh_freezes_its_own_copies():
+    """The mesh's arrays are read-only; the caller's stay writable."""
+    m = build_structured_mesh(1)
+    v, t = m.vertices.copy(), m.triangles.copy()
+    mesh = Mesh(v, t)
+    v[0, 0] = 0.5
+    t[0, 0] = 2
+    assert mesh.vertices[0, 0] == 0.0
+    assert mesh.triangles[0, 0] == 0
+    for arr in (mesh.vertices, mesh.triangles):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1
 
 
 def test_integral_float_indices_are_accepted():
