@@ -67,7 +67,7 @@ import numpy as np
 
 from .fem import (_h1_lift, gradient_tables, h1_projection,
                   sample_time_factors, space_time_norm, term_tables)
-from .linalg import _RTOL, Factorized, SolverError, refine
+from .linalg import Factorized, SolverError, refine
 from .quadrature import interval_rule
 
 __all__ = ["TimePartition", "make_partition", "radau_points", "TimeBasis",
@@ -329,8 +329,7 @@ def _forward_sweep(k_mat, a_mat, loads, weights, lengths, u0, order):
                 k_run = km
             rhs = (weights[m] @ loads
                    + np.outer(basis.left_values, k_mat @ u_prev))
-            block = refine(system, partial(_diagonal_solve, modes), rhs,
-                           _RTOL)
+            block = refine(system, partial(_diagonal_solve, modes), rhs)
         except SolverError as exc:
             raise SolverError(f"interval {m + 1}: {exc}",
                               residual=exc.residual,
@@ -349,7 +348,7 @@ def _interval_system(order, coupling, mass, k_mat, a_mat, km):
     assembled K + k A: summed as K x + k A x instead, a residual at the
     roundoff floor can round over rtol and cost a refinement step.
     """
-    modes = [(Factorized(lam * k_mat + km * a_mat, rtol=None), v, w)
+    modes = [(Factorized(lam * k_mat + km * a_mat, refined=False), v, w)
              for lam, v, w in time_modes(order)]
     if order == 0:
         mat = modes[0][0].a

@@ -52,8 +52,9 @@ lose the digits in which the tables agree.
 
 The intervals of a space-time norm are independent, and the norm is
 memory-bound, so ``space_time_norm`` integrates two contiguous halves
-of the partition at once: the calling thread one, a helper thread the
-other, each into its own entries of one length-M array that is then
+of the partition at once: the calling thread one, and the other as the
+future of a one-worker ``concurrent.futures.ThreadPoolExecutor`` (the
+helper), each into its own entries of one length-M array that is then
 summed in interval order, so the value is bitwise that of a loop over
 the intervals.  The calling thread reads every cached table and
 allocates both halves' buffers first, so the helper touches no cache
@@ -75,7 +76,7 @@ the data, such as one split at a breakpoint of sigma_i, is a change to
 ``sample_time_factors`` alone.
 """
 
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
@@ -238,24 +239,15 @@ class FeSpace:
         n_edge, n_int = self._entity_dofs()
         self.n_dofs = v + n_edge * e + n_int * f
 
-        n_loc = 3 + 3 * n_edge + n_int
-        dof_map = np.empty((f, n_loc), dtype=np.int64)
-        dof_map[:, :3] = mesh.triangles
-        col = 3
-        for le in range(3):
-            base = v + mesh.tri_edges[:, le] * n_edge
-            # an edge's DOFs run from its lower to its higher vertex, so a
-            # local edge that is not forward takes them in reverse
-            forward = mesh.tri_edge_forward[:, le]
-            for m in range(n_edge):
-                dof_map[:, col + m] = np.where(forward, base + m,
-                                               base + (n_edge - 1 - m))
-            col += n_edge
-        if n_int:
-            base = v + n_edge * e + n_int * np.arange(f)
-            for m in range(n_int):
-                dof_map[:, col + m] = base + m
-        self.dof_map = dof_map
+        # an edge's DOFs run from its lower to its higher vertex, so a local
+        # edge that is not forward takes them in reverse
+        steps = np.arange(n_edge)
+        edge_dofs = v + mesh.tri_edges[:, :, None] * n_edge + np.where(
+            mesh.tri_edge_forward[:, :, None], steps, n_edge - 1 - steps)
+        interior = (v + n_edge * e + n_int * np.arange(f)[:, None]
+                    + np.arange(n_int))
+        self.dof_map = np.hstack([mesh.triangles, edge_dofs.reshape(f, -1),
+                                  interior])
 
         bverts = mesh.boundary_vertices()
         bedges = np.flatnonzero(mesh.boundary_edge)
@@ -590,15 +582,17 @@ def space_time_norm(space, partition, trule, coefficients, tables, discrete):
 
     The intervals are independent, so the partition is split into two
     contiguous halves, the first ceil(M/2) intervals and the rest (none
-    when M = 1): the calling thread integrates the first and one helper
-    thread the second, each into its own entries of one length-M array,
-    which is then summed in interval order, as a loop over the intervals
-    sums it; so the value does not depend on the split.  The calling
+    when M = 1): the calling thread integrates the first and the one
+    worker of a ``ThreadPoolExecutor`` the second, as a future (the
+    helper), each into its own entries of one length-M array, which is
+    then summed in interval order, as a loop over the intervals sums it;
+    so the value does not depend on the split.  The calling
     thread reads every cached table and allocates both halves' buffers
     before the helper starts, and every interval writes into its half's
     buffers in place, so the helper allocates no large array and touches
-    no cache.  The helper is always joined, and an exception raised in
-    its half is raised again here.
+    no cache.  Leaving the executor's ``with`` block joins the helper,
+    also when the caller's half raises, and ``result()`` raises an
+    exception of the helper's half again here.
 
     Memory: the two halves' buffers, allocated here.  Per half, with S
     floats per table (F Q 2):
@@ -610,7 +604,8 @@ def space_time_norm(space, partition, trule, coefficients, tables, discrete):
     - a block of about 1 MB (``_BLOCK`` floats): the combinations R T
       are formed, squared and summed a block of columns at a time, so
       they stay in cache.  The column edges fall between points and are
-      the same on every interval.
+      the same on every interval; each block's views of the tables, the
+      combinations and the squares are sliced where they are used.
 
     Parameters
     ----------
@@ -643,10 +638,9 @@ def space_time_norm(space, partition, trule, coefficients, tables, discrete):
     parts = np.empty(len(r))
 
     def buffers():
-        """The rows ``discrete`` writes, the writer, the squares and the
-        column blocks of one half: per block the columns of the tables,
-        the combinations, their two components and the squares they sum
-        to."""
+        """The rows ``discrete`` writes, the writer, the tables as rows, the
+        squares and the block in which the combinations are formed, of one
+        half."""
         work = np.empty(max(2 * (n_tables - len(tables)), n_comb)
                         * wdet.size)
         block = np.empty(n_comb * int(np.diff(edges).max()))
@@ -657,43 +651,27 @@ def space_time_norm(space, partition, trule, coefficients, tables, discrete):
             for j, table in enumerate(tables):
                 own[j] = table
             write = discrete(work)
-        flat = own.reshape(n_tables, -1)
-        squares = work[:n_comb * wdet.size].reshape(n_comb, -1)
-        blocks = []
-        for start, stop in zip(edges[:-1], edges[1:]):
-            values = block[:n_comb * (stop - start)].reshape(n_comb, -1)
-            blocks.append((flat[:, start:stop], values, values[:, 0::2],
-                           values[:, 1::2], squares[:, start // 2:stop // 2]))
-        return own[len(tables):], write, squares, blocks
+        return (own[len(tables):], write, own.reshape(n_tables, -1),
+                work[:n_comb * wdet.size].reshape(n_comb, -1), block)
 
-    def integrate(intervals, slot, write, squares, blocks):
+    def integrate(intervals, slot, write, flat, squares, block):
         for m in intervals:
             if write is not None:
                 write(m, slot)
-            for columns, values, x, y, out in blocks:
-                np.matmul(r[m], columns, out=values)
+            for start, stop in zip(edges[:-1], edges[1:]):
+                values = block[:n_comb * (stop - start)].reshape(n_comb, -1)
+                np.matmul(r[m], flat[:, start:stop], out=values)
                 np.square(values, out=values)
-                np.add(x, y, out=out)
+                np.add(values[:, 0::2], values[:, 1::2],
+                       out=squares[:, start // 2:stop // 2])
             parts[m] = partition.lengths[m] * float((squares @ wdet).sum())
 
     own_half, helper_half = np.array_split(np.arange(len(r)), 2)
     own_buffers, helper_buffers = buffers(), buffers()
-    failure = []
-
-    def helper():
-        try:
-            integrate(helper_half, *helper_buffers)
-        except BaseException as exc:     # raised again on the caller
-            failure.append(exc)
-
-    thread = threading.Thread(target=helper, name="space_time_norm")
-    thread.start()
-    try:
+    with ThreadPoolExecutor(1, thread_name_prefix="space_time_norm") as pool:
+        helper = pool.submit(integrate, helper_half, *helper_buffers)
         integrate(own_half, *own_buffers)
-    finally:
-        thread.join()
-    if failure:
-        raise failure[0]
+    helper.result()
     total = 0.0
     for part in parts:      # in interval order; np.sum would add pairwise
         total += part

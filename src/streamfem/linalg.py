@@ -6,8 +6,10 @@ or complex, holds every solve to the one residual contract
 ||Ax - b|| <= _RTOL * ||b|| and certifies definiteness (``definite``).
 ``refine`` is the iterative refinement behind the contract (up to five
 corrections); an operator that is not one matrix, such as the coupled
-dG(r) interval system, runs it with its own product and inverse.  A
-correction that fails to halve the residual ends the refinement: the
+dG(r) interval system, runs it with its own product and inverse.
+``_RTOL`` is read by ``refine`` alone, at every call, so the factors,
+the dG(r) sweep and a patch of ``linalg._RTOL`` all see one tolerance.
+A correction that fails to halve the residual ends the refinement: the
 residual has reached the roundoff floor of the solve, and more
 corrections cannot meet the contract (the stopping rule of LAPACK's
 xGERFS; Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
@@ -40,13 +42,11 @@ class SolverError(RuntimeError):
 
 
 def build_csr(rows, cols, vals, shape):
-    """CSR matrix from triplets; duplicate entries are summed."""
-    mat = sp.coo_matrix((np.asarray(vals).ravel(),
-                         (np.asarray(rows).ravel(), np.asarray(cols).ravel())),
-                        shape=shape).tocsr()
-    mat.sum_duplicates()
-    mat.sort_indices()
-    return mat
+    """CSR matrix from triplets in canonical form: ``tocsr`` sums the
+    duplicate entries and sorts the column indices of every row."""
+    rows, cols = np.asarray(rows).ravel(), np.asarray(cols).ravel()
+    return sp.coo_matrix((np.asarray(vals).ravel(), (rows, cols)),
+                         shape=shape).tocsr()
 
 
 def symmetry_gap(a):
@@ -55,8 +55,8 @@ def symmetry_gap(a):
     return float(np.abs(d.data).max()) if d.nnz else 0.0
 
 
-def refine(apply, solve, b, rtol):
-    """x with ||apply(x) - b|| <= rtol * ||b||, by iterative refinement.
+def refine(apply, solve, b):
+    """x with ||apply(x) - b|| <= _RTOL * ||b||, by iterative refinement.
 
     ``apply`` is the operator x -> A x and ``solve`` an approximate
     inverse; x = solve(b) is corrected by solve(b - A x) at most
@@ -64,7 +64,8 @@ def refine(apply, solve, b, rtol):
     be blocks.  Raises SolverError with the achieved relative residual
     once the corrections run out, or as soon as a correction fails to at
     least halve the residual: the refinement has stalled at its roundoff
-    floor (LAPACK xGERFS; Higham, 2nd ed., section 12.1).
+    floor (LAPACK xGERFS; Higham, 2nd ed., section 12.1).  ``_RTOL`` is
+    read at the call, so the contract is bound in this one place.
     """
     norm_b = np.linalg.norm(b)
     if norm_b == 0.0:
@@ -74,18 +75,18 @@ def refine(apply, solve, b, rtol):
     for step in range(_CORRECTIONS + 1):
         resid = b - apply(x)
         res = np.linalg.norm(resid)
-        if res <= rtol * norm_b:
+        if res <= _RTOL * norm_b:
             return x
         if res > 0.5 * last:
             plural = "" if step == 1 else "s"
             raise SolverError(
-                f"residual {res / norm_b:.3e} above rtol {rtol:.1e}, "
+                f"residual {res / norm_b:.3e} above rtol {_RTOL:.1e}, "
                 f"stalled after {step} correction{plural}",
                 residual=res / norm_b)
         last = res
         if step < _CORRECTIONS:
             x = x + solve(resid)
-    raise SolverError(f"residual {res / norm_b:.3e} above rtol {rtol:.1e}",
+    raise SolverError(f"residual {res / norm_b:.3e} above rtol {_RTOL:.1e}",
                       residual=res / norm_b)
 
 
@@ -109,9 +110,10 @@ class Factorized:
     arithmetic and takes real or complex right-hand sides; a real A
     takes real ones.
 
-    ``rtol=None`` drops the factor's own contract (``_RTOL`` by default):
-    a call is one LU solve, the approximate inverse of a caller that runs
-    ``refine`` on its own operator (the coupled dG(r) system).
+    A call runs ``refine`` with A and the factor, so it meets the
+    contract.  ``refined=False`` drops it: a call is one LU solve, the
+    approximate inverse of a caller that runs ``refine`` on its own
+    operator (the coupled dG(r) system).
 
     ``definite`` reads the inertia off that factor: with no row pivoted
     off the diagonal, P D A D P^T = L U with unit lower L, i.e.
@@ -124,9 +126,9 @@ class Factorized:
     for a complex A.
     """
 
-    def __init__(self, a, rtol=_RTOL):
+    def __init__(self, a, refined=True):
         self.a = a.tocsr()
-        self.rtol = rtol
+        self.refined = refined
         row_max = np.maximum.reduceat(np.abs(self.a.data), self.a.indptr[:-1]) \
             if self.a.nnz and np.all(np.diff(self.a.indptr) > 0) else None
         if row_max is not None and np.all(row_max > 0.0):
@@ -161,6 +163,6 @@ class Factorized:
     def __call__(self, b):
         b = np.asarray(b)
         b = b.astype(np.result_type(b.dtype, float), copy=False)
-        if self.rtol is None:
+        if not self.refined:
             return self._apply(b)
-        return refine(self.a.__matmul__, self._apply, b, self.rtol)
+        return refine(self.a.__matmul__, self._apply, b)

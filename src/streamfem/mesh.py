@@ -183,20 +183,12 @@ def build_structured_mesh(n):
     xx, yy = np.meshgrid(xs, xs, indexing="xy")
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
 
-    def vid(i, j):
-        return j * (n + 1) + i
-
-    triangles = np.empty((2 * n * n, 3), dtype=np.int64)
-    t = 0
-    for j in range(n):
-        for i in range(n):
-            a = vid(i, j)
-            b = vid(i + 1, j)
-            c = vid(i + 1, j + 1)
-            d = vid(i, j + 1)
-            triangles[t] = (a, b, c)
-            triangles[t + 1] = (a, c, d)
-            t += 2
+    # cell j n + i has the corners a, b = a + 1, c = a + n + 2, d = a + n + 1
+    # and the triangles 2 (j n + i) = (a, b, c) and 2 (j n + i) + 1 = (a, c, d)
+    j, i = np.divmod(np.arange(n * n), n)
+    a = j * (n + 1) + i
+    triangles = np.stack([a, a + 1, a + n + 2, a, a + n + 2, a + n + 1],
+                         axis=1).reshape(-1, 3)
     return Mesh(vertices, triangles)
 
 

@@ -12,7 +12,7 @@ from streamfem.cip import (CoercivityError, _assemble_matrices, apply_Ah,
                            ritz_projection)
 from streamfem.fem import (FeFunction, assemble_load_gradient,
                            assemble_load_scalar, build_space, h1_field_error)
-from streamfem.linalg import Factorized, symmetry_gap
+from streamfem.linalg import Factorized, SolverError, symmetry_gap
 from streamfem.mesh import build_structured_mesh
 from streamfem.quadrature import triangle_rule
 
@@ -224,6 +224,21 @@ def test_rejects_a_penalty_not_positive_and_finite(eta, monkeypatch):
 def test_coercivity_error_for_tiny_penalty(space_n8_l2):
     with pytest.raises(CoercivityError):
         assemble_cip(space_n8_l2, 0.1)
+
+
+def test_singular_certifying_factor_is_not_definite(space_n4_l2,
+                                                    monkeypatch):
+    """A certifying factorization that fails, as on a singular a_h,
+    certifies nothing: the assembly raises CoercivityError, not the
+    SolverError of the factor."""
+    from streamfem import cip
+
+    class Singular(Factorized):
+        def __init__(self, *args, **kwargs):
+            raise SolverError("factorization failed: singular matrix")
+    monkeypatch.setattr(cip, "Factorized", Singular)
+    with pytest.raises(CoercivityError, match="a_h is not definite"):
+        assemble_cip(space_n4_l2)
 
 
 @pytest.mark.parametrize("degree, below, above", [(2, 2.0, 2.5),

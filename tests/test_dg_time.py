@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from streamfem import dg_time
+from streamfem import dg_time, linalg
 from streamfem import manufactured as mf
 from streamfem.cip import _assemble_matrices, assemble_cip
 from streamfem.dg_time import (DgSolution, TimeBasis, TimePartition,
@@ -564,7 +564,7 @@ def test_galerkin_orthogonality_of_the_solver(order, diagnostics_default_run,
 def test_solver_error_carries_interval_and_residual(space_n4_l2,
                                                     monkeypatch):
     form = assemble_cip(space_n4_l2)
-    monkeypatch.setattr(dg_time, "_RTOL", 1e-30)
+    monkeypatch.setattr(linalg, "_RTOL", 1e-30)
     with pytest.raises(SolverError) as info:
         dg_solve(form, make_partition(3), 1, f=mf.f_scalar())
     exc = info.value

@@ -12,6 +12,7 @@ from streamfem.fem import (FeFunction, assemble_h1_stiffness,
                            table_writer, term_tables, _lattice)
 from streamfem.linalg import symmetry_gap
 from streamfem.mesh import build_structured_mesh
+from streamfem.mini_stokes import build_mini_space
 from streamfem.quadrature import QuadratureRule, triangle_rule
 
 
@@ -82,6 +83,46 @@ def test_shared_edge_dofs_conform(degree):
             coords[d] = pts[f, l]
             seen[d] = True
     assert seen.all()
+
+
+def _looped_dof_map(space):
+    """The DOF map column by column: the vertices, the edge DOFs of each
+    local edge, directed by ``tri_edge_forward``, then the interior
+    DOFs."""
+    mesh = space.mesh
+    v, e, f = mesh.num_vertices, mesh.num_edges, mesh.num_triangles
+    n_edge, n_int = space._entity_dofs()
+    dof_map = np.empty((f, 3 + 3 * n_edge + n_int), dtype=np.int64)
+    dof_map[:, :3] = mesh.triangles
+    col = 3
+    for le in range(3):
+        base = v + mesh.tri_edges[:, le] * n_edge
+        forward = mesh.tri_edge_forward[:, le]
+        for m in range(n_edge):
+            dof_map[:, col + m] = np.where(forward, base + m,
+                                           base + (n_edge - 1 - m))
+        col += n_edge
+    base = v + n_edge * e + n_int * np.arange(f)
+    for m in range(n_int):
+        dof_map[:, col + m] = base + m
+    return dof_map
+
+
+@pytest.mark.parametrize("kind", ["P1", "P2", "P3", "MINI"])
+@pytest.mark.parametrize("triangles", ["structured", "seed 0"])
+def test_dof_map_matches_the_column_loop(renumbered, kind, triangles):
+    """On the structured mesh and on its triangles in the seed-0 random
+    order, whose local edges run both ways."""
+    mesh = build_structured_mesh(5)
+    if triangles == "seed 0":
+        order = np.random.default_rng(0).permutation(mesh.num_triangles)
+        mesh = renumbered(build_space(mesh, 1), order)[0].mesh
+    forward = mesh.tri_edge_forward
+    assert forward.any() and not forward.all()
+    space = (build_mini_space(mesh) if kind == "MINI"
+             else build_space(mesh, int(kind[1])))
+    assert space.dof_map.dtype == np.int64
+    assert np.array_equal(space.dof_map, _looped_dof_map(space))
 
 
 def test_boundary_dof_count():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from streamfem import linalg
 from streamfem.fem import assemble_load_scalar
 from streamfem.linalg import (Factorized, SolverError, build_csr, refine,
                               symmetry_gap)
@@ -58,7 +59,7 @@ def test_definite_needs_diagonal_pivots():
 def test_solve_spd_residual_contract(space_n4_l2):
     k = space_n4_l2.h1_free()
     b = assemble_load_scalar(space_n4_l2, _one())[space_n4_l2.free_dofs]
-    x = Factorized(k, rtol=1e-10)(b)
+    x = Factorized(k)(b)
     assert np.linalg.norm(k @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
@@ -122,7 +123,7 @@ def test_complex_symmetric_residual_contract(space_n4_l2, rhs_kind):
     b = rng.standard_normal(a.shape[0])
     if rhs_kind == "complex":
         b = b + 1j * rng.standard_normal(a.shape[0])
-    x = Factorized(a, rtol=1e-10)(b)
+    x = Factorized(a)(b)
     assert np.iscomplexobj(x)
     assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
     assert x == pytest.approx(np.linalg.solve(a.toarray(), b), rel=1e-9)
@@ -170,28 +171,44 @@ def _contracting(factor):
     return (lambda x: x), solve, calls
 
 
-def test_stalled_refinement_raises_after_one_correction():
+def test_stalled_refinement_raises_after_one_correction(monkeypatch):
     """A correction that fails to halve the residual ends the refinement:
     two solves, not the six of the full budget."""
+    monkeypatch.setattr(linalg, "_RTOL", 1e-10)
     apply, solve, calls = _contracting(0.9)
     with pytest.raises(SolverError, match="stalled after 1 correction$") \
             as info:
-        refine(apply, solve, np.ones(3), 1e-10)
+        refine(apply, solve, np.ones(3))
     assert len(calls) == 2
     assert info.value.residual == pytest.approx(0.81)
 
 
-def test_halving_refinement_runs_its_corrections():
+def test_halving_refinement_runs_its_corrections(monkeypatch):
     """A residual that falls by 0.4 per step passes after five
     corrections, with the x of the plain refinement bit for bit."""
+    monkeypatch.setattr(linalg, "_RTOL", 0.005)
     apply, solve, calls = _contracting(0.4)
     b = np.array([1.0, -2.0, 3.0])
-    x = refine(apply, solve, b, 0.005)
+    x = refine(apply, solve, b)
     want = 0.6 * b
     for _ in range(5):
         want = want + 0.6 * (b - want)
     assert len(calls) == 6
     assert x.tobytes() == want.tobytes()
+
+
+def test_exhausted_refinement_raises_after_five_corrections(monkeypatch):
+    """A residual that halves on every step never stalls; below a tiny
+    tolerance the budget runs out: six solves, residual 0.5**6, and the
+    message names no stall."""
+    monkeypatch.setattr(linalg, "_RTOL", 1e-30)
+    apply, solve, calls = _contracting(0.5)
+    with pytest.raises(SolverError, match="^residual 1.562e-02 above rtol "
+                                          "1.0e-30$") as info:
+        refine(apply, solve, np.ones(3))
+    assert len(calls) == 6
+    assert info.value.residual == 0.5 ** 6
+    assert "stalled" not in str(info.value)
 
 
 class _CountingLU:
@@ -206,14 +223,16 @@ class _CountingLU:
         return self.lu.solve(b)
 
 
-def test_ritz_solve_at_its_floor_stops_after_one_correction(form_n8_l2):
+def test_ritz_solve_at_its_floor_stops_after_one_correction(form_n8_l2,
+                                                           monkeypatch):
     """Below its roundoff floor the n=8 P2 Ritz solve stalls at once:
-    two LU solves instead of six.  The rtol is the factor's own, since
-    the default argument binds ``_RTOL`` at definition."""
+    two LU solves instead of six.  The factor reads ``linalg._RTOL`` at
+    the call, so the patch reaches it."""
     space = form_n8_l2.space
     rhs = np.array([tf.fn(0.0) for tf, _ in mf.phi().terms]) \
         @ form_n8_l2.pairings(mf.phi())
-    fac = Factorized(form_n8_l2.matrix_free, rtol=1e-30)
+    monkeypatch.setattr(linalg, "_RTOL", 1e-30)
+    fac = Factorized(form_n8_l2.matrix_free)
     fac._lu = _CountingLU(fac._lu)
     with pytest.raises(SolverError, match="stalled after 1 correction") \
             as info:

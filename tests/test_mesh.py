@@ -223,3 +223,31 @@ def test_edges_match_the_row_wise_unique(mesh):
     assert np.array_equal(mesh.edges, edges)
     assert np.array_equal(mesh.tri_edges, tri_edges)
     assert np.array_equal(mesh.tri_edge_forward, forward)
+
+
+def _looped_structured_triangles(n):
+    """The triangles of ``build_structured_mesh(n)`` cell by cell: cell
+    (i, j) with corners a, b, c, d counterclockwise from its lower left
+    gives (a, b, c), then (a, c, d)."""
+    def vid(i, j):
+        return j * (n + 1) + i
+
+    triangles = np.empty((2 * n * n, 3), dtype=np.int64)
+    t = 0
+    for j in range(n):
+        for i in range(n):
+            a = vid(i, j)
+            b = vid(i + 1, j)
+            c = vid(i + 1, j + 1)
+            d = vid(i, j + 1)
+            triangles[t] = (a, b, c)
+            triangles[t + 1] = (a, c, d)
+            t += 2
+    return triangles
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 64])
+def test_structured_triangles_match_the_cell_loop(n):
+    triangles = build_structured_mesh(n).triangles
+    assert triangles.dtype == np.int64
+    assert np.array_equal(triangles, _looped_structured_triangles(n))

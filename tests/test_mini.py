@@ -86,7 +86,7 @@ def test_gradient_forcing_moves_velocity():
 
 def test_solver_error_carries_step_and_residual(monkeypatch):
     space = build_mini_space(build_structured_mesh(2))
-    monkeypatch.setattr(dg_time, "_RTOL", 1e-30)
+    monkeypatch.setattr(linalg, "_RTOL", 1e-30)
     with pytest.raises(SolverError) as info:
         mini_transient_solve(space, make_partition(3), 0, mf.g_field())
     exc = info.value
