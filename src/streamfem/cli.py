@@ -369,8 +369,10 @@ def _diagnose(cfg):
 
     s1, s2, s3 = stability_functional(sol, form)
     data = stability_data_norm(form, f, partition)
-    report.append(("stability ratio (S1+S2+S3)/data", (s1 + s2 + s3) / data,
-                   float("inf"), True))
+    # the ratio tends to 1 as k -> 0; its largest value over P2 and P3,
+    # n = 8, 16, 32, M = 4, ..., 64 and r <= 2 is 1 + 8.7e-6, and halving
+    # the incoming jump of the time basis lifts it to 1.13 at the defaults
+    check("stability ratio (S1+S2+S3)/data", (s1 + s2 + s3) / data, 1.001)
 
     total = space_time_h1_error(sol, psi)
     bound = 10.0 * (e_chi + e_rh + e_pik)

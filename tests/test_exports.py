@@ -170,8 +170,8 @@ def test_the_space_owns_its_quadrature():
 
 def test_fem_owns_the_time_quadrature_of_the_data():
     """Every time rule of the data is built in ``fem.sample_time_factors``:
-    the other Gauss rules on an interval are the edge rules of ``cip``
-    and the exact polynomial Gram of ``dg_time.TimeBasis``.  The space
+    the other Gauss rules on an interval are the edge rules of ``cip``;
+    ``dg_time`` builds none, its Gram matrices being exact.  The space
     weights of the data rule are named only in ``fem``, whose
     ``space_time_norm`` weighs every space-time norm, and the unweighted
     ``space_time_squares`` is gone."""
@@ -179,7 +179,7 @@ def test_fem_owns_the_time_quadrature_of_the_data():
 
     assert _callers("interval_rule") == {
         ("fem", "sample_time_factors"), ("cip", "_assemble_matrices"),
-        ("cip", "consistency_pairing"), ("dg_time", "TimeBasis")}
+        ("cip", "consistency_pairing")}
     assert [path.stem for path in SOURCE.glob("*.py")
             if "_space_weights" in path.read_text()] == ["fem"]
     assert not hasattr(fem, "space_time_squares")

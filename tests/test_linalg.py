@@ -10,10 +10,15 @@ from streamfem import manufactured as mf
 
 
 def test_build_csr_sums_duplicates():
-    a = build_csr([0, 0, 1], [0, 0, 1], [1.0, 2.0, 5.0], (2, 2))
-    assert a[0, 0] == 3.0
-    assert a[1, 1] == 5.0
-    assert np.all(np.diff(a.indices[a.indptr[0]:a.indptr[1]]) > 0) or True
+    """Row 0 arrives with columns 2, 0, 2, 1: the duplicate column 2 is
+    summed and the row is stored in ascending column order."""
+    a = build_csr([0, 0, 0, 0, 1], [2, 0, 2, 1, 1],
+                  [1.0, 2.0, 4.0, 8.0, 5.0], (2, 3))
+    row = slice(a.indptr[0], a.indptr[1])
+    assert a.indices[row].tolist() == [0, 1, 2]
+    assert a.data[row].tolist() == [2.0, 8.0, 5.0]
+    assert a.indices[a.indptr[1]:].tolist() == [1]
+    assert a.data[a.indptr[1]:].tolist() == [5.0]
     assert a.has_sorted_indices
 
 

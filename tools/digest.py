@@ -39,6 +39,10 @@ Prints one ``label digest`` line per artifact:
   ``stability_data_norm`` of f on the grading and
   ``time_projection_values`` of psi_exact on the grading for
   r = 0, 1, 2, 3;
+- the dG(r) time basis for r = 0, ..., 10, called directly:
+  ``radau_points(r)``, ``TimeBasis(r).gram(da, db)`` for (da, db) =
+  (0, 0), (1, 0) and (1, 1), ``TimeBasis(r).coupling()`` and the
+  eigenvalues and the v and w rows of ``time_modes(r)``;
 - the CSVs, summaries and stdout of the default ``stationary``,
   ``converge-k``, ``converge-h``, ``compare-mini``, ``diagnostics`` and
   ``converge-k --method mini`` studies, each run in a temporary
@@ -69,9 +73,10 @@ from streamfem import manufactured as mf  # noqa: E402
 from streamfem.cip import (CipForm, _assemble_matrices,  # noqa: E402
                            assemble_cip, consistency_pairing,
                            default_penalty, ritz_projection)
-from streamfem.dg_time import (TimePartition,  # noqa: E402
+from streamfem.dg_time import (TimeBasis, TimePartition,  # noqa: E402
                                best_approx_terms, dg_solve, make_partition,
-                               stability_data_norm, time_projection_values)
+                               radau_points, stability_data_norm,
+                               time_modes, time_projection_values)
 from streamfem.fem import (assemble_h1_stiffness, build_space,  # noqa: E402
                            h1_field_error, space_time_h1_error, term_tables)
 from streamfem.linalg import SolverError  # noqa: E402
@@ -223,6 +228,20 @@ def transient_lines():
                        mf.psi_exact(), form, partition, order))))
 
 
+def basis_lines():
+    """Digest lines of the dG(r) time basis, so that a change to it shows
+    without going through a solve."""
+    for order in range(11):
+        basis = TimeBasis(order)
+        yield f"radau_points r={order}", _digest(radau_points(order))
+        for da, db in ((0, 0), (1, 0), (1, 1)):
+            yield (f"TimeBasis gram da={da} db={db} r={order}",
+                   _digest(basis.gram(da, db)))
+        yield f"TimeBasis coupling r={order}", _digest(basis.coupling())
+        yield f"time_modes r={order}", _digest(
+            *(part for mode in time_modes(order) for part in mode))
+
+
 def study_lines():
     """Digest lines of the outputs of the default studies."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -262,7 +281,8 @@ def main(argv=None):
     before = _digests_at(args.against) if args.against else None
     differ = []
     for label, digest in (*numeric_lines(), *kernel_lines(),
-                          *transient_lines(), *study_lines()):
+                          *transient_lines(), *basis_lines(),
+                          *study_lines()):
         if before is None:
             print(f"{label}: {digest}", flush=True)
         elif before.pop(label, None) != digest:
