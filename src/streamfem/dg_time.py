@@ -2,13 +2,14 @@
 
 Each interval carries a degree-r polynomial in the Lagrange basis at
 right Gauss-Radau points, so the value at the right endpoint is a nodal
-coefficient and no extrapolation is needed.  The points are scipy's
-roots of the Jacobi polynomial P_r^(1,0) followed by 1, and the basis
-is held in Legendre coefficients (``TimeBasis``), never in monomials,
-so it stays exact to roundoff as r grows.  The transient solve is an
-interval-by-interval forward sweep: interval m couples to the past only
-through K applied to the outgoing value at t_{m-1}, seeded at m=1 by
-the H1_0 projection of the initial datum.  One sweep
+coefficient and no extrapolation is needed.  The points are the roots
+of the Jacobi polynomial P_r^(1,0) that ``quadrature.gauss_jacobi``
+gives (scipy.special's, from a table up to r = 16) followed by 1, and
+the basis is held in Legendre coefficients (``TimeBasis``), never in
+monomials, so it stays exact to roundoff as r grows.  The transient
+solve is an interval-by-interval forward sweep: interval m couples to
+the past only through K applied to the outgoing value at t_{m-1},
+seeded at m=1 by the H1_0 projection of the initial datum.  One sweep
 (``_forward_sweep``) serves dG(r) for the stream function (K the
 gradient stiffness, A the eliminated a_h) and for the MINI saddle,
 whose mass diag(M, M, 0, 0) is singular (``mini_stokes``): its complex
@@ -74,11 +75,11 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .fem import (_h1_lift, gradient_tables, h1_projection,
                   sample_time_factors, space_time_norm, term_tables)
 from .linalg import Factorized, SolverError, refine
+from .quadrature import cached_by_size, gauss_jacobi
 
 __all__ = ["TimePartition", "make_partition", "radau_points", "TimeBasis",
            "time_modes", "DgSolution", "data_time_points", "dg_solve",
@@ -122,16 +123,16 @@ def make_partition(num_intervals, end_time=1.0):
     return TimePartition(np.linspace(0.0, end_time, num_intervals + 1))
 
 
-@lru_cache(maxsize=None)
+@cached_by_size("order", 0)
 def radau_points(order):
     """Right Gauss-Radau points on (0, 1], the last one equal to 1.
 
     The r interior points are the roots of the Jacobi polynomial
-    P_r^(1,0) (``scipy.special.roots_jacobi``), mapped from [-1, 1].
+    P_r^(1,0), mapped from [-1, 1]: ``quadrature.gauss_jacobi`` reads
+    them from its table of scipy.special's roots for r <= 16 and imports
+    scipy.special only for larger r.
     """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    roots = roots_jacobi(order, 1.0, 0.0)[0] if order else np.zeros(0)
+    roots = gauss_jacobi(order)[0] if order else np.zeros(0)
     pts = np.append(0.5 * (roots + 1.0), 1.0)
     pts.setflags(write=False)
     return pts

@@ -1,9 +1,14 @@
 import argparse
 import ast
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import streamfem
 from streamfem import cli
 from streamfem.cli import main
 
@@ -450,3 +455,29 @@ def test_the_parser_and_main_read_only_the_study_table():
                  ast.walk(ast.parse(inspect.getsource(cli.main)))
                  if isinstance(node, ast.Constant)}
     assert not constants & set(cli.STUDIES)
+
+
+
+def test_the_benchmark_calls_never_import_scipy_special(tmp_path):
+    """The Gauss rules come from the table in ``quadrature``: in a fresh
+    interpreter, tiny runs of the calls of every benchmark workload
+    (``converge-k`` at P2 dG(0) and P3 dG(2), ``stationary`` at P3 and
+    ``diagnostics``) leave scipy.special unimported."""
+    runs = [["converge-k", "--degree", "2", "--dg-order", "0",
+             "--mesh-list", "4", "--steps-list", "1,2"],
+            ["converge-k", "--degree", "3", "--dg-order", "2",
+             "--mesh-list", "4", "--steps-list", "1,2"],
+            ["stationary", "--degree", "3", "--mesh-list", "2,4"],
+            ["diagnostics", "--mesh-list", "4", "--steps-list", "2"]]
+    runs = [[*argv, "--out", str(tmp_path / f"{argv[0]}.csv")]
+            for argv in runs]
+    script = ("import sys\n"
+              "from streamfem import cli\n"
+              f"print([cli.main(argv) for argv in {runs!r}])\n"
+              "print('scipy.special' in sys.modules)\n")
+    src = str(Path(streamfem.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-2:] == ["[0, 0, 0, 0]", "False"]

@@ -201,3 +201,29 @@ def test_the_mesh_owns_edge_orientation():
     assert list(inspect.signature(cip._edge_parts).parameters) == ["space"]
     assert list(inspect.signature(cip._assemble_matrices).parameters) == [
         "space", "eta"]
+
+
+def _imports(path):
+    """(module imported, whether at the top level) of every import in a
+    source file; a relative import is named as its module alone."""
+    tree = ast.parse(path.read_text())
+    top = {id(node) for node in tree.body}
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update((alias.name, id(node) in top) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            out.add((node.module, id(node) in top))
+    return out
+
+
+def test_quadrature_owns_the_gauss_rules():
+    """Only ``quadrature`` reads the Gauss table, and it imports
+    scipy.special only inside its lookups, for rules past the table; no
+    other module of the package imports scipy.special."""
+    readers = defaultdict(set)
+    for path in SOURCE.glob("*.py"):
+        for module, at_top in _imports(path):
+            readers[module].add((path.stem, at_top))
+    assert readers["gauss_table"] == {("quadrature", True)}
+    assert readers["scipy.special"] == {("quadrature", False)}

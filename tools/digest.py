@@ -23,10 +23,12 @@ Prints one ``label digest`` line per artifact:
   initial datum phi) on two non-uniform partitions: the nodes^2 grading
   of ``make_partition(10)`` and ``make_partition(8)`` refined by the
   nodes 5/16 and 3/8 (three runs of equal steps); and the
-  ``mini_transient_solve`` velocities, pressures and multipliers at n=8
-  under g on the grading for r = 0, 1, 2, at r = 0 after a zero row,
-  the initial velocity, so that its bytes are those of the earlier
-  (M+1)-row layout and ``--against`` an older ref compares them;
+  ``mini_transient_solve`` velocities and pressures at n=8 under g on
+  the grading for r = 0, 1, 2.  The mean-pressure multipliers of these
+  runs are 0 up to roundoff (2e-15), so a digest of their bits would
+  flip with any roundoff change: their line states instead whether
+  their largest magnitude stays below ``MULTIPLIER_FLOOR`` (1e-12,
+  against pressures of about 100), or else what it is;
 - the three ``best_approx_terms(psi_exact, form, partition, r)`` at n=8
   P2 for r = 0, 1, 2 on ``make_partition(7)`` and on the nodes^2
   grading, which cover the time projection at r >= 1;
@@ -87,6 +89,8 @@ from streamfem.mini_stokes import (_divergence, _mass,  # noqa: E402
                                    velocity_error_l2)
 
 SPACES = ((8, 2), (8, 3), (16, 2), (48, 3))
+# bound on the largest |multiplier| of a MINI run that its line accepts
+MULTIPLIER_FLOOR = 1e-12
 STUDIES = (("stationary",), ("converge-k",), ("converge-h",),
            ("compare-mini",), ("diagnostics",),
            ("converge-k", "--method", "mini"))
@@ -205,9 +209,13 @@ def transient_lines():
     for order in (0, 1, 2):
         sol = mini_transient_solve(mini, graded, order, mf.g_field())
         tag = f" r={order}" if order else ""
-        start = () if order else (np.zeros(mini.n_velocity),)
-        yield f"mini n=8{tag} graded", _digest(
-            *start, sol.velocities, sol.pressures, sol.multipliers)
+        yield (f"mini velocities pressures n=8{tag} graded",
+               _digest(sol.velocities, sol.pressures))
+        largest = np.abs(sol.multipliers).max()
+        yield (f"mini multipliers n=8{tag} graded",
+               f"max |lambda| < {MULTIPLIER_FLOOR:.0e}"
+               if largest < MULTIPLIER_FLOOR else
+               f"max |lambda| = {largest:.3e}, not < {MULTIPLIER_FLOOR:.0e}")
         yield (f"velocity_error_l2 mini n=8{tag} graded",
                _digest(np.float64(velocity_error_l2(sol, mf.u_exact()))))
     sol = mini_transient_solve(mini, make_partition(7), 0, mf.g_field())
