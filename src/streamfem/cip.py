@@ -14,11 +14,12 @@ the same mesh with its triangles in reverse order, which swaps T- and
 T+ and the normal of every interior edge, and compares the two forms.
 
 The kernels work on reference tables, never on physical per-cell basis
-tables.  The element term is ``fem.element_matrices`` at k = 2: one
-product of the per-cell factor det J (G kron G), G = J^-1 J^-T, with the
-reference Hessian tensor.  Edge traces contract the reference gradient
-or Hessian, tabulated on each of the six oriented local edges, with the
-reference normal nu = J^-1 n.  The volume term of
+tables, and read the basis through the space (``FeSpace.reference``).
+The element term is ``fem.element_matrices`` at k = 2: one product of
+the per-cell factor det J (G kron G), G = J^-1 J^-T, with the reference
+Hessian tensor.  Edge traces contract the reference gradient or Hessian
+of ``space.reference``, tabulated on each of the six oriented local
+edges, with the reference normal nu = J^-1 n.  The volume term of
 ``consistency_pairing`` pulls D^2 w back to J^-1 (D^2 w) J^-T and tests
 it against the reference Hessians with one product.
 """
@@ -27,8 +28,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fem import (FeFunction, assemble_tested, element_matrices,
-                  reference_basis)
+from .fem import FeFunction, assemble_tested, element_matrices
 from .linalg import Factorized, SolverError, build_csr
 from .mesh import _LOCAL_EDGES, _VERT_REF
 from .quadrature import interval_rule
@@ -141,7 +141,7 @@ def _edge_parts(space):
                    np.concatenate([dof[tri] for tri, *_ in sides], axis=1))
 
 
-def _edge_tables(degree, svals, order):
+def _edge_tables(space, svals, order):
     """Reference derivatives of one order on the six oriented local edges.
 
     Configuration 2 * le + f covers local edge le = (i, j) run from its
@@ -156,7 +156,7 @@ def _edge_tables(degree, svals, order):
         a, b = _VERT_REF[i], _VERT_REF[j]
         for r0, r1 in ((b, a), (a, b)):
             pts.append(np.outer(1.0 - svals, r0) + np.outer(svals, r1))
-    ref = reference_basis(degree, np.array(pts), order)     # (6, Q, L, ...)
+    ref = space.reference(np.array(pts), order)            # (6, Q, L, ...)
     ref = ref.reshape(ref.shape[:3] + (-1,))
     return np.moveaxis(ref, -1, 1).reshape(6, 2 ** order, -1)
 
@@ -172,7 +172,7 @@ def _side_traces(space, tri, local_edge, normals, svals, order, out):
     product against its table, stored straight into its rows of ``out``.
     """
     config = 2 * local_edge + space.mesh.tri_edge_forward[tri, local_edge]
-    table = _edge_tables(space.degree, svals, order)
+    table = _edge_tables(space, svals, order)
     nu = (space.jac_inv[tri] @ normals[:, :, None])[..., 0]   # (E, 2)
     if order == 2:
         nu = (nu[:, :, None] * nu[:, None, :]).reshape(-1, 4)

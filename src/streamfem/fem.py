@@ -3,9 +3,17 @@
 Degree-l nodal spaces with vectorized assembly of the H1 stiffness
 matrix, load vectors (scalar data, vector data paired with the rotated
 gradient, and gradient data) and the H1_0 projection.
-A space is its DOF layout and its reference basis (``FeSpace.reference``);
-a subclass that changes only these, such as the P1-plus-bubble velocity
-space of ``mini_stokes``, runs on the same kernels.
+A space is its DOF layout and its monomial coefficients: one column
+per local basis function, over the monomials x^i y^j of total degree at
+most the space's degree.  ``_tabulate`` is the one tabulation of every
+polynomial basis; it forms the values, gradients or Hessians of the
+columns of any coefficient matrix from the monomial derivative tables of
+``_mono_table``, and ``FeSpace.reference`` is that table for the nodal
+Lagrange coefficients (``reference_basis``, the inverse of the
+Vandermonde matrix of the lattice).  A subclass that changes only the
+DOF layout and the coefficients, such as the P1-plus-bubble velocity
+space of ``mini_stokes``, runs on the same kernels, and every table,
+the C0IP edge traces included, reads the basis through the space.
 
 Every element kernel is one dense matrix product against a reference
 table, with a small per-cell factor from the affine map (the tensor
@@ -76,6 +84,7 @@ the data, such as one split at a breakpoint of sigma_i, is a change to
 ``sample_time_factors`` alone.
 """
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
@@ -123,32 +132,37 @@ def _monomial_exponents(degree):
 
 @lru_cache(maxsize=None)
 def _basis_coefficients(degree):
-    """Monomial coefficients of the nodal basis, one column per node."""
-    nodes = _lattice(degree)
-    exps = _monomial_exponents(degree)
-    vand = np.array([[x ** i * y ** j for (i, j) in exps] for x, y in nodes])
-    return np.linalg.inv(vand)
+    """Monomial coefficients of the nodal basis, one column per node: the
+    inverse of the Vandermonde matrix of the lattice."""
+    return np.linalg.inv(_mono_table(_lattice(degree), degree))
 
 
-def _mono_table(points, exps, dx=0, dy=0):
-    """Monomial (derivative) values at points, shape (..., n_mono)."""
-    x = points[..., 0]
-    y = points[..., 1]
-    cols = []
-    for i, j in exps:
-        ci = 1.0
-        ii, jj = i, j
-        for _ in range(dx):
-            ci *= ii
-            ii = max(ii - 1, 0) if ii > 0 else 0
-        for _ in range(dy):
-            ci *= jj
-            jj = max(jj - 1, 0) if jj > 0 else 0
-        if ci == 0.0:
-            cols.append(np.zeros_like(x))
-        else:
-            cols.append(ci * x ** ii * y ** jj)
-    return np.stack(cols, axis=-1)
+def _mono_table(points, degree, dx=0, dy=0):
+    """d_x^dx d_y^dy of the monomials of total degree <= ``degree`` at
+    points, shape (..., n_mono); d_x^dx x^i = perm(i, dx) x^(i - dx)."""
+    x, y = points[..., 0], points[..., 1]
+    return np.stack([math.perm(i, dx) * math.perm(j, dy)
+                     * x ** (i - dx) * y ** (j - dy)
+                     if i >= dx and j >= dy else np.zeros_like(x)
+                     for i, j in _monomial_exponents(degree)], axis=-1)
+
+
+# the monomial derivatives (dx, dy) of each table order, in the order of the
+# table's trailing axes: d_x, d_y; d_xx, d_xy, d_yx, d_yy
+_DERIVATIVES = {0: ((0, 0),), 1: ((1, 0), (0, 1)),
+                2: ((2, 0), (1, 1), (1, 1), (0, 2))}
+
+
+def _tabulate(coef, degree, points, order):
+    """Values, gradients or Hessians at points of the polynomials whose
+    coefficients over the monomials of total degree <= ``degree`` are the
+    columns of ``coef``; shapes as in ``reference_basis``."""
+    if order not in _DERIVATIVES:
+        raise ValueError("order must be 0, 1 or 2")
+    points = np.asarray(points, dtype=float)
+    table = np.stack([_mono_table(points, degree, dx, dy) @ coef
+                      for dx, dy in _DERIVATIVES[order]], axis=-1)
+    return table.reshape(table.shape[:-1] + (2,) * order)
 
 
 def reference_basis(degree, points, order=0):
@@ -165,31 +179,19 @@ def reference_basis(degree, points, order=0):
     """
     if degree not in SUPPORTED_DEGREES:
         raise ValueError(f"unsupported degree {degree}")
-    points = np.asarray(points, dtype=float)
-    exps = _monomial_exponents(degree)
-    coef = _basis_coefficients(degree)
-    if order == 0:
-        return _mono_table(points, exps) @ coef
-    if order == 1:
-        gx = _mono_table(points, exps, dx=1) @ coef
-        gy = _mono_table(points, exps, dy=1) @ coef
-        return np.stack([gx, gy], axis=-1)
-    if order == 2:
-        hxx = _mono_table(points, exps, dx=2) @ coef
-        hxy = _mono_table(points, exps, dx=1, dy=1) @ coef
-        hyy = _mono_table(points, exps, dy=2) @ coef
-        h = np.stack([hxx, hxy, hxy, hyy], axis=-1)
-        return h.reshape(h.shape[:-1] + (2, 2))
-    raise ValueError("order must be 0, 1 or 2")
+    return _tabulate(_basis_coefficients(degree), degree, points, order)
 
 
 class FeSpace:
     """Degree-l continuous Lagrange space with homogeneous-trace DOFs.
 
-    The local basis on the reference triangle is ``reference(points,
-    order)``, and the DOFs per edge and per triangle interior are
-    ``_entity_dofs()``; every table and kernel reads the basis through
-    these two, so a subclass may replace them (``mini_stokes.MiniSpace``).
+    A space is its DOF layout and its monomial coefficients.  The local
+    basis on the reference triangle is ``reference(points, order)``, the
+    ``fem._tabulate`` table of the coefficients, and the DOFs per edge and
+    per triangle interior are ``_entity_dofs()``; every table and kernel,
+    ``cip``'s edge traces included, reads the basis through these two, so
+    a subclass may replace them (``mini_stokes.MiniSpace``, which
+    tabulates its own coefficients).
 
     Its two triangle rules are ``default_matrix_rule()`` (degree 2l,
     read by ``element_matrices``) and ``default_data_rule()`` (degree 8,

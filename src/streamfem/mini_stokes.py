@@ -13,7 +13,9 @@ same code, and the solution is held in the same (M, r+1, .) blocks of
 nodal values.
 
 The scalar velocity space is an ``FeSpace`` (``MiniSpace``) that sets
-only its DOF layout and its reference basis, so the mass, stiffness,
+only its DOF layout and its monomial coefficients (the 10 x 4
+``_COEFFICIENTS`` of the three hats and the bubble, tabulated by
+``fem._tabulate`` as the Lagrange bases are), so the mass, stiffness,
 pressure integrals, loads and error tables come from the shared
 reference-table kernels of ``fem``, each with the rule the space gives
 it: the matrix rule for the mass and stiffness, the data rule for the
@@ -30,14 +32,21 @@ import numpy as np
 import scipy.sparse as sp
 
 from .dg_time import TimeBasis, _forward_sweep, _tested_data
-from .fem import (FeSpace, _scatter_matrix, assemble_tested, element_matrices,
-                  space_time_error, table_writer, term_tables)
+from .fem import (FeSpace, _scatter_matrix, _tabulate, assemble_tested,
+                  element_matrices, space_time_error, table_writer,
+                  term_tables)
 from .linalg import build_csr
 
 __all__ = ["MiniSpace", "build_mini_space", "mini_transient_solve",
            "MiniSolution", "velocity_error_l2"]
 
-_GRAD_HATS = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+# the monomial coefficients (1, x, y, x^2, xy, y^2, x^3, x^2 y, x y^2, y^3)
+# of lambda_0 = 1 - x - y, lambda_1 = x, lambda_2 = y and the bubble
+# 27 lambda_0 lambda_1 lambda_2 = 27 (xy - x^2 y - x y^2), one column each
+_COEFFICIENTS = np.array([[1, -1, -1, 0, 0, 0, 0, 0, 0, 0],
+                          [0, 1, 0, 0, 0, 0, 0, 0, 0, 0],
+                          [0, 0, 1, 0, 0, 0, 0, 0, 0, 0],
+                          [0, 0, 0, 0, 27, 0, 0, -27, -27, 0]], float).T
 
 
 class MiniSpace(FeSpace):
@@ -47,7 +56,9 @@ class MiniSpace(FeSpace):
     are the interior vertices and then every bubble, and the two
     velocity components stack them.  Pressure DOFs are all vertices.
     ``degree`` is 3, the bubble's, so the default matrix rule (degree 6)
-    integrates the bubble mass exactly.
+    integrates the bubble mass exactly.  The local basis is the columns
+    of ``_COEFFICIENTS``, so values, gradients and Hessians are all
+    tabulated.
     """
 
     def __init__(self, mesh):
@@ -57,20 +68,9 @@ class MiniSpace(FeSpace):
         return 0, 1
 
     def reference(self, points, order=0):
-        """Hats lambda_0..2 and the bubble 27 lambda_0 lambda_1 lambda_2:
-        values (order 0) or gradients (order 1) on the reference cell."""
-        x, y = points[..., 0], points[..., 1]
-        lam = np.stack([1.0 - x - y, x, y], axis=-1)
-        if order == 0:
-            bubble = 27.0 * lam[..., 0] * lam[..., 1] * lam[..., 2]
-            return np.concatenate([lam, bubble[..., None]], axis=-1)
-        if order != 1:
-            raise ValueError("MINI tables have order 0 or 1")
-        gb = 27.0 * (_GRAD_HATS[0] * (lam[..., 1] * lam[..., 2])[..., None]
-                     + _GRAD_HATS[1] * (lam[..., 0] * lam[..., 2])[..., None]
-                     + _GRAD_HATS[2] * (lam[..., 0] * lam[..., 1])[..., None])
-        return np.concatenate([np.broadcast_to(
-            _GRAD_HATS, points.shape[:-1] + (3, 2)), gb[..., None, :]], -2)
+        """Hats lambda_0..2 and the bubble 27 lambda_0 lambda_1 lambda_2 on
+        the reference cell: values, gradients or Hessians."""
+        return _tabulate(_COEFFICIENTS, self.degree, points, order)
 
     @property
     def n_scalar(self):

@@ -675,9 +675,11 @@ def _monolithic_solve(form, partition, order, f, psi0):
     coupling, mass = basis.coupling(), basis.gram()
     lengths = partition.lengths
     # the interval loads sum_i k_m sum_q w_q ell_a(tau_q) sigma_i(t_mq) b_i,
-    # summed in the order of dg_solve
-    loads = np.array([assemble_load_scalar(space, w)[free]
-                      for _, w in f.static_terms()])
+    # summed in the order of dg_solve: the free columns of the stacked
+    # (I, n_dofs) loads, laid out as dg_solve's (F-contiguous), so that
+    # weights[m] @ loads takes the same BLAS path and r = 0 rounds alike
+    loads = np.array([assemble_load_scalar(space, w)
+                      for _, w in f.static_terms()])[:, free]
     rule, sig = sample_time_factors(f, partition, data_time_points(order))
     tested = rule.weights[:, None] * basis.values(rule.points)
     weights = lengths[:, None, None] * (tested.T @ sig)

@@ -168,6 +168,24 @@ def test_the_space_owns_its_quadrature():
         assert "rule" not in inspect.signature(kernel).parameters, kernel
 
 
+def test_every_table_reads_the_basis_through_the_space():
+    """Only ``FeSpace.reference`` calls ``reference_basis``, so every table
+    and kernel, ``cip``'s edge traces included, reads the basis through
+    ``space.reference``; and the one tabulation ``fem._tabulate`` serves
+    the Lagrange bases and the MINI space alike."""
+    assert _callers("reference_basis") == {("fem", "FeSpace")}
+    space_class, = [node for node in ast.parse(
+        (SOURCE / "fem.py").read_text()).body
+        if getattr(node, "name", None) == "FeSpace"]
+    assert {method.name for method in space_class.body
+            if isinstance(method, ast.FunctionDef)
+            for node in ast.walk(method) if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "reference_basis"} == {
+        "reference"}
+    assert _callers("_tabulate") == {("fem", "reference_basis"),
+                                     ("mini_stokes", "MiniSpace")}
+
+
 def test_fem_owns_the_time_quadrature_of_the_data():
     """Every time rule of the data is built in ``fem.sample_time_factors``:
     the other Gauss rules on an interval are the edge rules of ``cip``;

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from streamfem.fem import (FeFunction, assemble_h1_stiffness,
                            assemble_load_dual, assemble_load_scalar,
                            assemble_tested, build_space, gradient_tables,
                            h1_field_error, h1_projection, reference_basis,
-                           table_writer, term_tables, _lattice)
+                           table_writer, term_tables, _lattice,
+                           _mono_table)
 from streamfem.linalg import symmetry_gap
 from streamfem.mesh import build_structured_mesh
 from streamfem.mini_stokes import build_mini_space
@@ -43,9 +45,47 @@ def test_p2_hessians_constant():
     assert a == pytest.approx(b, abs=1e-12)
 
 
+def _counted_mono_table(points, degree, dx, dy):
+    """Monomial derivatives with the factor counted one step at a time,
+    the reference of ``_mono_table``."""
+    x, y = points[..., 0], points[..., 1]
+    cols = []
+    for total in range(degree + 1):
+        for j in range(total + 1):
+            i, factor = total - j, 1.0
+            for _ in range(dx):
+                factor, i = factor * i, max(i - 1, 0)
+            for _ in range(dy):
+                factor, j = factor * j, max(j - 1, 0)
+            cols.append(factor * x ** i * y ** j if factor
+                        else np.zeros_like(x))
+    return np.stack(cols, axis=-1)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_monomial_derivatives_match_the_counted_factor(degree, rng):
+    """``_mono_table`` takes d_x^dx x^i = perm(i, dx) x^(i - dx) and keeps
+    the counted loop's operation order: the same bits, for every
+    derivative up to degree + 1."""
+    pts = rng.random((7, 3, 2))
+    for dx in range(degree + 2):
+        for dy in range(degree + 2 - dx):
+            assert np.array_equal(_mono_table(pts, degree, dx, dy),
+                                  _counted_mono_table(pts, degree, dx, dy))
+
+
 def test_unsupported_degree():
     with pytest.raises(ValueError):
         reference_basis(4, np.zeros(2), 0)
+
+
+def test_unsupported_order():
+    """The one tabulation refuses a derivative order past 2, for the
+    Lagrange bases and the MINI space alike."""
+    space = build_mini_space(build_structured_mesh(1))
+    for reference in (partial(reference_basis, 2), space.reference):
+        with pytest.raises(ValueError, match="order must be 0, 1 or 2"):
+            reference(np.zeros(2), 3)
 
 
 # -- spaces --------------------------------------------------------------

@@ -40,6 +40,41 @@ def test_rule_tables_follow_their_rule():
         assert vals[0, 1:3] == pytest.approx(pts[0], abs=1e-15)
 
 
+def test_reference_is_the_hats_and_the_bubble(rng):
+    """``MiniSpace.reference`` tabulates 1 - x - y, x, y and
+    27 xy (1 - x - y): their values, gradients and Hessians at random
+    points of the reference cell, to 1e-14."""
+    space = build_mini_space(build_structured_mesh(1))
+    pts = rng.random((200, 2)) * 0.5
+    x, y = pts.T
+    zero, one = np.zeros_like(x), np.ones_like(x)
+    lam0 = 1.0 - x - y
+    values = [lam0, x, y, 27.0 * x * y * lam0]
+    grads = [(-one, -one), (one, zero), (zero, one),
+             (27.0 * y * (lam0 - x), 27.0 * x * (lam0 - y))]
+    hessians = [((zero, zero), (zero, zero))] * 3 + [
+        ((-54.0 * y, 27.0 * (lam0 - x - y)),
+         (27.0 * (lam0 - x - y), -54.0 * x))]
+    for order, want in enumerate((values, grads, hessians)):
+        got = space.reference(pts, order)
+        assert got.shape == (len(pts), 4) + (2,) * order
+        assert np.abs(got - np.moveaxis(np.array(want), -1, 0)).max() \
+            <= 1e-14
+
+
+def test_bubble_gradients_are_orthogonal_to_the_hats():
+    """int_T d_a b d_c lambda_j = 0 on the reference cell for every a, c
+    and j with the space's matrix rule: the gradients of the hats are
+    constant and the bubble vanishes on the boundary, so the MINI
+    stiffness couples no bubble to a hat."""
+    space = build_mini_space(build_structured_mesh(1))
+    rule = space.default_matrix_rule()
+    grads = space.reference(rule.points, 1)                   # (Q, 4, 2)
+    coupling = np.einsum("q,qa,qjc->ajc", rule.weights, grads[:, 3],
+                         grads[:, :3])
+    assert np.abs(coupling).max() <= 1e-14
+
+
 @pytest.mark.parametrize("n", [1, 2, 8])
 def test_pressure_integrals_closed_form(n):
     """(q_j, 1) is the sum of |T| / 3 = det J / 6 over the triangles at

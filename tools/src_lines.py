@@ -11,6 +11,11 @@ Prints three counts for every ``src/streamfem/*.py``:
   functions named in the module's ``__all__``, the settable values its
   public functions offer.
 
+A module whose docstring says "do not edit" is written by a generator
+(``gauss_table.py`` by ``tools/gauss_table.py``): it is table data, not
+hand-written code, so it gets its own row below the total and is not
+summed into it.
+
 Run from anywhere: ``python tools/src_lines.py``.  With ``--against
 REF`` it prints, per file and in total, the change of each count from
 the git ref REF to the working tree instead; the text at REF is read
@@ -60,6 +65,11 @@ def _exported_defaults(tree):
                if isinstance(node, ast.FunctionDef) and node.name in exported)
 
 
+def generated(text):
+    """Whether a source text's module docstring marks it "do not edit"."""
+    return "do not edit" in (ast.get_docstring(ast.parse(text)) or "")
+
+
 def count(text):
     """(physical lines, code lines, exported defaults) of one source text."""
     tree = ast.parse(text)
@@ -92,21 +102,31 @@ def main(argv=None):
     parser.add_argument("--against", metavar="REF",
                         help="print the change of each count since REF")
     args = parser.parse_args(argv)
-    now = {path.name: count(path.read_text())
-           for path in SOURCE.glob("*.py")}
+    texts = {path.name: path.read_text() for path in SOURCE.glob("*.py")}
+    now = {name: count(text) for name, text in texts.items()}
     if args.against:
-        before = {name: count(text)
-                  for name, text in _at_ref(args.against).items()}
+        texts_before = _at_ref(args.against)
+        before = {name: count(text) for name, text in texts_before.items()}
         now = {name: tuple(a - b for a, b in
                            zip(now.get(name, (0, 0, 0)),
                                before.get(name, (0, 0, 0))))
                for name in now.keys() | before.keys()}
+        texts = {**texts_before, **texts}
+    tables = {name for name, text in texts.items() if generated(text)}
+    hand = sorted(item for item in now.items() if item[0] not in tables)
+    total = tuple(map(sum, zip(*(counts for _, counts in hand))))
     sign = "+" if args.against else ""
-    total = tuple(map(sum, zip(*now.values())))
-    print(f"{'file':<20} {'lines':>6} {'code':>6} {'defaults':>8}")
-    for name, counts in sorted(now.items()) + [("total", total)]:
+
+    def row(name, counts):
         print(f"{name:<20} " + " ".join(f"{c:>{sign}{width}}" for c, width
                                         in zip(counts, (6, 6, 8))))
+    print(f"{'file':<20} {'lines':>6} {'code':>6} {'defaults':>8}")
+    for name, counts in hand + [("total", total)]:
+        row(name, counts)
+    if tables:
+        print("generated, not in the total:")
+    for name in sorted(tables):
+        row(name, now[name])
     return 0
 
 
