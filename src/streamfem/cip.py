@@ -19,7 +19,10 @@ The element term is ``fem.element_matrices`` at k = 2: one product of
 the per-cell factor det J (G kron G), G = J^-1 J^-T, with the reference
 Hessian tensor.  Edge traces contract the reference gradient or Hessian
 of ``space.reference``, tabulated on each of the six oriented local
-edges, with the reference normal nu = J^-1 n.  The volume term of
+edges, with the reference normal nu = J^-1 n.  These edge tables
+(``_edge_tables``) are kept in the space's cache, one per derivative
+order and edge rule, so an assembly's six side traces and a pairing's
+three read three tables.  The volume term of
 ``consistency_pairing`` pulls D^2 w back to J^-1 (D^2 w) J^-T and tests
 it against the reference Hessians with one product.
 """
@@ -149,7 +152,8 @@ def _edge_tables(space, svals, order):
     use): j -> i for f = 0 and i -> j for f = 1, with f the mesh's
     ``tri_edge_forward``.  Returns a
     (6, 2**order, Q * n_loc) table; row a (order 1) or 2a + b (order 2)
-    holds d_a phi^ or d_a d_b phi^ at every point.
+    holds d_a phi^ or d_a d_b phi^ at every point, read-only, since
+    ``_side_traces`` shares it through the space's cache.
     """
     pts = []
     for i, j in _LOCAL_EDGES:
@@ -158,21 +162,27 @@ def _edge_tables(space, svals, order):
             pts.append(np.outer(1.0 - svals, r0) + np.outer(svals, r1))
     ref = space.reference(np.array(pts), order)            # (6, Q, L, ...)
     ref = ref.reshape(ref.shape[:3] + (-1,))
-    return np.moveaxis(ref, -1, 1).reshape(6, 2 ** order, -1)
+    table = np.moveaxis(ref, -1, 1).reshape(6, 2 ** order, -1)
+    table.setflags(write=False)
+    return table
 
 
-def _side_traces(space, tri, local_edge, normals, svals, order, out):
+def _side_traces(space, tri, local_edge, normals, rule, order, out):
     """Normal derivatives of one order of a side's local basis on edges.
 
     Writes (E, Q, n_loc) into ``out``: the first (order 1) or second
     (order 2) derivative along the edge normal of the local basis of
-    triangle `tri`, evaluated on the edge from that triangle's side.
+    triangle `tri`, evaluated on the edge from that triangle's side at
+    the points of the edge rule ``rule``.
     With the reference normal nu = J^-1 n, dn = nu . grad phi^ and
     d2n = nu^T (D^2 phi^) nu, so each edge configuration is one matrix
     product against its table, stored straight into its rows of ``out``.
+    The table is built once per space, order and rule, in the space's
+    cache, as ``FeSpace.basis_table`` is.
     """
     config = 2 * local_edge + space.mesh.tri_edge_forward[tri, local_edge]
-    table = _edge_tables(space, svals, order)
+    table = space._rule_table(("edge", order), rule,
+                              lambda: _edge_tables(space, rule.points, order))
     nu = (space.jac_inv[tri] @ normals[:, :, None])[..., 0]   # (E, 2)
     if order == 2:
         nu = (nu[:, :, None] * nu[:, None, :]).reshape(-1, 4)
@@ -181,7 +191,7 @@ def _side_traces(space, tri, local_edge, normals, svals, order, out):
         out[sel] = (nu[sel] @ table[k]).reshape(-1, *out.shape[1:])
 
 
-def _edge_traces(space, sides, normals, svals, order):
+def _edge_traces(space, sides, normals, rule, order):
     """[[dn phi]] (order 1) or {d2n phi} (order 2) on one part's edges.
 
     The sides' traces times their jump sign or average weight, side by
@@ -189,10 +199,10 @@ def _edge_traces(space, sides, normals, svals, order):
     side's traces written into its slice and scaled there.
     """
     n_loc = space.dof_map.shape[1]
-    out = np.empty((len(normals), len(svals), n_loc * len(sides)))
+    out = np.empty((len(normals), rule.points.size, n_loc * len(sides)))
     for s, (tri, loc, sign, weight) in enumerate(sides):
         part = out[:, :, s * n_loc:(s + 1) * n_loc]
-        _side_traces(space, tri, loc, normals, svals, order, part)
+        _side_traces(space, tri, loc, normals, rule, order, part)
         part *= sign if order == 1 else weight
     return out
 
@@ -280,7 +290,6 @@ def _assemble_matrices(space, eta):
     claim(dof)[:] = element_matrices(space, 2)
 
     erule = interval_rule(_edge_rule_points(space.degree))
-    svals = erule.points
 
     def accumulate(edges, jump, avg, gdofs):
         # out = (c + c^T) + (p + p^T) / 2 with c the consistency and p the
@@ -299,8 +308,8 @@ def _assemble_matrices(space, eta):
         out += scratch
 
     for edges, normals, sides, gdofs in parts:
-        accumulate(edges, _edge_traces(space, sides, normals, svals, 1),
-                   _edge_traces(space, sides, normals, svals, 2), gdofs)
+        accumulate(edges, _edge_traces(space, sides, normals, erule, 1),
+                   _edge_traces(space, sides, normals, erule, 2), gdofs)
 
     full = build_csr(rows, cols, vals, (space.n_dofs, space.n_dofs))
     del rows, cols, vals
@@ -338,7 +347,7 @@ def consistency_pairing(form, w):
         n = normals[:, None, :, None]                         # (E, 1, 2, 1)
         d2n_w = (np.swapaxes(n, 2, 3) @ w.hess(0.0, pts) @ n)[..., 0, 0]
         weights = d2n_w * erule.weights * mesh.edge_lengths[edges][:, None]
-        jump = _edge_traces(space, sides, normals, svals, 1)
+        jump = _edge_traces(space, sides, normals, erule, 1)
         np.add.at(out, gdofs, (weights[:, None, :] @ jump)[:, 0])
     return out
 

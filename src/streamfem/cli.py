@@ -31,8 +31,9 @@ import numpy as np
 from . import manufactured as mf
 from .cip import (CoercivityError, _assemble_matrices, apply_Ah,
                   assemble_cip, ritz_projection)
-from .dg_time import (best_approx_terms, bh_analytic, bh_dual, bh_primal,
-                      dg_solve, make_partition, stability_data_norm,
+from .dg_time import (best_approx_terms, bh_analytic_functional, bh_dual,
+                      bh_primal, bh_primal_functional, dg_solve,
+                      make_partition, stability_data_norm,
                       stability_functional)
 from .fem import FeFunction, build_space, h1_field_error, space_time_h1_error
 from .linalg import SolverError, symmetry_gap
@@ -283,6 +284,13 @@ def _diagnose(cfg):
     Raises CoercivityError straight from assembly when the penalty is
     too small; all other checks are reported with their measured value
     against the documented tolerance.
+
+    The Galerkin-orthogonality residual compares ``bh_analytic`` of the
+    exact psi with ``bh_primal`` of the discrete solution, so it carries
+    the space quadrature of the data and shrinks as the mesh is refined:
+    its 1e-7 tolerance is met at the shipped n=16 and not on coarser
+    meshes (2.339e-03 at n=4 M=4, 7.219e-07 at n=8 M=32, 1.093e-08 at
+    n=16 M=32), where ``--assert`` exits 1.
     """
     (n,), (m_steps,) = cfg.mesh_list, cfg.steps_list
     r = cfg.dg_order
@@ -358,12 +366,15 @@ def _diagnose(cfg):
         pd_gap = max(pd_gap, abs(p - d) / (abs(p) + abs(d)))
     check("primal/dual form agreement", pd_gap, 1e-11)
 
+    # both sides are built once; the draws come one at a time, since
+    # stacking them would hold all ten at once
+    analytic = bh_analytic_functional(form, psi, partition, r)
+    primal = bh_primal_functional(form, partition, r, sol.coefficients)
     go = 0.0
     for _ in range(10):
         vb = rng.standard_normal(sol.coefficients.shape)
         vb[:, :, space.boundary_dofs] = 0.0
-        lhs = bh_analytic(form, psi, partition, r, vb)
-        rhs = bh_primal(form, partition, r, sol.coefficients, vb)
+        lhs, rhs = analytic(vb), primal(vb)
         go = max(go, abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-30))
     check("Galerkin orthogonality residual", go, 1e-7)
 
@@ -395,7 +406,11 @@ def _diagnose(cfg):
 def diagnostics(cfg):
     """Run the diagnostics study, write its summary file and return its
     checks, the (name, value, tolerance, ok) tuples: the one study that
-    ``perfbench`` runs through this module, which reads both."""
+    ``perfbench`` runs through this module, which reads both.
+
+    Its Galerkin-orthogonality check holds at the default mesh (n=16)
+    and fails on coarser ones, since the residual carries the space
+    quadrature of the data (``_diagnose``)."""
     record = _diagnose(cfg)
     _write(record)
     return record.checks

@@ -6,7 +6,10 @@ coefficient and no extrapolation is needed.  The points are the roots
 of the Jacobi polynomial P_r^(1,0) that ``quadrature.gauss_jacobi``
 gives (scipy.special's, from a table up to r = 16) followed by 1, and
 the basis is held in Legendre coefficients (``TimeBasis``), never in
-monomials, so it stays exact to roundoff as r grows.  The transient
+monomials, so it stays exact to roundoff as r grows.  Like the points
+and the modes (``radau_points``, ``time_modes``), the basis arrays are
+built once per order and read-only, so every ``TimeBasis(r)`` shares one
+set.  The transient
 solve is an interval-by-interval forward sweep: interval m couples to
 the past only through K applied to the outgoing value at t_{m-1},
 seeded at m=1 by the H1_0 projection of the initial datum.  One sweep
@@ -44,7 +47,11 @@ every r, so the growth of that residual with r comes from V alone.
 
 The space-time forms (``bh_primal``, ``bh_dual``, ``stability_functional``)
 pair all intervals at once on (M, r+1, n) coefficient blocks; their jump
-terms are shifts of the blocks by one interval.
+terms are shifts of the blocks by one interval.  ``bh_primal`` and
+``bh_analytic`` are their functionals applied once:
+``bh_primal_functional`` and ``bh_analytic_functional`` build the side
+that does not depend on the test block V and return V -> value, so a
+check that pairs many test blocks with one trial side builds it once.
 
 The space discretization enters only through a form with six members:
 ``space``; ``matrix_free``, a_h on the free DOFs (every discrete
@@ -85,7 +92,8 @@ __all__ = ["TimePartition", "make_partition", "radau_points", "TimeBasis",
            "time_modes", "DgSolution", "data_time_points", "dg_solve",
            "time_projection_values",
            "stability_functional", "stability_data_norm",
-           "best_approx_terms", "bh_primal", "bh_dual", "bh_analytic"]
+           "best_approx_terms", "bh_primal", "bh_primal_functional",
+           "bh_dual", "bh_analytic", "bh_analytic_functional"]
 
 
 @dataclass(frozen=True)
@@ -146,17 +154,14 @@ class TimeBasis:
     Vandermonde matrix at the nodes) and, for ell_a', of ``dcoef``.  So
     the Gram matrices are exact sums, from int_0^1 P_i P_j d tau =
     delta_ij / (2i + 1), no quadrature rule is built and ell_a' is never
-    evaluated.
+    evaluated.  The arrays are built once per order (``_basis_arrays``)
+    and read-only: every basis of one order shares them.
     """
 
     def __init__(self, order):
         self.order = order
         self.nodes = radau_points(order)
-        self.coef = np.linalg.inv(_legendre(self.nodes, order))
-        # d/d tau = 2 d/dx; a zero top row keeps r + 1 rows after legder
-        self.dcoef = 2.0 * np.polynomial.legendre.legder(
-            np.vstack([self.coef, np.zeros(order + 1)]))
-        self.left_values = self.values(0.0)
+        self.coef, self.dcoef, self.left_values = _basis_arrays(order)
 
     def values(self, tau):
         tau = np.asarray(tau, dtype=float)
@@ -172,6 +177,20 @@ class TimeBasis:
     def coupling(self):
         """C = G' + l(0) l(0)^T: the time derivative and the incoming jump."""
         return self.gram(da=1) + np.outer(self.left_values, self.left_values)
+
+
+@lru_cache(maxsize=None)
+def _basis_arrays(order):
+    """``coef``, ``dcoef`` and ``left_values`` of ``TimeBasis(order)``,
+    read-only."""
+    coef = np.linalg.inv(_legendre(radau_points(order), order))
+    # d/d tau = 2 d/dx; a zero top row keeps r + 1 rows after legder
+    dcoef = 2.0 * np.polynomial.legendre.legder(
+        np.vstack([coef, np.zeros(order + 1)]))
+    left_values = (_legendre(np.zeros(1), order) @ coef)[0]   # ell_a(0)
+    for arr in (coef, dcoef, left_values):
+        arr.setflags(write=False)
+    return coef, dcoef, left_values
 
 
 def _legendre(tau, degree):
@@ -421,9 +440,9 @@ def stability_functional(sol, form, psi0=None):
     prev = np.concatenate([_initial_coefficients(space, psi0)[free][None],
                            x[:-1, -1]])
     jumps = (basis.left_values @ x - prev)[:, None]
-    return (_pair_blocks(basis.gram(da=1, db=1), k_free, x, x, 1.0 / lengths),
-            _pair_blocks(basis.gram(), k_free, lifted, lifted, lengths),
-            _pair_blocks(_ONE, k_free, jumps, jumps, 1.0 / lengths))
+    return (_pairing(basis.gram(da=1, db=1), k_free, x, 1.0 / lengths)(x),
+            _pairing(basis.gram(), k_free, lifted, lengths)(lifted),
+            _pairing(_ONE, k_free, jumps, 1.0 / lengths)(jumps))
 
 
 def stability_data_norm(form, f, partition, psi0=None):
@@ -499,15 +518,41 @@ def best_approx_terms(psi, form, partition, order):
 _ONE = np.ones((1, 1))  # the Gram matrix of one-node blocks (jump terms)
 
 
-def _pair_blocks(gram, mat, x, y, scale=None):
-    """sum_m scale_m sum_ab G[b, a] (S x_ma) . y_mb over all intervals.
+def _pairing(gram, mat, x, scale=None):
+    """y -> sum_m scale_m sum_ab G[b, a] (S x_ma) . y_mb over all intervals.
 
     x and y are (M, r+1, n) blocks (r+1 = 1 for values at one time) and
-    S an (n, n) matrix; scale_m = 1 when ``scale`` is None.
+    S an (n, n) matrix; scale_m = 1 when ``scale`` is None.  The block
+    product S x is formed once, here, so every y pairs against the same
+    array.
     """
     sx = (mat @ x.reshape(-1, x.shape[-1]).T).T.reshape(x.shape)
-    per = np.einsum("ba,maf,mbf->m", gram, sx, y)
-    return float(per.sum() if scale is None else scale @ per)
+
+    def pair(y):
+        per = np.einsum("ba,maf,mbf->m", gram, sx, y)
+        return float(per.sum() if scale is None else scale @ per)
+    return pair
+
+
+def bh_primal_functional(form, partition, order, ucoef):
+    """The linear functional V -> ``bh_primal(form, partition, order,
+    ucoef, V)``.
+
+    Its three block products of ``ucoef`` (K u, a_h u and K applied to
+    the jumps of u) are formed once, at the call, so each V costs three
+    pairings alone.
+    """
+    k = form.space.h1_stiffness()
+    basis = TimeBasis(order)
+    u_prev = np.concatenate([np.zeros_like(ucoef[:1, -1]), ucoef[:-1, -1]])
+    jumps = (basis.left_values @ ucoef - u_prev)[:, None]
+    free = form.space.free_dofs
+    derivative = _pairing(basis.gram(da=1), k, ucoef)
+    elliptic = _pairing(basis.gram(), form.matrix_free, ucoef[..., free],
+                        partition.lengths)
+    jump = _pairing(_ONE, k, jumps)
+    return lambda vcoef: (derivative(vcoef) + elliptic(vcoef[..., free])
+                          + jump((basis.left_values @ vcoef)[:, None]))
 
 
 def bh_primal(form, partition, order, ucoef, vcoef):
@@ -517,16 +562,7 @@ def bh_primal(form, partition, order, ucoef, vcoef):
     read on their free DOFs.  The initial term pairs the incoming values
     at t_0; the jump terms couple each interval to the previous one.
     """
-    k = form.space.h1_stiffness()
-    basis = TimeBasis(order)
-    u_prev = np.concatenate([np.zeros_like(ucoef[:1, -1]), ucoef[:-1, -1]])
-    jumps = (basis.left_values @ ucoef - u_prev)[:, None]
-    free = form.space.free_dofs
-    return (_pair_blocks(basis.gram(da=1), k, ucoef, vcoef)
-            + _pair_blocks(basis.gram(), form.matrix_free, ucoef[..., free],
-                           vcoef[..., free], partition.lengths)
-            + _pair_blocks(_ONE, k, jumps,
-                           (basis.left_values @ vcoef)[:, None]))
+    return bh_primal_functional(form, partition, order, ucoef)(vcoef)
 
 
 def bh_dual(form, partition, order, ucoef, vcoef):
@@ -541,10 +577,33 @@ def bh_dual(form, partition, order, ucoef, vcoef):
                              np.zeros_like(vcoef[:1, -1])])
     jumps = (v_next - vcoef[:, -1])[:, None]
     free = form.space.free_dofs
-    return (-_pair_blocks(basis.gram(db=1), k, ucoef, vcoef)
-            + _pair_blocks(basis.gram(), form.matrix_free, ucoef[..., free],
-                           vcoef[..., free], partition.lengths)
-            - _pair_blocks(_ONE, k, ucoef[:, -1:], jumps))
+    return (-_pairing(basis.gram(db=1), k, ucoef)(vcoef)
+            + _pairing(basis.gram(), form.matrix_free, ucoef[..., free],
+                       partition.lengths)(vcoef[..., free])
+            - _pairing(_ONE, k, ucoef[:, -1:])(jumps))
+
+
+def bh_analytic_functional(form, psi, partition, order):
+    """The linear functional V -> ``bh_analytic(form, psi, partition,
+    order, V)``.
+
+    Its loads, pairings and tested data (``_tested_data``, twice) are
+    built once, at the call, so each V costs three products alone.
+    """
+    space = form.space
+    basis = TimeBasis(order)
+    gloads = term_tables(space, psi, "grad load")               # (I, n)
+    cpairs = form.pairings(psi)
+    points = data_time_points(order)
+    weights = _tested_data(psi, partition, order, points)
+    dweights = _tested_data(_time_derivative(psi), partition, order, points)
+    initial = np.array([tf.fn(0.0) for tf, _ in psi.terms]) @ gloads
+
+    def value(vcoef):
+        return (float(np.vdot(dweights, vcoef @ gloads.T)
+                      + np.vdot(weights, vcoef @ cpairs.T))
+                + float(initial @ (basis.left_values @ vcoef[0])))
+    return value
 
 
 def bh_analytic(form, psi, partition, order, vcoef):
@@ -560,16 +619,4 @@ def bh_analytic(form, psi, partition, order, vcoef):
     Its space rule is the data rule, so Galerkin orthogonality holds up
     to the space quadrature of the two sides.
     """
-    space = form.space
-    basis = TimeBasis(order)
-    gloads = term_tables(space, psi, "grad load")               # (I, n)
-    cpairs = form.pairings(psi)
-    points = data_time_points(order)
-    weights = _tested_data(psi, partition, order, points)
-    dweights = _tested_data(_time_derivative(psi), partition, order, points)
-    total = float(np.vdot(dweights, vcoef @ gloads.T)
-                  + np.vdot(weights, vcoef @ cpairs.T))
-
-    sig0 = np.array([tf.fn(0.0) for tf, _ in psi.terms])
-    total += float((sig0 @ gloads) @ (basis.left_values @ vcoef[0]))
-    return total
+    return bh_analytic_functional(form, psi, partition, order)(vcoef)

@@ -200,7 +200,8 @@ class FeSpace:
     names either.
 
     The space caches what depends on it alone, for as long as it lives:
-    the rule tables (``phys_points``, ``basis_table``), the H1 stiffness
+    the rule tables (``phys_points``, ``basis_table`` and ``cip``'s edge
+    tables, one per derivative order and edge rule), the H1 stiffness
     matrix, its free block and factor, and the static data of separable
     fields (``term_table``), one entry per kind, spatial term and data
     rule; ``term_tables`` stacks these four kinds over the terms of a

@@ -4,12 +4,14 @@ import inspect
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import streamfem
-from streamfem import cli
+from streamfem import cip, cli, dg_time
 from streamfem.cli import main
 
 
@@ -22,6 +24,33 @@ def test_diagnostics_assert_passes_at_defaults(tmp_path, capsys):
     assert "FAIL" not in out
     assert out.count("PASS") == 8
     assert code == 0
+
+
+def test_diagnostics_builds_each_invariant_once(tmp_path, monkeypatch):
+    """One run at the defaults (dG(0)) builds the basis arrays once (the
+    one ``legder`` call; 52 when every basis built its own), the edge
+    tables once per space, order and edge rule (``_edge_tables``: 3 for
+    the form's space, 2 for the reversed mesh's; 15 when every side
+    trace built its own) and tests the data of ``dg_solve`` and of
+    ``bh_analytic``'s two sweeps once each (``_tested_data``: 3; 21 when
+    each of the Galerkin check's 10 draws rebuilt ``bh_analytic``)."""
+    counts = Counter()
+
+    def counted(name, build):
+        def call(*args):
+            counts[name] += 1
+            return build(*args)
+        return call
+    monkeypatch.setattr(np.polynomial.legendre, "legder",
+                        counted("basis", np.polynomial.legendre.legder))
+    monkeypatch.setattr(cip, "_edge_tables",
+                        counted("edge", cip._edge_tables))
+    monkeypatch.setattr(dg_time, "_tested_data",
+                        counted("tested", dg_time._tested_data))
+    dg_time._basis_arrays.cache_clear()
+    assert main(["diagnostics", "--out",
+                 str(tmp_path / "diagnostics.csv")]) == 0
+    assert counts == {"basis": 1, "edge": 5, "tested": 3}
 
 
 def _read_summary(path):

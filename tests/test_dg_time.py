@@ -9,9 +9,10 @@ from streamfem import dg_time, linalg
 from streamfem import manufactured as mf
 from streamfem.cip import _assemble_matrices, assemble_cip
 from streamfem.dg_time import (DgSolution, TimeBasis, TimePartition,
-                               best_approx_terms, bh_analytic, bh_dual,
-                               bh_primal, data_time_points, dg_solve,
-                               make_partition, radau_points,
+                               best_approx_terms, bh_analytic,
+                               bh_analytic_functional, bh_dual, bh_primal,
+                               bh_primal_functional, data_time_points,
+                               dg_solve, make_partition, radau_points,
                                stability_data_norm, stability_functional,
                                time_projection_values)
 from streamfem.fem import (FeFunction, build_space, gradient_tables,
@@ -79,6 +80,26 @@ def test_time_basis_gram_r1_exact():
         np.array([[-9.0 / 8.0, 9.0 / 8.0], [-3.0 / 8.0, 3.0 / 8.0]]),
         abs=1e-14)
     assert basis.left_values == pytest.approx([1.5, -0.5])
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_time_bases_of_one_order_share_read_only_arrays(order):
+    """The arrays are built once per order, from the inverse Legendre
+    Vandermonde matrix, its derivative and the values at 0: two bases
+    hold the same arrays, bit-equal to these expressions, and a write to
+    them raises."""
+    basis, other = TimeBasis(order), TimeBasis(order)
+    coef = np.linalg.inv(np.polynomial.legendre.legvander(
+        2.0 * radau_points(order) - 1.0, order))
+    dcoef = 2.0 * np.polynomial.legendre.legder(
+        np.vstack([coef, np.zeros(order + 1)]))
+    for name, want in (("coef", coef), ("dcoef", dcoef),
+                       ("left_values", basis.values(0.0))):
+        arr = getattr(basis, name)
+        assert arr is getattr(other, name)
+        assert np.array_equal(arr, want)
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0.0
 
 
 _HIGH_ORDERS = range(1, 13)
@@ -544,6 +565,65 @@ def test_primal_dual_check_fails_on_a_wrong_gram(space_n4_l2, rng,
     p = bh_primal(form, part, 1, u, v)
     d = bh_dual(form, part, 1, u, v)
     assert abs(p - d) > 1e-11 * (abs(p) + abs(d))
+
+
+def _pair_blocks(gram, mat, x, y, scale=None):
+    sx = (mat @ x.reshape(-1, x.shape[-1]).T).T.reshape(x.shape)
+    per = np.einsum("ba,maf,mbf->m", gram, sx, y)
+    return float(per.sum() if scale is None else scale @ per)
+
+
+def _primal_in_one_pass(form, partition, order, ucoef, vcoef):
+    """bh_primal with both blocks in one pass, the trial side formed
+    against the one test block: the reference of ``bh_primal_functional``
+    in the same arithmetic."""
+    k = form.space.h1_stiffness()
+    basis = TimeBasis(order)
+    u_prev = np.concatenate([np.zeros_like(ucoef[:1, -1]), ucoef[:-1, -1]])
+    jumps = (basis.left_values @ ucoef - u_prev)[:, None]
+    free = form.space.free_dofs
+    return (_pair_blocks(basis.gram(da=1), k, ucoef, vcoef)
+            + _pair_blocks(basis.gram(), form.matrix_free, ucoef[..., free],
+                           vcoef[..., free], partition.lengths)
+            + _pair_blocks(np.ones((1, 1)), k, jumps,
+                           (basis.left_values @ vcoef)[:, None]))
+
+
+def _analytic_in_one_pass(form, psi, partition, order, vcoef):
+    """bh_analytic with its data built against the one test block: the
+    reference of ``bh_analytic_functional`` in the same arithmetic."""
+    space = form.space
+    basis = TimeBasis(order)
+    gloads = term_tables(space, psi, "grad load")
+    cpairs = form.pairings(psi)
+    points = data_time_points(order)
+    weights = dg_time._tested_data(psi, partition, order, points)
+    dweights = dg_time._tested_data(dg_time._time_derivative(psi),
+                                    partition, order, points)
+    total = float(np.vdot(dweights, vcoef @ gloads.T)
+                  + np.vdot(weights, vcoef @ cpairs.T))
+    sig0 = np.array([tf.fn(0.0) for tf, _ in psi.terms])
+    total += float((sig0 @ gloads) @ (basis.left_values @ vcoef[0]))
+    return total
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_functionals_are_the_forms_bit_for_bit(order, space_n4_l2, rng):
+    """A functional built once gives, on each of three test blocks, the
+    value of its form and of the one-pass reference, bit for bit."""
+    form = assemble_cip(space_n4_l2)
+    part = TimePartition(make_partition(4).nodes ** 2)
+    psi = mf.psi_exact()
+    shape = (4, order + 1, space_n4_l2.n_dofs)
+    u = _random_blocks(rng, space_n4_l2, shape)
+    primal = bh_primal_functional(form, part, order, u)
+    analytic = bh_analytic_functional(form, psi, part, order)
+    for _ in range(3):
+        v = _random_blocks(rng, space_n4_l2, shape)
+        assert (primal(v) == bh_primal(form, part, order, u, v)
+                == _primal_in_one_pass(form, part, order, u, v))
+        assert (analytic(v) == bh_analytic(form, psi, part, order, v)
+                == _analytic_in_one_pass(form, psi, part, order, v))
 
 
 @pytest.mark.parametrize("order", [0, 1])

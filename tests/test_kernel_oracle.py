@@ -326,14 +326,15 @@ def test_side_traces(space, reversed_, renumbered):
     normals = mesh.normals
     minus, plus = mesh.edge_tris.T
     lminus, lplus = mesh.edge_local.T
-    svals = interval_rule(_edge_rule_points(space.degree)).points
+    erule = interval_rule(_edge_rule_points(space.degree))
+    svals = erule.points
     interior = np.flatnonzero(~mesh.boundary_edge)
     for tri, loc in ((plus[interior], lplus[interior]),
                      (minus[interior], lminus[interior])):
         old = oracle_side_traces(space, tri, loc, normals[interior], svals)
         for order, want in zip((1, 2), old):
             got = np.empty(want.shape)
-            _side_traces(space, tri, loc, normals[interior], svals, order,
+            _side_traces(space, tri, loc, normals[interior], erule, order,
                          got)
             assert_close(got, want)
 
@@ -455,12 +456,12 @@ def test_edge_traces_are_built_in_place():
     and their concatenation took 2.0 times (numpy 2.4).
     """
     space = build_space(build_structured_mesh(32), 3)
-    svals = interval_rule(_edge_rule_points(3)).points
+    erule = interval_rule(_edge_rule_points(3))
     _, normals, sides, _ = next(_edge_parts(space))
-    _edge_traces(space, sides, normals, svals, 1)
+    _edge_traces(space, sides, normals, erule, 1)
     tracemalloc.start()
     try:
-        out = _edge_traces(space, sides, normals, svals, 1)
+        out = _edge_traces(space, sides, normals, erule, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
