@@ -12,8 +12,8 @@ from .mesh import Mesh, build_structured_mesh
 from .quadrature import QuadratureRule, triangle_rule, interval_rule
 from .fem import (FeSpace, FeFunction, build_space, reference_basis,
                   assemble_h1_stiffness, assemble_load_scalar,
-                  assemble_load_dual, assemble_load_gradient, h1_projection,
-                  h1_field_error, space_time_h1_error)
+                  assemble_load_gradient, h1_projection, h1_field_error,
+                  space_time_h1_error)
 from .linalg import SolverError, Factorized
 from .cip import (CipForm, CoercivityError, assemble_cip,
                   consistency_pairing, ritz_projection, apply_Ah)

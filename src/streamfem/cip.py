@@ -106,10 +106,9 @@ class CipForm:
     def triple_norm(self, v):
         """Energy norm sqrt(a_h(v, v)); raises when coercivity fails.
 
-        v lies in V_h, so a_h is read on its free DOFs.
+        v is an ``FeFunction`` of V_h, so a_h is read on its free DOFs.
         """
-        c = v.coefficients if isinstance(v, FeFunction) else np.asarray(v)
-        c = c[self.space.free_dofs]
+        c = v.coefficients[self.space.free_dofs]
         quad = float(c @ (self.matrix_free @ c))
         floor = -1e-12 * float(c @ c)
         if quad < floor:

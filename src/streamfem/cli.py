@@ -32,9 +32,8 @@ from . import manufactured as mf
 from .cip import (CoercivityError, _assemble_matrices, apply_Ah,
                   assemble_cip, ritz_projection)
 from .dg_time import (best_approx_terms, bh_analytic_functional, bh_dual,
-                      bh_primal, bh_primal_functional, dg_solve,
-                      make_partition, stability_data_norm,
-                      stability_functional)
+                      bh_primal_functional, dg_solve, make_partition,
+                      stability_data_norm, stability_functional)
 from .fem import FeFunction, build_space, h1_field_error, space_time_h1_error
 from .linalg import SolverError, symmetry_gap
 from .mesh import Mesh, build_structured_mesh
@@ -285,12 +284,15 @@ def _diagnose(cfg):
     too small; all other checks are reported with their measured value
     against the documented tolerance.
 
-    The Galerkin-orthogonality residual compares ``bh_analytic`` of the
-    exact psi with ``bh_primal`` of the discrete solution, so it carries
-    the space quadrature of the data and shrinks as the mesh is refined:
-    its 1e-7 tolerance is met at the shipped n=16 and not on coarser
-    meshes (2.339e-03 at n=4 M=4, 7.219e-07 at n=8 M=32, 1.093e-08 at
-    n=16 M=32), where ``--assert`` exits 1.
+    The Galerkin-orthogonality residual compares B(psi, V) of the exact
+    psi (``bh_analytic_functional``) with B(U, V) of the discrete
+    solution (``bh_primal_functional``), so it carries the space
+    quadrature of the data and shrinks as the mesh is refined: its 1e-7
+    tolerance is met at the shipped P2 n=16 and not on coarser meshes
+    (2.339e-03 at n=4 M=4, 7.219e-07 at n=8 M=32, 1.093e-08 at n=16
+    M=32), where ``--assert`` exits 1.  P3 misses it at the shipped
+    n=16 M=32 too (1.417e-07), so ``diagnostics --degree 3 --assert``
+    exits 1, and meets it at n=24 (2.241e-08) and n=32 (1.343e-09).
     """
     (n,), (m_steps,) = cfg.mesh_list, cfg.steps_list
     r = cfg.dg_order
@@ -361,7 +363,7 @@ def _diagnose(cfg):
         vb = rng.standard_normal(sol.coefficients.shape)
         ub[:, :, space.boundary_dofs] = 0.0
         vb[:, :, space.boundary_dofs] = 0.0
-        p = bh_primal(form, partition, r, ub, vb)
+        p = bh_primal_functional(form, partition, r, ub)(vb)
         d = bh_dual(form, partition, r, ub, vb)
         pd_gap = max(pd_gap, abs(p - d) / (abs(p) + abs(d)))
     check("primal/dual form agreement", pd_gap, 1e-11)

@@ -45,13 +45,16 @@ so every interval's residual is checked on the coupled system, not on
 the diagonalized one.  The time basis itself is exact to roundoff at
 every r, so the growth of that residual with r comes from V alone.
 
-The space-time forms (``bh_primal``, ``bh_dual``, ``stability_functional``)
-pair all intervals at once on (M, r+1, n) coefficient blocks; their jump
-terms are shifts of the blocks by one interval.  ``bh_primal`` and
-``bh_analytic`` are their functionals applied once:
+The space-time forms (``bh_primal_functional``, ``bh_dual``,
+``stability_functional``) pair all intervals at once on (M, r+1, n)
+coefficient blocks; their jump terms are shifts of the blocks by one
+interval.  The forward form B(U, V) and its extension B(psi, V) to a
+smooth field exist only as functionals of the test block V:
 ``bh_primal_functional`` and ``bh_analytic_functional`` build the side
-that does not depend on the test block V and return V -> value, so a
-check that pairs many test blocks with one trial side builds it once.
+that does not depend on V and return V -> value, so a check that pairs
+many test blocks with one trial side builds it once.  The backward form
+``bh_dual`` takes both blocks; it is the independent side of the
+primal/dual check.
 
 The space discretization enters only through a form with six members:
 ``space``; ``matrix_free``, a_h on the free DOFs (every discrete
@@ -71,11 +74,11 @@ data names only its number of Gauss points, from which
 is built here: the Gram matrices of ``TimeBasis.gram`` are exact sums
 over Legendre coefficients.  ``_tested_data`` tests the time factors that
 ``sample_time_factors`` samples against the dG basis; the loads of both
-sweeps and the data side of ``bh_analytic`` are these arrays times
-static tables, for ``dg_solve`` and ``bh_analytic`` at the same
-``data_time_points(r)`` points, so Galerkin orthogonality holds up to
-the space quadrature alone.  Only ``bh_analytic`` reads sigma_i', as
-the time factors of ``_time_derivative``.
+sweeps and the data side of ``bh_analytic_functional`` are these arrays
+times static tables, for ``dg_solve`` and ``bh_analytic_functional`` at
+the same ``data_time_points(r)`` points, so Galerkin orthogonality holds
+up to the space quadrature alone.  Only ``bh_analytic_functional`` reads
+sigma_i', as the time factors of ``_time_derivative``.
 """
 
 from dataclasses import dataclass
@@ -92,8 +95,8 @@ __all__ = ["TimePartition", "make_partition", "radau_points", "TimeBasis",
            "time_modes", "DgSolution", "data_time_points", "dg_solve",
            "time_projection_values",
            "stability_functional", "stability_data_norm",
-           "best_approx_terms", "bh_primal", "bh_primal_functional",
-           "bh_dual", "bh_analytic", "bh_analytic_functional"]
+           "best_approx_terms", "bh_primal_functional", "bh_dual",
+           "bh_analytic_functional"]
 
 
 @dataclass(frozen=True)
@@ -164,9 +167,8 @@ class TimeBasis:
         self.coef, self.dcoef, self.left_values = _basis_arrays(order)
 
     def values(self, tau):
-        tau = np.asarray(tau, dtype=float)
-        out = _legendre(np.atleast_1d(tau), self.order) @ self.coef
-        return out[0] if tau.ndim == 0 else out
+        """V[q, a] = ell_a(tau_q) at the points of the array tau."""
+        return _legendre(tau, self.order) @ self.coef
 
     def gram(self, da=0, db=0):
         """G[b, a] = int_0^1 ell_a^(da) ell_b^(db) d tau."""
@@ -481,9 +483,10 @@ def best_approx_terms(psi, form, partition, order):
     projection composed with the interval-wise time projection), to its
     energy-form projection, and to its time projection.  Separable
     structure is exploited: each spatial factor is projected once, its
-    gradient load and consistency pairing shared with ``bh_analytic``
-    and its Ritz projection solved with ``form.factor()``.  The norms
-    take 5 Gauss points per interval and the data rule in space.
+    gradient load and consistency pairing shared with
+    ``bh_analytic_functional`` and its Ritz projection solved with
+    ``form.factor()``.  The norms take 5 Gauss points per interval and
+    the data rule in space.
     """
     space = form.space
     free = space.free_dofs
@@ -535,12 +538,15 @@ def _pairing(gram, mat, x, scale=None):
 
 
 def bh_primal_functional(form, partition, order, ucoef):
-    """The linear functional V -> ``bh_primal(form, partition, order,
-    ucoef, V)``.
+    """The space-time form B(U, V) in its forward shape, as the linear
+    functional V -> B(U, V) of the trial block U = ``ucoef``.
 
-    Its three block products of ``ucoef`` (K u, a_h u and K applied to
-    the jumps of u) are formed once, at the call, so each V costs three
-    pairings alone.
+    Both blocks have shape (M, r+1, n_dofs) and lie in V_h; a_h is read
+    on their free DOFs.  The initial term pairs the incoming values at
+    t_0; the jump terms couple each interval to the previous one.  The
+    three block products of U (K u, a_h u and K applied to the jumps of
+    u) are formed once, at the call, so each V costs three pairings
+    alone.
     """
     k = form.space.h1_stiffness()
     basis = TimeBasis(order)
@@ -555,20 +561,10 @@ def bh_primal_functional(form, partition, order, ucoef):
                           + jump((basis.left_values @ vcoef)[:, None]))
 
 
-def bh_primal(form, partition, order, ucoef, vcoef):
-    """Space-time form in its forward shape on coefficient blocks.
-
-    Both arguments have shape (M, r+1, n_dofs) and lie in V_h; a_h is
-    read on their free DOFs.  The initial term pairs the incoming values
-    at t_0; the jump terms couple each interval to the previous one.
-    """
-    return bh_primal_functional(form, partition, order, ucoef)(vcoef)
-
-
 def bh_dual(form, partition, order, ucoef, vcoef):
     """Space-time form in its backward shape (integrated by parts).
 
-    Both arguments lie in V_h, as for ``bh_primal``.
+    Both arguments lie in V_h, as for ``bh_primal_functional``.
     """
     k = form.space.h1_stiffness()
     basis = TimeBasis(order)
@@ -584,11 +580,21 @@ def bh_dual(form, partition, order, ucoef, vcoef):
 
 
 def bh_analytic_functional(form, psi, partition, order):
-    """The linear functional V -> ``bh_analytic(form, psi, partition,
-    order, V)``.
+    """The space-time form of a smooth clamped field psi against blocks,
+    as the linear functional V -> B(psi, V).
 
-    Its loads, pairings and tested data (``_tested_data``, twice) are
-    built once, at the call, so each V costs three products alone.
+    Realizes the extension of the form to continuous-in-time arguments:
+    the field's jumps vanish, its elliptic pairing is the consistency
+    pairing, and the initial term pairs the field at t = 0.  V has shape
+    (M, r+1, n_dofs) and lies in V_h.  The data term is
+    sum W' (V b) + sum W (V c) over the gradient loads b_i and the
+    consistency pairings c_i of the terms, with the tested data W of
+    ``_tested_data`` at ``data_time_points(order)``, the array that
+    loads ``dg_solve``, and W' the same of ``_time_derivative(psi)``.
+    Its space rule is the data rule, so Galerkin orthogonality holds up
+    to the space quadrature of the two sides.  The loads, pairings and
+    tested data (``_tested_data``, twice) are built once, at the call,
+    so each V costs three products alone.
     """
     space = form.space
     basis = TimeBasis(order)
@@ -604,19 +610,3 @@ def bh_analytic_functional(form, psi, partition, order):
                       + np.vdot(weights, vcoef @ cpairs.T))
                 + float(initial @ (basis.left_values @ vcoef[0])))
     return value
-
-
-def bh_analytic(form, psi, partition, order, vcoef):
-    """Space-time form applied to a smooth clamped field against blocks.
-
-    Realizes the extension of the form to continuous-in-time arguments:
-    the field's jumps vanish, its elliptic pairing is the consistency
-    pairing, and the initial term pairs the field at t = 0.  The data
-    term is sum W' (V b) + sum W (V c) over the gradient loads b_i and
-    the consistency pairings c_i of the terms, with the tested data W of
-    ``_tested_data`` at ``data_time_points(order)``, the array that
-    loads ``dg_solve``, and W' the same of ``_time_derivative(psi)``.
-    Its space rule is the data rule, so Galerkin orthogonality holds up
-    to the space quadrature of the two sides.
-    """
-    return bh_analytic_functional(form, psi, partition, order)(vcoef)

@@ -1,8 +1,8 @@
 """Continuous Lagrange spaces on triangles and the basic assembly kit.
 
 Degree-l nodal spaces with vectorized assembly of the H1 stiffness
-matrix, load vectors (scalar data, vector data paired with the rotated
-gradient, and gradient data) and the H1_0 projection.
+matrix, load vectors (scalar data and gradient data) and the H1_0
+projection.
 A space is its DOF layout and its monomial coefficients: one column
 per local basis function, over the monomials x^i y^j of total degree at
 most the space's degree.  ``_tabulate`` is the one tabulation of every
@@ -97,11 +97,10 @@ from .quadrature import interval_rule, triangle_rule
 
 __all__ = ["FeSpace", "FeFunction", "reference_basis", "build_space",
            "element_matrices", "assemble_tested", "assemble_h1_stiffness",
-           "assemble_load_scalar", "assemble_load_dual",
-           "assemble_load_gradient", "h1_projection", "term_tables",
-           "h1_field_error", "sample_time_factors", "table_writer",
-           "gradient_tables", "space_time_norm", "space_time_error",
-           "space_time_h1_error"]
+           "assemble_load_scalar", "assemble_load_gradient", "h1_projection",
+           "term_tables", "h1_field_error", "sample_time_factors",
+           "table_writer", "gradient_tables", "space_time_norm",
+           "space_time_error", "space_time_h1_error"]
 
 SUPPORTED_DEGREES = (1, 2, 3)
 # floats of the combinations that ``space_time_norm`` forms at a time
@@ -210,7 +209,7 @@ class FeSpace:
     - ``"load"``: the scalar load vector of each term, shared by
       ``dg_time.dg_solve`` and ``dg_time.stability_data_norm``;
     - ``"grad load"``: the gradient load of each term, shared by
-      ``dg_time.bh_analytic`` and the H1_0 projections of
+      ``dg_time.bh_analytic_functional`` and the H1_0 projections of
       ``dg_time.best_approx_terms``;
     - ``"grad"``: the exact gradient table (F, Q, 2) of each term, shared
       by ``space_time_h1_error`` and ``dg_time.best_approx_terms``;
@@ -431,18 +430,6 @@ def assemble_load_scalar(space, f):
     """Load vector b_i = int f(x) phi_i dx of a static field f (its value
     at t = 0), with the data rule."""
     return assemble_tested(space, f.value(0.0, space.phys_points()), 0)
-
-
-def assemble_load_dual(space, g):
-    """Load b_i = int g . (d2 phi_i, -d1 phi_i) dx of a static vector
-    field g (its value at t = 0), with the data rule.
-
-    This realizes the functional f = -curl(g) through the rotated
-    gradient of the test function, without differentiating g:
-    g . (d2 phi, -d1 phi) = (-g2, g1) . grad phi.
-    """
-    gv = g.value(0.0, space.phys_points())
-    return assemble_tested(space, np.stack([-gv[..., 1], gv[..., 0]], -1), 1)
 
 
 def assemble_load_gradient(space, w):

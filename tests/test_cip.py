@@ -480,7 +480,7 @@ def test_triple_norm_flags_indefinite(form_n8_l2):
     v = np.zeros(form.space.n_dofs)
     v[form.space.free_dofs] = 1.0
     with pytest.raises(CoercivityError):
-        form.triple_norm(v)
+        form.triple_norm(FeFunction(form.space, v))
 
 
 # -- one factor of a_h: certify, then solve ---------------------------

@@ -32,8 +32,8 @@ def test_diagnostics_builds_each_invariant_once(tmp_path, monkeypatch):
     tables once per space, order and edge rule (``_edge_tables``: 3 for
     the form's space, 2 for the reversed mesh's; 15 when every side
     trace built its own) and tests the data of ``dg_solve`` and of
-    ``bh_analytic``'s two sweeps once each (``_tested_data``: 3; 21 when
-    each of the Galerkin check's 10 draws rebuilt ``bh_analytic``)."""
+    ``bh_analytic_functional``'s two sweeps once each (``_tested_data``:
+    3; 21 when each of the Galerkin check's 10 draws rebuilt them)."""
     counts = Counter()
 
     def counted(name, build):

@@ -9,9 +9,8 @@ from streamfem import dg_time, linalg
 from streamfem import manufactured as mf
 from streamfem.cip import _assemble_matrices, assemble_cip
 from streamfem.dg_time import (DgSolution, TimeBasis, TimePartition,
-                               best_approx_terms, bh_analytic,
-                               bh_analytic_functional, bh_dual, bh_primal,
-                               bh_primal_functional, data_time_points,
+                               best_approx_terms, bh_analytic_functional,
+                               bh_dual, bh_primal_functional, data_time_points,
                                dg_solve, make_partition, radau_points,
                                stability_data_norm, stability_functional,
                                time_projection_values)
@@ -94,7 +93,7 @@ def test_time_bases_of_one_order_share_read_only_arrays(order):
     dcoef = 2.0 * np.polynomial.legendre.legder(
         np.vstack([coef, np.zeros(order + 1)]))
     for name, want in (("coef", coef), ("dcoef", dcoef),
-                       ("left_values", basis.values(0.0))):
+                       ("left_values", basis.values(np.zeros(1))[0])):
         arr = getattr(basis, name)
         assert arr is getattr(other, name)
         assert np.array_equal(arr, want)
@@ -363,7 +362,7 @@ def test_projection_reproduces_polynomials(order):
         t0, t1 = part.nodes[m], part.nodes[m + 1]
         for tau in (0.2, 0.7):
             t = t0 + (t1 - t0) * tau
-            assert basis.values(tau) @ vals[m] == pytest.approx(
+            assert basis.values(np.array([tau]))[0] @ vals[m] == pytest.approx(
                 poly(t), rel=1e-12)
 
 
@@ -447,13 +446,13 @@ def test_primal_dual_agreement(order, space_n4_l2, rng):
         v = rng.standard_normal(shape)
         u[:, :, space_n4_l2.boundary_dofs] = 0.0
         v[:, :, space_n4_l2.boundary_dofs] = 0.0
-        p = bh_primal(form, part, order, u, v)
+        p = bh_primal_functional(form, part, order, u)(v)
         d = bh_dual(form, part, order, u, v)
         assert abs(p - d) <= 1e-11 * (abs(p) + abs(d))
 
 
 def _loop_primal(form, partition, order, ucoef, vcoef):
-    """bh_primal written out interval by interval, its oracle."""
+    """bh_primal_functional written out interval by interval, its oracle."""
     k = form.space.h1_stiffness()
     a = _assemble_matrices(form.space, form.eta)[0]
     basis = TimeBasis(order)
@@ -523,8 +522,9 @@ def _random_blocks(rng, space, shape):
 @pytest.mark.parametrize("order", [0, 1, 2, 3])
 def test_block_forms_match_the_interval_loops(order, graded, space_n4_l2,
                                               rng):
-    """bh_primal, bh_dual and stability_functional pair all intervals at
-    once; the interval-by-interval forms are their oracles."""
+    """bh_primal_functional, bh_dual and stability_functional pair all
+    intervals at once; the interval-by-interval forms are their
+    oracles."""
     form = assemble_cip(space_n4_l2)
     part = make_partition(5)
     if graded:
@@ -533,7 +533,7 @@ def test_block_forms_match_the_interval_loops(order, graded, space_n4_l2,
     for _ in range(3):
         u = _random_blocks(rng, space_n4_l2, shape)
         v = _random_blocks(rng, space_n4_l2, shape)
-        for got, want in ((bh_primal(form, part, order, u, v),
+        for got, want in ((bh_primal_functional(form, part, order, u)(v),
                            _loop_primal(form, part, order, u, v)),
                           (bh_dual(form, part, order, u, v),
                            _loop_dual(form, part, order, u, v))):
@@ -549,8 +549,9 @@ def test_block_forms_match_the_interval_loops(order, graded, space_n4_l2,
 
 def test_primal_dual_check_fails_on_a_wrong_gram(space_n4_l2, rng,
                                                  monkeypatch):
-    """With the derivative Gram matrix of bh_primal alone transposed, the
-    two forms disagree: the shared kernel does not make them equal."""
+    """With the derivative Gram matrix of the primal form alone
+    transposed, the two forms disagree: the shared kernel does not make
+    them equal."""
     form = assemble_cip(space_n4_l2)
     part = make_partition(3)
     shape = (3, 2, space_n4_l2.n_dofs)
@@ -562,7 +563,7 @@ def test_primal_dual_check_fails_on_a_wrong_gram(space_n4_l2, rng,
         g = gram(self, da, db)
         return g.T if (da, db) == (1, 0) else g
     monkeypatch.setattr(TimeBasis, "gram", transposed)
-    p = bh_primal(form, part, 1, u, v)
+    p = bh_primal_functional(form, part, 1, u)(v)
     d = bh_dual(form, part, 1, u, v)
     assert abs(p - d) > 1e-11 * (abs(p) + abs(d))
 
@@ -574,7 +575,7 @@ def _pair_blocks(gram, mat, x, y, scale=None):
 
 
 def _primal_in_one_pass(form, partition, order, ucoef, vcoef):
-    """bh_primal with both blocks in one pass, the trial side formed
+    """The primal form with both blocks in one pass, the trial side formed
     against the one test block: the reference of ``bh_primal_functional``
     in the same arithmetic."""
     k = form.space.h1_stiffness()
@@ -590,7 +591,7 @@ def _primal_in_one_pass(form, partition, order, ucoef, vcoef):
 
 
 def _analytic_in_one_pass(form, psi, partition, order, vcoef):
-    """bh_analytic with its data built against the one test block: the
+    """The analytic form with its data built against the one test block: the
     reference of ``bh_analytic_functional`` in the same arithmetic."""
     space = form.space
     basis = TimeBasis(order)
@@ -610,7 +611,7 @@ def _analytic_in_one_pass(form, psi, partition, order, vcoef):
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_functionals_are_the_forms_bit_for_bit(order, space_n4_l2, rng):
     """A functional built once gives, on each of three test blocks, the
-    value of its form and of the one-pass reference, bit for bit."""
+    value of the one-pass reference, bit for bit."""
     form = assemble_cip(space_n4_l2)
     part = TimePartition(make_partition(4).nodes ** 2)
     psi = mf.psi_exact()
@@ -620,10 +621,9 @@ def test_functionals_are_the_forms_bit_for_bit(order, space_n4_l2, rng):
     analytic = bh_analytic_functional(form, psi, part, order)
     for _ in range(3):
         v = _random_blocks(rng, space_n4_l2, shape)
-        assert (primal(v) == bh_primal(form, part, order, u, v)
-                == _primal_in_one_pass(form, part, order, u, v))
-        assert (analytic(v) == bh_analytic(form, psi, part, order, v)
-                == _analytic_in_one_pass(form, psi, part, order, v))
+        assert primal(v) == _primal_in_one_pass(form, part, order, u, v)
+        assert analytic(v) == _analytic_in_one_pass(form, psi, part, order,
+                                                    v)
 
 
 @pytest.mark.parametrize("order", [0, 1])
@@ -641,8 +641,8 @@ def test_galerkin_orthogonality(order, rng, monkeypatch):
     for _ in range(5):
         v = rng.standard_normal(sol.coefficients.shape)
         v[:, :, space.boundary_dofs] = 0.0
-        lhs = bh_analytic(form, psi, part, order, v)
-        rhs = bh_primal(form, part, order, sol.coefficients, v)
+        lhs = bh_analytic_functional(form, psi, part, order)(v)
+        rhs = bh_primal_functional(form, part, order, sol.coefficients)(v)
         assert abs(lhs - rhs) <= 1e-7 * (abs(lhs) + abs(rhs) + 1e-30)
 
 
@@ -657,7 +657,8 @@ def diagnostics_default_run():
 
 def _orthogonality_residuals(run, rng, time_points=None):
     """The residuals of five random test blocks; ``time_points`` replaces
-    the data time rule of ``bh_analytic`` alone, not that of the solve."""
+    the data time rule of ``bh_analytic_functional`` alone, not that of
+    the solve."""
     form, part, sol = run
     out = []
     for _ in range(5):
@@ -667,14 +668,15 @@ def _orthogonality_residuals(run, rng, time_points=None):
             if time_points is not None:
                 mp.setattr(dg_time, "data_time_points",
                            lambda order: time_points)
-            lhs = bh_analytic(form, mf.psi_exact(), part, 0, v)
-        rhs = bh_primal(form, part, 0, sol.coefficients, v)
+            lhs = bh_analytic_functional(form, mf.psi_exact(), part, 0)(v)
+        rhs = bh_primal_functional(form, part, 0, sol.coefficients)(v)
         out.append(abs(lhs - rhs) / (abs(lhs) + abs(rhs)))
     return np.array(out)
 
 
 def test_galerkin_orthogonality_default_rules(diagnostics_default_run, rng):
-    """dg_solve and bh_analytic share their data time rule by default."""
+    """dg_solve and bh_analytic_functional share their data time rule by
+    default."""
     assert data_time_points(0) == 2
     res = _orthogonality_residuals(diagnostics_default_run, rng)
     assert res.max() <= 1e-7
@@ -692,12 +694,12 @@ def test_galerkin_orthogonality_fails_with_mismatched_time_rule(
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_galerkin_orthogonality_of_the_solver(order, diagnostics_default_run,
                                               rng):
-    """Fed the data that ``bh_analytic`` pairs, the gradient loads tested
-    with sigma' and the consistency pairings tested with sigma, the sweep
-    from u0 = 0 gives a trajectory U with B(U, v) = bh_analytic(psi, v)
-    up to the solve contract: no space quadrature lies between the two
-    sides, so the residual measures the solver alone.  psi(0) = 0, so
-    the initial term of ``bh_analytic`` vanishes."""
+    """Fed the data that ``bh_analytic_functional`` pairs, the gradient
+    loads tested with sigma' and the consistency pairings tested with
+    sigma, the sweep from u0 = 0 gives a trajectory U with
+    B(U, v) = B(psi, v) up to the solve contract: no space quadrature
+    lies between the two sides, so the residual measures the solver
+    alone.  psi(0) = 0, so the initial term of B(psi, v) vanishes."""
     form, part, _ = diagnostics_default_run
     space, psi = form.space, mf.psi_exact()
     free = space.free_dofs
@@ -715,8 +717,8 @@ def test_galerkin_orthogonality_of_the_solver(order, diagnostics_default_run,
         u[m][:, free] = block
     for _ in range(10):
         v = _random_blocks(rng, space, u.shape)
-        lhs = bh_analytic(form, psi, part, order, v)
-        rhs = bh_primal(form, part, order, u, v)
+        lhs = bh_analytic_functional(form, psi, part, order)(v)
+        rhs = bh_primal_functional(form, part, order, u)(v)
         assert abs(lhs - rhs) <= 1e-10 * (abs(lhs) + abs(rhs))
 
 
@@ -1033,8 +1035,8 @@ def test_time_layer_reads_the_form_only_through_its_protocol(space_n4_l2,
     def results(target):
         sol = dg_solve(target, part, order, f=f)
         return [sol.coefficients,
-                bh_analytic(target, psi, part, order, v),
-                bh_primal(target, part, order, sol.coefficients, v),
+                bh_analytic_functional(target, psi, part, order)(v),
+                bh_primal_functional(target, part, order, sol.coefficients)(v),
                 best_approx_terms(psi, target, part, order),
                 stability_functional(sol, target),
                 stability_data_norm(target, f, part, psi0=mf.phi())]

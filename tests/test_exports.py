@@ -31,36 +31,35 @@ def test_package_exports_are_public_names_of_their_modules():
         assert name in importlib.import_module(obj.__module__).__all__, name
 
 
-def _reads(path, strings):
+def _reads(path):
     """Names a source file reads: the ids of Name nodes and the attributes
-    of Attribute nodes, and with ``strings`` also every string constant.
+    of Attribute nodes.
 
-    A def or class statement, an import and an ``__all__`` entry are none
-    of these, so a name's definition and its exports do not count."""
+    A def or class statement, an import, an ``__all__`` entry and any
+    other string constant are none of these, so a name's definition, its
+    exports and a table that names it as a string do not count."""
     out = Counter()
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Name):
             out[node.id] += 1
         elif isinstance(node, ast.Attribute):
             out[node.attr] += 1
-        elif (strings and isinstance(node, ast.Constant)
-              and isinstance(node.value, str)):
-            out[node.value] += 1
     return out
 
 
 def test_every_export_has_a_caller_outside_the_tests():
-    """Each name in a module's ``__all__`` is read somewhere in the
-    package (its own module included) or in the benchmark code, whose
-    span table names its traced entry points as strings.  A name only
-    the tests read is deleted, not shipped."""
+    """Each name in a module's ``__all__`` is read as code somewhere in
+    the package (its own module included) or in the benchmark code.  The
+    benchmark's span table names its traced entry points as strings, and
+    a string constant is not a read, so a name that only the tests call
+    is deleted, not shipped, even when the tracer names it."""
     reads = Counter()
     for path in SOURCE.glob("*.py"):
         if path.name != "__init__.py":   # the package re-exports only
-            reads += _reads(path, strings=False)
+            reads += _reads(path)
     for path in PERFBENCH.glob("*.py"):
         if not path.name.startswith("test_"):
-            reads += _reads(path, strings=True)
+            reads += _reads(path)
     unread = [f"{name}.{export}" for name in MODULES
               for export in importlib.import_module(
                   f"streamfem.{name}").__all__
@@ -214,7 +213,7 @@ def test_the_mesh_owns_edge_orientation():
 
     text = (SOURCE / "cip.py").read_text()
     assert "flip" not in text.lower()
-    assert "triangles" not in _reads(SOURCE / "cip.py", strings=False)
+    assert "triangles" not in _reads(SOURCE / "cip.py")
     assert not hasattr(cip, "_edge_frames")
     assert list(inspect.signature(cip._edge_parts).parameters) == ["space"]
     assert list(inspect.signature(cip._assemble_matrices).parameters) == [

@@ -7,11 +7,10 @@ import scipy.integrate
 
 from streamfem import manufactured as mf
 from streamfem.fem import (FeFunction, assemble_h1_stiffness,
-                           assemble_load_dual, assemble_load_scalar,
-                           assemble_tested, build_space, gradient_tables,
-                           h1_field_error, h1_projection, reference_basis,
-                           table_writer, term_tables, _lattice,
-                           _mono_table)
+                           assemble_load_scalar, assemble_tested,
+                           build_space, gradient_tables, h1_field_error,
+                           h1_projection, reference_basis, table_writer,
+                           term_tables, _lattice, _mono_table)
 from streamfem.linalg import symmetry_gap
 from streamfem.mesh import build_structured_mesh
 from streamfem.mini_stokes import build_mini_space
@@ -300,52 +299,6 @@ def test_scalar_load_against_adaptive_quadrature(monkeypatch):
         assert b[dof] == pytest.approx(oracle, abs=1e-8)
         checked += 1
     assert checked == 4
-
-
-def test_dual_load_of_polynomial_gradient_vanishes():
-    """g = grad(p) for quadratic p pairs to zero against the rotated
-    gradients of interior test functions (exact quadrature)."""
-    from streamfem.manufactured import SpatialTerm, TimeFactor, VectorField
-
-    def gval(p):
-        out = np.empty(p.shape)
-        out[..., 0] = 2.0 * p[..., 0] + p[..., 1]      # grad of x^2 + xy + y
-        out[..., 1] = p[..., 0] + 1.0
-        return out
-
-    g = VectorField([(TimeFactor.one(), SpatialTerm(gval))])
-    space = build_space(build_structured_mesh(3), 2)
-    b = assemble_load_dual(space, g)
-    assert np.abs(b[space.free_dofs]).max() < 1e-13
-
-
-def test_dual_load_constant_field_interior_zero():
-    from streamfem.manufactured import SpatialTerm, TimeFactor, VectorField
-
-    def gval(p):
-        out = np.zeros(p.shape)
-        out[..., 0] = 1.0
-        return out
-
-    g = VectorField([(TimeFactor.one(), SpatialTerm(gval))])
-    space = build_space(build_structured_mesh(3), 2)
-    b = assemble_load_dual(space, g)
-    assert np.abs(b[space.free_dofs]).max() < 1e-13
-
-
-def test_dual_route_matches_scalar_route(monkeypatch):
-    """The vector data paired with rotated gradients must reproduce the
-    closed-form scalar data entry by entry (interior DOFs); the two
-    integrands differ analytically by one integration by parts, so the
-    rule must resolve the oscillatory data."""
-    space = build_space(build_structured_mesh(4), 2)
-    t = 0.25
-    monkeypatch.setattr(space, "default_data_rule", lambda: triangle_rule(24))
-    b_dual = _load_at(assemble_load_dual, space, mf.g_field(), t)
-    b_scal = _load_at(assemble_load_scalar, space, mf.f_scalar(), t)
-    idx = space.free_dofs
-    scale = np.abs(b_scal[idx]).max()
-    assert np.abs(b_dual[idx] - b_scal[idx]).max() < 1e-8 * max(scale, 1.0)
 
 
 def test_term_loads_times_time_factors_match_direct(space_n4_l2):

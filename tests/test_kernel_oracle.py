@@ -21,9 +21,8 @@ from streamfem.cip import (_assemble_matrices, _edge_parts,
                            assemble_cip, consistency_pairing,
                            default_penalty, ritz_projection)
 from streamfem.fem import (_weighted_squares, assemble_h1_stiffness,
-                           assemble_load_dual, assemble_load_gradient,
-                           assemble_load_scalar, build_space, gradient_tables,
-                           reference_basis)
+                           assemble_load_gradient, assemble_load_scalar,
+                           build_space, gradient_tables, reference_basis)
 from streamfem.linalg import build_csr
 from streamfem.mesh import _LOCAL_EDGES, _VERT_REF, build_structured_mesh
 from streamfem.mini_stokes import (_divergence, _mass, _pressure_integrals,
@@ -195,19 +194,16 @@ def oracle_h1_stiffness(space):
                      elem, (space.n_dofs, space.n_dofs))
 
 
-def oracle_loads(space, w, g):
+def oracle_loads(space, w):
     rule = space.default_data_rule()
     pts = space.phys_points()
     grads = phys_gradients(space, rule)
     basis = reference_basis(space.degree, rule.points, 0)
-    rot = np.stack([grads[..., 1], -grads[..., 0]], axis=-1)
     scalar = np.einsum("q,fq,ql,f->fl", rule.weights, w.value(0.0, pts),
                        basis, space.jac_det)
     gradient = np.einsum("q,fqi,fqli,f->fl", rule.weights, w.grad(0.0, pts),
                          grads, space.jac_det)
-    dual = np.einsum("q,fqi,fqli,f->fl", rule.weights, g.value(0.0, pts),
-                     rot, space.jac_det)
-    return [scatter(space, c) for c in (scalar, gradient, dual)]
+    return [scatter(space, c) for c in (scalar, gradient)]
 
 
 def oracle_bubble_tables(points):
@@ -366,10 +362,9 @@ def test_h1_stiffness(space):
 
 
 def test_loads(space):
-    w, g = mf.phi(), mf.g_field()
-    new = (assemble_load_scalar(space, w), assemble_load_gradient(space, w),
-           assemble_load_dual(space, g))
-    for a, b in zip(new, oracle_loads(space, w, g)):
+    w = mf.phi()
+    new = (assemble_load_scalar(space, w), assemble_load_gradient(space, w))
+    for a, b in zip(new, oracle_loads(space, w)):
         assert_close(a, b)
 
 

@@ -14,8 +14,8 @@ import pytest
 from streamfem import dg_time
 from streamfem import manufactured as mf
 from streamfem.cip import assemble_cip
-from streamfem.dg_time import (best_approx_terms, bh_analytic, dg_solve,
-                               make_partition, stability_data_norm)
+from streamfem.dg_time import (best_approx_terms, bh_analytic_functional,
+                               dg_solve, make_partition, stability_data_norm)
 from streamfem.fem import build_space, space_time_h1_error
 from streamfem.mesh import build_structured_mesh
 from streamfem.mini_stokes import (build_mini_space, mini_transient_solve,
@@ -60,7 +60,7 @@ def computed(request):
     # pinned with 8 Gauss points per interval, not the r + 2 of dg_solve
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dg_time, "data_time_points", lambda order: 8)
-        out["bh_analytic_r1"] = bh_analytic(form, psi, part, 1, v)
+        out["bh_analytic_r1"] = bh_analytic_functional(form, psi, part, 1)(v)
     mini_space = build_mini_space(mesh)
     for key, g in (("velocity_error", mf.g_field()),
                    ("velocity_error_gtilde", mf.g_tilde())):

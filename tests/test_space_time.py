@@ -13,7 +13,8 @@ from streamfem import cip, dg_time, fem, mini_stokes
 from streamfem import manufactured as mf
 from streamfem.cip import assemble_cip
 from streamfem.dg_time import (TimeBasis, TimePartition, _time_derivative,
-                               best_approx_terms, bh_analytic, dg_solve,
+                               best_approx_terms, bh_analytic_functional,
+                               dg_solve,
                                make_partition, stability_data_norm,
                                time_projection_values)
 from streamfem.fem import (build_space, h1_field_error, sample_time_factors,
@@ -79,7 +80,7 @@ def test_the_data_time_rule_integrates_sigma_and_its_derivative(points):
     sigma(t) = t^n, n = P - 1, on every interval to their closed forms
     (b^(2n+1) - a^(2n+1)) / (2n+1) and n^2 (b^(2n-1) - a^(2n-1)) / (2n-1),
     taken in exact rational arithmetic; sigma' is sampled through
-    ``_time_derivative``, as ``bh_analytic`` samples it."""
+    ``_time_derivative``, as ``bh_analytic_functional`` samples it."""
     part = TimePartition(make_partition(10).nodes ** 2)
     n = points - 1
     fld = mf.ScalarField([(mf.TimeFactor(lambda t: t ** n,
@@ -381,7 +382,7 @@ def test_loads_and_exact_gradients_once_per_rule(space, monkeypatch):
 
 def test_stability_and_best_approximation_share_the_loads(space):
     """stability_data_norm reads the scalar loads dg_solve assembled, and
-    best_approx_terms the gradient loads of bh_analytic."""
+    best_approx_terms the gradient loads of bh_analytic_functional."""
     form = assemble_cip(space)
     part = make_partition(2)
     f, psi = _counting_load(), _counting_psi()
@@ -390,7 +391,7 @@ def test_stability_and_best_approximation_share_the_loads(space):
     assert [term.value.calls for _, term in f.terms] == [1, 1]
 
     v = np.zeros((2, 2, space.n_dofs))
-    bh_analytic(form, psi, part, 1, v)
+    bh_analytic_functional(form, psi, part, 1)(v)
     assert psi.terms[0][1].grad.calls == 1
     best_approx_terms(psi, form, part, 0)
     assert psi.terms[0][1].grad.calls == 2      # the exact gradient table
@@ -451,31 +452,31 @@ def test_bh_analytic_pairs_each_term_once(space, pairing_calls):
     # same space shares it
     forms = [assemble_cip(space), assemble_cip(space),
              assemble_cip(space, eta=8.0)]
-    values = [bh_analytic(form, psi, part, 1, v) for form in forms]
+    values = [bh_analytic_functional(form, psi, part, 1)(v) for form in forms]
     assert len(calls) == 1
     assert psi.terms[0][1].grad.calls == 1      # the gradient load
 
     fresh = build_space(space.mesh, 2)
-    assert values[2] == bh_analytic(assemble_cip(fresh, eta=8.0), psi, part,
-                                    1, v)
+    assert values[2] == bh_analytic_functional(
+        assemble_cip(fresh, eta=8.0), psi, part, 1)(v)
     assert len(calls) == 2
 
     # the same term in a field not flagged clamped is still refused
     unclamped = mf.ScalarField(psi.terms)
     with pytest.raises(ValueError, match="clamped"):
-        bh_analytic(forms[0], unclamped, part, 1, v)
+        bh_analytic_functional(forms[0], unclamped, part, 1)(v)
 
 
 def test_best_approximation_reads_the_cached_pairing(space, pairing_calls):
     """best_approx_terms solves its Ritz projections from the consistency
-    pairing bh_analytic caches, so a diagnostics run pairs psi's one term
-    once; E_Rh is that of ritz_projection."""
+    pairing bh_analytic_functional caches, so a diagnostics run pairs
+    psi's one term once; E_Rh is that of ritz_projection."""
     form = assemble_cip(space)
     part = make_partition(2)
     psi = mf.psi_exact()
     _, e_rh, _ = best_approx_terms(psi, form, part, 0)
     v = np.zeros((2, 1, space.n_dofs))
-    bh_analytic(form, psi, part, 0, v)
+    bh_analytic_functional(form, psi, part, 0)(v)
     assert len(pairing_calls) == 1
 
     # psi = sigma(t) w: E_Rh is the static Ritz error of w times the L2
@@ -547,8 +548,8 @@ def _without_derivative(fld):
 
 
 def test_only_bh_analytic_reads_time_derivatives(space):
-    """sigma_i' enters only the data term of ``bh_analytic``: the two
-    solvers, the time projection, the stability data norm, the
+    """sigma_i' enters only the data term of ``bh_analytic_functional``:
+    the two solvers, the time projection, the stability data norm, the
     best-approximation terms and both space-time errors run on fields
     whose time factors have no derivative, with the values they give
     the same fields with one."""
@@ -577,4 +578,4 @@ def test_only_bh_analytic_reads_time_derivatives(space):
         msol, mf.u_exact())
 
     with pytest.raises(_DerivativeRead):
-        bh_analytic(form, bare_psi, part, 1, sol.coefficients)
+        bh_analytic_functional(form, bare_psi, part, 1)(sol.coefficients)

@@ -1,12 +1,13 @@
 """Line counts of the package source, per file and in total.
 
-Prints three counts for every ``src/streamfem/*.py``:
+Prints four counts for every ``src/streamfem/*.py``:
 
 - ``lines``: physical lines, as ``wc -l`` counts them;
 - ``code``: lines on which a token other than a comment, NL, NEWLINE,
   INDENT, DEDENT or ENDMARKER starts or which it spans, with docstrings
   excluded (the leading string statement of a module, class or function
   body, found with ``ast``); the tokens come from ``tokenize``;
+- ``exports``: the names in the module's ``__all__``;
 - ``defaults``: the parameters with a default of the module-level
   functions named in the module's ``__all__``, the settable values its
   public functions offer.
@@ -51,14 +52,19 @@ def _docstring_lines(tree):
     return out
 
 
-def _exported_defaults(tree):
-    """Parameters with a default of the functions in ``__all__``."""
+def _exports(tree):
+    """The names in the ``__all__`` of a parsed module."""
     exported = set()
     for node in tree.body:
         if (isinstance(node, ast.Assign)
                 and any(getattr(t, "id", None) == "__all__"
                         for t in node.targets)):
             exported.update(ast.literal_eval(node.value))
+    return exported
+
+
+def _exported_defaults(tree, exported):
+    """Parameters with a default of the functions named in ``exported``."""
     return sum(len(node.args.defaults)
                + sum(d is not None for d in node.args.kw_defaults)
                for node in tree.body
@@ -71,14 +77,17 @@ def generated(text):
 
 
 def count(text):
-    """(physical lines, code lines, exported defaults) of one source text."""
+    """(physical lines, code lines, exports, exported defaults) of one
+    source text."""
     tree = ast.parse(text)
     docs = _docstring_lines(tree)
     code = set()
     for tok in tokenize.generate_tokens(io.StringIO(text).readline):
         if tok.type not in _SKIP:
             code.update(range(tok.start[0], tok.end[0] + 1))
-    return text.count("\n"), len(code - docs), _exported_defaults(tree)
+    exported = _exports(tree)
+    return (text.count("\n"), len(code - docs), len(exported),
+            _exported_defaults(tree, exported))
 
 
 def _at_ref(ref):
@@ -108,8 +117,8 @@ def main(argv=None):
         texts_before = _at_ref(args.against)
         before = {name: count(text) for name, text in texts_before.items()}
         now = {name: tuple(a - b for a, b in
-                           zip(now.get(name, (0, 0, 0)),
-                               before.get(name, (0, 0, 0))))
+                           zip(now.get(name, (0,) * 4),
+                               before.get(name, (0,) * 4)))
                for name in now.keys() | before.keys()}
         texts = {**texts_before, **texts}
     tables = {name for name, text in texts.items() if generated(text)}
@@ -119,8 +128,9 @@ def main(argv=None):
 
     def row(name, counts):
         print(f"{name:<20} " + " ".join(f"{c:>{sign}{width}}" for c, width
-                                        in zip(counts, (6, 6, 8))))
-    print(f"{'file':<20} {'lines':>6} {'code':>6} {'defaults':>8}")
+                                        in zip(counts, (6, 6, 7, 8))))
+    print(f"{'file':<20} {'lines':>6} {'code':>6} {'exports':>7} "
+          f"{'defaults':>8}")
     for name, counts in hand + [("total", total)]:
         row(name, counts)
     if tables:
