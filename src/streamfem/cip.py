@@ -57,8 +57,10 @@ def default_penalty(degree):
 
 
 def _edge_rule_points(degree):
-    # integrands on edges are traces of degree-l polynomials
-    return (2 * degree + 1 + 1) // 2 + 1
+    # edge integrands have degree at most 2l - 2, so l points are exact;
+    # l + 2 are kept, since fewer would move a_h, and every output, at
+    # roundoff
+    return degree + 2
 
 
 @dataclass

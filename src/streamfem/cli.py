@@ -9,8 +9,9 @@ that is neither swept nor unread takes one entry.  Every runner returns
 one ``Record``: the rows of each CSV and the entries of each summary
 file, by path, the lines it prints and its checks.  ``main`` parses and
 checks the inputs and output paths before any work, runs the study,
-writes the record with the one writer ``_write``, prints its lines and,
-with ``--assert``, exits 1 when a check fails.
+writes the record with the one writer ``_write``, prints its lines, then
+every check as ``PASS|FAIL: name: value (tolerance tol)``, and, with
+``--assert``, exits 1 when a check fails.
 
 Every sweep writes one CSV per series (header ``k,error`` or
 ``h,error``, 12 significant digits) plus a key=value summary file with
@@ -29,13 +30,13 @@ from pathlib import Path
 import numpy as np
 
 from . import manufactured as mf
-from .cip import (CoercivityError, _assemble_matrices, apply_Ah,
-                  assemble_cip, ritz_projection)
+from .cip import (_DEFAULT_PENALTY, CoercivityError, _assemble_matrices,
+                  apply_Ah, assemble_cip, ritz_projection)
 from .dg_time import (best_approx_terms, bh_analytic_functional, bh_dual,
                       bh_primal_functional, dg_solve, make_partition,
                       stability_data_norm, stability_functional)
 from .fem import FeFunction, build_space, h1_field_error, space_time_h1_error
-from .linalg import SolverError, symmetry_gap
+from .linalg import SolverError, largest_entry
 from .mesh import Mesh, build_structured_mesh
 from .mini_stokes import build_mini_space, mini_transient_solve, \
     velocity_error_l2
@@ -51,7 +52,7 @@ _RHS_CHOICES = ("g", "g_tilde", "f")
 class StudyConfig:
     """Knobs shared by all studies."""
 
-    method: str = "streamfct"          # "streamfct" or "mini"
+    method: str = "streamfct"          # a key of _ERRORS
     degree: int = 2
     dg_order: int = 0
     eta: float = None
@@ -62,7 +63,7 @@ class StudyConfig:
     end_time: float = 1.0
 
     def __post_init__(self):
-        if self.method not in ("streamfct", "mini"):
+        if self.method not in _ERRORS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.rhs not in _RHS_CHOICES:
             raise ValueError(f"rhs must be one of {_RHS_CHOICES}")
@@ -71,8 +72,10 @@ class StudyConfig:
         if not self.mesh_list or not self.steps_list:
             raise ValueError("refinement lists must be nonempty")
         # out-of-range values are refused here, before any work
-        if self.degree not in (2, 3):
-            raise ValueError(f"degree: expected 2 or 3, got {self.degree}")
+        if self.degree not in _DEFAULT_PENALTY:
+            expected = " or ".join(map(str, _DEFAULT_PENALTY))
+            raise ValueError(f"degree: expected {expected}, "
+                             f"got {self.degree}")
         if self.dg_order < 0:
             raise ValueError(f"dg_order: expected >= 0, got {self.dg_order}")
         for name in ("mesh_list", "steps_list"):
@@ -113,8 +116,8 @@ def _fmt_value(key, val):
 class Record:
     """What a study run produced: ``csvs`` maps each CSV path to its
     (header, rows), ``summaries`` each summary path to its (key, value)
-    entries; ``lines`` are printed and ``checks`` are the (name, value,
-    tolerance, ok) tuples that ``--assert`` reads."""
+    entries; ``lines`` are printed, then every one of ``checks``, the
+    (name, value, tolerance, ok) tuples that ``--assert`` reads."""
 
     csvs: dict
     summaries: dict
@@ -272,13 +275,11 @@ def compare_mini(cfg):
                sf_gap <= 1e-12)]
     return Record(csvs, summaries, [
         f"compare-mini: blow-up ratio {ratio:.3g}, "
-        f"stream-function column gap {sf_gap:.3g}",
-        *(f"{'PASS' if ok else 'FAIL'}: {name}" for name, *_, ok in checks)],
-        checks)
+        f"stream-function column gap {sf_gap:.3g}"], checks)
 
 
 def _diagnose(cfg):
-    """Single-run identity and stability report with pass/fail lines.
+    """Single-run identity and stability checks, with no study line.
 
     Raises CoercivityError straight from assembly when the penalty is
     too small; all other checks are reported with their measured value
@@ -328,7 +329,8 @@ def _diagnose(cfg):
         gap = max(gap, abs(lhs - rhs) / scale)
     check("jump identity", gap, 1e-13)
 
-    check("a_h symmetry", symmetry_gap(form.matrix_free), 0.0)
+    a = form.matrix_free
+    check("a_h symmetry", largest_entry(a - a.T), 0.0)
 
     # the same mesh with its triangles in reverse order: the mesh's rule
     # swaps T- and T+ and the normal of every interior edge.  Its a_h is
@@ -339,10 +341,8 @@ def _diagnose(cfg):
     new[space.dof_map[::-1]] = other.dof_map
     idx = new[space.free_dofs]
     flipped = _assemble_matrices(other, form.eta)[0][idx][:, idx]
-    diff = (form.matrix_free - flipped).tocoo()
-    orient = float(np.abs(diff.data).max()) if diff.nnz else 0.0
-    scale = float(np.abs(form.matrix_free.data).max())
-    check("normal orientation invariance", orient / scale, 1e-13)
+    check("normal orientation invariance",
+          largest_entry(a - flipped) / largest_entry(a), 1e-13)
 
     adj = 0.0
     for _ in range(3):
@@ -399,10 +399,8 @@ def _diagnose(cfg):
         ("E_pik", e_pik), ("S1", s1), ("S2", s2), ("S3", s3),
         ("data_norm_sq", data),
     ] + [(name.replace(" ", "_"), val) for name, val, _, _ in report]
-    lines = [f"{'PASS' if ok else 'FAIL'}: {name}: {value:.3e} "
-             f"(tolerance {tol:.3e})" for name, value, tol, ok in report]
     (), (summary_path,) = _summary_only(cfg.out)
-    return Record({}, {summary_path: summary}, lines, report)
+    return Record({}, {summary_path: summary}, [], report)
 
 
 def diagnostics(cfg):
@@ -464,8 +462,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name in STUDIES:
         p = sub.add_parser(name)
-        p.add_argument("--method", default=None,
-                       choices=["streamfct", "mini"])
+        p.add_argument("--method", default=None, choices=list(_ERRORS))
         p.add_argument("--degree", default=None)
         p.add_argument("--dg-order", default=None)
         p.add_argument("--eta", default=None)
@@ -595,6 +592,9 @@ def main(argv=None):
     _write(record)
     for line in record.lines:
         print(line)
+    for name, value, tol, ok in record.checks:
+        print(f"{'PASS' if ok else 'FAIL'}: {name}: {value:.3e} "
+              f"(tolerance {tol:.3e})")
     failed = not all(ok for *_, ok in record.checks)
     return int(args.assert_checks and failed)
 

@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-__all__ = ["SolverError", "build_csr", "symmetry_gap", "refine",
+__all__ = ["SolverError", "build_csr", "largest_entry", "refine",
            "Factorized"]
 
 _CORRECTIONS = 5  # refinement steps before a solve gives up
@@ -49,10 +49,11 @@ def build_csr(rows, cols, vals, shape):
                          shape=shape).tocsr()
 
 
-def symmetry_gap(a):
-    """max |A - A^T|, zero for exactly symmetric assembly."""
-    d = (a - a.T).tocoo()
-    return float(np.abs(d.data).max()) if d.nnz else 0.0
+def largest_entry(m):
+    """The largest stored |entry| of the sparse matrix m, 0 when none is
+    stored: ``largest_entry(a - a.T)`` is zero for exactly symmetric
+    assembly."""
+    return float(np.abs(m.data).max()) if m.nnz else 0.0
 
 
 def refine(apply, solve, b):
@@ -77,17 +78,15 @@ def refine(apply, solve, b):
         res = np.linalg.norm(resid)
         if res <= _RTOL * norm_b:
             return x
-        if res > 0.5 * last:
-            plural = "" if step == 1 else "s"
-            raise SolverError(
-                f"residual {res / norm_b:.3e} above rtol {_RTOL:.1e}, "
-                f"stalled after {step} correction{plural}",
-                residual=res / norm_b)
+        stalled = res > 0.5 * last
+        if stalled or step == _CORRECTIONS:
+            break
         last = res
-        if step < _CORRECTIONS:
-            x = x + solve(resid)
-    raise SolverError(f"residual {res / norm_b:.3e} above rtol {_RTOL:.1e}",
-                      residual=res / norm_b)
+        x = x + solve(resid)
+    plural = "" if step == 1 else "s"
+    stall = f", stalled after {step} correction{plural}" if stalled else ""
+    raise SolverError(f"residual {res / norm_b:.3e} above rtol {_RTOL:.1e}"
+                      f"{stall}", residual=res / norm_b)
 
 
 class Factorized:

@@ -114,6 +114,26 @@ def test_compare_mini_assert_exit_code(tmp_path, capsys, mesh, code):
     assert (float(summary["mini_blowup_ratio"]) >= 10.0) == (code == 0)
 
 
+def test_compare_mini_prints_each_check_with_its_value_and_tolerance(
+        tmp_path, capsys):
+    """compare-mini prints its study line, then both checks as
+    ``PASS|FAIL: name: value (tolerance tol)``; the values are the
+    blow-up ratio and the column gap of its summary."""
+    out = tmp_path / "compare.csv"
+    assert main(["compare-mini", "--mesh-list", "4", "--steps-list", "2,4,8",
+                 "--out", str(out)]) == 0
+    summary = _read_summary(tmp_path / "compare_summary.txt")
+    ratio, gap = (float(summary[key])
+                  for key in ("mini_blowup_ratio", "streamfct_column_gap"))
+    assert capsys.readouterr().out.splitlines() == [
+        f"compare-mini: blow-up ratio {ratio:.3g}, "
+        f"stream-function column gap {gap:.3g}",
+        f"PASS: mini blow-up ratio >= 10: {ratio:.3e} "
+        f"(tolerance 1.000e+01)",
+        f"PASS: stream-function columns identical: {gap:.3e} "
+        f"(tolerance 1.000e-12)"]
+
+
 @pytest.mark.parametrize("argv, config, order", [
     (["--dg-order", "1"], None, 1),
     (["--dg-order", "2"], "dg_order = 0\n", 2),
@@ -287,6 +307,8 @@ def test_config_errors_exit_2(tmp_path, capsys, argv, config):
      "--eta: expected a number, got 'five'"),
     (["converge-k"], "degree = 3\ndegree = 2\n",
      "degree: given twice in the config file"),
+    (["stationary", "--degree", "4", "--mesh-list", "2,4"], None,
+     "degree: expected 2 or 3, got 4"),
 ])
 def test_bad_values_name_the_option_and_format(tmp_path, capsys, argv,
                                                config, message):

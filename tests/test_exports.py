@@ -220,6 +220,35 @@ def test_the_mesh_owns_edge_orientation():
         "space", "eta"]
 
 
+def test_main_alone_reports_checks_and_the_tables_own_the_choices(
+        monkeypatch):
+    """Only ``cli.main`` builds PASS/FAIL text, so every check of every
+    study is printed one way, and ``linalg`` has ``largest_entry`` and no
+    ``symmetry_gap`` beside it.  The CLI's degrees are the keys of
+    ``cip._DEFAULT_PENALTY`` and its methods those of ``cli._ERRORS``:
+    one extra key in either is accepted by ``StudyConfig`` and offered by
+    the parser."""
+    from streamfem import cip, cli, linalg
+
+    builders = set()
+    for path in SOURCE.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Constant) and isinstance(
+                        node.value, str) and node.value.startswith(
+                            ("PASS", "FAIL")):
+                    builders.add((path.stem, getattr(top, "name", None)))
+    assert builders == {("cli", "main")}
+    assert not hasattr(linalg, "symmetry_gap")
+
+    monkeypatch.setitem(cip._DEFAULT_PENALTY, 4, 20.0)
+    monkeypatch.setitem(cli._ERRORS, "new", cli._ERRORS["mini"])
+    assert cli.StudyConfig(degree=4).degree == 4
+    assert cli.StudyConfig(method="new").method == "new"
+    args = cli._build_parser().parse_args(["converge-k", "--method", "new"])
+    assert args.method == "new"
+
+
 def _imports(path):
     """(module imported, whether at the top level) of every import in a
     source file; a relative import is named as its module alone."""

@@ -4,8 +4,8 @@ import scipy.sparse as sp
 
 from streamfem import linalg
 from streamfem.fem import assemble_load_scalar
-from streamfem.linalg import (Factorized, SolverError, build_csr, refine,
-                              symmetry_gap)
+from streamfem.linalg import (Factorized, SolverError, build_csr,
+                              largest_entry, refine)
 from streamfem import manufactured as mf
 
 
@@ -22,10 +22,15 @@ def test_build_csr_sums_duplicates():
     assert a.has_sorted_indices
 
 
-def test_symmetry_gap():
-    a = sp.csr_matrix(np.array([[1.0, 2.0], [2.5, 1.0]]))
-    assert symmetry_gap(a) == pytest.approx(0.5)
-    assert symmetry_gap(sp.eye(3, format="csr")) == 0.0
+def test_largest_entry():
+    """The largest stored |entry|, 0 with none stored: of A - A^T it is
+    the symmetry gap."""
+    a = sp.csr_matrix(np.array([[1.0, 2.0], [-2.5, 1.0]]))
+    assert largest_entry(a) == 2.5
+    assert largest_entry(a - a.T) == 4.5
+    eye = sp.eye(3, format="csr")
+    assert largest_entry(eye - eye.T) == 0.0
+    assert largest_entry(sp.csr_matrix((3, 3))) == 0.0
 
 
 def test_solve_identity():
@@ -38,7 +43,7 @@ def test_solve_diagonal():
     assert Factorized(a)(np.array([2.0, 3.0])) == pytest.approx([1.0, 1.0])
 
 
-def test_solve_general_permutation():
+def test_factorized_solves_a_permutation_matrix():
     a = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert Factorized(a)(np.array([1.0, 2.0])) == pytest.approx([2.0, 1.0])
 
@@ -123,7 +128,7 @@ def _complex_shifted(space):
 @pytest.mark.parametrize("rhs_kind", ["complex", "real"])
 def test_complex_symmetric_residual_contract(space_n4_l2, rhs_kind):
     a = _complex_shifted(space_n4_l2)
-    assert symmetry_gap(a) == 0.0
+    assert largest_entry(a - a.T) == 0.0
     rng = np.random.default_rng(8)
     b = rng.standard_normal(a.shape[0])
     if rhs_kind == "complex":

@@ -547,7 +547,7 @@ def _without_derivative(fld):
                      clamped=fld.clamped)
 
 
-def test_only_bh_analytic_reads_time_derivatives(space):
+def test_only_the_analytic_functional_reads_time_derivatives(space):
     """sigma_i' enters only the data term of ``bh_analytic_functional``:
     the two solvers, the time projection, the stability data norm, the
     best-approximation terms and both space-time errors run on fields
